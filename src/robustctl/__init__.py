@@ -25,8 +25,7 @@ from .strategies import (ConstantControl, ElementaryStrategy, FeedbackMap,
 from .hamiltonian import (HamiltonianQuery, hamiltonian_lower, hamiltonian_mixed,
                           hamiltonian_upper, isaacs_gap, solve_matrix_game)
 from .pde_solver import (SpaceTimeGrid, ValueField, cfl_max_dt,
-                         compare_to_reference, extract_feedback, make_grid,
-                         solve_isaacs)
+                         compare_to_reference, make_grid, solve_isaacs)
 from .game_engine import (Adversary, AdversaryFamily, EngineConfig, Trajectory,
                           ValueEstimate, default_adversary_families,
                           default_strategy_family, dpp_check,

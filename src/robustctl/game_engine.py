@@ -19,13 +19,16 @@ open-loop control against the same noise (:func:`embed_feedback_as_openloop`
 asserts this bitwise), which is what makes them legitimate members of the
 adversary families used for inner infima.
 
-Two engines compute trajectories: a per-path reference engine
-(:func:`simulate_strong`, :func:`simulate_feedback_pair`) written for
-clarity, and a chunked batch engine behind :func:`estimate_payoff` written
-for throughput.  Both apply the identical update arithmetic, so they agree
-bitwise, and the batch engine's results are invariant to chunk size and
-thread count: path seeds are derived per path index, chunks only group
-work, and all reductions run over fully assembled arrays.
+One chunked batch engine computes every trajectory.  :func:`estimate_payoff`
+and the experiments march chunks of paths; the single-path entry points
+(:func:`simulate_strong`, :func:`simulate_feedback_pair` and, through them,
+:func:`embed_feedback_as_openloop`) march a chunk of one.  Strategies are
+played by :class:`~robustctl.strategies.StrategyTracker`, which the tests
+check against the per-step recomputation in
+:func:`~robustctl.strategies.strategy_control_sequence`.  Results are
+invariant to chunk size and thread count: path seeds are derived per path
+index, chunks only group work, and all reductions run over fully assembled
+arrays.
 """
 
 from __future__ import annotations
@@ -41,14 +44,12 @@ from .errors import (ConfigError, EmbeddingMismatchError, ModelEvaluationError,
 from .pde_solver import ValueField
 from .sde_core import (NoisePath, ProblemSpec, STREAM_BROWNIAN, STREAM_EXTRA,
                        derive_seed, derive_seed_array, eval_diffusion,
-                       eval_drift, eval_payoff, stream_generator)
-from .strategies import (AbsRegion, CappedRule, ConstantAction, ConstantControl,
-                         ElementaryStrategy, FeedbackLookupAction, FeedbackMap,
-                         FixedTimeRule, HittingRule, OpenLoopControl,
-                         PathStrategyTracker, PiecewiseRandomControl, SignControl,
-                         ReplayControl, StoppingRule, UNDEFINED,
-                         check_nonanticipative, make_grid_strategy,
-                         realize_open_loop)
+                       eval_drift, eval_payoff)
+from .strategies import (_NOT_YET, AbsRegion, ConstantAction, ConstantControl,
+                         ElementaryStrategy, FeedbackMap, FixedTimeRule,
+                         HittingRule, OpenLoopControl, PiecewiseRandomControl,
+                         ReplayControl, SignControl, StoppingRule, StrategyTracker,
+                         _rule_monitor, check_nonanticipative, make_grid_strategy)
 
 __all__ = [
     "Trajectory", "ValueEstimate", "EngineConfig",
@@ -116,41 +117,20 @@ class EngineConfig:
 class BestResponseTable:
     """Adversary reply v(t, x, u) tabulated per controller action.
 
-    ``table[layer, u_index, cell...]`` holds the reply index; built from the
-    per-u best-reply certificate of a solved lower field.
+    ``table[layer, u_index, cell...]`` holds the reply index on the space-time
+    grid of ``grid``, a feedback map that also does the snapping; built from
+    the per-u best-reply certificate of a solved lower field.
     """
 
-    times: np.ndarray
-    axes: tuple
+    grid: FeedbackMap
     table: np.ndarray
-    control_set: object
 
     @classmethod
     def from_field(cls, field: ValueField) -> "BestResponseTable":
-        return cls(times=field.grid.times, axes=field.grid.axes,
-                   table=field.response_v, control_set=field.feedback_v.control_set)
-
-    def _layer(self, t: float) -> int:
-        dt = self.times[1] - self.times[0] if self.times.size > 1 else 1.0
-        return int(np.clip(round((t - self.times[0]) / dt), 0, self.times.size - 1))
-
-    def _cells(self, x: np.ndarray) -> tuple:
-        cells = []
-        for a, axis in enumerate(self.axes):
-            if axis.size == 1:
-                cells.append(np.zeros(np.asarray(x).shape[:-1], dtype=np.intp))
-                continue
-            idx = np.rint((np.asarray(x)[..., a] - axis[0]) / (axis[1] - axis[0]))
-            cells.append(np.clip(idx.astype(np.intp), 0, axis.size - 1))
-        return tuple(cells)
-
-    def lookup(self, t: float, u_index: int, x: np.ndarray) -> int:
-        cells = self._cells(x)
-        return int(self.table[(self._layer(t), int(u_index)) + tuple(int(c) for c in cells)])
+        return cls(grid=field.feedback_v, table=field.response_v)
 
     def lookup_batch(self, t: float, u_indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-        cells = self._cells(x)
-        return self.table[(self._layer(t), u_indices) + cells]
+        return self.table[(self.grid.layer_of(t), u_indices) + self.grid._cells_of(x)]
 
 
 _ADVERSARY_KINDS = ("open_loop", "feedback", "best_response", "strategy")
@@ -215,42 +195,32 @@ class AdversaryFamily:
         return max(m.extra_dim for m in self.members)
 
 
-# -------------------------------------------------------- per-path engine ---- #
+# ------------------------------------------------- single-path entry points ---- #
 
 
-def _march_path(spec: ProblemSpec, noise: NoisePath, x0: np.ndarray,
-                strategy: ElementaryStrategy, v_provider) -> Trajectory:
-    """Shared per-path march; v_provider(i, buf, u_idx) yields the step's v index."""
-    times = noise.times
-    n = noise.n_steps
-    buf = np.empty((n + 1, spec.dim))
-    buf[0] = x0
-    tracker = PathStrategyTracker(strategy, times, buf)
-    u_path = np.empty(n, dtype=np.int64)
-    v_path = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        u_idx = tracker.on_index(i)
-        if u_idx == UNDEFINED:
-            raise StrategyIntervalError(
-                f"strategy {strategy.label!r} inactive on step {i} (t={times[i]})")
-        v_idx = int(v_provider(i, buf, u_idx))
-        if not 0 <= v_idx < spec.controls_v.size:
-            raise ModelEvaluationError(f"adversary produced index {v_idx} outside the control set")
-        u = spec.controls_u.point(u_idx)
-        v = spec.controls_v.point(v_idx)
-        dt = times[i + 1] - times[i]
-        b = eval_drift(spec, times[i], buf[i], u, v)
-        sig = eval_diffusion(spec, times[i], buf[i], u, v)
-        buf[i + 1] = buf[i] + b * dt + (sig * noise.dW[i][..., None, :]).sum(axis=-1)
-        if not np.all(np.isfinite(buf[i + 1])):
-            raise SimulationBlowUpError(
-                f"state left the finite range at t={times[i + 1]}",
-                t=float(times[i + 1]), state=buf[i + 1].copy(), seed=noise.seed)
-        u_path[i] = u_idx
-        v_path[i] = v_idx
-    payoff = float(eval_payoff(spec, buf[n]))
-    return Trajectory(times=times, states=buf, u_indices=u_path, v_indices=v_path,
-                      payoff=payoff, seed=noise.seed, clamp_count=tracker.clamp_count)
+def _refuse_anticipating(cells) -> None:
+    for strategy, adversary in cells:
+        if strategy.anticipating or adversary.anticipating:
+            raise StrategyStructureError(
+                "anticipating strategies/controls are test fixtures; refusing to simulate")
+
+
+def _simulate_path(spec: ProblemSpec, strategy: ElementaryStrategy,
+                   adversary: Adversary, noise: NoisePath, x0) -> Trajectory:
+    """One path on the given noise, marched by the batch engine as a chunk of one."""
+    x0 = _as_state(spec, x0)
+    _refuse_anticipating([(strategy, adversary)])
+    if adversary.extra_dim > noise.extra.shape[1]:
+        raise ConfigError(f"adversary {adversary.id!r} needs extra_dim >= "
+                          f"{adversary.extra_dim}, noise provides {noise.extra.shape[1]}")
+    seeds = np.array([noise.seed], dtype=np.uint64)
+    payoffs, clamps, (states, u_paths, v_paths) = _march_chunk(
+        spec, noise.times, seeds, x0, strategy, adversary, noise.dW[None],
+        noise.extra[None], record_states=True)
+    return Trajectory(times=noise.times, states=states[0],
+                      u_indices=u_paths[0].astype(np.int64),
+                      v_indices=v_paths[0].astype(np.int64), payoff=float(payoffs[0]),
+                      seed=noise.seed, clamp_count=clamps)
 
 
 def simulate_strong(spec: ProblemSpec, strategy: ElementaryStrategy,
@@ -261,35 +231,16 @@ def simulate_strong(spec: ProblemSpec, strategy: ElementaryStrategy,
     The control's index path is realized from the noise up front (it is
     state-independent by definition) and consumed step by step.
     """
-    x0 = _as_state(spec, x0)
-    v_path = realize_open_loop(control, noise, spec.controls_v.size)
-    return _march_path(spec, noise, x0, strategy, lambda i, buf, u: v_path[i])
+    adversary = Adversary(id=control.label, kind="open_loop", control=control)
+    return _simulate_path(spec, strategy, adversary, noise, x0)
 
 
 def simulate_feedback_pair(spec: ProblemSpec, alpha: ElementaryStrategy,
                            beta: ElementaryStrategy, noise: NoisePath,
                            x0: np.ndarray) -> Trajectory:
     """One path with both players running elementary feedback strategies."""
-    x0 = _as_state(spec, x0)
-    times = noise.times
-
-    class _Deferred:
-        def __init__(self):
-            self.tracker = None
-
-        def __call__(self, i, buf, u_idx):
-            if self.tracker is None:
-                self.tracker = PathStrategyTracker(beta, times, buf)
-            v_idx = self.tracker.on_index(i)
-            if v_idx == UNDEFINED:
-                raise StrategyIntervalError(
-                    f"strategy {beta.label!r} inactive on step {i} (t={times[i]})")
-            return v_idx
-
-    provider = _Deferred()
-    traj = _march_path(spec, noise, x0, alpha, provider)
-    traj.clamp_count += provider.tracker.clamp_count if provider.tracker else 0
-    return traj
+    adversary = Adversary(id=beta.label, kind="strategy", strategy=beta)
+    return _simulate_path(spec, alpha, adversary, noise, x0)
 
 
 @dataclass(eq=False)
@@ -338,174 +289,6 @@ def _as_state(spec: ProblemSpec, x0) -> np.ndarray:
 
 
 # ----------------------------------------------------------- batch engine ---- #
-
-
-class _UnsupportedBatch(Exception):
-    """Internal: fall back to the per-path engine for this chunk."""
-
-
-_NOT_YET = np.iinfo(np.int64).max // 2
-
-
-class _BatchFixedMonitor:
-    def __init__(self, index: int, n: int):
-        self.fire = np.full(n, index, dtype=np.int64)
-
-    def observe(self, j, X):
-        pass
-
-    def fired_by(self, j):
-        return np.where(self.fire <= j, self.fire, _NOT_YET)
-
-
-class _BatchHittingMonitor:
-    def __init__(self, region, from_index: int, n: int):
-        self.region = region
-        self.from_index = from_index
-        self.hit = np.full(n, _NOT_YET, dtype=np.int64)
-
-    def observe(self, j, X):
-        if j >= self.from_index:
-            fresh = (self.hit == _NOT_YET) & self.region.contains(X)
-            self.hit[fresh] = j
-
-    def fired_by(self, j):
-        return self.hit
-
-
-class _BatchMinMonitor:
-    def __init__(self, children):
-        self.children = children
-
-    def observe(self, j, X):
-        for c in self.children:
-            c.observe(j, X)
-
-    def fired_by(self, j):
-        out = self.children[0].fired_by(j).copy()
-        for c in self.children[1:]:
-            np.minimum(out, c.fired_by(j), out=out)
-        return out
-
-
-def _batch_monitor(rule: StoppingRule, times: np.ndarray, n: int):
-    fixed = rule.fixed_fire_index(times)
-    if fixed is not None:
-        return _BatchFixedMonitor(fixed, n)
-    if isinstance(rule, HittingRule):
-        if rule.from_rule is None:
-            return _BatchHittingMonitor(rule.region, 0, n)
-        from_fixed = rule.from_rule.fixed_fire_index(times)
-        if from_fixed is not None:
-            return _BatchHittingMonitor(rule.region, from_fixed, n)
-    if isinstance(rule, CappedRule):
-        return _BatchMinMonitor([_batch_monitor(rule.inner, times, n),
-                                 _batch_monitor(rule.cap, times, n)])
-    raise _UnsupportedBatch(f"rule {type(rule).__name__} has no batch monitor")
-
-
-class _BatchStrategyTracker:
-    """Vectorized twin of PathStrategyTracker over a chunk of paths.
-
-    Strategies whose rules all fire at path-independent indices (grid
-    ladders, constant strategies) take a precomputed schedule: segments
-    change simultaneously on every path, so per-step work is a dictionary
-    probe.  Everything else runs per-path monitors in batch form.
-    """
-
-    def __init__(self, strategy: ElementaryStrategy, times: np.ndarray, n: int):
-        for action in strategy.actions:
-            if not isinstance(action, (ConstantAction, FeedbackLookupAction)):
-                raise _UnsupportedBatch(f"action {type(action).__name__} has no batch form")
-        self.strategy = strategy
-        self.times = times
-        self.n = n
-        self.u_idx = np.full(n, UNDEFINED, dtype=np.int64)
-        self.clamp_count = 0
-        self.all_defined = False
-        self.events = self._fixed_schedule(strategy, times)
-        if self.events is not None:
-            return
-        self.start_monitor = _batch_monitor(strategy.start_rule, times, n)
-        self.monitors = [_batch_monitor(r, times, n) for r in strategy.rules]
-        self.seg = np.full(n, -1, dtype=np.int64)
-        self.fire_prev = np.full(n, -1, dtype=np.int64)
-
-    def _fixed_schedule(self, strategy, times):
-        """events[j] = (segment, clamped) pairs entered at step j, for fixed rules."""
-        f0 = strategy.start_rule.fixed_fire_index(times)
-        if f0 is None:
-            return None
-        fires = []
-        for rule in strategy.rules:
-            f = rule.fixed_fire_index(times)
-            if f is None:
-                return None
-            fires.append(f)
-        events: dict = {f0: [(0, False)]}
-        prev = f0
-        for k, f in enumerate(fires):
-            clamped = f < prev
-            f = max(f, prev)
-            events.setdefault(f, []).append((k + 1, clamped))
-            prev = f
-        return events
-
-    def _apply_action(self, k: int, mask, j: int, X: np.ndarray):
-        action = self.strategy.actions[k]
-        if isinstance(action, ConstantAction):
-            self.u_idx[mask] = action.index
-        else:
-            self.u_idx[mask] = action.feedback.lookup_index_batch(float(self.times[j]), X[mask])
-
-    def on_state(self, j: int, X: np.ndarray) -> np.ndarray:
-        if self.events is not None:
-            hits = self.events.get(j)
-            if hits is not None:
-                for seg, clamped in hits:
-                    if clamped:
-                        self.clamp_count += self.n
-                    if seg < len(self.strategy.actions):
-                        self._apply_action(seg, slice(None), j, X)
-                    else:
-                        self.u_idx[:] = UNDEFINED
-                # schedule events hit every path at once, so the last one decides
-                self.all_defined = hits[-1][0] < len(self.strategy.actions)
-            return self.u_idx
-        self.start_monitor.observe(j, X)
-        for m in self.monitors:
-            m.observe(j, X)
-        if np.any(self.seg < 0):
-            f0 = self.start_monitor.fired_by(j)
-            starting = (self.seg < 0) & (f0 <= j)
-            if np.any(starting):
-                self.seg[starting] = 0
-                self.fire_prev[starting] = f0[starting]
-                self._apply_action(0, starting, j, X)
-        n_seg = len(self.monitors)
-        expired = False
-        for k in range(n_seg):
-            at_k = self.seg == k
-            if not np.any(at_k):
-                continue
-            f = self.monitors[k].fired_by(j)
-            clamped = np.maximum(f, self.fire_prev)
-            advancing = at_k & (f != _NOT_YET) & (clamped <= j)
-            if not np.any(advancing):
-                continue
-            self.clamp_count += int(np.count_nonzero(advancing & (f < self.fire_prev)))
-            self.fire_prev[advancing] = clamped[advancing]
-            self.seg[advancing] = k + 1
-            if k + 1 < n_seg:
-                self._apply_action(k + 1, advancing, j, X)
-            else:
-                self.u_idx[advancing] = UNDEFINED
-                expired = True
-        if expired:
-            self.all_defined = False
-        elif not self.all_defined:
-            self.all_defined = not np.any(self.u_idx == UNDEFINED)
-        return self.u_idx
 
 
 def _chunk_noise(times: np.ndarray, seeds: np.ndarray, noise_dim: int,
@@ -564,13 +347,8 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
     """
     n_v = spec.controls_v.size
     if adversary.kind == "open_loop":
-        paths = adversary.control.realize_batch(times, dW, extra, seeds)
-        if paths is None:
-            paths = np.empty((seeds.size, times.size - 1), dtype=np.int64)
-            for p in range(seeds.size):
-                noise = NoisePath(times=times, dW=dW[p], extra=extra[p], seed=int(seeds[p]))
-                paths[p] = realize_open_loop(adversary.control, noise, n_v)
-        paths = np.asarray(paths, dtype=np.int64)
+        paths = np.asarray(adversary.control.realize_batch(times, dW, extra, seeds),
+                           dtype=np.int64)
         if paths.size and (paths.min() < 0 or paths.max() >= n_v):
             raise ModelEvaluationError(
                 f"adversary {adversary.id!r} produced indices outside [0, {n_v})")
@@ -586,16 +364,18 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
         table = adversary.response
         step = lambda i, X, u_idx: table.lookup_batch(float(times[i]), u_idx, X)
         return lambda: (step, None)
-    _BatchStrategyTracker(adversary.strategy, times, seeds.size)  # raises if unsupported
-
     def factory():
-        tracker = _BatchStrategyTracker(adversary.strategy, times, seeds.size)
+        tracker = StrategyTracker(adversary.strategy, times, seeds.size)
 
         def from_strategy(i, X, u_idx):
             v = tracker.on_state(i, X)
             if not tracker.all_defined:
                 raise StrategyIntervalError(
                     f"adversary strategy {adversary.strategy.label!r} inactive on step {i}")
+            # an index past the set would decode as another (u, v) pair in _step_batch
+            if v.min() < 0 or v.max() >= n_v:
+                raise ModelEvaluationError(
+                    f"adversary {adversary.id!r} produced indices outside [0, {n_v}) on step {i}")
             return v
 
         return from_strategy, tracker
@@ -628,11 +408,13 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
                 rows: np.ndarray | None = None) -> None:
     """One Euler step in place, with paths grouped by their (u, v) pair.
 
-    Steps where every path shares one pair (the common case) take the
-    uniform path directly.  Mixed steps evaluate each live pair on the full
-    state block and gather per row; the coefficient contract (vectorized,
-    row i depends on x[i] alone) makes that the same floats as a per-group
-    evaluation, without mask extraction and scatter.
+    Steps where every path shares one pair take the uniform path directly.
+    Mixed steps are about as common (in a full run of the test suite, about
+    half of the batched steps had paths on more than one pair); they
+    evaluate each live pair on the full state block and gather per row.  The
+    coefficient contract (vectorized, row i depends on x[i] alone) makes
+    that the same floats as a per-group evaluation, without mask extraction
+    and scatter.
     """
     n_u, n_v = spec.controls_u.size, spec.controls_v.size
     if n_u == 1 and n_v == 1:
@@ -664,34 +446,33 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
                  adversary: Adversary, dW: np.ndarray, extra: np.ndarray,
                  dW_tm: np.ndarray | None = None, v_factory=None,
                  record_states: bool = False):
-    """Payoffs (and optionally full states) for one chunk of paths.
+    """Payoffs, clamp count and (optionally) recorded paths for one chunk.
 
     ``dW`` is path-major (c, N, noise_dim); ``dW_tm`` is the same increments
     time-major (N, c, noise_dim) so step slices are contiguous, built here
     when the caller did not share one.  ``v_factory`` is a prebuilt
     adversary realization for this chunk (see :func:`_adversary_realization`),
-    also built here when not shared.
+    also built here when not shared.  With ``record_states`` the third
+    result is (states (c, N+1, dim), u indices (c, N), v indices (c, N)),
+    else None; the indices are int32 to keep recorded chunks small.
     """
     n = times.size - 1
     c = seeds.size
-    try:
-        if strategy.anticipating or adversary.anticipating:
-            raise _UnsupportedBatch("anticipating objects take the reference path")
-        u_tracker = _BatchStrategyTracker(strategy, times, c)
-        if v_factory is None:
-            v_factory = _adversary_realization(adversary, spec, times, dW, extra, seeds)
-        v_source, v_tracker = v_factory()
-    except _UnsupportedBatch:
-        return _simulate_chunk_fallback(spec, times, seeds, x0, strategy, adversary,
-                                        dW, extra, record_states)
+    u_tracker = StrategyTracker(strategy, times, c)
+    if v_factory is None:
+        v_factory = _adversary_realization(adversary, spec, times, dW, extra, seeds)
+    v_source, v_tracker = v_factory()
     if dW_tm is None:
         dW_tm = np.ascontiguousarray(dW.transpose(1, 0, 2))
     X = np.broadcast_to(x0, (c, spec.dim)).copy()
     _probe_coefficients(spec, float(times[0]), X)
-    states = None
+    recorded = None
     if record_states:
         states = np.empty((c, n + 1, spec.dim))
         states[:, 0] = X
+        u_paths = np.empty((c, n), dtype=np.int32)
+        v_paths = np.empty((c, n), dtype=np.int32)
+        recorded = (states, u_paths, v_paths)
     dts = np.diff(times)
     rows = np.arange(c)
     for i in range(n):
@@ -712,42 +493,11 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
                 t=float(times[i + 1]), state=X[bad].copy(), seed=int(seeds[bad]))
         if record_states:
             states[:, i + 1] = X
+            u_paths[:, i] = u_idx
+            v_paths[:, i] = v_idx
     payoffs = eval_payoff(spec, X)
     clamps = u_tracker.clamp_count + (v_tracker.clamp_count if v_tracker else 0)
-    return payoffs, states, clamps
-
-
-def _simulate_chunk_fallback(spec, times, seeds, x0, strategy, adversary,
-                             dW, extra, record_states):
-    """Reference-engine loop for objects without a batch form."""
-    c = seeds.size
-    payoffs = np.empty(c)
-    states = np.empty((c, times.size, spec.dim)) if record_states else None
-    clamps = 0
-    for p in range(c):
-        noise = NoisePath(times=times, dW=dW[p], extra=extra[p], seed=int(seeds[p]))
-        traj = _simulate_one(spec, strategy, adversary, noise, x0)
-        payoffs[p] = traj.payoff
-        clamps += traj.clamp_count
-        if record_states:
-            states[p] = traj.states
-    return payoffs, states, clamps
-
-
-def _simulate_one(spec: ProblemSpec, strategy: ElementaryStrategy,
-                  adversary: Adversary, noise: NoisePath, x0: np.ndarray) -> Trajectory:
-    """Per-path simulation against any adversary kind."""
-    if adversary.kind == "open_loop":
-        return simulate_strong(spec, strategy, adversary.control, noise, x0)
-    if adversary.kind == "strategy":
-        return simulate_feedback_pair(spec, strategy, adversary.strategy, noise, x0)
-    if adversary.kind == "feedback":
-        fb = adversary.feedback
-        provider = lambda i, buf, u: fb.lookup_index(float(noise.times[i]), buf[i])
-    else:
-        table = adversary.response
-        provider = lambda i, buf, u: table.lookup(float(noise.times[i]), u, buf[i])
-    return _march_path(spec, noise, _as_state(spec, x0), strategy, provider)
+    return payoffs, clamps, recorded
 
 
 def _map_chunks(n_paths: int, engine: EngineConfig, worker) -> int:
@@ -781,10 +531,7 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     postprocess(times, states) when a postprocess is given (it receives the
     chunk's recorded paths and must return one value per path).
     """
-    for strategy, adversary in cells:
-        if strategy.anticipating or adversary.anticipating:
-            raise StrategyStructureError(
-                "anticipating strategies/controls are test fixtures; refusing to estimate")
+    _refuse_anticipating(cells)
     needed = max(adv.extra_dim for _, adv in cells)
     extra_dim = needed if engine.extra_dim is None else engine.extra_dim
     if extra_dim < needed:
@@ -802,18 +549,15 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
         factories: dict = {}
         for _, adversary in cells:
             if adversary not in factories:
-                try:
-                    factories[adversary] = _adversary_realization(
-                        adversary, spec, times, dW, extra, chunk_seeds)
-                except _UnsupportedBatch:
-                    factories[adversary] = None  # cell falls back per path
+                factories[adversary] = _adversary_realization(
+                    adversary, spec, times, dW, extra, chunk_seeds)
         for ci, (strategy, adversary) in enumerate(cells):
-            payoffs, states, clamps = _march_chunk(spec, times, chunk_seeds, x0,
-                                                   strategy, adversary, dW, extra,
-                                                   dW_tm=dW_tm,
-                                                   v_factory=factories[adversary],
-                                                   record_states=record)
-            values[ci, start:stop] = postprocess(times, states) if record else payoffs
+            payoffs, clamps, recorded = _march_chunk(spec, times, chunk_seeds, x0,
+                                                     strategy, adversary, dW, extra,
+                                                     dW_tm=dW_tm,
+                                                     v_factory=factories[adversary],
+                                                     record_states=record)
+            values[ci, start:stop] = postprocess(times, recorded[0]) if record else payoffs
             clamp_store[chunk_id, ci] = clamps
 
     _map_chunks(n_paths, engine, worker)
@@ -1007,29 +751,17 @@ def filtration_experiment(spec: ProblemSpec, s: float, x0,
 
 
 def _fire_batch(rule: StoppingRule, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Fire indices of a rule on recorded paths (c, N+1, d), capped at the horizon."""
-    c, n_plus_1 = states.shape[0], states.shape[1]
-    cap = n_plus_1 - 1
-    fixed = rule.fixed_fire_index(times)
-    if fixed is not None:
-        return np.full(c, min(fixed, cap), dtype=np.int64)
-    if isinstance(rule, HittingRule):
-        start = 0
-        if rule.from_rule is not None:
-            start = rule.from_rule.fixed_fire_index(times)
-        if start is not None:
-            mask = rule.region.contains(states[:, start:])
-            hit_any = mask.any(axis=1)
-            first = np.argmax(mask, axis=1) + start
-            return np.where(hit_any, first, cap).astype(np.int64)
-    if isinstance(rule, CappedRule):
-        return np.minimum(_fire_batch(rule.inner, times, states),
-                          _fire_batch(rule.cap, times, states))
-    out = np.empty(c, dtype=np.int64)
-    for p in range(c):
-        f = rule.fire_index(times, states[p], cap)
-        out[p] = cap if f is None else f
-    return out
+    """Fire indices of a rule on recorded paths (c, N+1, d), capped at the horizon.
+
+    Replays the rule's batch monitor, the one :class:`StrategyTracker` runs,
+    over the recorded states.
+    """
+    cap = states.shape[1] - 1
+    monitor = _rule_monitor(rule, times, states.shape[0])
+    for j in range(cap + 1):
+        monitor.observe(j, states[:, j])
+    fire = monitor.fired_by(cap)
+    return np.where(fire == _NOT_YET, cap, fire)
 
 
 @dataclass(eq=False)

@@ -40,7 +40,6 @@ __all__ = [
     "cfl_max_dt",
     "make_grid",
     "solve_isaacs",
-    "extract_feedback",
     "compare_to_reference",
 ]
 
@@ -347,11 +346,6 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower",
         feedback_v=FeedbackMap(times=times, axes=grid.axes, indices=fb_v,
                                control_set=spec.controls_v, label=f"{label}/v"),
         response_v=resp_v, max_update=max_update, grad=grad, second=second)
-
-
-def extract_feedback(field: ValueField) -> tuple[FeedbackMap, FeedbackMap]:
-    """The controller and adversary feedback tables recorded by the march."""
-    return field.feedback_u, field.feedback_v
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ __all__ = [
     "StoppingRule", "FixedTimeRule", "GridIndexRule", "HittingRule",
     "CappedRule", "LookaheadRule",
     "Action", "ConstantAction", "FeedbackLookupAction", "LookaheadAction",
-    "ElementaryStrategy", "PathStrategyTracker",
+    "ElementaryStrategy", "StrategyTracker",
     "evaluate_strategy", "strategy_control_index", "strategy_control_sequence",
     "make_grid_strategy", "concatenate",
     "FeedbackMap",
@@ -442,7 +442,7 @@ def strategy_control_sequence(strategy: ElementaryStrategy, times: np.ndarray,
     """Control index for every step of a full path; UNDEFINED where inactive.
 
     Recomputes each step from its own prefix, so the result is by
-    construction non-anticipative; the incremental trackers are tested
+    construction non-anticipative; :class:`StrategyTracker` is tested
     against it.
     """
     times = np.asarray(times, dtype=float)
@@ -462,135 +462,192 @@ def strategy_control_sequence(strategy: ElementaryStrategy, times: np.ndarray,
 # ------------------------------------------------- incremental tracking ---- #
 
 
-class _FireMonitor:
-    """Per-path incremental view of one rule's fire index."""
+_NOT_YET = np.iinfo(np.int64).max // 2  # fire index of a rule that has not fired
 
-    def observe(self, j: int, x_j: np.ndarray) -> None:
+
+class _FixedMonitor:
+    """A rule that fires at the same index on every path."""
+
+    def __init__(self, index: int, n: int):
+        self.fire = np.full(n, index, dtype=np.int64)
+
+    def observe(self, j, X):
         pass
 
-    def fired_by(self, j: int) -> int | None:
-        raise NotImplementedError
-
-
-class _FixedMonitor(_FireMonitor):
-    def __init__(self, index: int):
-        self.index = index
-
     def fired_by(self, j):
-        return self.index if self.index <= j else None
+        return np.where(self.fire <= j, self.fire, _NOT_YET)
 
 
-class _HittingMonitor(_FireMonitor):
-    def __init__(self, region, from_index: int):
+class _HittingMonitor:
+    """First entry into a region, counting only entries once the gate has fired.
+
+    The gate is the from-rule's own monitor; it observes first, so an entry
+    at the from-rule's fire index counts, as in :meth:`HittingRule.fire_index`.
+    """
+
+    def __init__(self, region, gate, n: int):
         self.region = region
-        self.from_index = from_index
-        self.hit: int | None = None
+        self.gate = gate
+        self.hit = np.full(n, _NOT_YET, dtype=np.int64)
 
-    def observe(self, j, x_j):
-        if self.hit is None and j >= self.from_index and bool(self.region.contains(x_j)):
-            self.hit = j
+    def observe(self, j, X):
+        fresh = self.hit == _NOT_YET
+        if self.gate is not None:
+            self.gate.observe(j, X)
+            fresh &= self.gate.fired_by(j) <= j
+        fresh &= self.region.contains(X)
+        self.hit[fresh] = j
 
     def fired_by(self, j):
         return self.hit
 
 
-class _MinMonitor(_FireMonitor):
-    def __init__(self, children):
-        self.children = children
+class _MinMonitor:
+    """min(inner, cap) of a :class:`CappedRule`."""
 
-    def observe(self, j, x_j):
-        for c in self.children:
-            c.observe(j, x_j)
+    def __init__(self, inner, cap):
+        self.inner = inner
+        self.cap = cap
 
-    def fired_by(self, j):
-        fires = [f for f in (c.fired_by(j) for c in self.children) if f is not None]
-        return min(fires) if fires else None
-
-
-class _RescanMonitor(_FireMonitor):
-    """Fallback for arbitrary rules: re-runs fire_index on the growing prefix."""
-
-    def __init__(self, rule, times, buf):
-        self.rule = rule
-        self.times = times
-        self.buf = buf
-        self.last_j = -1
-
-    def observe(self, j, x_j):
-        self.last_j = j
+    def observe(self, j, X):
+        self.inner.observe(j, X)
+        self.cap.observe(j, X)
 
     def fired_by(self, j):
-        return self.rule.fire_index(self.times, self.buf[: self.last_j + 1], j)
+        return np.minimum(self.inner.fired_by(j), self.cap.fired_by(j))
 
 
-def _make_monitor(rule: StoppingRule, times: np.ndarray, buf: np.ndarray) -> _FireMonitor:
+def _rule_monitor(rule: StoppingRule, times: np.ndarray, n: int):
+    """Incremental fire indices of one rule on n paths (_NOT_YET until it fires).
+
+    ``observe(j, X)`` takes the (n, dim) states at index j, for j = 0, 1, ...
+    in order; ``fired_by(j)`` then gives each path's fire index if it is <= j.
+    """
     fixed = rule.fixed_fire_index(times)
     if fixed is not None:
-        return _FixedMonitor(fixed)
+        return _FixedMonitor(fixed, n)
     if isinstance(rule, HittingRule):
-        if rule.from_rule is None:
-            return _HittingMonitor(rule.region, 0)
-        from_fixed = rule.from_rule.fixed_fire_index(times)
-        if from_fixed is not None:
-            return _HittingMonitor(rule.region, from_fixed)
+        gate = None if rule.from_rule is None else _rule_monitor(rule.from_rule, times, n)
+        return _HittingMonitor(rule.region, gate, n)
     if isinstance(rule, CappedRule):
-        return _MinMonitor([_make_monitor(rule.inner, times, buf),
-                            _make_monitor(rule.cap, times, buf)])
-    return _RescanMonitor(rule, times, buf)
+        return _MinMonitor(_rule_monitor(rule.inner, times, n),
+                           _rule_monitor(rule.cap, times, n))
+    raise StrategyStructureError(f"stopping rule {type(rule).__name__} has no batch form")
 
 
-class PathStrategyTracker:
-    """Walks one strategy along one growing path, one state index at a time.
+class StrategyTracker:
+    """Walks one strategy along n growing paths at once, one state index at a time.
 
-    ``buf`` is the caller's preallocated state array; the tracker reads rows
-    the caller has already filled.  ``on_index(j)`` must be called after row
-    j is written and returns the control index in force on step j, or
-    UNDEFINED if the strategy has not started.  Matches
-    :func:`strategy_control_sequence` step for step.
+    ``on_state(j, X)`` must be called for j = 0, 1, ... in order, with X the
+    (n, dim) states at index j.  It returns the (n,) control indices in force
+    on step j, UNDEFINED on paths where the strategy has not started or is
+    exhausted, and ``all_defined`` says whether no path is UNDEFINED.  The
+    returned array is updated in place by later calls.  Row p matches
+    :func:`strategy_control_sequence` on path p, and ``clamp_count`` sums
+    the clamps over the rows.
+
+    Strategies whose rules all fire at path-independent indices (grid
+    ladders, constant strategies) take a precomputed schedule: segments
+    change simultaneously on every path, so per-step work is a dictionary
+    probe.  Everything else runs one monitor per rule.  A rule or action
+    class without a batch form raises :class:`StrategyStructureError` here,
+    before any step is tracked.
     """
 
-    def __init__(self, strategy: ElementaryStrategy, times: np.ndarray, buf: np.ndarray):
+    def __init__(self, strategy: ElementaryStrategy, times: np.ndarray, n: int):
+        for action in strategy.actions:
+            if not isinstance(action, (ConstantAction, FeedbackLookupAction)):
+                raise StrategyStructureError(
+                    f"action {type(action).__name__} has no batch form")
         self.strategy = strategy
         self.times = times
-        self.buf = buf
-        self.start_monitor = _make_monitor(strategy.start_rule, times, buf)
-        self.monitors = [_make_monitor(r, times, buf) for r in strategy.rules]
-        self.k = -1            # index of the active segment; -1 = not started
-        self.fire_prev = -1
-        self.current = UNDEFINED
+        self.n = n
+        self.u_idx = np.full(n, UNDEFINED, dtype=np.int64)
         self.clamp_count = 0
-        self.exhausted = False
+        self.all_defined = False
+        self.events = self._fixed_schedule(strategy, times)
+        if self.events is not None:
+            return
+        self.start_monitor = _rule_monitor(strategy.start_rule, times, n)
+        self.monitors = [_rule_monitor(r, times, n) for r in strategy.rules]
+        self.seg = np.full(n, -1, dtype=np.int64)
+        self.fire_prev = np.full(n, -1, dtype=np.int64)
 
-    def on_index(self, j: int) -> int:
-        x_j = self.buf[j]
-        self.start_monitor.observe(j, x_j)
-        for m in self.monitors:
-            m.observe(j, x_j)
-        if self.k < 0:
-            f0 = self.start_monitor.fired_by(j)
-            if f0 is None:
-                return UNDEFINED
-            self.k = 0
-            self.fire_prev = f0
-            self.current = int(self.strategy.actions[0].control_index(self.times, self.buf, j))
-        while self.k < len(self.monitors):
-            f = self.monitors[self.k].fired_by(j)
+    def _fixed_schedule(self, strategy, times):
+        """events[j] = (segment, clamped) pairs entered at step j, for fixed rules."""
+        f0 = strategy.start_rule.fixed_fire_index(times)
+        if f0 is None:
+            return None
+        fires = []
+        for rule in strategy.rules:
+            f = rule.fixed_fire_index(times)
             if f is None:
-                break
-            if f < self.fire_prev:
-                f = self.fire_prev
-                self.clamp_count += 1
-            if f > j:
-                break
-            self.fire_prev = f
-            self.k += 1
-            if self.k < len(self.monitors):
-                self.current = int(
-                    self.strategy.actions[self.k].control_index(self.times, self.buf, j))
+                return None
+            fires.append(f)
+        events: dict = {f0: [(0, False)]}
+        prev = f0
+        for k, f in enumerate(fires):
+            clamped = f < prev
+            f = max(f, prev)
+            events.setdefault(f, []).append((k + 1, clamped))
+            prev = f
+        return events
+
+    def _apply_action(self, k: int, mask, j: int, X: np.ndarray):
+        action = self.strategy.actions[k]
+        if isinstance(action, ConstantAction):
+            self.u_idx[mask] = action.index
+        else:
+            self.u_idx[mask] = action.feedback.lookup_index_batch(float(self.times[j]), X[mask])
+
+    def on_state(self, j: int, X: np.ndarray) -> np.ndarray:
+        if self.events is not None:
+            hits = self.events.get(j)
+            if hits is not None:
+                for seg, clamped in hits:
+                    if clamped:
+                        self.clamp_count += self.n
+                    if seg < len(self.strategy.actions):
+                        self._apply_action(seg, slice(None), j, X)
+                    else:
+                        self.u_idx[:] = UNDEFINED
+                # schedule events hit every path at once, so the last one decides
+                self.all_defined = hits[-1][0] < len(self.strategy.actions)
+            return self.u_idx
+        self.start_monitor.observe(j, X)
+        for m in self.monitors:
+            m.observe(j, X)
+        if np.any(self.seg < 0):
+            f0 = self.start_monitor.fired_by(j)
+            starting = (self.seg < 0) & (f0 <= j)
+            if np.any(starting):
+                self.seg[starting] = 0
+                self.fire_prev[starting] = f0[starting]
+                self._apply_action(0, starting, j, X)
+        n_seg = len(self.monitors)
+        expired = False
+        for k in range(n_seg):
+            at_k = self.seg == k
+            if not np.any(at_k):
+                continue
+            f = self.monitors[k].fired_by(j)
+            clamped = np.maximum(f, self.fire_prev)
+            advancing = at_k & (f != _NOT_YET) & (clamped <= j)
+            if not np.any(advancing):
+                continue
+            self.clamp_count += int(np.count_nonzero(advancing & (f < self.fire_prev)))
+            self.fire_prev[advancing] = clamped[advancing]
+            self.seg[advancing] = k + 1
+            if k + 1 < n_seg:
+                self._apply_action(k + 1, advancing, j, X)
             else:
-                self.exhausted = True
-                self.current = UNDEFINED
-        return self.current
+                self.u_idx[advancing] = UNDEFINED
+                expired = True
+        if expired:
+            self.all_defined = False
+        elif not self.all_defined:
+            self.all_defined = not np.any(self.u_idx == UNDEFINED)
+        return self.u_idx
 
 
 # ----------------------------------------------------------- builders ---- #
@@ -678,7 +735,8 @@ class OpenLoopControl:
     ``realize`` materializes the whole index path for one noise draw; the
     base implementation calls ``control_index`` with physically truncated
     prefixes, so a subclass cannot accidentally peek ahead unless it
-    overrides ``realize`` itself.
+    overrides ``realize`` itself.  ``realize_batch`` does the same for a
+    chunk of paths and is what the Monte Carlo engine calls.
     """
 
     info_level = "brownian_only"
@@ -698,9 +756,18 @@ class OpenLoopControl:
         return out
 
     def realize_batch(self, times: np.ndarray, dW: np.ndarray,
-                      extra: np.ndarray, seeds: np.ndarray) -> np.ndarray | None:
-        """Vectorized realize for (n_paths, n_steps, dim) noise; None if unsupported."""
-        return None
+                      extra: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Index paths (n_paths, n_steps) for (n_paths, n_steps, dim) noise.
+
+        Row p is the realization for path seed ``seeds[p]``.  The base
+        implementation runs :func:`realize_open_loop` row by row; subclasses
+        override it with a vectorized form.
+        """
+        out = np.empty(dW.shape[:2], dtype=np.int64)
+        for p in range(out.shape[0]):
+            out[p] = realize_open_loop(self, NoisePath(times=times, dW=dW[p], extra=extra[p],
+                                                       seed=int(seeds[p])))
+        return out
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 strategy/adversary experiments built on top.
 
 The load-bearing tests here are bitwise: the chunked batch engine must
-reproduce the per-path reference exactly, and every experiment must be a
-pure function of (arguments, master seed) regardless of chunking or
-threading.  Statistical assertions are kept for the acceptance suite; this
+reproduce a per-path reference march written here from the strategy
+oracle, and every experiment must be a pure function of (arguments, master
+seed) regardless of chunking or threading.  Statistical assertions are kept for the acceptance suite; this
 module checks identities that hold path by path.
 """
 
@@ -33,7 +33,9 @@ from robustctl.strategies import (AbsRegion, CappedRule, ConstantAction,
                                   FixedTimeRule, GridIndexRule, HittingRule,
                                   LookaheadAction, LookaheadControl,
                                   LookaheadRule, PiecewiseRandomControl,
-                                  SignControl, make_grid_strategy)
+                                  SignControl, StoppingRule, make_grid_strategy,
+                                  realize_open_loop, strategy_control_index,
+                                  strategy_control_sequence)
 
 
 def constant_strategy(control_set, index: int, start: float, end: float,
@@ -59,7 +61,7 @@ def const_adv(index: int, label: str) -> Adversary:
     return Adversary(id=label, kind="open_loop", control=ConstantControl(index))
 
 
-# ----------------------------------------------------- per-path simulation ---- #
+# --------------------------------------------------- single-path simulation ---- #
 
 
 def test_zero_coefficient_path_stays_put(constant_problem):
@@ -113,6 +115,37 @@ def test_feedback_pair_freezes_both_players(pennies_problem):
     for seq in (traj.u_indices, traj.v_indices):
         changes = np.count_nonzero(np.diff(seq))
         assert changes <= 1  # one switch each at most
+
+
+def test_out_of_range_strategy_reply_is_refused(pennies_problem):
+    # index 2 on a two-point set would otherwise decode as another pair
+    spec = pennies_problem.spec
+    times = np.linspace(0.0, spec.horizon, 9)
+    alpha = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
+    beta = constant_strategy(spec.controls_v, 2, 0.0, spec.horizon)
+    with pytest.raises(ModelEvaluationError, match="outside"):
+        simulate_feedback_pair(spec, alpha, beta, sample_noise(times, 1, spec.noise_dim),
+                               np.array([0.0]))
+
+
+def test_recorded_index_paths_match_the_oracle(pennies_problem):
+    # the u/v paths of a trajectory are what each strategy plays on the
+    # recorded states, and replaying v open loop reproduces those states
+    spec = pennies_problem.spec
+    times = np.linspace(0.0, spec.horizon, 33)
+    alpha = hitswitch_strategy(spec.controls_u, 0.0, spec.horizon, level=0.4)
+    beta = hitswitch_strategy(spec.controls_v, 0.0, spec.horizon, level=0.6)
+    switches = 0
+    for seed in range(8):
+        noise = sample_noise(times, seed, spec.noise_dim)
+        traj = simulate_feedback_pair(spec, alpha, beta, noise, np.array([0.0]))
+        for strat, got in ((alpha, traj.u_indices), (beta, traj.v_indices)):
+            want, _ = strategy_control_sequence(strat, times, traj.states)
+            assert np.array_equal(got, want), (seed, strat.label)
+            switches += np.count_nonzero(np.diff(got))
+        res = embed_feedback_as_openloop(spec, alpha, beta, noise, np.array([0.0]))
+        assert np.array_equal(res.replayed.states, traj.states)
+    assert switches > 0
 
 
 # ------------------------------------------------------- estimate_payoff ---- #
@@ -256,39 +289,57 @@ def test_anticipating_objects_are_refused(pennies_problem):
 # -------------------------------------------- batch engine vs. reference ---- #
 
 
+def _reply_by_hand(times, axes, table, t, iu, x):
+    """table[layer, iu, cell...] at the grid node nearest (t, x), clamped."""
+    layer = int(round((t - times[0]) / (times[1] - times[0])))
+    node = [min(max(layer, 0), times.size - 1), iu]
+    for a, axis in enumerate(axes):
+        cell = int(np.rint((x[a] - axis[0]) / (axis[1] - axis[0])))
+        node.append(min(max(cell, 0), axis.size - 1))
+    return int(table[tuple(node)])
+
+
+def _reference_march(spec, noise, x0, strategy, adv):
+    """One path marched step by step, independently of the batch engine.
+
+    Both players' strategies are read through strategy_control_index on the
+    path prefix, open-loop controls through realize_open_loop, and the reply
+    table at a node snapped by hand.
+    """
+    times = noise.times
+    states = np.empty((times.size, spec.dim))
+    states[0] = x0
+    if adv.kind == "open_loop":
+        v_path = realize_open_loop(adv.control, noise, spec.controls_v.size)
+    for i in range(noise.n_steps):
+        t = float(times[i])
+        prefix = states[: i + 1]
+        iu = strategy_control_index(strategy, times[i + 1], times, prefix)
+        if adv.kind == "open_loop":
+            jv = v_path[i]
+        elif adv.kind == "feedback":
+            jv = adv.feedback.lookup_index(t, states[i])
+        elif adv.kind == "best_response":
+            grid = adv.response.grid
+            jv = _reply_by_hand(grid.times, grid.axes, adv.response.table, t, iu,
+                                states[i])
+        else:
+            jv = strategy_control_index(adv.strategy, times[i + 1], times, prefix)
+        states[i + 1] = euler_step(spec, t, float(times[i + 1] - times[i]), states[i],
+                                   spec.controls_u.point(iu),
+                                   spec.controls_v.point(jv), noise.dW[i])
+    return float(eval_payoff(spec, states[-1]))
+
+
 def _reference_payoffs(spec, s, x0, strategy, adv, n_paths, master_seed, engine):
     """Per-path re-simulation of what the batch engine computes in chunks."""
     times = np.linspace(s, spec.horizon, engine.n_steps + 1)
     seeds = derive_seed_array(master_seed, np.arange(n_paths))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     out = np.empty(n_paths)
     for p in range(n_paths):
         noise = sample_noise(times, int(seeds[p]), spec.noise_dim, adv.extra_dim)
-        if adv.kind == "open_loop":
-            out[p] = simulate_strong(spec, strategy, adv.control, noise, x0).payoff
-        elif adv.kind == "strategy":
-            out[p] = simulate_feedback_pair(spec, strategy, adv.strategy,
-                                            noise, x0).payoff
-        else:
-            out[p] = _march_constant_u(spec, noise, x0, strategy, adv)
+        out[p] = _reference_march(spec, noise, x0, strategy, adv)
     return out
-
-
-def _march_constant_u(spec, noise, x0, strategy, adv):
-    """Manual Euler march for state-reading adversaries under a constant u."""
-    iu = strategy.actions[0].index
-    u = spec.controls_u.point(iu)
-    x = x0.copy()
-    for i in range(noise.n_steps):
-        t = float(noise.times[i])
-        if adv.kind == "feedback":
-            jv = int(adv.feedback.lookup_index(t, x))
-        else:
-            jv = adv.response.lookup(t, iu, x)
-        v = spec.controls_v.point(jv)
-        x = euler_step(spec, t, float(noise.times[i + 1] - noise.times[i]),
-                       x, u, v, noise.dW[i])
-    return float(eval_payoff(spec, x))
 
 
 def test_batch_engine_matches_per_path_reference(pennies_problem, pennies_fields):
@@ -302,6 +353,9 @@ def test_batch_engine_matches_per_path_reference(pennies_problem, pennies_fields
     const1 = constant_strategy(spec.controls_u, 1, s, spec.horizon)
     hitter = hitswitch_strategy(spec.controls_u, s, spec.horizon, level=0.8)
     beta = hitswitch_strategy(spec.controls_v, s, spec.horizon, level=0.9)
+    fb = Adversary(id="fb", kind="feedback", feedback=lower.feedback_v)
+    br = Adversary(id="br", kind="best_response",
+                   response=BestResponseTable.from_field(lower))
     cases = [
         (ladder, const_adv(0, "c0")),
         (hitter, const_adv(1, "c1")),
@@ -312,9 +366,11 @@ def test_batch_engine_matches_per_path_reference(pennies_problem, pennies_fields
                                                source="extra"))),
         (ladder, Adversary(id="pw", kind="open_loop",
                            control=PiecewiseRandomControl(2, 4, salt=9))),
-        (const1, Adversary(id="fb", kind="feedback", feedback=lower.feedback_v)),
-        (const1, Adversary(id="br", kind="best_response",
-                           response=BestResponseTable.from_field(lower))),
+        (const1, fb),
+        (const1, br),
+        (hitter, fb),
+        (hitter, br),
+        (ladder, br),
         (ladder, Adversary(id="beta", kind="strategy", strategy=beta)),
     ]
     for strategy, adv in cases:
@@ -334,7 +390,7 @@ def test_fire_batch_matches_scalar_scan():
         HittingRule(AbsRegion(0.8)),
         HittingRule(AbsRegion(0.5), from_rule=FixedTimeRule(0.3)),
         CappedRule(HittingRule(AbsRegion(0.8)), FixedTimeRule(0.9)),
-        # from_rule without a fixed index forces the generic per-path scan
+        # a path-dependent from_rule: the hit is gated on its own monitor
         HittingRule(AbsRegion(0.5), from_rule=HittingRule(AbsRegion(0.2))),
     ]
     cap = times.size - 1
@@ -353,8 +409,31 @@ def test_best_response_lookup_batch_matches_scalar(pennies_fields):
     u_idx = rng.integers(0, 2, size=64)
     for t in (0.0, 0.13, 0.5):
         batch = table.lookup_batch(t, u_idx, x)
-        scalar = [table.lookup(t, int(u_idx[i]), x[i]) for i in range(64)]
+        scalar = [_reply_by_hand(lower.grid.times, lower.grid.axes, lower.response_v,
+                                 t, int(u_idx[i]), x[i]) for i in range(64)]
         assert np.array_equal(batch, np.asarray(scalar))
+
+
+class ScanOnlyRule(StoppingRule):
+    """Fires at the last grid index, known only through fire_index."""
+
+    def fire_index(self, times, states, upto):
+        last = len(times) - 1
+        return last if upto >= last else None
+
+
+def test_rule_without_batch_form_is_refused_by_name(pennies_problem):
+    spec = pennies_problem.spec
+    alpha = ElementaryStrategy(control_set=spec.controls_u,
+                               start_rule=FixedTimeRule(0.0),
+                               rules=(ScanOnlyRule(),),
+                               actions=(ConstantAction(1),), label="scan")
+    with pytest.raises(StrategyStructureError, match="ScanOnlyRule"):
+        estimate_payoff(spec, 0.0, np.array([0.0]), alpha, const_adv(0, "c"),
+                        n_paths=4, master_seed=0, engine=EngineConfig(n_steps=8))
+    noise = sample_noise(np.linspace(0.0, spec.horizon, 9), 3, spec.noise_dim)
+    with pytest.raises(StrategyStructureError, match="ScanOnlyRule"):
+        simulate_strong(spec, alpha, ConstantControl(0), noise, np.array([0.0]))
 
 
 # ------------------------------------------------- families and experiments ---- #
@@ -649,10 +728,10 @@ def test_feedback_adversaries_embed_as_replayed_open_loop(pennies_problem,
 # ----------------------------------------------------------------- blow-up ---- #
 
 
-def test_quadratic_drift_blows_up_under_both_engines(violator_problem):
-    # the batch engine validates coefficients once per chunk, so the inf
-    # reaches the state and trips the blow-up sentinel; the per-path engine
-    # validates every evaluation and dies at the source instead
+def test_quadratic_drift_blows_up_on_every_entry_point(violator_problem):
+    # the engine validates coefficients once per chunk, so the inf reaches
+    # the state and trips the blow-up sentinel, for a chunk of paths and for
+    # a single simulated path alike
     spec = violator_problem.spec
     alpha = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
     with np.errstate(over="ignore"):
@@ -665,9 +744,11 @@ def test_quadratic_drift_blows_up_under_both_engines(violator_problem):
 
         times = np.linspace(0.0, spec.horizon, 51)
         noise = sample_noise(times, 123, spec.noise_dim)
-        with pytest.raises(ModelEvaluationError, match="drift"):
+        with pytest.raises(SimulationBlowUpError) as err_one:
             simulate_strong(spec, alpha, ConstantControl(0), noise,
                             np.array([8.0]))
+        assert err_one.value.seed == 123
+        assert 0.0 < err_one.value.t <= spec.horizon
 
 
 def test_state_overflow_raises_with_location(violator_problem):

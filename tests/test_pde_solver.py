@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from robustctl.errors import CflViolationError, ConfigError, ModelEvaluationError
-from robustctl.pde_solver import (cfl_max_dt, compare_to_reference,
-                                  extract_feedback, make_grid, solve_isaacs)
+from robustctl.pde_solver import (cfl_max_dt, compare_to_reference, make_grid,
+                                  solve_isaacs)
 from robustctl.sde_core import ControlSet, ProblemSpec, eval_payoff
 
 
@@ -173,9 +173,8 @@ def test_max_update_certificate_is_consistent(pennies_fields):
 
 
 def test_heat_feedback_is_constant(heat_field):
-    fb_u, fb_v = extract_feedback(heat_field)
-    assert np.all(fb_u.indices == 0)
-    assert np.all(fb_v.indices == 0)
+    assert np.all(heat_field.feedback_u.indices == 0)
+    assert np.all(heat_field.feedback_v.indices == 0)
 
 
 def test_drift_control_feedback_follows_the_gradient(drift_fields):

@@ -15,16 +15,16 @@ from robustctl.errors import (ConfigError, ModelEvaluationError,
 from robustctl.sde_core import ControlSet, derive_seed, sample_noise, stream_generator
 from robustctl.strategies import (UNDEFINED, AbsRegion, CappedRule,
                                   ConstantAction, ConstantControl,
-                                  ElementaryStrategy, FeedbackMap,
-                                  FixedTimeRule, GridIndexRule, HittingRule,
-                                  LookaheadAction, LookaheadControl,
+                                  ElementaryStrategy, FeedbackLookupAction,
+                                  FeedbackMap, FixedTimeRule, GridIndexRule,
+                                  HittingRule, LookaheadAction, LookaheadControl,
                                   LookaheadRule, OpenLoopControl,
-                                  OutsideBoxRegion, PathStrategyTracker,
-                                  PiecewiseRandomControl, ReplayControl,
-                                  SignControl, ThresholdRegion,
-                                  check_nonanticipative, concatenate,
-                                  evaluate_strategy, make_grid_strategy,
-                                  realize_open_loop, strategy_control_index,
+                                  OutsideBoxRegion, PiecewiseRandomControl,
+                                  ReplayControl, SignControl, StrategyTracker,
+                                  ThresholdRegion, check_nonanticipative,
+                                  concatenate, evaluate_strategy,
+                                  make_grid_strategy, realize_open_loop,
+                                  strategy_control_index,
                                   strategy_control_sequence)
 
 PM = ControlSet(np.array([[-1.0], [1.0]]), label="pm")
@@ -199,27 +199,72 @@ def test_sequence_marks_inactive_steps_undefined():
     assert np.all(seq[start:] == 1)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_tracker_agrees_with_recomputation(seed, pennies_fields):
-    """The incremental tracker must replay strategy_control_sequence exactly."""
-    lower, _ = pennies_fields
-    ladder = make_grid_strategy(lower.feedback_u, TIMES[::8])
+def tracker_cases(feedback: FeedbackMap) -> list:
+    """A grid ladder, a hitting switch, a chained hit, a hitting junction,
+    and clamps both path-dependent and fixed."""
+    two = ConstantAction(0), ConstantAction(1)
     hit = ElementaryStrategy(
         control_set=PM, start_rule=FixedTimeRule(0.0),
         rules=(HittingRule(AbsRegion(0.6)), FixedTimeRule(1.0)),
-        actions=(ConstantAction(0), ConstantAction(1)), label="hitswitch")
+        actions=two, label="hitswitch")
+    chained = ElementaryStrategy(
+        control_set=PM, start_rule=FixedTimeRule(0.0),
+        # x <= 0 holds at index 0, so only the gate delays the switch; an
+        # entry at the gate's own fire index counts
+        rules=(HittingRule(ThresholdRegion(0.0, direction="le"),
+                           from_rule=HittingRule(AbsRegion(0.3))),
+               FixedTimeRule(1.0)),
+        actions=two, label="chained")
+    junction = HittingRule(AbsRegion(0.4))
+    tail = ElementaryStrategy(control_set=PM, start_rule=junction,
+                              rules=(FixedTimeRule(0.75), FixedTimeRule(1.0)),
+                              actions=(FeedbackLookupAction(feedback), ConstantAction(0)),
+                              label="tail")
+    glued = concatenate(constant_strategy(1), tail, junction)
+    clamped = ElementaryStrategy(
+        control_set=PM, start_rule=FixedTimeRule(0.0),
+        rules=(HittingRule(AbsRegion(0.3)), FixedTimeRule(0.25), FixedTimeRule(1.0)),
+        actions=two + (ConstantAction(0),), label="clamped")
+    folded = ElementaryStrategy(
+        control_set=PM, start_rule=FixedTimeRule(0.0),
+        rules=(FixedTimeRule(0.75), FixedTimeRule(0.25), FixedTimeRule(1.0)),
+        actions=two + (ConstantAction(0),), label="folded")
+    return [make_grid_strategy(feedback, TIMES[::8]), hit, chained, glued, clamped, folded]
+
+
+def track(strat: ElementaryStrategy, paths: np.ndarray) -> tuple[np.ndarray, int]:
+    """StrategyTracker run over stacked paths (n, N+1, dim); indices (n, N)."""
+    tracker = StrategyTracker(strat, TIMES, paths.shape[0])
+    got = np.empty(paths.shape[:1] + (TIMES.size - 1,), dtype=np.int64)
+    for i in range(TIMES.size - 1):
+        got[:, i] = tracker.on_state(i, paths[:, i])
+    return got, tracker.clamp_count
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tracker_agrees_with_recomputation(seed, pennies_fields):
+    """On one path the tracker must replay strategy_control_sequence exactly."""
+    lower, _ = pennies_fields
     path = random_walk(seed)
-    for strat in (ladder, hit):
+    for strat in tracker_cases(lower.feedback_u):
         want, want_clamps = strategy_control_sequence(strat, TIMES, path)
-        buf = np.empty_like(path)
-        tracker = PathStrategyTracker(strat, TIMES, buf)
-        got = np.empty(TIMES.size - 1, dtype=np.int64)
-        buf[0] = path[0]
-        for i in range(TIMES.size - 1):
-            got[i] = tracker.on_index(i)
-            buf[i + 1] = path[i + 1]
-        assert np.array_equal(got, want)
-        assert tracker.clamp_count == want_clamps
+        got, clamps = track(strat, path[None])
+        assert np.array_equal(got[0], want), strat.label
+        assert clamps == want_clamps, strat.label
+
+
+def test_tracker_rows_agree_in_one_batch(pennies_fields):
+    """Six walks stacked: each row replays its own path, and clamps add up."""
+    lower, _ = pennies_fields
+    paths = np.stack([random_walk(seed) for seed in range(6)])
+    for strat in tracker_cases(lower.feedback_u):
+        got, clamps = track(strat, paths)
+        want_clamps = 0
+        for p in range(paths.shape[0]):
+            want, row_clamps = strategy_control_sequence(strat, TIMES, paths[p])
+            assert np.array_equal(got[p], want), (strat.label, p)
+            want_clamps += row_clamps
+        assert clamps == want_clamps, strat.label
 
 
 # ------------------------------------------------------------ feedback maps ---- #
