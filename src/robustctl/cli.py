@@ -46,7 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: config output_dir, "
                        "else ./robustctl_out)")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: ${_THREADS_ENV} or config)")
+                       help="worker processes (fork) that march chunks side by side; "
+                       "results are bitwise the same for any count "
+                       f"(default: ${_THREADS_ENV} or config)")
         p.add_argument("--strict", action="store_true",
                        help="treat warnings as failures")
     return parser

@@ -25,15 +25,20 @@ and the experiments march chunks of paths; the single-path entry points
 :func:`embed_feedback_as_openloop`) march a chunk of one.  Strategies are
 played by :class:`~robustctl.strategies.StrategyTracker`, which the tests
 check against the per-step recomputation in
-:func:`~robustctl.strategies.strategy_control_sequence`.  Results are
-invariant to chunk size and thread count: path seeds are derived per path
-index, chunks only group work, and all reductions run over fully assembled
-arrays.
+:func:`~robustctl.strategies.strategy_control_sequence`.  With
+``EngineConfig.threads > 1`` the chunks are marched in worker processes
+started by fork, which write their results into arrays shared with the
+parent.  Results are bitwise invariant to chunk size and worker count: path
+seeds are derived per path index, chunks only group work, and all reductions
+run over fully assembled arrays.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import mmap
+import multiprocessing
+import os
+import pickle
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -98,9 +103,11 @@ class ValueEstimate:
 class EngineConfig:
     """How to discretize and batch a Monte Carlo run.
 
-    Results do not depend on ``chunk_size`` or ``threads``; they exist for
-    memory and speed only.  ``extra_dim`` overrides the auxiliary noise
-    width (default: whatever the adversary requires).
+    ``threads`` is the number of worker processes (started by fork) that
+    march chunks side by side; 1 marches every chunk in this process.
+    Results are bitwise the same for any ``chunk_size`` and ``threads``;
+    they exist for memory and speed only.  ``extra_dim`` overrides the
+    auxiliary noise width (default: whatever the adversary requires).
     """
 
     n_steps: int
@@ -111,6 +118,9 @@ class EngineConfig:
     def __post_init__(self):
         if self.n_steps < 1 or self.chunk_size < 1 or self.threads < 1:
             raise ConfigError("EngineConfig: n_steps, chunk_size, threads must be >= 1")
+        if self.threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigError(f"EngineConfig: threads={self.threads} needs worker processes "
+                              "started by 'fork', which this platform does not offer")
 
 
 @dataclass(eq=False)
@@ -408,11 +418,12 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
                 rows: np.ndarray | None = None) -> None:
     """One Euler step in place, with paths grouped by their (u, v) pair.
 
-    Steps where every path shares one pair take the uniform path directly.
-    Mixed steps are about as common (in a full run of the test suite, about
-    half of the batched steps had paths on more than one pair); they
-    evaluate each live pair on the full state block and gather per row.  The
-    coefficient contract (vectorized, row i depends on x[i] alone) makes
+    Steps where every path shares one pair (the pair code's min equals its
+    max, which every one-path march has) take the uniform path before any
+    grouping.  Mixed steps are about as common (in a full run of the test
+    suite, about half of the batched steps had paths on more than one pair);
+    they evaluate each live pair on the full state block and gather per row.
+    The coefficient contract (vectorized, row i depends on x[i] alone) makes
     that the same floats as a per-group evaluation, without mask extraction
     and scatter.
     """
@@ -420,11 +431,11 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
     if n_u == 1 and n_v == 1:
         return _step_uniform(spec, t, dt, X, 0, 0, dWi)
     code = u_idx * n_v + v_idx
-    counts = np.bincount(code, minlength=n_u * n_v)
-    codes = np.flatnonzero(counts)
-    if codes.size == 1:
-        iu, jv = divmod(int(codes[0]), n_v)
+    lo = int(code.min())
+    if lo == int(code.max()):
+        iu, jv = divmod(lo, n_v)
         return _step_uniform(spec, t, dt, X, iu, jv, dWi)
+    codes = np.flatnonzero(np.bincount(code, minlength=n_u * n_v))
     slot = np.empty(n_u * n_v, dtype=np.intp)
     B = np.empty((codes.size,) + X.shape)
     S = np.empty((codes.size,) + X.shape + (dWi.shape[-1],))
@@ -458,6 +469,12 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
     """
     n = times.size - 1
     c = seeds.size
+    n_u = spec.controls_u.size
+    for action in strategy.actions:
+        # checked once here: the tracker and the step kernel index unchecked
+        if isinstance(action, ConstantAction) and not 0 <= action.index < n_u:
+            raise ModelEvaluationError(
+                f"strategy {strategy.label!r} plays index {action.index} outside [0, {n_u})")
     u_tracker = StrategyTracker(strategy, times, c)
     if v_factory is None:
         v_factory = _adversary_realization(adversary, spec, times, dW, extra, seeds)
@@ -501,18 +518,83 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
 
 
 def _map_chunks(n_paths: int, engine: EngineConfig, worker) -> int:
-    """Run worker(chunk_id, start, stop) over fixed-size chunks; returns chunk count."""
+    """Run worker(chunk_id, start, stop) over fixed-size chunks; returns chunk count.
+
+    Chunk ``ci`` goes to worker process ``ci % n_workers``, with
+    ``n_workers = min(engine.threads, chunks)``; one worker means every
+    chunk runs here, in order.  Workers are started by fork, so ``worker``
+    and everything it reads (closures included) cross without pickling;
+    fork is safe because the package starts no threads.  ``worker`` must
+    write its results into memory shared with this process (see
+    :func:`_shared_zeros`).  Each worker stops at its first failing chunk
+    and reports it; the failure of the lowest chunk is re-raised here with
+    its type and attributes, the one a single-worker run raises first.
+    """
     bounds = [(s, min(s + engine.chunk_size, n_paths))
               for s in range(0, n_paths, engine.chunk_size)]
-    if engine.threads == 1 or len(bounds) == 1:
+    n_workers = min(engine.threads, len(bounds))
+    if n_workers == 1:
         for ci, b in enumerate(bounds):
             worker(ci, *b)
         return len(bounds)
-    with ThreadPoolExecutor(max_workers=engine.threads) as pool:
-        futures = [pool.submit(worker, ci, *b) for ci, b in enumerate(bounds)]
-        for f in futures:
-            f.result()
+
+    def run(k, conn):
+        current = None
+        try:
+            for current in range(k, len(bounds), n_workers):
+                worker(current, *bounds[current])
+            report = None
+        except Exception as exc:  # sent to the parent, which re-raises it
+            report = (current, exc)
+        try:
+            payload = pickle.dumps(report)
+            pickle.loads(payload)
+        except Exception:  # the exception cannot cross: send its repr instead
+            payload = pickle.dumps((current, RuntimeError(
+                f"worker process failed on chunk {current} with an exception "
+                f"that cannot be sent to the parent: {report[1]!r}")))
+        conn.send_bytes(payload)
+        conn.close()
+        os._exit(0)
+
+    ctx = multiprocessing.get_context("fork")
+    procs, errors = [], []
+    try:
+        for k in range(n_workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=run, args=(k, writer), daemon=True)
+            proc.start()
+            # later workers must not inherit this write end, or a dead
+            # worker's pipe would never read EOF
+            writer.close()
+            procs.append((k, proc, reader))
+        for k, proc, reader in procs:
+            try:
+                report = pickle.loads(reader.recv_bytes())
+            except EOFError:
+                proc.join()
+                report = (k, RuntimeError(f"worker process {k} exited with code "
+                                          f"{proc.exitcode} without reporting"))
+            reader.close()
+            proc.join()
+            if report is not None:
+                errors.append(report)
+    finally:
+        for _, proc, _ in procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
     return len(bounds)
+
+
+def _shared_zeros(shape: tuple, dtype) -> np.ndarray:
+    """A zero-filled array in anonymous shared memory; forked workers' writes show here."""
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, count * dtype.itemsize)
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
 def _n_chunks(n_paths: int, chunk_size: int) -> int:
@@ -529,7 +611,8 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     experiment sweeps many strategy/adversary pairings.  Returns (values,
     clamps): values[ci, p] is path p's terminal payoff for cell ci, or
     postprocess(times, states) when a postprocess is given (it receives the
-    chunk's recorded paths and must return one value per path).
+    chunk's recorded paths and must return one value per path).  Chunks
+    write into shared arrays, so worker processes need not return anything.
     """
     _refuse_anticipating(cells)
     needed = max(adv.extra_dim for _, adv in cells)
@@ -537,9 +620,9 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     if extra_dim < needed:
         raise ConfigError(f"engine extra_dim {extra_dim} below required {needed}")
     n_paths = seeds.size
-    values = np.empty((len(cells), n_paths))
-    clamp_store = np.zeros((_n_chunks(n_paths, engine.chunk_size), len(cells)),
-                           dtype=np.int64)
+    values = _shared_zeros((len(cells), n_paths), np.float64)
+    clamp_store = _shared_zeros((_n_chunks(n_paths, engine.chunk_size), len(cells)),
+                                np.int64)
     record = postprocess is not None
 
     def worker(chunk_id, start, stop):
@@ -561,7 +644,7 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
             clamp_store[chunk_id, ci] = clamps
 
     _map_chunks(n_paths, engine, worker)
-    return values, clamp_store.sum(axis=0)
+    return values.copy(), clamp_store.sum(axis=0)
 
 
 def _mean_se(row: np.ndarray) -> tuple[float, float]:

@@ -11,6 +11,8 @@ module checks identities that hold path by path.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from robustctl.errors import (ConfigError, ModelEvaluationError,
                               SimulationBlowUpError, StrategyStructureError)
 from robustctl.game_engine import (Adversary, AdversaryFamily,
                                    BestResponseTable, EngineConfig,
-                                   _fire_batch, builtin_pairs,
+                                   _fire_batch, _map_chunks, _run_cells,
+                                   builtin_pairs,
                                    default_adversary_families,
                                    default_strategy_family, dpp_check,
                                    embed_feedback_as_openloop, estimate_payoff,
@@ -128,6 +131,17 @@ def test_out_of_range_strategy_reply_is_refused(pennies_problem):
                                np.array([0.0]))
 
 
+def test_out_of_range_controller_action_is_refused(pennies_problem):
+    # the controller side of the check above, made once before the first step
+    spec = pennies_problem.spec
+    times = np.linspace(0.0, spec.horizon, 9)
+    alpha = constant_strategy(spec.controls_u, 2, 0.0, spec.horizon, label="bad")
+    with pytest.raises(ModelEvaluationError,
+                       match=r"strategy 'bad' plays index 2 outside \[0, 2\)"):
+        simulate_strong(spec, alpha, ConstantControl(0),
+                        sample_noise(times, 1, spec.noise_dim), np.array([0.0]))
+
+
 def test_recorded_index_paths_match_the_oracle(pennies_problem):
     # the u/v paths of a trajectory are what each strategy plays on the
     # recorded states, and replaying v open loop reproduces those states
@@ -206,6 +220,98 @@ def test_chunk_and_thread_layout_is_invisible(pennies_problem, pennies_fields):
         assert np.array_equal(runs[0].payoffs, other.payoffs)
         assert runs[0].mean == other.mean
         assert runs[0].clamp_count == other.clamp_count
+
+    # worker processes also run the dpp postprocess and every adversary kind
+    x0 = np.array([0.0])
+    hitter = hitswitch_strategy(spec.controls_u, 0.0, spec.horizon, level=0.8)
+    beta = hitswitch_strategy(spec.controls_v, 0.0, spec.horizon, level=0.9)
+    family = AdversaryFamily((
+        adv, Adversary(id="fb", kind="feedback", feedback=lower.feedback_v),
+        Adversary(id="br", kind="best_response",
+                  response=BestResponseTable.from_field(lower)),
+        Adversary(id="beta", kind="strategy", strategy=beta)))
+    strategies = [("grid4", ladder), ("hitswitch", hitter)]
+    rho = CappedRule(HittingRule(AbsRegion(0.5)), FixedTimeRule(spec.horizon))
+
+    def tables(chunk, threads):
+        engine = EngineConfig(n_steps=32, chunk_size=chunk, threads=threads)
+        value = value_experiment(spec, 0.0, x0, strategies, family, n_paths=50,
+                                 master_seed=9, engine=engine, keep_payoffs=True)
+        dpp = dpp_check(spec, lower, 0.0, x0, strategies, family, rho,
+                        n_paths=50, master_seed=9, engine=engine)
+        ests = [est for rv in value.per_strategy.values() for est in rv.members.values()]
+        return ([est.payoffs for est in ests], [est.clamp_count for est in ests],
+                dpp.cells)
+
+    payoffs, clamps, dpp_cells = tables(50, 1)
+    for chunk, threads in ((17, 2), (11, 3)):
+        other_payoffs, other_clamps, other_cells = tables(chunk, threads)
+        assert all(np.array_equal(a, b) for a, b in zip(payoffs, other_payoffs))
+        assert clamps == other_clamps
+        assert dpp_cells == other_cells
+
+
+def test_chunks_run_in_worker_processes(pennies_problem):
+    spec = pennies_problem.spec
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    times = np.linspace(0.0, spec.horizon, 9)
+    seeds = derive_seed_array(0, np.arange(8))
+    values, _ = _run_cells(spec, times, np.array([0.0]), [(alpha, const_adv(0, "c0"))],
+                           seeds, EngineConfig(n_steps=8, chunk_size=4, threads=2),
+                           postprocess=lambda t, states: np.full(states.shape[0],
+                                                                 os.getpid()))
+    pids = values[0].astype(int)
+    assert np.all(pids[:4] == pids[0]) and np.all(pids[4:] == pids[4])
+    assert pids[0] != pids[4]
+    assert os.getpid() not in (pids[0], pids[4])
+
+
+class _TwoArgError(Exception):
+    """Pickles but cannot be rebuilt from its args alone."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+def test_worker_process_failures_reach_the_parent():
+    engine = EngineConfig(n_steps=1, chunk_size=1, threads=2)
+    parent = os.getpid()
+
+    def fails_from_chunk_1(ci, start, stop):
+        if ci >= 1:
+            raise ValueError(f"chunk {ci}")
+
+    # worker 0 fails on chunk 2 and worker 1 on chunk 1; the lowest chunk
+    # wins, as in a single-process run
+    with pytest.raises(ValueError, match="chunk 1"):
+        _map_chunks(3, engine, fails_from_chunk_1)
+
+    def dies(ci, start, stop):
+        if ci == 1 and os.getpid() != parent:
+            os._exit(3)
+
+    with pytest.raises(RuntimeError, match="exited with code 3 without reporting"):
+        _map_chunks(2, engine, dies)
+
+    def raises_unpicklable(ci, start, stop):
+        raise ValueError(lambda: None)
+
+    with pytest.raises(RuntimeError, match="cannot be sent to the parent: ValueError"):
+        _map_chunks(2, engine, raises_unpicklable)
+
+    def raises_unrebuildable(ci, start, stop):
+        raise _TwoArgError("no rebuild", 7)
+
+    with pytest.raises(RuntimeError, match="cannot be sent to the parent: _TwoArgError"):
+        _map_chunks(2, engine, raises_unrebuildable)
+
+
+def test_worker_processes_need_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert EngineConfig(n_steps=4, threads=1).threads == 1
+    with pytest.raises(ConfigError, match="'fork'"):
+        EngineConfig(n_steps=4, threads=2)
 
 
 def test_unused_extra_width_does_not_change_results(pennies_problem):
@@ -749,6 +855,20 @@ def test_quadratic_drift_blows_up_on_every_entry_point(violator_problem):
                             np.array([8.0]))
         assert err_one.value.seed == 123
         assert 0.0 < err_one.value.t <= spec.horizon
+
+        # raised in a worker process, it arrives as at threads=1
+        errs = []
+        for threads in (1, 2):
+            with pytest.raises(SimulationBlowUpError) as err_chunked:
+                estimate_payoff(spec, 0.0, np.array([8.0]), alpha, const_adv(0, "c"),
+                                n_paths=4, master_seed=0,
+                                engine=EngineConfig(n_steps=50, chunk_size=2,
+                                                    threads=threads))
+            errs.append(err_chunked.value)
+        one, two = errs
+        assert type(two) is SimulationBlowUpError and str(two) == str(one)
+        assert (two.t, two.seed) == (one.t, one.seed)
+        assert np.array_equal(two.state, one.state, equal_nan=True)
 
 
 def test_state_overflow_raises_with_location(violator_problem):
