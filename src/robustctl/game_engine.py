@@ -48,8 +48,7 @@ from .errors import (ConfigError, EmbeddingMismatchError, ModelEvaluationError,
                      StrategyStructureError)
 from .pde_solver import ValueField
 from .sde_core import (NoisePath, ProblemSpec, STREAM_BROWNIAN, STREAM_EXTRA,
-                       derive_seed, derive_seed_array, eval_diffusion,
-                       eval_drift, eval_payoff)
+                       derive_seed, derive_seed_array, eval_pairs, eval_payoff)
 from .strategies import (_NOT_YET, AbsRegion, ConstantAction, ConstantControl,
                          ElementaryStrategy, FeedbackMap, FixedTimeRule,
                          HittingRule, OpenLoopControl, PiecewiseRandomControl,
@@ -393,16 +392,6 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
     return factory
 
 
-def _probe_coefficients(spec: ProblemSpec, t: float, X: np.ndarray) -> None:
-    """Validated evaluation of every control pair once, so the step loop can
-    call the raw callbacks; a shape bug is structural and shows on any state."""
-    for iu in range(spec.controls_u.size):
-        for jv in range(spec.controls_v.size):
-            u, v = spec.controls_u.point(iu), spec.controls_v.point(jv)
-            eval_drift(spec, t, X, u, v)
-            eval_diffusion(spec, t, X, u, v)
-
-
 def _step_uniform(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
                   iu: int, jv: int, dWi: np.ndarray) -> None:
     # in-place x += b dt; x += sig dW keeps euler_step's association exactly
@@ -482,7 +471,9 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
     if dW_tm is None:
         dW_tm = np.ascontiguousarray(dW.transpose(1, 0, 2))
     X = np.broadcast_to(x0, (c, spec.dim)).copy()
-    _probe_coefficients(spec, float(times[0]), X)
+    # validated once at the start so the step loop can call the raw
+    # callbacks; a shape bug is structural and shows on any state
+    eval_pairs(spec, float(times[0]), X)
     recorded = None
     if record_states:
         states = np.empty((c, n + 1, spec.dim))

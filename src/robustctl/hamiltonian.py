@@ -8,7 +8,9 @@ a finite matrix over the control sets.  The lower Hamiltonian is
 max_u min_v L, the upper one min_v max_u L, and the mixed value is the
 zero-sum matrix-game value of L, wedged between the two.  The gap between
 upper and lower is the price of the players' order of commitment; it
-vanishes exactly when the matrix has a pure saddle point.
+vanishes exactly when the matrix has a pure saddle point.  :func:`minimax`
+is the package's one pure reduction; the PDE solver applies it to whole
+(n_u, n_v, *nodes) layers.
 
 The matrix-game solver tries, in order: a pure saddle point (exact), the
 2x2 closed form (exact for completely mixed games), and a pair of linear
@@ -22,15 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import ModelEvaluationError, NumericalSolveError
-from .sde_core import ProblemSpec, eval_diffusion, eval_drift
+from .errors import ConfigError, ModelEvaluationError, NumericalSolveError
+from .sde_core import ProblemSpec, eval_pairs
 
 __all__ = [
     "HamiltonianQuery",
     "HamiltonianResult",
     "MixedSolution",
-    "lagrangian",
     "lagrangian_matrix",
+    "minimax",
     "hamiltonian_lower",
     "hamiltonian_upper",
     "hamiltonian_mixed",
@@ -64,23 +66,37 @@ class HamiltonianQuery:
         object.__setattr__(self, "M", M)
 
 
-def lagrangian(spec: ProblemSpec, q: HamiltonianQuery,
-               u: np.ndarray, v: np.ndarray) -> float:
-    """b . p + 1/2 tr(sigma sigma^T M) at one control pair."""
-    b = eval_drift(spec, q.t, q.x, u, v)
-    sig = eval_diffusion(spec, q.t, q.x, u, v)
-    a = sig @ sig.T
-    return float(b @ q.p + 0.5 * np.trace(a @ q.M))
-
-
 def lagrangian_matrix(spec: ProblemSpec, q: HamiltonianQuery) -> np.ndarray:
-    """The full (n_u, n_v) matrix of running terms at one query point."""
-    out = np.empty((spec.controls_u.size, spec.controls_v.size))
-    for i in range(spec.controls_u.size):
-        u = spec.controls_u.point(i)
-        for j in range(spec.controls_v.size):
-            out[i, j] = lagrangian(spec, q, u, spec.controls_v.point(j))
-    return out
+    """The (n_u, n_v) matrix of running terms b . p + 1/2 tr(sigma sigma^T M)."""
+    b, sig = eval_pairs(spec, q.t, q.x)         # (n_u, n_v, d), (n_u, n_v, d, k)
+    a = sig @ np.swapaxes(sig, -1, -2)
+    return b @ q.p + 0.5 * np.trace(a @ q.M, axis1=-2, axis2=-1)
+
+
+def minimax(L: np.ndarray, which: str):
+    """Pure game value over the first two axes of L, shape (n_u, n_v, ...).
+
+    "lower" is max_u min_v (the controller commits first) and
+    ``inner_best[i]`` is v's best reply to u_i; "upper" is min_v max_u and
+    ``inner_best[j]`` is u's best reply to v_j.  Ties go to the lowest
+    index.  Returns (value, u_star, v_star, inner_best); all but
+    ``inner_best`` have the trailing shape of L, and ``inner_best`` has the
+    outer player's control axis in front of it.
+    """
+    if which == "upper":
+        # min_v max_u L = -(max_v min_u -L^T); negation is exact and keeps ties
+        value, v_star, u_star, inner = minimax(-np.swapaxes(L, 0, 1), "lower")
+        return -value, u_star, v_star, inner
+    if which != "lower":
+        raise ConfigError(f"which must be 'lower' or 'upper', got {which!r}")
+    n_u, n_v, rest = L.shape[0], L.shape[1], L.shape[2:]
+    flat = L.reshape(n_u, n_v, -1)                  # one column per trailing index
+    cols = np.arange(flat.shape[2])
+    inner = flat.argmin(axis=1)                     # (n_u, cols)
+    inner_vals = flat[np.arange(n_u)[:, None], inner, cols]
+    u_star = inner_vals.argmax(axis=0)
+    return (inner_vals[u_star, cols].reshape(rest), u_star.reshape(rest),
+            inner[u_star, cols].reshape(rest), inner.reshape((n_u,) + rest))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,32 +124,28 @@ class HamiltonianResult:
         return int(self.inner_best[self.outer_index]) if self.which == "lower" else self.outer_index
 
 
+def _pure_result(which: str, L: np.ndarray) -> HamiltonianResult:
+    value, u_star, v_star, inner = minimax(L, which)
+    outer = u_star if which == "lower" else v_star
+    return HamiltonianResult(which=which, value=float(value), outer_index=int(outer),
+                             inner_best=inner.astype(np.int64), matrix=L)
+
+
 def hamiltonian_lower(spec: ProblemSpec, q: HamiltonianQuery) -> HamiltonianResult:
     """max_u min_v of the running term. Ties break to the lowest index."""
-    L = lagrangian_matrix(spec, q)
-    inner = np.argmin(L, axis=1)
-    inner_vals = L[np.arange(L.shape[0]), inner]
-    outer = int(np.argmax(inner_vals))
-    return HamiltonianResult(which="lower", value=float(inner_vals[outer]),
-                             outer_index=outer, inner_best=inner.astype(np.int64),
-                             matrix=L)
+    return _pure_result("lower", lagrangian_matrix(spec, q))
 
 
 def hamiltonian_upper(spec: ProblemSpec, q: HamiltonianQuery) -> HamiltonianResult:
     """min_v max_u of the running term. Ties break to the lowest index."""
-    L = lagrangian_matrix(spec, q)
-    inner = np.argmax(L, axis=0)
-    inner_vals = L[inner, np.arange(L.shape[1])]
-    outer = int(np.argmin(inner_vals))
-    return HamiltonianResult(which="upper", value=float(inner_vals[outer]),
-                             outer_index=outer, inner_best=inner.astype(np.int64),
-                             matrix=L)
+    return _pure_result("upper", lagrangian_matrix(spec, q))
 
 
 def isaacs_gap(spec: ProblemSpec, q: HamiltonianQuery) -> float:
     """upper - lower, clipped at zero; a genuinely negative gap is a solver bug."""
-    lo = hamiltonian_lower(spec, q).value
-    hi = hamiltonian_upper(spec, q).value
+    L = lagrangian_matrix(spec, q)
+    lo = float(minimax(L, "lower")[0])
+    hi = float(minimax(L, "upper")[0])
     gap = hi - lo
     if gap < -1e-10:
         raise NumericalSolveError(
@@ -174,17 +186,15 @@ def solve_matrix_game(A: np.ndarray, tol: float = 1e-8) -> MixedSolution:
         raise ModelEvaluationError("game matrix contains non-finite entries")
     n_u, n_v = A.shape
 
-    row_min = A.min(axis=1)
-    col_max = A.max(axis=0)
-    v_low = float(row_min.max())
-    v_up = float(col_max.min())
+    v_low, u_star, _, _ = minimax(A, "lower")
+    v_up, _, v_star, _ = minimax(A, "upper")
     if v_up <= v_low:
         # pure saddle point: exact, degenerate weights, lowest-index ties
         mu = np.zeros(n_u)
-        mu[int(np.argmax(row_min))] = 1.0
+        mu[u_star] = 1.0
         nu = np.zeros(n_v)
-        nu[int(np.argmin(col_max))] = 1.0
-        return MixedSolution(value=v_low, mu=mu, nu=nu, residual=0.0, method="saddle")
+        nu[v_star] = 1.0
+        return MixedSolution(value=float(v_low), mu=mu, nu=nu, residual=0.0, method="saddle")
 
     if A.shape == (2, 2):
         # completely mixed 2x2 game (no saddle): closed form

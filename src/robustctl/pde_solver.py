@@ -6,17 +6,19 @@ Solves, backward from the terminal payoff on a box with reflecting
     -v_t - H(t, x, Dv, D^2 v) = 0,   v(T, .) = g,
 
 where H is the lower Hamiltonian max_u min_v L for ``which="lower"`` and
-the upper one min_v max_u L for ``which="upper"``.  First derivatives are
-upwinded per control pair against the drift sign, second derivatives are
-central, and ghost cells replicate the boundary value, so every node update
-is a convex combination of neighbors whenever the time step respects the
-stability bound of :func:`cfl_max_dt`.  That makes the march monotone in
+the upper one min_v max_u L for ``which="upper"``, both reduced by
+:func:`robustctl.hamiltonian.minimax`.  First derivatives are upwinded per
+control pair against the drift sign, second derivatives are central, and
+ghost cells replicate the boundary value, so every node update is a convex
+combination of neighbors whenever the time step respects the stability
+bound of :func:`cfl_max_dt`.  That makes the march monotone in
 the terminal data and confines values to the payoff range; the solved
 field converges to the (unique bounded continuous) viscosity solution as
 the grid refines.
 
 Only diagonal diffusion is supported: cross terms of sigma sigma^T break
-the monotone stencil, so they are rejected rather than mishandled.
+the monotone stencil, so they are rejected rather than mishandled.  (The
+pointwise running term in :mod:`robustctl.hamiltonian` takes any sigma.)
 
 Certificates for downstream consumers are stored with the field: per-layer
 controller and adversary feedback indices, the per-u adversary best-reply
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CflViolationError, ConfigError, ModelEvaluationError, NumericalSolveError
-from .sde_core import ProblemSpec, eval_diffusion, eval_drift, eval_payoff
+from .hamiltonian import minimax
+from .sde_core import ProblemSpec, eval_pairs, eval_payoff
 from .strategies import FeedbackMap
 
 __all__ = [
@@ -88,18 +91,10 @@ def _space_axes(lo: np.ndarray, hi: np.ndarray, h: np.ndarray) -> tuple:
     return tuple(axes)
 
 
-def _control_pairs(spec: ProblemSpec):
-    return [(i, j, spec.controls_u.point(i), spec.controls_v.point(j))
-            for i in range(spec.controls_u.size)
-            for j in range(spec.controls_v.size)]
-
-
-def _diffusion_diag(spec: ProblemSpec, t: float, nodes: np.ndarray,
-                    u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Diagonal of sigma sigma^T on all nodes; rejects cross terms."""
-    sig = eval_diffusion(spec, t, nodes, u, v)
+def _diffusion_diag(spec: ProblemSpec, sig: np.ndarray) -> np.ndarray:
+    """Diagonal of sigma sigma^T from sigma of shape (..., d, k); rejects cross terms."""
     aa = np.einsum("...ik,...jk->...ij", sig, sig)
-    d = nodes.shape[-1]
+    d = sig.shape[-2]
     if d > 1:
         off = aa * (1.0 - np.eye(d))
         if float(np.max(np.abs(off))) > 1e-12:
@@ -124,11 +119,10 @@ def cfl_max_dt(spec: ProblemSpec, axes: tuple, sample_times=None) -> float:
     nodes = np.stack(mesh, axis=-1)
     worst = 0.0
     for t in sample_times:
-        for _, _, u, v in _control_pairs(spec):
-            b = eval_drift(spec, t, nodes, u, v)
-            aa = _diffusion_diag(spec, t, nodes, u, v)
-            rate = (np.abs(b) / h).sum(axis=-1) + (aa / h ** 2).sum(axis=-1)
-            worst = max(worst, float(rate.max()))
+        b, sig = eval_pairs(spec, t, nodes)
+        aa = _diffusion_diag(spec, sig)
+        rate = (np.abs(b) / h).sum(axis=-1) + (aa / h ** 2).sum(axis=-1)
+        worst = max(worst, float(rate.max()))
     return np.inf if worst == 0.0 else 1.0 / worst
 
 
@@ -259,8 +253,7 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower",
     dim = grid.dim
     h = grid.spacing
     nodes = grid.nodes()
-    pairs = _control_pairs(spec)
-    n_u, n_v = spec.controls_u.size, spec.controls_v.size
+    n_u = spec.controls_u.size
 
     bound = cfl_max_dt(spec, grid.axes)
     if grid.dt > bound * (1.0 + 1e-9):
@@ -290,28 +283,14 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower",
             Dm[..., a] = (V - Vm) / h[a]
             D2[..., a] = (Vp - 2.0 * V + Vm) / h[a] ** 2
 
-        L = np.empty((n_u, n_v) + shape)
-        drifts = np.empty((n_u, n_v) + shape + (dim,))
-        for iu, jv, u, v in pairs:
-            b = eval_drift(spec, t, nodes, u, v)
-            aa = _diffusion_diag(spec, t, nodes, u, v)
-            upwind = np.maximum(b, 0.0) * Dp + np.minimum(b, 0.0) * Dm
-            L[iu, jv] = (upwind + 0.5 * aa * D2).sum(axis=-1)
-            drifts[iu, jv] = b
+        b, sig = eval_pairs(spec, t, nodes)         # b: (n_u, n_v, *shape, dim)
+        aa = _diffusion_diag(spec, sig)
+        upwind = np.maximum(b, 0.0) * Dp + np.minimum(b, 0.0) * Dm
+        L = (upwind + 0.5 * aa * D2).sum(axis=-1)       # (n_u, n_v, *shape)
 
-        if which == "lower":
-            v_best = np.argmin(L, axis=1)                       # (n_u, *shape)
-            inner = np.take_along_axis(L, v_best[:, None], axis=1)[:, 0]
-            u_star = np.argmax(inner, axis=0)                   # (*shape,)
-            H = np.take_along_axis(inner, u_star[None], axis=0)[0]
-            v_star = np.take_along_axis(v_best, u_star[None], axis=0)[0]
-        else:
-            u_best = np.argmax(L, axis=0)                       # (n_v, *shape)
-            inner = np.take_along_axis(L, u_best[None], axis=0)[0]
-            v_star = np.argmin(inner, axis=0)
-            H = np.take_along_axis(inner, v_star[None], axis=0)[0]
-            u_star = np.take_along_axis(u_best, v_star[None], axis=0)[0]
-            v_best = np.argmin(L, axis=1)
+        # the reply table is the lower reduction's inner argmin for both fields
+        lower = minimax(L, "lower")
+        H, u_star, v_star, _ = lower if which == "lower" else minimax(L, "upper")
 
         new = V + grid.dt * H
         if not np.all(np.isfinite(new)):
@@ -321,12 +300,10 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower",
         values[i] = new
         fb_u[i] = u_star
         fb_v[i] = v_star
-        resp_v[i] = v_best
+        resp_v[i] = lower[3]
         max_update[i] = float(np.max(np.abs(new - V)))
         if store_certificates:
-            sel = (u_star * n_v + v_star).ravel()
-            flat = drifts.reshape(n_u * n_v, -1, dim)
-            b_star = flat[sel, np.arange(sel.size)].reshape(shape + (dim,))
+            b_star = b[(u_star, v_star) + np.indices(shape, sparse=True)]
             grad[i] = np.where(b_star >= 0.0, Dp, Dm)
             second[i] = D2
 

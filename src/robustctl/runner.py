@@ -14,8 +14,7 @@ import numpy as np
 from . import game_engine as ge
 from .config import DEFAULTS, resolve_config
 from .errors import CflViolationError, ConfigError, RobustCtlError
-from .hamiltonian import (HamiltonianQuery, hamiltonian_lower, hamiltonian_mixed,
-                          hamiltonian_upper)
+from .hamiltonian import HamiltonianQuery, lagrangian_matrix, minimax, solve_matrix_game
 from .pde_solver import ValueField, cfl_max_dt, compare_to_reference, make_grid, solve_isaacs
 from .problems import build_problem
 from .reports import SUMMARY_VERSION, emit_report
@@ -480,26 +479,27 @@ def _hamiltonian_stage(problem, cfg: dict, master_seed: int, tol: dict):
               + [f"m{a}{b}" for a in range(spec.dim) for b in range(spec.dim)]
               + ["lower", "mixed", "upper", "method", "residual"])
     for i in range(n):
-        q = HamiltonianQuery(t=float(t_all[i]), x=x_all[i], p=p_all[i],
-                             M=0.5 * (m_all[i] + m_all[i].T))
-        lo = hamiltonian_lower(spec, q)
-        up = hamiltonian_upper(spec, q)
-        mix = hamiltonian_mixed(spec, q, tol=tol["hamiltonian_slack"])
-        worst = max(worst, lo.value - mix.value, mix.value - up.value)
+        # the query symmetrizes M
+        q = HamiltonianQuery(t=float(t_all[i]), x=x_all[i], p=p_all[i], M=m_all[i])
+        L = lagrangian_matrix(spec, q)
+        lo, up = float(minimax(L, "lower")[0]), float(minimax(L, "upper")[0])
+        mix = solve_matrix_game(L, tol=tol["hamiltonian_slack"])
+        worst = max(worst, lo - mix.value, mix.value - up)
         max_residual = max(max_residual, mix.residual)
         methods[mix.method] += 1
         rows.append([i, q.t] + [float(c) for c in q.x] + [float(c) for c in q.p]
                     + [float(c) for c in q.M.reshape(-1)]
-                    + [lo.value, mix.value, up.value, mix.method, mix.residual])
+                    + [lo, mix.value, up, mix.method, mix.residual])
     ham = {"n_queries": n, "max_order_violation": worst,
            "max_mixed_residual": max_residual, "methods": methods}
     if spec.controls_u.size == 2 and spec.controls_v.size == 2:
         q = HamiltonianQuery(t=0.0, x=np.zeros(spec.dim),
                              p=np.ones(spec.dim), M=np.zeros((spec.dim, spec.dim)))
+        L = lagrangian_matrix(spec, q)
         ham["unit_gradient_point"] = {
-            "lower": hamiltonian_lower(spec, q).value,
-            "mixed": hamiltonian_mixed(spec, q).value,
-            "upper": hamiltonian_upper(spec, q).value,
+            "lower": float(minimax(L, "lower")[0]),
+            "mixed": solve_matrix_game(L).value,
+            "upper": float(minimax(L, "upper")[0]),
         }
     return ham, (header, rows)
 

@@ -32,6 +32,7 @@ __all__ = [
     "AssumptionReport",
     "eval_drift",
     "eval_diffusion",
+    "eval_pairs",
     "eval_payoff",
     "euler_step",
     "sample_noise",
@@ -216,6 +217,24 @@ def eval_diffusion(spec: ProblemSpec, t: float, x: np.ndarray,
     want = x.shape + (spec.noise_dim,)
     out = spec.diffusion(t, x, u, v)
     return _check_finite_shape(f"{spec.label}.diffusion", out, want, t, u, v)
+
+
+def eval_pairs(spec: ProblemSpec, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated drift and diffusion at every (u, v) pair of the control sets.
+
+    Returns ``b`` of shape (n_u, n_v, *x.shape) and ``sigma`` of shape
+    (n_u, n_v, *x.shape, noise_dim); entry [i, j] belongs to
+    (controls_u.point(i), controls_v.point(j)).
+    """
+    x = np.asarray(x, dtype=float)
+    U, V = spec.controls_u, spec.controls_v
+    b = np.empty((U.size, V.size) + x.shape)
+    sigma = np.empty((U.size, V.size) + x.shape + (spec.noise_dim,))
+    for i in range(U.size):
+        for j in range(V.size):
+            b[i, j] = eval_drift(spec, t, x, U.point(i), V.point(j))
+            sigma[i, j] = eval_diffusion(spec, t, x, U.point(i), V.point(j))
+    return b, sigma
 
 
 def eval_payoff(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:

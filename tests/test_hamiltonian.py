@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from robustctl.errors import ModelEvaluationError, NumericalSolveError
 from robustctl.hamiltonian import (HamiltonianQuery, hamiltonian_lower,
                                    hamiltonian_mixed, hamiltonian_upper,
-                                   isaacs_gap, lagrangian, lagrangian_matrix,
+                                   isaacs_gap, lagrangian_matrix, minimax,
                                    solve_matrix_game)
 from robustctl.problems import available_problems, build_problem
-from robustctl.sde_core import derive_seed, stream_generator
+from robustctl.sde_core import ControlSet, ProblemSpec, derive_seed, stream_generator
 
 
 # ------------------------------------------------------------- the oracle ---- #
@@ -60,15 +61,61 @@ def query(spec, t, x, p, M):
 
 def test_lagrangian_pinned_values(pennies_problem, heat_problem, drift_problem):
     x = np.array([0.0])
-    # pennies: b = u v, sigma = 1; p=2, M=4, u=1, v=-1 -> -2 + 0.5*4 = 0
+    # pennies: b = u v, sigma = 1; p=2, M=4, u=1 (index 1), v=-1 (index 0) -> -2 + 0.5*4 = 0
     q = query(pennies_problem.spec, 0.0, x, 2.0, 4.0)
-    assert lagrangian(pennies_problem.spec, q, np.array([1.0]), np.array([-1.0])) == 0.0
+    assert lagrangian_matrix(pennies_problem.spec, q)[1, 0] == 0.0
     # heat: b = 0, sigma = sqrt(2); M=1 -> 0.5 * 2 * 1 = 1
     q = query(heat_problem.spec, 0.0, x, 0.7, 1.0)
-    assert lagrangian(heat_problem.spec, q, np.array([0.0]), np.array([0.0])) == pytest.approx(1.0, abs=1e-12)
-    # drift control: b = u + v, sigma = 1; p=1, M=0, u=1, v=-0.5 -> 0.5
+    assert lagrangian_matrix(heat_problem.spec, q)[0, 0] == pytest.approx(1.0, abs=1e-12)
+    # drift control: b = u + v, sigma = 1; p=1, M=0, u=1 (index 2), v=-0.5 (index 0) -> 0.5
     q = query(drift_problem.spec, 0.0, x, 1.0, 0.0)
-    assert lagrangian(drift_problem.spec, q, np.array([1.0]), np.array([-0.5])) == 0.5
+    assert lagrangian_matrix(drift_problem.spec, q)[2, 0] == 0.5
+
+
+def coupled_plane_spec() -> ProblemSpec:
+    """A 2-D game whose running term exercises every axis of the kernel.
+
+    The drift couples the coordinates, sigma is a full non-normal 2x2 matrix
+    (so sigma sigma^T and sigma^T sigma differ), and the 3x2 control set has
+    vector-valued u.
+    """
+    U = ControlSet(np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 0.5]]), label="u3")
+    V = ControlSet(np.array([[-0.5], [0.5]]), label="v2")
+
+    def drift(t, x, u, v):
+        return np.stack([u[0] + v[0] * np.tanh(x[..., 1]),
+                         u[1] - 0.3 * v[0] * x[..., 0] + t], axis=-1)
+
+    def diffusion(t, x, u, v):
+        sig = np.empty(x.shape + (2,))
+        sig[..., 0, 0] = 1.0 + 0.2 * v[0]
+        sig[..., 0, 1] = 0.7 * u[0] + 0.1 * x[..., 1]
+        sig[..., 1, 0] = -0.4 + 0.2 * x[..., 0]
+        sig[..., 1, 1] = 0.8 + 0.3 * u[1] * v[0]
+        return sig
+
+    return ProblemSpec(label="coupled_plane", dim=2, noise_dim=2, horizon=1.0,
+                       drift=drift, diffusion=diffusion,
+                       payoff=lambda x: np.tanh(x[..., 0] - x[..., 1]),
+                       controls_u=U, controls_v=V, payoff_bound=1.0)
+
+
+def test_lagrangian_matrix_matches_the_oracle_in_two_dimensions():
+    spec = coupled_plane_spec()
+    rng = stream_generator(derive_seed(13, 31), 0)
+    for _ in range(100):
+        t = float(rng.uniform(0.0, spec.horizon))
+        x = rng.uniform(-2.0, 2.0, size=2)
+        p = rng.normal(0.0, 3.0, size=2)
+        B = rng.normal(0.0, 3.0, size=(2, 2))
+        M = B + B.T
+        q = query(spec, t, x, p, M)
+        A = oracle_matrix(spec, t, x, p, M)
+        L = lagrangian_matrix(spec, q)
+        assert L.shape == (3, 2)
+        np.testing.assert_allclose(L, A, rtol=0.0, atol=1e-12)
+        assert hamiltonian_lower(spec, q).value == pytest.approx(oracle_lower(A), abs=1e-12)
+        assert hamiltonian_upper(spec, q).value == pytest.approx(oracle_upper(A), abs=1e-12)
 
 
 def test_lower_hamiltonian_pinned(pennies_problem, drift_problem):
@@ -160,6 +207,39 @@ def test_matrix_game_wedge_property(a):
     lo = oracle_lower(A)
     up = oracle_upper(A)
     assert lo - 1e-9 <= sol.value <= up + 1e-9
+
+
+def lowest_index_picks(A, which):
+    """(u_star, v_star, inner_best) of one matrix by first-match scans."""
+    n_u, n_v = A.shape
+    if which == "lower":
+        inner = [next(j for j in range(n_v) if A[i, j] == min(A[i])) for i in range(n_u)]
+        vals = [A[i, inner[i]] for i in range(n_u)]
+        u = next(i for i in range(n_u) if vals[i] == max(vals))
+        return u, inner[u], inner
+    inner = [next(i for i in range(n_u) if A[i, j] == max(A[:, j])) for j in range(n_v)]
+    vals = [A[inner[j], j] for j in range(n_v)]
+    v = next(j for j in range(n_v) if vals[j] == min(vals))
+    return inner[v], v, inner
+
+
+@given(L=hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=4),
+                    elements=hs.integers(-2, 2)))
+@settings(max_examples=200, deadline=None)
+def test_minimax_on_stacked_matrices(L):
+    # small integers make ties common; each slice must reduce like the 2-d call
+    for which, oracle in (("lower", oracle_lower), ("upper", oracle_upper)):
+        value, u_star, v_star, inner = minimax(L, which)
+        outer_axis = 0 if which == "lower" else 1
+        assert value.shape == u_star.shape == v_star.shape == L.shape[2:]
+        assert inner.shape == (L.shape[outer_axis],) + L.shape[2:]
+        for k in range(L.shape[2]):
+            A = L[:, :, k]
+            value_k, u_k, v_k, inner_k = minimax(A, which)
+            assert value[k] == value_k == oracle(A) == A[u_k, v_k]
+            assert (u_star[k], v_star[k]) == (u_k, v_k)
+            assert np.array_equal(inner[:, k], inner_k)
+            assert (u_k, v_k, list(inner_k)) == lowest_index_picks(A, which)
 
 
 # ----------------------------------------------- ordering on random queries ---- #

@@ -129,6 +129,26 @@ def test_heat_matches_the_closed_form(heat_problem, heat_field):
     assert rep_fine.sup_error < 1e-3
 
 
+def test_two_dimensional_heat_matches_the_product_closed_form():
+    # sigma = sqrt(2) I, g = exp(-|x|^2): v is the product of two 1-d heat solutions
+    sigma2 = 2.0
+    spec = simple_spec(0.0, np.sqrt(sigma2), dim=2,
+                       payoff=lambda x: np.exp(-(x ** 2).sum(axis=-1)))
+    assert spec.horizon == 0.5
+
+    def reference(t, x):
+        s2 = 1.0 + 2.0 * sigma2 * (spec.horizon - t)
+        return np.exp(-(x ** 2).sum(axis=-1) / s2) / s2
+
+    grid = make_grid(spec, -6, 6, 0.1)
+    assert grid.shape == (121, 121)
+    field = solve_isaacs(spec, grid, "lower")
+    rep = compare_to_reference(field, reference, lo=-3, hi=3)
+    assert rep.sup_error < 1e-3
+    # the scheme treats both axes alike, so the symmetric data stays symmetric bitwise
+    assert np.array_equal(field.values, field.values.swapaxes(1, 2))
+
+
 def test_lower_is_below_upper_with_a_real_gap(pennies_fields):
     lower, upper = pennies_fields
     diff = upper.values - lower.values
