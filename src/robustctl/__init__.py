@@ -28,7 +28,7 @@ from .pde_solver import (SpaceTimeGrid, ValueField, cfl_max_dt,
                          compare_to_reference, make_grid, solve_isaacs)
 from .game_engine import (Adversary, AdversaryFamily, EngineConfig, Trajectory,
                           ValueEstimate, default_adversary_families,
-                          default_strategy_family, dpp_check,
+                          default_strategy_family, dpp_check, dpp_checks,
                           embed_feedback_as_openloop, estimate_payoff,
                           filtration_experiment, robust_value,
                           simulate_feedback_pair, simulate_strong,

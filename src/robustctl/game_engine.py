@@ -19,9 +19,14 @@ open-loop control against the same noise (:func:`embed_feedback_as_openloop`
 asserts this bitwise), which is what makes them legitimate members of the
 adversary families used for inner infima.
 
-One chunked batch engine computes every trajectory.  :func:`estimate_payoff`
-and the experiments march chunks of paths; the single-path entry points
-(:func:`simulate_strong`, :func:`simulate_feedback_pair` and, through them,
+One chunked batch engine computes every trajectory.  Every estimate is a
+cell of one strategies x adversaries table marched on one noise panel and
+reduced by one sup-inf fold (:func:`_fold`).  :func:`value_experiment` is
+the only entry point for payoff tables; :func:`estimate_payoff`,
+:func:`robust_value` and :func:`filtration_experiment` are thin calls into
+it, and :func:`dpp_checks` folds every rule's restart values from one
+recorded table.  The single-path entry points (:func:`simulate_strong`,
+:func:`simulate_feedback_pair` and, through them,
 :func:`embed_feedback_as_openloop`) march a chunk of one.  Strategies are
 played by :class:`~robustctl.strategies.StrategyTracker`, which the tests
 check against the per-step recomputation in
@@ -63,7 +68,7 @@ __all__ = [
     "estimate_payoff", "RobustValue", "robust_value",
     "ValueExperimentReport", "value_experiment",
     "FiltrationReport", "filtration_experiment",
-    "DppReport", "dpp_check",
+    "DppReport", "dpp_check", "dpp_checks",
     "default_adversary_families", "default_strategy_family", "builtin_pairs",
 ]
 
@@ -404,7 +409,7 @@ def _step_uniform(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
 
 def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
                 u_idx: np.ndarray, v_idx: np.ndarray, dWi: np.ndarray,
-                rows: np.ndarray | None = None) -> None:
+                rows: np.ndarray) -> None:
     """One Euler step in place, with paths grouped by their (u, v) pair.
 
     Steps where every path shares one pair (the pair code's min equals its
@@ -414,7 +419,7 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
     they evaluate each live pair on the full state block and gather per row.
     The coefficient contract (vectorized, row i depends on x[i] alone) makes
     that the same floats as a per-group evaluation, without mask extraction
-    and scatter.
+    and scatter; ``rows`` is ``arange(len(X))``, built once per march.
     """
     n_u, n_v = spec.controls_u.size, spec.controls_v.size
     if n_u == 1 and n_v == 1:
@@ -434,8 +439,6 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
         u, v = spec.controls_u.point(iu), spec.controls_v.point(jv)
         B[k] = spec.drift(t, X, u, v)
         S[k] = spec.diffusion(t, X, u, v)
-    if rows is None:
-        rows = np.arange(X.shape[0])
     sel = slot[code]
     X += B[sel, rows] * dt
     X += (S[sel, rows] * dWi[..., None, :]).sum(axis=-1)
@@ -594,16 +597,17 @@ def _n_chunks(n_paths: int, chunk_size: int) -> int:
 
 def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
                seeds: np.ndarray, engine: EngineConfig,
-               postprocess=None) -> tuple[np.ndarray, np.ndarray]:
+               postprocess=()) -> tuple[np.ndarray, np.ndarray]:
     """March every (strategy, adversary) cell over shared per-chunk noise.
 
     Noise is generated once per chunk and reused for all cells, which is
     both the common-random-numbers design and the main speedup when an
     experiment sweeps many strategy/adversary pairings.  Returns (values,
-    clamps): values[ci, p] is path p's terminal payoff for cell ci, or
-    postprocess(times, states) when a postprocess is given (it receives the
-    chunk's recorded paths and must return one value per path).  Chunks
-    write into shared arrays, so worker processes need not return anything.
+    clamps): values[k, ci, p] is postprocess[k](times, states) for cell ci
+    at path p, where each postprocess receives the chunk's recorded paths
+    and returns one value per path; with no postprocess there is one table
+    (k = 0) of terminal payoffs.  Chunks write into shared arrays, so worker
+    processes need not return anything.
     """
     _refuse_anticipating(cells)
     needed = max(adv.extra_dim for _, adv in cells)
@@ -611,10 +615,10 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     if extra_dim < needed:
         raise ConfigError(f"engine extra_dim {extra_dim} below required {needed}")
     n_paths = seeds.size
-    values = _shared_zeros((len(cells), n_paths), np.float64)
+    record = bool(postprocess)
+    values = _shared_zeros((max(len(postprocess), 1), len(cells), n_paths), np.float64)
     clamp_store = _shared_zeros((_n_chunks(n_paths, engine.chunk_size), len(cells)),
                                 np.int64)
-    record = postprocess is not None
 
     def worker(chunk_id, start, stop):
         chunk_seeds = seeds[start:stop]
@@ -631,7 +635,11 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
                                                      dW_tm=dW_tm,
                                                      v_factory=factories[adversary],
                                                      record_states=record)
-            values[ci, start:stop] = postprocess(times, recorded[0]) if record else payoffs
+            if record:
+                for k, post in enumerate(postprocess):
+                    values[k, ci, start:stop] = post(times, recorded[0])
+            else:
+                values[0, ci, start:stop] = payoffs
             clamp_store[chunk_id, ci] = clamps
 
     _map_chunks(n_paths, engine, worker)
@@ -651,28 +659,25 @@ def _sim_times(spec: ProblemSpec, s: float, engine: EngineConfig) -> np.ndarray:
     return np.linspace(s, spec.horizon, engine.n_steps + 1)
 
 
-def estimate_payoff(spec: ProblemSpec, s: float, x0, strategy: ElementaryStrategy,
-                    adversary: Adversary, n_paths: int, master_seed: int,
-                    engine: EngineConfig, keep_payoffs: bool = False) -> ValueEstimate:
-    """Mean payoff over n_paths independent paths, with its standard error.
+def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
+                 family: AdversaryFamily, n_paths: int, master_seed: int,
+                 engine: EngineConfig, postprocess=()) -> tuple[np.ndarray, np.ndarray]:
+    """The strategies x members table on one noise panel; see :func:`_run_cells`.
 
-    Path p uses the seed derived from (master_seed, p), so two runs with the
-    same arguments agree bitwise regardless of chunking or threading, and
-    runs with the same master seed share noise across strategies and
-    adversaries (common random numbers).
+    Rows are strategy-major: cell ``si * len(family.members) + mi``.  Path p
+    uses the seed derived from (master_seed, p), so two runs with the same
+    arguments agree bitwise regardless of chunking or worker count, and
+    every cell shares the noise (common random numbers).
     """
     if n_paths < 2:
         raise ConfigError(f"n_paths must be >= 2, got {n_paths}")
+    if not strategies:
+        raise ConfigError("a Monte Carlo table needs at least one strategy")
     x0 = _as_state(spec, x0)
     times = _sim_times(spec, s, engine)
     seeds = derive_seed_array(master_seed, np.arange(n_paths))
-    values, clamps = _run_cells(spec, times, x0, [(strategy, adversary)], seeds, engine)
-    mean, se = _mean_se(values[0])
-    return ValueEstimate(mean=mean, std_error=se,
-                         n_paths=n_paths, seed=int(master_seed),
-                         strategy_label=strategy.label, adversary_id=adversary.id,
-                         clamp_count=int(clamps[0]),
-                         payoffs=values[0] if keep_payoffs else None)
+    cells = [(strat, adv) for _, strat in strategies for adv in family.members]
+    return _run_cells(spec, times, x0, cells, seeds, engine, postprocess)
 
 
 # ----------------------------------------------------------- experiments ---- #
@@ -691,43 +696,6 @@ class RobustValue:
         return self.estimate.mean
 
 
-def _collect_robust(strategy: ElementaryStrategy, family: AdversaryFamily,
-                    values: np.ndarray, clamps: np.ndarray, n_paths: int,
-                    master_seed: int, keep_payoffs: bool) -> RobustValue:
-    """Fold one strategy's member rows into a RobustValue (min, first on ties)."""
-    members: dict = {}
-    worst = None
-    for mi, adv in enumerate(family.members):
-        mean, se = _mean_se(values[mi])
-        est = ValueEstimate(mean=mean, std_error=se, n_paths=n_paths,
-                            seed=int(master_seed), strategy_label=strategy.label,
-                            adversary_id=adv.id, clamp_count=int(clamps[mi]),
-                            payoffs=values[mi] if keep_payoffs else None)
-        members[adv.id] = est
-        if worst is None or est.mean < worst.mean:
-            worst = est
-    return RobustValue(estimate=worst, worst_id=worst.adversary_id, members=members)
-
-
-def robust_value(spec: ProblemSpec, s: float, x0, strategy: ElementaryStrategy,
-                 family: AdversaryFamily, n_paths: int, master_seed: int,
-                 engine: EngineConfig, keep_payoffs: bool = False) -> RobustValue:
-    """min over the family of estimated payoffs, all under the same noise.
-
-    Ties keep the earliest member, so results are reproducible and a family
-    extended with duplicates gives the identical answer.
-    """
-    if n_paths < 2:
-        raise ConfigError(f"n_paths must be >= 2, got {n_paths}")
-    x0 = _as_state(spec, x0)
-    times = _sim_times(spec, s, engine)
-    seeds = derive_seed_array(master_seed, np.arange(n_paths))
-    cells = [(strategy, adv) for adv in family.members]
-    values, clamps = _run_cells(spec, times, x0, cells, seeds, engine)
-    return _collect_robust(strategy, family, values, clamps, n_paths,
-                           master_seed, keep_payoffs)
-
-
 @dataclass(eq=False)
 class ValueExperimentReport:
     """Robust values for a ladder of strategies, plus the outer supremum.
@@ -743,37 +711,25 @@ class ValueExperimentReport:
     best_label: str
     best: RobustValue
 
+    def restricted(self, family: AdversaryFamily) -> "ValueExperimentReport":
+        """The same table folded over a sub-family's members, in its order."""
+        missing = set(family.ids) - set(self.best.members)
+        if missing:
+            raise ConfigError(f"family {family.label!r} is not within the table's "
+                              f"members; missing {sorted(missing)}")
+        return _fold(list(self.per_strategy),
+                     [[rv.members[aid] for aid in family.ids]
+                      for rv in self.per_strategy.values()])
 
-def value_experiment(spec: ProblemSpec, s: float, x0, strategies,
-                     family: AdversaryFamily, n_paths: int, master_seed: int,
-                     engine: EngineConfig, keep_payoffs: bool = False) -> ValueExperimentReport:
-    """Robust value per strategy, keeping the strategy ordering; best = max.
-
-    Every strategy/adversary cell is marched on the same noise panel, so the
-    whole table is a common-random-numbers comparison and the noise cost is
-    paid once per chunk rather than once per cell.
-    """
-    if n_paths < 2:
-        raise ConfigError(f"n_paths must be >= 2, got {n_paths}")
-    strategies = list(strategies)
-    if not strategies:
-        raise ConfigError("value experiment needs at least one strategy")
-    x0 = _as_state(spec, x0)
-    times = _sim_times(spec, s, engine)
-    seeds = derive_seed_array(master_seed, np.arange(n_paths))
-    cells = [(strat, adv) for _, strat in strategies for adv in family.members]
-    values, clamps = _run_cells(spec, times, x0, cells, seeds, engine)
-    n_m = len(family.members)
-    per: dict = {}
-    best_label, best = None, None
-    for si, (label, strat) in enumerate(strategies):
-        rows = slice(si * n_m, (si + 1) * n_m)
-        rv = _collect_robust(strat, family, values[rows], clamps[rows],
-                             n_paths, master_seed, keep_payoffs)
-        per[label] = rv
-        if best is None or rv.mean > best.mean:
-            best_label, best = label, rv
-    return ValueExperimentReport(per_strategy=per, best_label=best_label, best=best)
+    def filtration(self, label: str, base: AdversaryFamily) -> "FiltrationReport":
+        """Strategy ``label``'s row against the table's family and against ``base``."""
+        enlarged = self.per_strategy[label]
+        base_rv = self.restricted(base).per_strategy[label]
+        se = float(np.sqrt(base_rv.estimate.std_error ** 2
+                           + enlarged.estimate.std_error ** 2))
+        return FiltrationReport(strategy_label=enlarged.estimate.strategy_label,
+                                base=base_rv, enlarged=enlarged,
+                                delta=base_rv.mean - enlarged.mean, se_combined=se)
 
 
 @dataclass(eq=False)
@@ -793,32 +749,89 @@ class FiltrationReport:
     se_combined: float
 
 
+def _fold(labels: list, rows: list) -> ValueExperimentReport:
+    """The one sup-inf reduction; ``rows[i][j]`` is strategy i's estimate against member j.
+
+    Each strategy's worst member has the minimum mean, the first on ties;
+    the best strategy has the largest worst mean, the first on ties.  So
+    results are reproducible, and a family or ladder extended with
+    duplicates gives the identical answer.
+    """
+    robust = []
+    for row in rows:
+        worst = row[int(np.argmin([est.mean for est in row]))]
+        robust.append(RobustValue(estimate=worst, worst_id=worst.adversary_id,
+                                  members={est.adversary_id: est for est in row}))
+    best = int(np.argmax([rv.mean for rv in robust]))
+    return ValueExperimentReport(per_strategy=dict(zip(labels, robust)),
+                                 best_label=labels[best], best=robust[best])
+
+
+def _fold_table(strategies: list, family: AdversaryFamily, values: np.ndarray,
+                clamps: np.ndarray, master_seed: int,
+                keep_payoffs: bool) -> ValueExperimentReport:
+    """Estimate every cell of one marched table (cells x paths) and fold it."""
+    n_m = len(family.members)
+    rows = [[ValueEstimate(*_mean_se(values[k]), n_paths=values.shape[1],
+                           seed=int(master_seed), strategy_label=strat.label,
+                           adversary_id=adv.id, clamp_count=int(clamps[k]),
+                           payoffs=values[k] if keep_payoffs else None)
+             for k, adv in enumerate(family.members, start=si * n_m)]
+            for si, (_, strat) in enumerate(strategies)]
+    return _fold([label for label, _ in strategies], rows)
+
+
+def value_experiment(spec: ProblemSpec, s: float, x0, strategies,
+                     family: AdversaryFamily, n_paths: int, master_seed: int,
+                     engine: EngineConfig, keep_payoffs: bool = False) -> ValueExperimentReport:
+    """Robust value per strategy, keeping the strategy ordering; best = max.
+
+    Every strategy/adversary cell is marched on the same noise panel, so the
+    whole table is a common-random-numbers comparison and the noise cost is
+    paid once per chunk rather than once per cell.  Every payoff estimate in
+    the package is a cell of such a table.
+    """
+    strategies = list(strategies)
+    values, clamps = _march_table(spec, s, x0, strategies, family, n_paths,
+                                  master_seed, engine)
+    return _fold_table(strategies, family, values[0], clamps, master_seed, keep_payoffs)
+
+
+def estimate_payoff(spec: ProblemSpec, s: float, x0, strategy: ElementaryStrategy,
+                    adversary: Adversary, n_paths: int, master_seed: int,
+                    engine: EngineConfig, keep_payoffs: bool = False) -> ValueEstimate:
+    """Mean payoff over n_paths independent paths, with its standard error.
+
+    The 1 x 1 table of :func:`value_experiment`, so it shares the noise of
+    any other estimate with the same master seed.
+    """
+    return robust_value(spec, s, x0, strategy, AdversaryFamily((adversary,)), n_paths,
+                        master_seed, engine, keep_payoffs).estimate
+
+
+def robust_value(spec: ProblemSpec, s: float, x0, strategy: ElementaryStrategy,
+                 family: AdversaryFamily, n_paths: int, master_seed: int,
+                 engine: EngineConfig, keep_payoffs: bool = False) -> RobustValue:
+    """min over the family of estimated payoffs, all under the same noise.
+
+    The 1 x m table of :func:`value_experiment`; ties keep the earliest member.
+    """
+    return value_experiment(spec, s, x0, [(strategy.label, strategy)], family, n_paths,
+                            master_seed, engine, keep_payoffs).best
+
+
 def filtration_experiment(spec: ProblemSpec, s: float, x0,
                           strategy: ElementaryStrategy, base: AdversaryFamily,
                           enlarged: AdversaryFamily, n_paths: int,
                           master_seed: int, engine: EngineConfig) -> FiltrationReport:
-    """Compare worst cases over the base family and an enlarged superset."""
-    missing = set(base.ids) - set(enlarged.ids)
-    if missing:
-        raise ConfigError(
-            f"enlarged family must contain the base family; missing {sorted(missing)}")
-    if n_paths < 2:
-        raise ConfigError(f"n_paths must be >= 2, got {n_paths}")
-    x0 = _as_state(spec, x0)
-    times = _sim_times(spec, s, engine)
-    seeds = derive_seed_array(master_seed, np.arange(n_paths))
-    cells = [(strategy, adv) for adv in enlarged.members]
-    values, clamps = _run_cells(spec, times, x0, cells, seeds, engine)
-    rv_enl = _collect_robust(strategy, enlarged, values, clamps, n_paths,
-                             master_seed, False)
-    row_of = {adv.id: mi for mi, adv in enumerate(enlarged.members)}
-    rows = [row_of[aid] for aid in base.ids]
-    rv_base = _collect_robust(strategy, base, values[rows], clamps[rows],
-                              n_paths, master_seed, False)
-    delta = rv_base.mean - rv_enl.mean
-    se = float(np.sqrt(rv_base.estimate.std_error ** 2 + rv_enl.estimate.std_error ** 2))
-    return FiltrationReport(strategy_label=strategy.label, base=rv_base,
-                            enlarged=rv_enl, delta=delta, se_combined=se)
+    """Compare worst cases over the base family and an enlarged superset.
+
+    One 1 x m table against ``enlarged``, folded once over all of it and
+    once over the base members; ``base`` must lie within ``enlarged``.
+    """
+    report = value_experiment(spec, s, x0, [(strategy.label, strategy)], enlarged,
+                              n_paths, master_seed, engine)
+    return report.filtration(strategy.label, base)
 
 
 # ------------------------------------------------------------------ DPP ---- #
@@ -852,57 +865,62 @@ class DppReport:
     cells: dict
 
 
+def _restart_value(field: ValueField, rho: StoppingRule):
+    """Postprocess for :func:`_run_cells`: the field at each path's (rho, X_rho)."""
+    def value(times, states):
+        fire = _fire_batch(rho, times, states)
+        return field.value_at(times[fire], states[np.arange(states.shape[0]), fire])
+    return value
+
+
+def dpp_checks(spec: ProblemSpec, field: ValueField, s: float, x0, strategies,
+               family: AdversaryFamily, rules, n_paths: int, master_seed: int,
+               engine: EngineConfig, gate_trials: int = 200) -> list:
+    """Verify v(s, x) = sup inf E[v(rho, X_rho)] at each rule against a solved field.
+
+    ``rules`` is a list of (label, rule) pairs; one :class:`DppReport` comes
+    back per pair, in order.  Every rule is screened by
+    :func:`check_nonanticipative` first; an anticipating rule is refused
+    outright.  The table is marched once with recorded paths, and each rule's
+    restart values (the field interpolated at each path's (rho, X_rho),
+    capped at the horizon) are folded like :func:`value_experiment`'s payoffs.
+    """
+    rules = list(rules)
+    if not rules:
+        raise ConfigError("dynamic-programming check needs at least one rule")
+    for label, rho in rules:
+        gate = check_nonanticipative(rho, n_trials=gate_trials,
+                                     seed=derive_seed(master_seed, 23),
+                                     n_steps=min(64, engine.n_steps), horizon=spec.horizon)
+        if not gate.passed:
+            raise StrategyStructureError(
+                f"stopping rule {label!r} failed the non-anticipativity screen "
+                f"({gate.failures}/{gate.trials} trials)")
+    strategies = list(strategies)
+    values, clamps = _march_table(spec, s, x0, strategies, family, n_paths, master_seed,
+                                  engine, [_restart_value(field, rho) for _, rho in rules])
+    field_value = float(field.value_at(np.asarray(s), _as_state(spec, x0)[None])[0])
+    reports = []
+    for (label, _), table in zip(rules, values):
+        report = _fold_table(strategies, family, table, clamps, master_seed, False)
+        best = report.best
+        reports.append(DppReport(
+            rho_label=label, field_value=field_value, game_value=best.mean,
+            residual=abs(field_value - best.mean), std_error=best.estimate.std_error,
+            best_strategy=report.best_label, worst_adversary=best.worst_id,
+            cells={(slabel, aid): (est.mean, est.std_error)
+                   for slabel, rv in report.per_strategy.items()
+                   for aid, est in rv.members.items()}))
+    return reports
+
+
 def dpp_check(spec: ProblemSpec, field: ValueField, s: float, x0,
               strategies, family: AdversaryFamily, rho: StoppingRule,
               n_paths: int, master_seed: int, engine: EngineConfig,
               rho_label: str = "rho", gate_trials: int = 200) -> DppReport:
-    """Verify v(s, x) = sup inf E[v(rho, X_rho)] against a solved field.
-
-    ``rho`` is screened by :func:`check_nonanticipative` first; an
-    anticipating rule is refused outright.  The restart value reads the field
-    by interpolation at each path's (rho, X_rho), capped at the horizon.
-    """
-    gate = check_nonanticipative(rho, n_trials=gate_trials,
-                                 seed=derive_seed(master_seed, 23),
-                                 n_steps=min(64, engine.n_steps), horizon=spec.horizon)
-    if not gate.passed:
-        raise StrategyStructureError(
-            f"stopping rule {rho_label!r} failed the non-anticipativity screen "
-            f"({gate.failures}/{gate.trials} trials)")
-    if n_paths < 2:
-        raise ConfigError(f"n_paths must be >= 2, got {n_paths}")
-    strategies = list(strategies)
-    if not strategies:
-        raise ConfigError("dynamic-programming check needs at least one strategy")
-    x0 = _as_state(spec, x0)
-    times = _sim_times(spec, s, engine)
-    seeds = derive_seed_array(master_seed, np.arange(n_paths))
-
-    def restart_value(times_, states):
-        fire = _fire_batch(rho, times_, states)
-        x_fire = states[np.arange(states.shape[0]), fire]
-        return field.value_at(times_[fire], x_fire)
-
-    cell_list = [(strat, adv) for _, strat in strategies for adv in family.members]
-    values, _ = _run_cells(spec, times, x0, cell_list, seeds, engine,
-                           postprocess=restart_value)
-    n_m = len(family.members)
-    cells: dict = {}
-    best_label, best_mean, best_se, worst_of_best = None, None, None, None
-    for si, (label, _) in enumerate(strategies):
-        worst_id, worst_mean, worst_se = None, None, None
-        for mi, adv in enumerate(family.members):
-            mean, se = _mean_se(values[si * n_m + mi])
-            cells[(label, adv.id)] = (mean, se)
-            if worst_mean is None or mean < worst_mean:
-                worst_id, worst_mean, worst_se = adv.id, mean, se
-        if best_mean is None or worst_mean > best_mean:
-            best_label, best_mean, best_se, worst_of_best = label, worst_mean, worst_se, worst_id
-    field_value = float(field.value_at(np.asarray(s), x0[None])[0])
-    return DppReport(rho_label=rho_label, field_value=field_value,
-                     game_value=best_mean, residual=abs(field_value - best_mean),
-                     std_error=best_se, best_strategy=best_label,
-                     worst_adversary=worst_of_best, cells=cells)
+    """The one-rule form of :func:`dpp_checks`."""
+    return dpp_checks(spec, field, s, x0, strategies, family, [(rho_label, rho)],
+                      n_paths, master_seed, engine, gate_trials)[0]
 
 
 # ------------------------------------------------------- default families ---- #

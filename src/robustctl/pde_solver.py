@@ -20,9 +20,9 @@ Only diagonal diffusion is supported: cross terms of sigma sigma^T break
 the monotone stencil, so they are rejected rather than mishandled.  (The
 pointwise running term in :mod:`robustctl.hamiltonian` takes any sigma.)
 
-Certificates for downstream consumers are stored with the field: per-layer
-controller and adversary feedback indices, the per-u adversary best-reply
-table, and the chosen-pair upwind gradients actually used by the march.
+The field stores what the Monte Carlo engine reads from the march:
+per-layer controller and adversary feedback indices and the per-u adversary
+best-reply table.
 """
 
 from __future__ import annotations
@@ -175,15 +175,13 @@ def _neighbor(V: np.ndarray, axis: int, direction: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class ValueField:
-    """A solved Isaacs field with the certificates of its own march.
+    """A solved Isaacs field with the feedback tables of its own march.
 
     ``values[i]`` approximates v(times[i], .) on the grid nodes.
     ``feedback_u``/``feedback_v`` tabulate the optimizing control indices per
     layer; ``response_v[i, k]`` is the adversary's best reply to u_k at layer
-    i.  ``grad``/``second`` hold the upwind first and central second
-    differences of the pair the march actually chose (None when certificates
-    were not stored); ``max_update[i]`` is the largest |values[i] -
-    values[i+1]| of the step that produced layer i.
+    i.  ``max_update[i]`` is the largest |values[i] - values[i+1]| of the
+    step that produced layer i.
     """
 
     which: str
@@ -194,8 +192,6 @@ class ValueField:
     feedback_v: FeedbackMap
     response_v: np.ndarray
     max_update: np.ndarray
-    grad: np.ndarray | None = None
-    second: np.ndarray | None = None
 
     def value_at(self, t, x) -> np.ndarray:
         """Multilinear interpolation in time and space; clamps outside the box.
@@ -236,8 +232,7 @@ class ValueField:
         return out
 
 
-def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower",
-                 store_certificates: bool = True) -> ValueField:
+def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower") -> ValueField:
     """March the explicit monotone scheme backward from the payoff.
 
     ``which`` picks the Hamiltonian: "lower" = max_u min_v (controller
@@ -267,8 +262,6 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower",
     fb_v = np.empty((n_layers,) + shape, dtype=np.int16)
     resp_v = np.empty((n_layers, n_u) + shape, dtype=np.int16)
     max_update = np.empty(n_layers - 1)
-    grad = np.empty((n_layers,) + shape + (dim,)) if store_certificates else None
-    second = np.empty((n_layers,) + shape + (dim,)) if store_certificates else None
 
     for i in range(n_layers - 2, -1, -1):
         V = values[i + 1]
@@ -302,18 +295,11 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower",
         fb_v[i] = v_star
         resp_v[i] = lower[3]
         max_update[i] = float(np.max(np.abs(new - V)))
-        if store_certificates:
-            b_star = b[(u_star, v_star) + np.indices(shape, sparse=True)]
-            grad[i] = np.where(b_star >= 0.0, Dp, Dm)
-            second[i] = D2
 
     # terminal layer has no step of its own; replicate the last computed one
     fb_u[-1] = fb_u[-2] if n_layers > 1 else 0
     fb_v[-1] = fb_v[-2] if n_layers > 1 else 0
     resp_v[-1] = resp_v[-2] if n_layers > 1 else 0
-    if store_certificates and n_layers > 1:
-        grad[-1] = grad[-2]
-        second[-1] = second[-2]
 
     label = f"{spec.label}/{which}"
     return ValueField(
@@ -322,7 +308,7 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower",
                                control_set=spec.controls_u, label=f"{label}/u"),
         feedback_v=FeedbackMap(times=times, axes=grid.axes, indices=fb_v,
                                control_set=spec.controls_v, label=f"{label}/v"),
-        response_v=resp_v, max_update=max_update, grad=grad, second=second)
+        response_v=resp_v, max_update=max_update)
 
 
 @dataclass(frozen=True)

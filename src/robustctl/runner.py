@@ -190,7 +190,8 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
         for eq in cfg["equations"]:
             field = solve_isaacs(spec, grid, which=eq)
             fields[eq] = field
-            entry = {"max_update_final": field.max_update}
+            # the march runs backward: its final step produced layer 0
+            entry = {"max_update_final": float(field.max_update[0])}
             if problem.reference is not None:
                 err = compare_to_reference(field, problem.reference,
                                            lo=problem.interior_lo, hi=problem.interior_hi)
@@ -229,7 +230,6 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
         raise ConfigError(f"simulate.start_state needs {spec.dim} coordinates")
 
     experiment_seed = derive_seed(master_seed, 37)
-    value_report = None
     base_family = enlarged_family = strategy_family = None
 
     def families(lower_field):
@@ -245,12 +245,20 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
                 problem, lower_field, cfg["strategies"]["decision_counts"], s0, engine)
         return base_family, enlarged_family, strategy_family
 
+    # ---- one table: the ladder against the enlarged family ----------------- #
+    # The value stage reports the whole table; the filtration stage reads one
+    # row of it, folded over both families.
+    table = value_report = None
+    if "value" in stages or "filtration" in stages:
+        lower = need("lower", "value" if "value" in stages else "filtration")
+        base, enlarged, ladder = families(lower)
+        table = ge.value_experiment(spec, s0, x0, ladder, enlarged, sim["n_paths"],
+                                    experiment_seed, engine,
+                                    keep_payoffs=sim["dump_paths"])
+
     # ---- robust value vs. the lower field ---------------------------------- #
     if "value" in stages:
-        lower = need("lower", "value")
-        _, enlarged, ladder = families(lower)
-        value_report = ge.value_experiment(spec, s0, x0, ladder, enlarged,
-                                           sim["n_paths"], experiment_seed, engine)
+        value_report = table
         field_value = float(lower.value_at(np.asarray(s0), x0[None])[0])
         best = value_report.best
         err = abs(best.mean - field_value)
@@ -270,29 +278,17 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
         if clamps:
             warnings.append(f"value: {clamps} rule-order clamps during simulation")
         if sim["dump_paths"]:
-            worst = best.worst_id
-            adv = next(m for m in enlarged.members if m.id == worst)
-            strat = dict(ladder)[value_report.best_label]
-            est = ge.estimate_payoff(spec, s0, x0, strat, adv, sim["n_paths"],
-                                     experiment_seed, engine, keep_payoffs=True)
             seeds = derive_seed_array(experiment_seed, np.arange(sim["n_paths"]))
+            payoffs = best.estimate.payoffs
             tables["paths"] = (["path", "seed", "payoff"],
-                               [[i, int(seeds[i]), est.payoffs[i]]
+                               [[i, int(seeds[i]), payoffs[i]]
                                 for i in range(sim["n_paths"])])
 
     # ---- filtration comparison --------------------------------------------- #
     if "filtration" in stages:
-        lower = need("lower", "filtration")
-        base, enlarged, ladder = families(lower)
-        if value_report is not None:
-            best_label = value_report.best_label
-        else:
-            probe = ge.value_experiment(spec, s0, x0, ladder, base,
-                                        sim["n_paths"], experiment_seed, engine)
-            best_label = probe.best_label
-        strat = dict(ladder)[best_label]
-        filt = ge.filtration_experiment(spec, s0, x0, strat, base, enlarged,
-                                        sim["n_paths"], experiment_seed, engine)
+        # without the value stage the strategy is chosen over the base family
+        best_label = (value_report or table.restricted(base)).best_label
+        filt = table.filtration(best_label, base)
         bound = max(tol["se_multiplier"] * filt.se_combined, tol["filtration_abs"])
         checks.add("filtration.delta", "filtration",
                    0.0 <= filt.delta <= bound, value=filt.delta, tolerance=bound,
@@ -316,11 +312,10 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
         _, enlarged, ladder = families(lower)
         summary["dpp"] = {}
         rows = []
-        for rule_cfg in cfg["dpp"]["rules"]:
-            rho, label = _build_rho(rule_cfg, spec.horizon)
-            rep = ge.dpp_check(spec, lower, s0, x0, ladder, enlarged, rho,
-                               sim["n_paths"], derive_seed(master_seed, 41), engine,
-                               rho_label=label)
+        rules = [_build_rho(rule_cfg, spec.horizon) for rule_cfg in cfg["dpp"]["rules"]]
+        for rep in ge.dpp_checks(spec, lower, s0, x0, ladder, enlarged, rules,
+                                 sim["n_paths"], derive_seed(master_seed, 41), engine):
+            label = rep.rho_label
             bound = max(tol["se_multiplier"] * rep.std_error, tol["dpp_abs"])
             checks.add(f"dpp.{label}", "dpp", rep.residual <= bound,
                        value=rep.residual, tolerance=bound,
@@ -385,14 +380,15 @@ def hash_pair(aid: str, bid: str) -> int:
 
 
 def _build_rho(rule_cfg: dict, horizon: float):
+    """A configured dpp rule as its (label, stopping rule) pair."""
     if rule_cfg["kind"] == "fixed_time":
         t = float(rule_cfg.get("t", horizon / 2))
         if not 0.0 <= t <= horizon:
             raise ConfigError(f"dpp rule fixed_time t={t} outside [0, {horizon}]")
-        return FixedTimeRule(t), f"fixed_time_{t:g}"
+        return f"fixed_time_{t:g}", FixedTimeRule(t)
     level = float(rule_cfg["level"])
-    rho = CappedRule(HittingRule(AbsRegion(level)), FixedTimeRule(horizon))
-    return rho, f"first_exit_{level:g}"
+    return f"first_exit_{level:g}", CappedRule(HittingRule(AbsRegion(level)),
+                                                FixedTimeRule(horizon))
 
 
 def _monotone(report, ladder, se_mult: float):

@@ -897,10 +897,6 @@ class LookaheadControl(OpenLoopControl):
         return np.where(noise.dW[:, self.coord] >= 0.0,
                         self.pos_index, self.neg_index).astype(np.int64)
 
-    def realize_batch(self, times, dW, extra, seeds):
-        return np.where(dW[..., self.coord] >= 0.0,
-                        self.pos_index, self.neg_index).astype(np.int64)
-
 
 def realize_open_loop(control: OpenLoopControl, noise: NoisePath,
                       n_choices: int | None = None) -> np.ndarray:

@@ -13,12 +13,17 @@ import json
 import numpy as np
 import pytest
 
+import robustctl.game_engine as ge
 from robustctl.cli import main
 from robustctl.config import (DEFAULTS, describe_errors, load_config,
                               resolve_config, validate_config)
 from robustctl.errors import ConfigError
+from robustctl.pde_solver import make_grid, solve_isaacs
+from robustctl.problems import build_problem
 from robustctl.reports import summary_to_json
 from robustctl.runner import COMMANDS, Checks, _finish, run_experiment, write_result
+from robustctl.sde_core import derive_seed, derive_seed_array
+from robustctl.strategies import AbsRegion, CappedRule, FixedTimeRule, HittingRule
 
 CHEAP_PENNIES = {
     "problem": {"id": "pennies"},
@@ -181,6 +186,133 @@ def test_strict_mode_promotes_warnings_to_failure():
     hard = _finish({"config": {}}, {}, checks2, ["something odd"], strict=True)
     assert hard.exit_code == 1
     assert hard.summary["failed_checks"] == []
+
+
+# ------------------------------------------- the stages against direct calls ---- #
+
+ALL_STAGES = {
+    **CHEAP_PENNIES,
+    "simulate": {"n_paths": 200, "n_steps": 32, "dump_paths": True},
+    "experiments": {"value": True, "filtration": True, "dpp": True,
+                    "embedding": True, "hamiltonian": True},
+    "dpp": {"rules": [{"kind": "fixed_time"}, {"kind": "first_exit", "level": 0.5}]},
+    "embedding": {"n_seeds": 1},
+}
+
+
+def direct_inputs(summary: dict):
+    """The run's lower field, engine, families and ladder, rebuilt from its config."""
+    cfg = summary["config"]
+    problem = build_problem(cfg["problem"]["id"])
+    g = cfg["grid"]
+    grid = make_grid(problem.spec, g["lo"], g["hi"], g["h"], dt=g["dt"],
+                     cfl_safety=g["cfl_safety"])
+    lower = solve_isaacs(problem.spec, grid, "lower")
+    sim = cfg["simulate"]
+    engine = ge.EngineConfig(n_steps=sim["n_steps"], chunk_size=sim["chunk_size"])
+    adv = cfg["adversaries"]
+    base, enlarged = ge.default_adversary_families(
+        problem, lower, n_random=adv["n_random"], random_segments=adv["random_segments"])
+    ladder = ge.default_strategy_family(problem, lower, cfg["strategies"]["decision_counts"],
+                                        sim["start_time"], engine)
+    return problem.spec, lower, engine, base, enlarged, ladder
+
+
+def filtration_summary(label: str, rep) -> dict:
+    return {"strategy": label,
+            "base_mean": rep.base.mean, "base_worst": rep.base.worst_id,
+            "base_se": rep.base.estimate.std_error,
+            "enlarged_mean": rep.enlarged.mean, "enlarged_worst": rep.enlarged.worst_id,
+            "enlarged_se": rep.enlarged.estimate.std_error,
+            "delta": rep.delta, "se_combined": rep.se_combined}
+
+
+def test_every_stage_equals_the_direct_calls():
+    result = run_experiment(ALL_STAGES, command="run", seed=6)
+    summary, tables = result.summary, result.tables
+    assert summary["stages"] == ["solve", "value", "filtration", "dpp", "embedding",
+                                 "hamiltonian"]
+    spec, lower, engine, base, enlarged, ladder = direct_inputs(summary)
+    x0, n = np.array([0.0]), 200
+    seed = derive_seed(6, 37)
+    best = summary["value"]["best_strategy"]
+    strat = dict(ladder)[best]
+
+    filt = ge.filtration_experiment(spec, 0.0, x0, strat, base, enlarged, n, seed, engine)
+    assert summary["filtration"] == filtration_summary(best, filt)
+    assert tables["estimates"][1][-2:] == [
+        ["filtration", best, filt.base.worst_id, filt.base.mean,
+         filt.base.estimate.std_error, "", True],
+        ["filtration", best, filt.enlarged.worst_id, filt.enlarged.mean,
+         filt.enlarged.estimate.std_error, "", True]]
+
+    rules = [("fixed_time_0.25", FixedTimeRule(spec.horizon / 2)),
+             ("first_exit_0.5", CappedRule(HittingRule(AbsRegion(0.5)),
+                                           FixedTimeRule(spec.horizon)))]
+    rows = []
+    for label, rho in rules:
+        rep = ge.dpp_check(spec, lower, 0.0, x0, ladder, enlarged, rho, n,
+                           derive_seed(6, 41), engine, rho_label=label)
+        assert summary["dpp"][label] == {
+            "field_value": rep.field_value, "game_value": rep.game_value,
+            "residual": rep.residual, "std_error": rep.std_error,
+            "best_strategy": rep.best_strategy, "worst_adversary": rep.worst_adversary}
+        rows += [[label, slabel, aid, mean, se]
+                 for (slabel, aid), (mean, se) in sorted(rep.cells.items())]
+    assert tables["dpp"][1] == rows
+
+    worst = next(m for m in enlarged.members
+                 if m.id == summary["value"]["per_strategy"][best]["worst_adversary"])
+    est = ge.estimate_payoff(spec, 0.0, x0, strat, worst, n, seed, engine,
+                             keep_payoffs=True)
+    seeds = derive_seed_array(seed, np.arange(n))
+    assert tables["paths"][1] == [[i, int(seeds[i]), est.payoffs[i]] for i in range(n)]
+
+    assert summary["embedding"] == {"n_pairs": 9, "n_seeds": 1, "mismatches": 0}
+    assert [row[3] for row in tables["embedding"][1]] == [True] * 9
+    assert result.exit_code == 0, summary["failed_checks"]
+
+
+def test_filtration_without_the_value_stage_picks_over_the_base_family():
+    cfg = {**CHEAP_PENNIES, "experiments": {"value": False, "filtration": True,
+                                            "hamiltonian": False}}
+    result = run_experiment(cfg, command="run", seed=4)
+    summary = result.summary
+    assert summary["stages"] == ["solve", "filtration"] and "value" not in summary
+    spec, lower, engine, base, enlarged, ladder = direct_inputs(summary)
+    x0, n, seed = np.array([0.0]), 200, derive_seed(4, 37)
+    probe = ge.value_experiment(spec, 0.0, x0, ladder, base, n, seed, engine)
+    filt = ge.filtration_experiment(spec, 0.0, x0, dict(ladder)[probe.best_label],
+                                    base, enlarged, n, seed, engine)
+    assert summary["filtration"] == filtration_summary(probe.best_label, filt)
+    assert [row[0] for row in result.tables["estimates"][1]] == ["filtration"] * 2
+
+
+def test_a_full_run_marches_one_value_table_and_one_dpp_table(monkeypatch):
+    # value and filtration share one table; both dpp rules share another
+    marched = []
+    run_cells = ge._run_cells
+
+    def counting(spec, times, x0, cells, *args, **kwargs):
+        marched.append(len(cells))
+        return run_cells(spec, times, x0, cells, *args, **kwargs)
+
+    monkeypatch.setattr(ge, "_run_cells", counting)
+    cfg = {**CHEAP_PENNIES, "experiments": {"value": True, "filtration": True,
+                                            "dpp": True, "hamiltonian": False}}
+    result = run_experiment(cfg, command="run", seed=2)
+    assert len(result.summary["dpp"]) == 2
+    n_cells = sum(len(entry["members"])
+                  for entry in result.summary["value"]["per_strategy"].values())
+    assert marched == [n_cells, n_cells]
+
+
+def test_summary_keeps_only_the_final_march_update():
+    result = run_experiment(CHEAP_PENNIES, command="solve-pde", seed=1)
+    _, lower, *_ = direct_inputs(result.summary)
+    final = result.summary["pde"]["lower"]["max_update_final"]
+    assert type(final) is float
+    assert final == float(lower.max_update[0])
 
 
 # --------------------------------------------------------------------- CLI ---- #

@@ -25,7 +25,7 @@ from robustctl.game_engine import (Adversary, AdversaryFamily,
                                    builtin_pairs,
                                    default_adversary_families,
                                    default_strategy_family, dpp_check,
-                                   embed_feedback_as_openloop, estimate_payoff,
+                                   dpp_checks, embed_feedback_as_openloop, estimate_payoff,
                                    filtration_experiment, robust_value,
                                    simulate_feedback_pair, simulate_strong,
                                    value_experiment)
@@ -258,9 +258,9 @@ def test_chunks_run_in_worker_processes(pennies_problem):
     seeds = derive_seed_array(0, np.arange(8))
     values, _ = _run_cells(spec, times, np.array([0.0]), [(alpha, const_adv(0, "c0"))],
                            seeds, EngineConfig(n_steps=8, chunk_size=4, threads=2),
-                           postprocess=lambda t, states: np.full(states.shape[0],
-                                                                 os.getpid()))
-    pids = values[0].astype(int)
+                           postprocess=[lambda t, states: np.full(states.shape[0],
+                                                                  os.getpid())])
+    pids = values[0, 0].astype(int)
     assert np.all(pids[:4] == pids[0]) and np.all(pids[4:] == pids[4])
     assert pids[0] != pids[4]
     assert os.getpid() not in (pids[0], pids[4])
@@ -592,6 +592,13 @@ def test_ties_keep_the_earliest_member(pennies_problem):
                       master_seed=7, engine=EngineConfig(n_steps=16))
     assert rv.members["first"].mean == rv.members["second"].mean
     assert rv.worst_id == "first"
+    # and the outer maximum keeps the earliest of two equal strategies
+    twin = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon, label="twin")
+    report = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha), ("twin", twin)],
+                              family, n_paths=32, master_seed=7,
+                              engine=EngineConfig(n_steps=16))
+    assert report.per_strategy["alpha"].mean == report.per_strategy["twin"].mean
+    assert report.best_label == "alpha" and report.best is report.per_strategy["alpha"]
 
 
 def test_extending_the_family_never_raises_the_value(pennies_problem):
@@ -737,6 +744,52 @@ def test_filtration_delta_zero_for_redundant_enlargement(pennies_problem):
     assert rep.delta == 0.0
 
 
+def assert_same_robust(a, b):
+    """Two robust values agree bitwise, member by member and in their fold."""
+    def fields(est):
+        return (est.mean, est.std_error, est.n_paths, est.seed, est.strategy_label,
+                est.adversary_id, est.clamp_count)
+    assert a.worst_id == b.worst_id
+    assert fields(a.estimate) == fields(b.estimate)
+    assert list(a.members) == list(b.members)
+    for aid in a.members:
+        assert fields(a.members[aid]) == fields(b.members[aid])
+
+
+def test_filtration_report_from_a_table_row_matches_the_experiment(pennies_problem):
+    # one 2 x 5 table against the enlarged family: each row, folded over the
+    # base members, is the base-family table and the standalone experiment
+    spec = pennies_problem.spec
+    strategies = [(f"const{k}", constant_strategy(spec.controls_u, k, 0.0, spec.horizon))
+                  for k in (0, 1)]
+    # c0 and c0b tie under common noise, so the base fold must keep c0
+    base = AdversaryFamily((const_adv(1, "c1"), const_adv(0, "c0"), const_adv(0, "c0b")),
+                           label="base")
+    enlarged = AdversaryFamily(base.members + (
+        Adversary(id="sgnE", kind="open_loop",
+                  control=SignControl(pos_index=1, neg_index=0, source="extra")),
+        Adversary(id="pw", kind="open_loop", control=PiecewiseRandomControl(2, 4, salt=1))),
+        label="enlarged")
+    kw = dict(n_paths=64, master_seed=19, engine=EngineConfig(n_steps=16))
+    x0 = np.array([0.0])
+    table = value_experiment(spec, 0.0, x0, strategies, enlarged, **kw)
+    on_base = value_experiment(spec, 0.0, x0, strategies, base, **kw)
+    restricted = table.restricted(base)
+    assert restricted.best_label == on_base.best_label
+    assert restricted.per_strategy["const1"].worst_id == "c0"
+    for label, strat in strategies:
+        assert_same_robust(restricted.per_strategy[label], on_base.per_strategy[label])
+        got = table.filtration(label, base)
+        want = filtration_experiment(spec, 0.0, x0, strat, base, enlarged, **kw)
+        assert got.strategy_label == want.strategy_label == strat.label
+        assert (got.delta, got.se_combined) == (want.delta, want.se_combined)
+        assert_same_robust(got.base, want.base)
+        assert_same_robust(got.enlarged, want.enlarged)
+        assert_same_robust(got.base, robust_value(spec, 0.0, x0, strat, base, **kw))
+    with pytest.raises(ConfigError, match="missing"):
+        on_base.restricted(enlarged)
+
+
 # ------------------------------------------------------------------- DPP ---- #
 
 
@@ -804,6 +857,41 @@ def test_dpp_refuses_an_anticipating_rule(pennies_problem, pennies_fields):
         dpp_check(spec, lower, 0.0, np.array([0.0]), [("const1", alpha)],
                   family, LookaheadRule(), n_paths=4, master_seed=0,
                   engine=EngineConfig(n_steps=8))
+
+
+def test_dpp_checks_fold_every_rule_of_one_table(pennies_problem, pennies_fields):
+    # one marched table serves every rule, duplicates included; each report
+    # is the one-rule check's, field by field and bit for bit
+    lower, _ = pennies_fields
+    spec = pennies_problem.spec
+    engine = EngineConfig(n_steps=32)
+    times = np.linspace(0.0, spec.horizon, 33)
+    strategies = [
+        ("const1", constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)),
+        ("grid4", make_grid_strategy(lower.feedback_u, times[[0, 8, 16, 24, 32]],
+                                     label="grid4")),
+    ]
+    family = AdversaryFamily((const_adv(0, "c0"), const_adv(1, "c1"),
+                              Adversary(id="sgn", kind="open_loop",
+                                        control=SignControl(pos_index=1, neg_index=0))))
+    half = FixedTimeRule(spec.horizon / 2)
+    exit_ = CappedRule(HittingRule(AbsRegion(0.5)), FixedTimeRule(spec.horizon))
+    rules = [("half", half), ("exit", exit_), ("exit", exit_)]
+    kw = dict(n_paths=64, master_seed=23, engine=engine)
+    x0 = np.array([0.0])
+    reports = dpp_checks(spec, lower, 0.0, x0, strategies, family, rules, **kw)
+    assert [rep.rho_label for rep in reports] == ["half", "exit", "exit"]
+    for rep, (label, rho) in zip(reports, rules):
+        alone = dpp_check(spec, lower, 0.0, x0, strategies, family, rho,
+                          rho_label=label, **kw)
+        assert dataclasses.asdict(rep) == dataclasses.asdict(alone)
+    assert reports[0].cells != reports[1].cells
+    with pytest.raises(StrategyStructureError, match="'peek'"):
+        dpp_checks(spec, lower, 0.0, x0, strategies, family,
+                   [("half", half), ("peek", LookaheadRule())], **kw)
+    with pytest.raises(ConfigError, match="at least one rule"):
+        dpp_checks(spec, lower, 0.0, x0, strategies, family, [], **kw)
+
 
 
 # --------------------------------------------------------------- embedding ---- #
