@@ -20,8 +20,7 @@ from .problems import BenchmarkProblem, available_problems, build_problem
 from .strategies import (ConstantControl, ElementaryStrategy, FeedbackMap,
                          FixedTimeRule, HittingRule, OpenLoopControl,
                          PiecewiseRandomControl, ReplayControl, SignControl,
-                         check_nonanticipative, concatenate, evaluate_strategy,
-                         make_grid_strategy)
+                         check_nonanticipative, concatenate, make_grid_strategy)
 from .hamiltonian import (HamiltonianQuery, hamiltonian_lower, hamiltonian_mixed,
                           hamiltonian_upper, isaacs_gap, solve_matrix_game)
 from .pde_solver import (SpaceTimeGrid, ValueField, cfl_max_dt,

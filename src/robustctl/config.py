@@ -77,6 +77,7 @@ SCHEMA = {
             "properties": {
                 "decision_counts": {
                     "type": "array", "items": _POS_INT, "minItems": 1,
+                    "uniqueItems": True,
                 },
             },
         },

@@ -28,9 +28,10 @@ it, and :func:`dpp_checks` folds every rule's restart values from one
 recorded table.  The single-path entry points (:func:`simulate_strong`,
 :func:`simulate_feedback_pair` and, through them,
 :func:`embed_feedback_as_openloop`) march a chunk of one.  Strategies are
-played by :class:`~robustctl.strategies.StrategyTracker`, which the tests
-check against the per-step recomputation in
-:func:`~robustctl.strategies.strategy_control_sequence`.  With
+played by :class:`~robustctl.strategies.StrategyTracker` and open-loop
+controls realized by :func:`~robustctl.strategies.realize_checked`, the
+batch forms that :func:`~robustctl.strategies.check_nonanticipative`
+screens; the tests check both against a per-path oracle.  With
 ``EngineConfig.threads > 1`` the chunks are marched in worker processes
 started by fork, which write their results into arrays shared with the
 parent.  Results are bitwise invariant to chunk size and worker count: path
@@ -54,11 +55,12 @@ from .errors import (ConfigError, EmbeddingMismatchError, ModelEvaluationError,
 from .pde_solver import ValueField
 from .sde_core import (NoisePath, ProblemSpec, STREAM_BROWNIAN, STREAM_EXTRA,
                        derive_seed, derive_seed_array, eval_pairs, eval_payoff)
-from .strategies import (_NOT_YET, AbsRegion, ConstantAction, ConstantControl,
+from .strategies import (AbsRegion, ConstantAction, ConstantControl,
                          ElementaryStrategy, FeedbackMap, FixedTimeRule,
                          HittingRule, OpenLoopControl, PiecewiseRandomControl,
                          ReplayControl, SignControl, StoppingRule, StrategyTracker,
-                         _rule_monitor, check_nonanticipative, make_grid_strategy)
+                         check_nonanticipative, fire_batch, make_grid_strategy,
+                         realize_checked)
 
 __all__ = [
     "Trajectory", "ValueEstimate", "EngineConfig",
@@ -170,12 +172,6 @@ class Adversary:
             raise ConfigError(f"adversary {self.id!r}: kind {self.kind!r} payload missing")
 
     @property
-    def info_level(self) -> str:
-        if self.kind == "open_loop":
-            return self.control.info_level
-        return "brownian_only"
-
-    @property
     def extra_dim(self) -> int:
         return self.control.extra_dim if self.kind == "open_loop" else 0
 
@@ -224,9 +220,6 @@ def _simulate_path(spec: ProblemSpec, strategy: ElementaryStrategy,
     """One path on the given noise, marched by the batch engine as a chunk of one."""
     x0 = _as_state(spec, x0)
     _refuse_anticipating([(strategy, adversary)])
-    if adversary.extra_dim > noise.extra.shape[1]:
-        raise ConfigError(f"adversary {adversary.id!r} needs extra_dim >= "
-                          f"{adversary.extra_dim}, noise provides {noise.extra.shape[1]}")
     seeds = np.array([noise.seed], dtype=np.uint64)
     payoffs, clamps, (states, u_paths, v_paths) = _march_chunk(
         spec, noise.times, seeds, x0, strategy, adversary, noise.dW[None],
@@ -361,11 +354,7 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
     """
     n_v = spec.controls_v.size
     if adversary.kind == "open_loop":
-        paths = np.asarray(adversary.control.realize_batch(times, dW, extra, seeds),
-                           dtype=np.int64)
-        if paths.size and (paths.min() < 0 or paths.max() >= n_v):
-            raise ModelEvaluationError(
-                f"adversary {adversary.id!r} produced indices outside [0, {n_v})")
+        paths = realize_checked(adversary.control, times, dW, extra, seeds, n_v)
         # time-major so each step reads one contiguous row
         paths_tm = np.ascontiguousarray(paths.astype(np.int32).T)
         step = lambda i, X, u_idx: paths_tm[i]
@@ -673,6 +662,10 @@ def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
         raise ConfigError(f"n_paths must be >= 2, got {n_paths}")
     if not strategies:
         raise ConfigError("a Monte Carlo table needs at least one strategy")
+    labels = [label for label, _ in strategies]
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise ConfigError(f"strategy label {label!r} appears more than once in the table")
     x0 = _as_state(spec, x0)
     times = _sim_times(spec, s, engine)
     seeds = derive_seed_array(master_seed, np.arange(n_paths))
@@ -837,20 +830,6 @@ def filtration_experiment(spec: ProblemSpec, s: float, x0,
 # ------------------------------------------------------------------ DPP ---- #
 
 
-def _fire_batch(rule: StoppingRule, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Fire indices of a rule on recorded paths (c, N+1, d), capped at the horizon.
-
-    Replays the rule's batch monitor, the one :class:`StrategyTracker` runs,
-    over the recorded states.
-    """
-    cap = states.shape[1] - 1
-    monitor = _rule_monitor(rule, times, states.shape[0])
-    for j in range(cap + 1):
-        monitor.observe(j, states[:, j])
-    fire = monitor.fired_by(cap)
-    return np.where(fire == _NOT_YET, cap, fire)
-
-
 @dataclass(eq=False)
 class DppReport:
     """One dynamic-programming check: restart value vs. the field itself."""
@@ -868,7 +847,7 @@ class DppReport:
 def _restart_value(field: ValueField, rho: StoppingRule):
     """Postprocess for :func:`_run_cells`: the field at each path's (rho, X_rho)."""
     def value(times, states):
-        fire = _fire_batch(rho, times, states)
+        fire = np.minimum(fire_batch(rho, times, states), states.shape[1] - 1)
         return field.value_at(times[fire], states[np.arange(states.shape[0]), fire])
     return value
 

@@ -142,15 +142,16 @@ def hamiltonian_upper(spec: ProblemSpec, q: HamiltonianQuery) -> HamiltonianResu
 
 
 def isaacs_gap(spec: ProblemSpec, q: HamiltonianQuery) -> float:
-    """upper - lower, clipped at zero; a genuinely negative gap is a solver bug."""
+    """upper - lower, which is never negative.
+
+    Both values come from :func:`minimax` on one finite L, and that
+    reduction only compares and negates.  For every (u, v), min_v' L[u, v']
+    <= L[u, v] <= max_u' L[u', v], so max-min <= min-max; comparisons and
+    negation round nothing, so this holds exactly in floating point, and
+    the rounded difference of two ordered floats is >= 0.
+    """
     L = lagrangian_matrix(spec, q)
-    lo = float(minimax(L, "lower")[0])
-    hi = float(minimax(L, "upper")[0])
-    gap = hi - lo
-    if gap < -1e-10:
-        raise NumericalSolveError(
-            f"upper Hamiltonian {hi} below lower {lo}", residual=gap)
-    return max(gap, 0.0)
+    return float(minimax(L, "upper")[0]) - float(minimax(L, "lower")[0])
 
 
 # ----------------------------------------------------------- matrix games ---- #

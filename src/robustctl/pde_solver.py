@@ -287,7 +287,8 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower") -
 
         new = V + grid.dt * H
         if not np.all(np.isfinite(new)):
-            bad = np.unravel_index(int(np.argmin(np.isfinite(new))), shape)
+            flat = int(np.argmin(np.isfinite(new)))
+            bad = tuple(int(k) for k in np.unravel_index(flat, shape))
             raise NumericalSolveError(
                 f"non-finite value at t={t}, node index {bad} while solving {which} field")
         values[i] = new

@@ -4,8 +4,10 @@ The controller plays an *elementary strategy*: a finite ladder of stopping
 rules tau_0 <= tau_1 <= ... <= tau_n together with actions xi_1 .. xi_n,
 where xi_k is frozen when tau_{k-1} fires (reading only the path prefix up
 to that moment) and stays in force on the interval (tau_{k-1}, tau_k].
-Rules are grid-level objects here: a rule maps (time grid, path prefix) to
-the first grid index at which it fires.
+Rules are monitors here: a rule is shown the states of a batch of paths
+one grid index at a time, in order, and reports each path's fire index once
+it has fired (:func:`fire_batch`), so it never sees a state past the
+current one.
 
 The adversary plays either another elementary strategy or an *open-loop
 control*: a process that reads past noise increments, never the state.
@@ -13,34 +15,36 @@ Open-loop controls carry an ``info_level`` tag: ``"brownian_only"`` controls
 read only the state-driving increments, ``"enlarged"`` ones may read the
 auxiliary stream or private randomness derived from the path seed.
 
-Deliberately anticipating rules, actions and controls are provided as test
-fixtures (marked ``anticipating = True``); :func:`check_nonanticipative`
-must reject them and accept everything else.
+Every player has one semantics, the batch form the Monte Carlo engine runs:
+:class:`StrategyTracker` with the rule monitors for strategies, and
+``realize_batch`` through :func:`realize_checked` for open-loop controls.
+Classes without a batch form are refused by name.  The tests check the
+batch forms against a per-path oracle of their own.  Deliberately
+anticipating rules, actions and controls are provided as test fixtures
+(marked ``anticipating = True``); :func:`check_nonanticipative` runs the
+same batch forms and must reject them and accept everything else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, ModelEvaluationError, StrategyIntervalError,
-                     StrategyStructureError)
-from .sde_core import (ControlSet, NoisePath, derive_seed, derive_seed_array,
-                       stream_generator)
+from .errors import ConfigError, ModelEvaluationError, StrategyStructureError
+from .sde_core import ControlSet, derive_seed, derive_seed_array, stream_generator
 
 __all__ = [
     "AbsRegion", "ThresholdRegion", "OutsideBoxRegion",
     "StoppingRule", "FixedTimeRule", "GridIndexRule", "HittingRule",
-    "CappedRule", "LookaheadRule",
+    "CappedRule", "LookaheadRule", "fire_batch",
     "Action", "ConstantAction", "FeedbackLookupAction", "LookaheadAction",
     "ElementaryStrategy", "StrategyTracker",
-    "evaluate_strategy", "strategy_control_index", "strategy_control_sequence",
     "make_grid_strategy", "concatenate",
     "FeedbackMap",
     "OpenLoopControl", "ConstantControl", "SignControl", "ReplayControl",
-    "PiecewiseRandomControl", "LookaheadControl", "realize_open_loop",
+    "PiecewiseRandomControl", "LookaheadControl", "realize_checked",
     "NonAnticipativityReport", "check_nonanticipative",
     "UNDEFINED",
 ]
@@ -102,30 +106,18 @@ class OutsideBoxRegion:
 
 
 class StoppingRule:
-    """Maps (time grid, path prefix) to the first grid index where it fires.
+    """A stopping rule, run only as a monitor over a batch of growing paths.
 
-    ``fire_index(times, states, upto)`` may read ``states[: upto + 1]`` only
-    and returns the first index j <= upto at which the rule fires, or None if
-    it has not fired by ``upto``.  Implementations must be consistent under
-    prefix extension: once a fire index is returned it never changes when
-    ``upto`` grows.
+    The monitor (see :func:`fire_batch`) is shown the states at grid indices
+    0, 1, ... in order, so its fire index at j depends on the states up to j
+    alone.  The built-in rules below have monitors; others are refused by name.
     """
 
     anticipating = False
 
-    def fire_index(self, times: np.ndarray, states: np.ndarray, upto: int) -> int | None:
-        raise NotImplementedError
-
     def fixed_fire_index(self, times: np.ndarray) -> int | None:
         """Fire index when it is path-independent, else None."""
         return None
-
-
-def _snap_time_to_grid(times: np.ndarray, t: float) -> int:
-    """First grid index with times[j] >= t, snapping up and clamping to the grid."""
-    eps = 1e-9 * max(1.0, abs(t))
-    j = int(np.searchsorted(times, t - eps, side="left"))
-    return min(j, len(times) - 1)
 
 
 @dataclass(frozen=True)
@@ -135,11 +127,8 @@ class FixedTimeRule(StoppingRule):
     t: float
 
     def fixed_fire_index(self, times):
-        return _snap_time_to_grid(times, self.t)
-
-    def fire_index(self, times, states, upto):
-        j = _snap_time_to_grid(times, self.t)
-        return j if j <= upto else None
+        eps = 1e-9 * max(1.0, abs(self.t))
+        return min(int(np.searchsorted(times, self.t - eps, side="left")), len(times) - 1)
 
 
 @dataclass(frozen=True)
@@ -150,10 +139,6 @@ class GridIndexRule(StoppingRule):
 
     def fixed_fire_index(self, times):
         return int(np.clip(self.index, 0, len(times) - 1))
-
-    def fire_index(self, times, states, upto):
-        j = self.fixed_fire_index(times)
-        return j if j <= upto else None
 
 
 @dataclass(frozen=True)
@@ -167,20 +152,6 @@ class HittingRule(StoppingRule):
     region: object
     from_rule: StoppingRule | None = None
 
-    def fire_index(self, times, states, upto):
-        start = 0
-        if self.from_rule is not None:
-            start = self.from_rule.fire_index(times, states, upto)
-            if start is None:
-                return None
-        prefix = np.asarray(states)[start:upto + 1]
-        if prefix.shape[0] == 0:
-            return None
-        mask = self.region.contains(prefix)
-        if not mask.any():
-            return None
-        return start + int(np.argmax(mask))
-
 
 @dataclass(frozen=True)
 class CappedRule(StoppingRule):
@@ -190,58 +161,39 @@ class CappedRule(StoppingRule):
     cap: StoppingRule
 
     def fixed_fire_index(self, times):
-        fi = self.inner.fixed_fire_index(times)
-        fc = self.cap.fixed_fire_index(times)
-        if fi is None or fc is None:
-            return None
-        return min(fi, fc)
-
-    def fire_index(self, times, states, upto):
-        fi = self.inner.fire_index(times, states, upto)
-        fc = self.cap.fire_index(times, states, upto)
-        candidates = [f for f in (fi, fc) if f is not None]
-        return min(candidates) if candidates else None
+        fires = (self.inner.fixed_fire_index(times), self.cap.fixed_fire_index(times))
+        return None if None in fires else min(fires)
 
 
 @dataclass(frozen=True)
 class LookaheadRule(StoppingRule):
-    """Test fixture that peeks at the final state. Never use in simulation."""
+    """Test fixture: a rule that would fire at once when the final state is >= 0.
 
-    threshold: float = 0.0
-    coord: int = 0
+    Deciding from the final state needs the whole path, so the rule has no
+    batch form; the engine and :func:`check_nonanticipative` refuse it.
+    """
 
     anticipating = True
-
-    def fire_index(self, times, states, upto):
-        # reads beyond the prefix on purpose
-        final = np.asarray(states)[-1]
-        if final[self.coord] >= self.threshold:
-            return 0 if upto >= 0 else None
-        return None
 
 
 # ---------------------------------------------------------------- actions ---- #
 
 
 class Action:
-    """Produces a control index when its segment starts.
+    """The control a segment plays, frozen when the segment starts.
 
-    ``control_index(times, states, upto)`` is called once, at the fire index
-    of the previous rule, and may read ``states[: upto + 1]`` only.
+    Actions have a batch form only: :class:`StrategyTracker` applies one to
+    the paths whose segment starts at grid index j, reading their states at
+    j.  It knows :class:`ConstantAction` and :class:`FeedbackLookupAction`
+    and refuses any other class by name.
     """
 
     anticipating = False
-
-    def control_index(self, times: np.ndarray, states: np.ndarray, upto: int) -> int:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class ConstantAction(Action):
     index: int
-
-    def control_index(self, times, states, upto):
-        return self.index
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,23 +202,19 @@ class FeedbackLookupAction(Action):
 
     feedback: "FeedbackMap"
 
-    def control_index(self, times, states, upto):
-        return self.feedback.lookup_index(float(times[upto]), np.asarray(states)[upto])
-
 
 @dataclass(frozen=True)
 class LookaheadAction(Action):
-    """Test fixture that decides from the final state. Never use in simulation."""
+    """Test fixture: would play ``pos_index`` when the final state is >= 0.
+
+    Like :class:`LookaheadRule` it has no batch form, so a strategy holding
+    it is refused by the engine and by :func:`check_nonanticipative`.
+    """
 
     pos_index: int
     neg_index: int
-    coord: int = 0
 
     anticipating = True
-
-    def control_index(self, times, states, upto):
-        final = np.asarray(states)[-1]
-        return self.pos_index if final[self.coord] >= 0 else self.neg_index
 
 
 # ---------------------------------------------------------- feedback map ---- #
@@ -322,10 +270,6 @@ class FeedbackMap:
                    indices=np.full(shape, index, dtype=np.int16),
                    control_set=control_set, label=label)
 
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
     def layer_of(self, t: float) -> int:
         j = int(round((t - self.times[0]) / self._dt))
         return int(np.clip(j, 0, self.times.size - 1))
@@ -338,17 +282,10 @@ class FeedbackMap:
             cells.append(np.clip(idx, 0, axis.size - 1))
         return tuple(cells)
 
-    def lookup_index(self, t: float, x: np.ndarray) -> int:
-        cells = self._cells_of(np.asarray(x, dtype=float))
-        return int(self.indices[(self.layer_of(t),) + tuple(int(c) for c in cells)])
-
     def lookup_index_batch(self, t: float, x: np.ndarray) -> np.ndarray:
         """Indices for a batch of states, shape (..., dim) -> (...,)."""
         cells = self._cells_of(x)
         return self.indices[(self.layer_of(t),) + cells]
-
-    def lookup(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.control_set.point(self.lookup_index(t, x))
 
 
 # ----------------------------------------------------------- strategies ---- #
@@ -381,82 +318,9 @@ class ElementaryStrategy:
                 f"strategy {self.label!r}: {len(self.rules)} rules vs {len(self.actions)} actions")
 
     @property
-    def n_segments(self) -> int:
-        return len(self.rules)
-
-    @property
     def anticipating(self) -> bool:
         parts = (self.start_rule,) + self.rules + self.actions
         return any(getattr(p, "anticipating", False) for p in parts)
-
-
-def _step_control(strategy: ElementaryStrategy, times: np.ndarray,
-                  states: np.ndarray, i: int) -> tuple[int, int]:
-    """Control index in force on step i (interval (t_i, t_{i+1}]), plus clamp count.
-
-    Reads states[: i + 1] only.  Raises StrategyIntervalError when the
-    strategy has not started by t_i or is exhausted.
-    """
-    clamps = 0
-    fire_prev = strategy.start_rule.fire_index(times, states, i)
-    if fire_prev is None or fire_prev > i:
-        raise StrategyIntervalError(
-            f"strategy {strategy.label!r} not active on step {i}")
-    for rule, action in zip(strategy.rules, strategy.actions):
-        f = rule.fire_index(times, states, i)
-        if f is not None and f < fire_prev:
-            f = fire_prev
-            clamps += 1
-        if f is None or f > i:
-            return int(action.control_index(times, states, fire_prev)), clamps
-        fire_prev = f
-    raise StrategyIntervalError(
-        f"strategy {strategy.label!r} exhausted before step {i}")
-
-
-def strategy_control_index(strategy: ElementaryStrategy, t: float,
-                           times: np.ndarray, states: np.ndarray) -> int:
-    """Control index in force at time t, from the path prefix alone.
-
-    t must lie in (start time, times[-1]]; the prefix must cover the step
-    containing t.
-    """
-    times = np.asarray(times, dtype=float)
-    eps = 1e-9 * max(1.0, abs(float(t)))
-    j = int(np.searchsorted(times, t - eps, side="left"))
-    if j <= 0 or j >= times.size:
-        raise StrategyIntervalError(
-            f"query time {t} outside the open-left grid range ({times[0]}, {times[-1]}]")
-    idx, _ = _step_control(strategy, times, np.asarray(states), j - 1)
-    return idx
-
-
-def evaluate_strategy(strategy: ElementaryStrategy, t: float,
-                      times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Control point in force at time t. See :func:`strategy_control_index`."""
-    return strategy.control_set.point(strategy_control_index(strategy, t, times, states))
-
-
-def strategy_control_sequence(strategy: ElementaryStrategy, times: np.ndarray,
-                              states: np.ndarray) -> tuple[np.ndarray, int]:
-    """Control index for every step of a full path; UNDEFINED where inactive.
-
-    Recomputes each step from its own prefix, so the result is by
-    construction non-anticipative; :class:`StrategyTracker` is tested
-    against it.
-    """
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    n = times.size - 1
-    out = np.full(n, UNDEFINED, dtype=np.int64)
-    max_clamps = 0
-    for i in range(n):
-        try:
-            out[i], clamps = _step_control(strategy, times, states, i)
-        except StrategyIntervalError:
-            continue
-        max_clamps = max(max_clamps, clamps)
-    return out, max_clamps
 
 
 # ------------------------------------------------- incremental tracking ---- #
@@ -482,7 +346,7 @@ class _HittingMonitor:
     """First entry into a region, counting only entries once the gate has fired.
 
     The gate is the from-rule's own monitor; it observes first, so an entry
-    at the from-rule's fire index counts, as in :meth:`HittingRule.fire_index`.
+    at the from-rule's fire index counts.
     """
 
     def __init__(self, region, gate, n: int):
@@ -535,6 +399,19 @@ def _rule_monitor(rule: StoppingRule, times: np.ndarray, n: int):
     raise StrategyStructureError(f"stopping rule {type(rule).__name__} has no batch form")
 
 
+def fire_batch(rule: StoppingRule, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Fire index of a rule on each recorded path, states (c, N+1, dim) -> (c,).
+
+    Replays the rule's monitor, the one :class:`StrategyTracker` runs, over
+    the recorded states in order.  A path on which the rule has not fired
+    by its last state gets a value above every grid index.
+    """
+    monitor = _rule_monitor(rule, times, states.shape[0])
+    for j in range(states.shape[1]):
+        monitor.observe(j, states[:, j])
+    return monitor.fired_by(states.shape[1] - 1)
+
+
 class StrategyTracker:
     """Walks one strategy along n growing paths at once, one state index at a time.
 
@@ -542,9 +419,10 @@ class StrategyTracker:
     (n, dim) states at index j.  It returns the (n,) control indices in force
     on step j, UNDEFINED on paths where the strategy has not started or is
     exhausted, and ``all_defined`` says whether no path is UNDEFINED.  The
-    returned array is updated in place by later calls.  Row p matches
-    :func:`strategy_control_sequence` on path p, and ``clamp_count`` sums
-    the clamps over the rows.
+    returned array is updated in place by later calls.  This is the only
+    semantics of a strategy: the tests check row p against a per-step
+    recomputation from path p's prefix, clamps included, and
+    ``clamp_count`` sums the clamps over the rows.
 
     Strategies whose rules all fire at path-independent indices (grid
     ladders, constant strategies) take a precomputed schedule: segments
@@ -693,8 +571,7 @@ def concatenate(first: ElementaryStrategy, tail: ElementaryStrategy,
         raise StrategyStructureError(
             f"concatenate: tail starts at {tail.start_rule!r}, junction is {junction!r}")
     if probe_times is not None:
-        _probe_rule_order(tail, junction, np.asarray(probe_times, dtype=float),
-                          first.control_set, probe_seed)
+        _probe_rule_order(tail, junction, np.asarray(probe_times, dtype=float), probe_seed)
     capped = tuple(CappedRule(r, junction) for r in first.rules)
     return ElementaryStrategy(
         control_set=first.control_set,
@@ -705,23 +582,19 @@ def concatenate(first: ElementaryStrategy, tail: ElementaryStrategy,
 
 
 def _probe_rule_order(tail: ElementaryStrategy, junction: StoppingRule,
-                      times: np.ndarray, control_set: ControlSet, seed: int,
-                      n_paths: int = 8) -> None:
+                      times: np.ndarray, seed: int, n_paths: int = 8) -> None:
     rng = stream_generator(derive_seed(seed, 11), 0)
-    n = times.size - 1
-    dim = 1
-    for p in range(n_paths):
-        steps = rng.standard_normal((n, dim)) * np.sqrt(np.diff(times))[:, None]
-        states = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
-        fj = junction.fire_index(times, states, n)
-        if fj is None:
-            continue
-        for k, rule in enumerate(tail.rules):
-            fr = rule.fire_index(times, states, n)
-            if fr is not None and fr < fj:
-                raise StrategyStructureError(
-                    f"concatenate: tail rule {k} fires at index {fr}, "
-                    f"before the junction at {fj}, on probe path {p}")
+    steps = rng.standard_normal((n_paths, times.size - 1, 1)) * np.sqrt(np.diff(times))[:, None]
+    states = np.concatenate([np.zeros((n_paths, 1, 1)), np.cumsum(steps, axis=1)], axis=1)
+    fj = fire_batch(junction, times, states)
+    fr = np.stack([fire_batch(rule, times, states) for rule in tail.rules])
+    early = (fr < fj) & (fj != _NOT_YET)
+    if early.any():
+        p = int(np.argmax(early.any(axis=0)))
+        k = int(np.argmax(early[:, p]))
+        raise StrategyStructureError(
+            f"concatenate: tail rule {k} fires at index {fr[k, p]}, "
+            f"before the junction at {fj[p]}, on probe path {p}")
 
 
 # ------------------------------------------------------ open-loop controls ---- #
@@ -730,13 +603,11 @@ def _probe_rule_order(tail: ElementaryStrategy, junction: StoppingRule,
 class OpenLoopControl:
     """Adversary control adapted to the noise, blind to the state.
 
-    ``control_index(i, times, dW, extra)`` returns the control index for step
-    i and may read increments with index < i only (``dW[:i]``, ``extra[:i]``).
-    ``realize`` materializes the whole index path for one noise draw; the
-    base implementation calls ``control_index`` with physically truncated
-    prefixes, so a subclass cannot accidentally peek ahead unless it
-    overrides ``realize`` itself.  ``realize_batch`` does the same for a
-    chunk of paths and is what the Monte Carlo engine calls.
+    Controls have a batch form only: ``realize_batch(times, dW, extra, seeds)``
+    maps a chunk's noise, (c, N, noise_dim) and (c, N, extra_dim), to (c, N)
+    index paths.  Row p is the realization for path seed ``seeds[p]``; its
+    step i may read increments with index < i only.  The engine and the
+    screen call it through :func:`realize_checked`.
     """
 
     info_level = "brownian_only"
@@ -744,39 +615,16 @@ class OpenLoopControl:
     anticipating = False
     label = ""
 
-    def control_index(self, i: int, times: np.ndarray,
-                      dW: np.ndarray, extra: np.ndarray) -> int:
-        raise NotImplementedError
-
-    def realize(self, noise: NoisePath) -> np.ndarray:
-        n = noise.n_steps
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            out[i] = self.control_index(i, noise.times, noise.dW[:i], noise.extra[:i])
-        return out
-
     def realize_batch(self, times: np.ndarray, dW: np.ndarray,
                       extra: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        """Index paths (n_paths, n_steps) for (n_paths, n_steps, dim) noise.
-
-        Row p is the realization for path seed ``seeds[p]``.  The base
-        implementation runs :func:`realize_open_loop` row by row; subclasses
-        override it with a vectorized form.
-        """
-        out = np.empty(dW.shape[:2], dtype=np.int64)
-        for p in range(out.shape[0]):
-            out[p] = realize_open_loop(self, NoisePath(times=times, dW=dW[p], extra=extra[p],
-                                                       seed=int(seeds[p])))
-        return out
+        raise StrategyStructureError(
+            f"open-loop control {type(self).__name__} has no batch form")
 
 
 @dataclass(frozen=True)
 class ConstantControl(OpenLoopControl):
     index: int
     label: str = "const"
-
-    def control_index(self, i, times, dW, extra):
-        return self.index
 
     def realize_batch(self, times, dW, extra, seeds):
         return np.full((dW.shape[0], dW.shape[1]), self.index, dtype=np.int64)
@@ -803,16 +651,8 @@ class SignControl(OpenLoopControl):
             self.info_level = "enlarged"
             self.extra_dim = coord + 1
 
-    def _stream(self, dW, extra):
-        return dW if self.source == "brownian" else extra
-
-    def control_index(self, i, times, dW, extra):
-        src = self._stream(dW, extra)
-        total = float(src[:, self.coord].sum()) if i > 0 else 0.0
-        return self.pos_index if total >= 0.0 else self.neg_index
-
     def realize_batch(self, times, dW, extra, seeds):
-        src = self._stream(dW, extra)
+        src = dW if self.source == "brownian" else extra
         cum = np.cumsum(src[..., self.coord], axis=1)
         level = np.concatenate([np.zeros((src.shape[0], 1)), cum[:, :-1]], axis=1)
         return np.where(level >= 0.0, self.pos_index, self.neg_index).astype(np.int64)
@@ -820,19 +660,16 @@ class SignControl(OpenLoopControl):
 
 @dataclass(frozen=True)
 class ReplayControl(OpenLoopControl):
-    """Replays a recorded index path verbatim."""
+    """Replays a recorded index path verbatim on every row."""
 
     indices: tuple
     label: str = "replay"
 
-    def control_index(self, i, times, dW, extra):
-        return self.indices[i]
-
-    def realize(self, noise):
-        if len(self.indices) != noise.n_steps:
+    def realize_batch(self, times, dW, extra, seeds):
+        if len(self.indices) != dW.shape[1]:
             raise ConfigError(
-                f"replay control has {len(self.indices)} steps, noise has {noise.n_steps}")
-        return np.asarray(self.indices, dtype=np.int64).copy()
+                f"replay control has {len(self.indices)} steps, noise has {dW.shape[1]}")
+        return np.broadcast_to(np.asarray(self.indices, dtype=np.int64), dW.shape[:2])
 
 
 class PiecewiseRandomControl(OpenLoopControl):
@@ -853,24 +690,9 @@ class PiecewiseRandomControl(OpenLoopControl):
         self.salt = int(salt)
         self.label = label or f"rand{salt}"
 
-    def control_index(self, i, times, dW, extra):
-        raise StrategyStructureError(
-            "PiecewiseRandomControl draws from the path seed; use realize()")
-
-    def _segment_starts(self, n_steps: int) -> np.ndarray:
-        return np.round(np.linspace(0, n_steps, self.n_segments + 1)).astype(np.int64)[:-1]
-
-    def realize(self, noise):
-        n = noise.n_steps
-        starts = self._segment_starts(n)
-        values = np.array([derive_seed(noise.seed, 7 + self.salt, j) % self.n_choices
-                           for j in range(self.n_segments)], dtype=np.int64)
-        seg_of_step = np.searchsorted(starts, np.arange(n), side="right") - 1
-        return values[seg_of_step]
-
     def realize_batch(self, times, dW, extra, seeds):
         n_paths, n = dW.shape[0], dW.shape[1]
-        starts = self._segment_starts(n)
+        starts = np.round(np.linspace(0, n, self.n_segments + 1)).astype(np.int64)[:-1]
         salted = derive_seed_array(seeds, 7 + self.salt)
         values = np.empty((n_paths, self.n_segments), dtype=np.int64)
         for j in range(self.n_segments):
@@ -890,25 +712,26 @@ class LookaheadControl(OpenLoopControl):
 
     anticipating = True
 
-    def control_index(self, i, times, dW, extra):
-        raise StrategyStructureError("LookaheadControl peeks ahead; use realize()")
-
-    def realize(self, noise):
-        return np.where(noise.dW[:, self.coord] >= 0.0,
+    def realize_batch(self, times, dW, extra, seeds):
+        # step i reads increment i, the one that step drives: one step too early
+        return np.where(dW[..., self.coord] >= 0.0,
                         self.pos_index, self.neg_index).astype(np.int64)
 
 
-def realize_open_loop(control: OpenLoopControl, noise: NoisePath,
-                      n_choices: int | None = None) -> np.ndarray:
-    """Materialize the control's index path for one noise draw, validated."""
-    if control.extra_dim > noise.extra.shape[1]:
+def realize_checked(control: OpenLoopControl, times: np.ndarray, dW: np.ndarray,
+                    extra: np.ndarray, seeds: np.ndarray,
+                    n_choices: int | None = None) -> np.ndarray:
+    """The control's (c, N) index paths for one chunk's noise, validated: the
+    auxiliary stream is as wide as the control reads, and the result has shape
+    (c, N) with every index in [0, n_choices) when ``n_choices`` is given."""
+    if control.extra_dim > extra.shape[-1]:
         raise ConfigError(
             f"control {control.label!r} needs extra_dim >= {control.extra_dim}, "
-            f"noise provides {noise.extra.shape[1]}")
-    idx = np.asarray(control.realize(noise), dtype=np.int64)
-    if idx.shape != (noise.n_steps,):
+            f"noise provides {extra.shape[-1]}")
+    idx = np.asarray(control.realize_batch(times, dW, extra, seeds), dtype=np.int64)
+    if idx.shape != dW.shape[:2]:
         raise ModelEvaluationError(
-            f"control {control.label!r} realized shape {idx.shape}, expected ({noise.n_steps},)")
+            f"control {control.label!r} realized shape {idx.shape}, expected {dW.shape[:2]}")
     if n_choices is not None and idx.size and (idx.min() < 0 or idx.max() >= n_choices):
         raise ModelEvaluationError(
             f"control {control.label!r} produced indices outside [0, {n_choices})")
@@ -935,89 +758,77 @@ def check_nonanticipative(obj, n_trials: int = 200, seed: int = 0,
                           n_steps: int = 32, horizon: float = 1.0,
                           state_dim: int = 1, extra_dim: int = 1,
                           noise_dim: int = 1) -> NonAnticipativityReport:
-    """Probe an object with path pairs that agree up to a random cut.
+    """Probe an object's batch form with input pairs that agree up to a random cut.
 
-    For each trial two inputs are generated that coincide up to a uniformly
-    drawn cut index and differ after it.  Decisions the object makes at or
-    before the cut must coincide; any divergence is a failure.  Strategies
-    and rules are probed with state paths, open-loop controls with noise
-    draws whose tail increments are resampled.
+    Trial k draws a cut and two inputs (random walks, or noise for open-loop
+    controls) that coincide up to it, as rows 2k and 2k+1 of one batch that
+    runs through the engine's code: :func:`realize_checked`,
+    :class:`StrategyTracker` or :func:`fire_batch`.  Decisions at or before
+    the cut must coincide in both rows.  Both rows share the path seed, so
+    private randomness is shared too.  An object without a batch form fails
+    every trial, and ``first_failure`` names its class.
     """
     times = np.linspace(0.0, horizon, n_steps + 1)
     rng = stream_generator(derive_seed(seed, 13), 0)
-    failures = 0
-    first_failure = None
-
-    def record(trial, cut, detail):
-        nonlocal failures, first_failure
-        failures += 1
-        if first_failure is None:
-            first_failure = {"trial": trial, "cut": cut, **detail}
-
+    cuts = rng.integers(1, n_steps, size=n_trials)
     if isinstance(obj, OpenLoopControl):
         kind, label = "open_loop", obj.label
-        d_e = max(extra_dim, obj.extra_dim)
-        for trial in range(n_trials):
-            cut = int(rng.integers(1, n_steps))
-            seed_a = derive_seed(seed, 17, trial)
-            noise_a = _noise_for_check(times, seed_a, noise_dim, d_e)
-            noise_b = _perturb_tail(noise_a, cut, derive_seed(seed, 19, trial))
-            va = realize_open_loop(obj, noise_a)
-            vb = realize_open_loop(obj, noise_b)
-            if not np.array_equal(va[: cut + 1], vb[: cut + 1]):
-                step = int(np.argmax(va[: cut + 1] != vb[: cut + 1]))
-                record(trial, cut, {"step": step, "a": int(va[step]), "b": int(vb[step])})
-    elif isinstance(obj, ElementaryStrategy):
-        kind, label = "strategy", obj.label
-        for trial in range(n_trials):
-            cut = int(rng.integers(1, n_steps))
-            ya, yb = _path_pair(times, rng, cut, state_dim)
-            ca, _ = strategy_control_sequence(obj, times, ya)
-            cb, _ = strategy_control_sequence(obj, times, yb)
-            if not np.array_equal(ca[: cut + 1], cb[: cut + 1]):
-                step = int(np.argmax(ca[: cut + 1] != cb[: cut + 1]))
-                record(trial, cut, {"step": step, "a": int(ca[step]), "b": int(cb[step])})
-    elif isinstance(obj, StoppingRule):
-        kind, label = "rule", type(obj).__name__
-        for trial in range(n_trials):
-            cut = int(rng.integers(1, n_steps))
-            ya, yb = _path_pair(times, rng, cut, state_dim)
-            fa = obj.fire_index(times, ya, n_steps)
-            fb = obj.fire_index(times, yb, n_steps)
-            visible_a = fa is not None and fa <= cut
-            visible_b = fb is not None and fb <= cut
-            if (visible_a or visible_b) and fa != fb:
-                record(trial, cut, {"fire_a": fa, "fire_b": fb})
+        inc = _increment_pairs(times, rng, cuts, noise_dim + max(extra_dim, obj.extra_dim))
+        seeds = np.repeat(derive_seed_array(derive_seed(seed, 17), np.arange(n_trials)), 2)
+        decide = lambda: realize_checked(obj, times, inc[..., :noise_dim],
+                                         inc[..., noise_dim:], seeds)
+    elif isinstance(obj, (ElementaryStrategy, StoppingRule)):
+        walks = np.cumsum(_increment_pairs(times, rng, cuts, state_dim), axis=1)
+        states = np.concatenate([np.zeros_like(walks[:, :1]), walks], axis=1)
+        if isinstance(obj, StoppingRule):
+            kind, label = "rule", type(obj).__name__
+            decide = lambda: fire_batch(obj, times, states)
+        else:
+            kind, label = "strategy", obj.label
+            decide = lambda: _track(obj, times, states)[0]
     else:
         raise ConfigError(f"cannot check object of type {type(obj).__name__}")
-
+    try:
+        decisions = decide()
+    except StrategyStructureError as exc:
+        return NonAnticipativityReport(kind=kind, label=label, trials=n_trials,
+                                       failures=n_trials,
+                                       first_failure={"trial": 0, "refused": str(exc)})
+    a, b = decisions[0::2], decisions[1::2]
+    if kind == "rule":
+        # a fire index seen by the cut in either row must be the same in both
+        failed = (np.minimum(a, b) <= cuts) & (a != b)
+    else:
+        failed = np.any((a != b) & (np.arange(n_steps) <= cuts[:, None]), axis=1)
+    first_failure = None
+    if failed.any():
+        k = int(np.argmax(failed))
+        first_failure = {"trial": k, "cut": int(cuts[k])}
+        if kind == "rule":
+            first_failure.update({key: None if f == _NOT_YET else int(f)
+                                  for key, f in (("fire_a", a[k]), ("fire_b", b[k]))})
+        else:
+            step = int(np.argmax(a[k] != b[k]))
+            first_failure.update(step=step, a=int(a[k, step]), b=int(b[k, step]))
     return NonAnticipativityReport(kind=kind, label=label, trials=n_trials,
-                                   failures=failures, first_failure=first_failure)
+                                   failures=int(np.count_nonzero(failed)),
+                                   first_failure=first_failure)
 
 
-def _path_pair(times, rng, cut, dim):
-    n = times.size - 1
+def _increment_pairs(times, rng, cuts, dim):
+    """Increments (2 len(cuts), N, dim); rows 2k and 2k+1 differ from index cuts[k] on."""
     scale = np.sqrt(np.diff(times))[:, None]
-    inc_a = rng.standard_normal((n, dim)) * scale
-    inc_b = inc_a.copy()
-    inc_b[cut:] = rng.standard_normal((n - cut, dim)) * scale[cut:]
-    ya = np.vstack([np.zeros((1, dim)), np.cumsum(inc_a, axis=0)])
-    yb = np.vstack([np.zeros((1, dim)), np.cumsum(inc_b, axis=0)])
-    return ya, yb
+    shape = (cuts.size, times.size - 1, dim)
+    a = rng.standard_normal(shape) * scale
+    tail = np.arange(shape[1])[:, None] >= cuts[:, None, None]
+    b = np.where(tail, rng.standard_normal(shape) * scale, a)
+    return np.stack([a, b], axis=1).reshape((2 * cuts.size,) + shape[1:])
 
 
-def _noise_for_check(times, seed, noise_dim, extra_dim):
-    from .sde_core import sample_noise
-    return sample_noise(times, seed, noise_dim, extra_dim)
-
-
-def _perturb_tail(noise: NoisePath, cut: int, seed: int) -> NoisePath:
-    rng = stream_generator(seed, 0)
-    n = noise.n_steps
-    scale = np.sqrt(np.diff(noise.times))[:, None]
-    dW = noise.dW.copy()
-    dW[cut:] = rng.standard_normal((n - cut, dW.shape[1])) * scale[cut:]
-    extra = noise.extra.copy()
-    if extra.shape[1]:
-        extra[cut:] = rng.standard_normal((n - cut, extra.shape[1])) * scale[cut:]
-    return NoisePath(times=noise.times, dW=dW, extra=extra, seed=noise.seed)
+def _track(strategy: ElementaryStrategy, times: np.ndarray, states: np.ndarray):
+    """Control indices (c, N) a tracker plays on recorded states (c, N+1, dim), and clamps."""
+    tracker = StrategyTracker(strategy, times, states.shape[0])
+    out = np.empty((states.shape[0], times.size - 1), dtype=np.int64)
+    for i in range(times.size - 1):
+        out[:, i] = tracker.on_state(i, states[:, i])
+    return out, tracker.clamp_count

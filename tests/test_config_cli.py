@@ -64,6 +64,13 @@ def test_unknown_nested_key_is_named():
                         "simulate": {"n_path": 10}})
 
 
+def test_repeated_decision_counts_are_refused():
+    # equal counts would give two ladder rows one label
+    with pytest.raises(ConfigError, match="decision_counts"):
+        resolve_config({"problem": {"id": "constant"},
+                        "strategies": {"decision_counts": [4, 4]}})
+
+
 def test_error_descriptions_carry_json_paths():
     msgs = describe_errors({"problem": {"id": 3}, "seed": -1})
     paths = [m.split(":")[0] for m in msgs]

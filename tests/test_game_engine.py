@@ -17,11 +17,13 @@ import os
 import numpy as np
 import pytest
 
-from robustctl.errors import (ConfigError, ModelEvaluationError,
-                              SimulationBlowUpError, StrategyStructureError)
+import strategy_oracle as oracle
+from robustctl.errors import (ConfigError, EmbeddingMismatchError,
+                              ModelEvaluationError, SimulationBlowUpError,
+                              StrategyStructureError)
 from robustctl.game_engine import (Adversary, AdversaryFamily,
                                    BestResponseTable, EngineConfig,
-                                   _fire_batch, _map_chunks, _run_cells,
+                                   _map_chunks, _run_cells,
                                    builtin_pairs,
                                    default_adversary_families,
                                    default_strategy_family, dpp_check,
@@ -31,14 +33,14 @@ from robustctl.game_engine import (Adversary, AdversaryFamily,
                                    value_experiment)
 from robustctl.sde_core import (derive_seed_array, eval_payoff, euler_step,
                                 sample_noise)
-from robustctl.strategies import (AbsRegion, CappedRule, ConstantAction,
-                                  ConstantControl, ElementaryStrategy,
-                                  FixedTimeRule, GridIndexRule, HittingRule,
-                                  LookaheadAction, LookaheadControl,
-                                  LookaheadRule, PiecewiseRandomControl,
-                                  SignControl, StoppingRule, make_grid_strategy,
-                                  realize_open_loop, strategy_control_index,
-                                  strategy_control_sequence)
+from robustctl.strategies import (_NOT_YET, AbsRegion, CappedRule,
+                                  ConstantAction, ConstantControl,
+                                  ElementaryStrategy, FixedTimeRule,
+                                  GridIndexRule, HittingRule, LookaheadAction,
+                                  LookaheadControl, LookaheadRule,
+                                  PiecewiseRandomControl, ReplayControl,
+                                  SignControl, StoppingRule, fire_batch,
+                                  make_grid_strategy)
 
 
 def constant_strategy(control_set, index: int, start: float, end: float,
@@ -154,7 +156,7 @@ def test_recorded_index_paths_match_the_oracle(pennies_problem):
         noise = sample_noise(times, seed, spec.noise_dim)
         traj = simulate_feedback_pair(spec, alpha, beta, noise, np.array([0.0]))
         for strat, got in ((alpha, traj.u_indices), (beta, traj.v_indices)):
-            want, _ = strategy_control_sequence(strat, times, traj.states)
+            want, _ = oracle.control_sequence(strat, times, traj.states)
             assert np.array_equal(got, want), (seed, strat.label)
             switches += np.count_nonzero(np.diff(got))
         res = embed_feedback_as_openloop(spec, alpha, beta, noise, np.array([0.0]))
@@ -395,42 +397,32 @@ def test_anticipating_objects_are_refused(pennies_problem):
 # -------------------------------------------- batch engine vs. reference ---- #
 
 
-def _reply_by_hand(times, axes, table, t, iu, x):
-    """table[layer, iu, cell...] at the grid node nearest (t, x), clamped."""
-    layer = int(round((t - times[0]) / (times[1] - times[0])))
-    node = [min(max(layer, 0), times.size - 1), iu]
-    for a, axis in enumerate(axes):
-        cell = int(np.rint((x[a] - axis[0]) / (axis[1] - axis[0])))
-        node.append(min(max(cell, 0), axis.size - 1))
-    return int(table[tuple(node)])
-
-
 def _reference_march(spec, noise, x0, strategy, adv):
     """One path marched step by step, independently of the batch engine.
 
-    Both players' strategies are read through strategy_control_index on the
-    path prefix, open-loop controls through realize_open_loop, and the reply
-    table at a node snapped by hand.
+    Both players' strategies, open-loop controls and table lookups are
+    read through the per-path oracle, on the path prefix.
     """
     times = noise.times
     states = np.empty((times.size, spec.dim))
     states[0] = x0
     if adv.kind == "open_loop":
-        v_path = realize_open_loop(adv.control, noise, spec.controls_v.size)
+        v_path = oracle.realize(adv.control, noise)
     for i in range(noise.n_steps):
         t = float(times[i])
         prefix = states[: i + 1]
-        iu = strategy_control_index(strategy, times[i + 1], times, prefix)
+        iu, _ = oracle.step_control(strategy, times, prefix, i)
         if adv.kind == "open_loop":
             jv = v_path[i]
         elif adv.kind == "feedback":
-            jv = adv.feedback.lookup_index(t, states[i])
+            fb = adv.feedback
+            jv = oracle.snap_lookup(fb.times, fb.axes, fb.indices, t, states[i])
         elif adv.kind == "best_response":
             grid = adv.response.grid
-            jv = _reply_by_hand(grid.times, grid.axes, adv.response.table, t, iu,
-                                states[i])
+            jv = oracle.snap_lookup(grid.times, grid.axes, adv.response.table, t,
+                                    states[i], iu)
         else:
-            jv = strategy_control_index(adv.strategy, times[i + 1], times, prefix)
+            jv, _ = oracle.step_control(adv.strategy, times, prefix, i)
         states[i + 1] = euler_step(spec, t, float(times[i + 1] - times[i]), states[i],
                                    spec.controls_u.point(iu),
                                    spec.controls_v.point(jv), noise.dW[i])
@@ -501,10 +493,10 @@ def test_fire_batch_matches_scalar_scan():
     ]
     cap = times.size - 1
     for rule in rules:
-        got = _fire_batch(rule, times, states)
+        got = fire_batch(rule, times, states)
         for p in range(states.shape[0]):
-            f = rule.fire_index(times, states[p], cap)
-            assert got[p] == (cap if f is None else f), rule
+            f = oracle.fire_index(rule, times, states[p], cap)
+            assert got[p] == (_NOT_YET if f is None else f), rule
 
 
 def test_best_response_lookup_batch_matches_scalar(pennies_fields):
@@ -515,17 +507,13 @@ def test_best_response_lookup_batch_matches_scalar(pennies_fields):
     u_idx = rng.integers(0, 2, size=64)
     for t in (0.0, 0.13, 0.5):
         batch = table.lookup_batch(t, u_idx, x)
-        scalar = [_reply_by_hand(lower.grid.times, lower.grid.axes, lower.response_v,
-                                 t, int(u_idx[i]), x[i]) for i in range(64)]
+        scalar = [oracle.snap_lookup(lower.grid.times, lower.grid.axes, lower.response_v,
+                                     t, x[i], int(u_idx[i])) for i in range(64)]
         assert np.array_equal(batch, np.asarray(scalar))
 
 
 class ScanOnlyRule(StoppingRule):
-    """Fires at the last grid index, known only through fire_index."""
-
-    def fire_index(self, times, states, upto):
-        last = len(times) - 1
-        return last if upto >= last else None
+    """A rule class the engine has no monitor for."""
 
 
 def test_rule_without_batch_form_is_refused_by_name(pennies_problem):
@@ -599,6 +587,17 @@ def test_ties_keep_the_earliest_member(pennies_problem):
                               engine=EngineConfig(n_steps=16))
     assert report.per_strategy["alpha"].mean == report.per_strategy["twin"].mean
     assert report.best_label == "alpha" and report.best is report.per_strategy["alpha"]
+
+
+def test_repeated_strategy_labels_are_refused(pennies_problem):
+    # one label on two rows would let per_strategy and best name different rows
+    spec = pennies_problem.spec
+    down = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
+    up = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    with pytest.raises(ConfigError, match="'x' appears more than once"):
+        value_experiment(spec, 0.0, np.array([0.0]), [("x", down), ("x", up)],
+                         AdversaryFamily((const_adv(0, "c"),)), n_paths=8,
+                         master_seed=0, engine=EngineConfig(n_steps=8))
 
 
 def test_extending_the_family_never_raises_the_value(pennies_problem):
@@ -860,8 +859,8 @@ def test_dpp_refuses_an_anticipating_rule(pennies_problem, pennies_fields):
 
 
 def test_dpp_checks_fold_every_rule_of_one_table(pennies_problem, pennies_fields):
-    # one marched table serves every rule, duplicates included; each report
-    # is the one-rule check's, field by field and bit for bit
+    # one marched table serves every rule, each report the one-rule check's bit for bit;
+    # an uncapped exit restarts at the horizon where it never fires, like the capped one
     lower, _ = pennies_fields
     spec = pennies_problem.spec
     engine = EngineConfig(n_steps=32)
@@ -876,7 +875,7 @@ def test_dpp_checks_fold_every_rule_of_one_table(pennies_problem, pennies_fields
                                         control=SignControl(pos_index=1, neg_index=0))))
     half = FixedTimeRule(spec.horizon / 2)
     exit_ = CappedRule(HittingRule(AbsRegion(0.5)), FixedTimeRule(spec.horizon))
-    rules = [("half", half), ("exit", exit_), ("exit", exit_)]
+    rules = [("half", half), ("exit", exit_), ("exit", HittingRule(AbsRegion(0.5)))]
     kw = dict(n_paths=64, master_seed=23, engine=engine)
     x0 = np.array([0.0])
     reports = dpp_checks(spec, lower, 0.0, x0, strategies, family, rules, **kw)
@@ -886,12 +885,12 @@ def test_dpp_checks_fold_every_rule_of_one_table(pennies_problem, pennies_fields
                           rho_label=label, **kw)
         assert dataclasses.asdict(rep) == dataclasses.asdict(alone)
     assert reports[0].cells != reports[1].cells
+    assert dataclasses.asdict(reports[1]) == dataclasses.asdict(reports[2])
     with pytest.raises(StrategyStructureError, match="'peek'"):
         dpp_checks(spec, lower, 0.0, x0, strategies, family,
                    [("half", half), ("peek", LookaheadRule())], **kw)
     with pytest.raises(ConfigError, match="at least one rule"):
         dpp_checks(spec, lower, 0.0, x0, strategies, family, [], **kw)
-
 
 
 # --------------------------------------------------------------- embedding ---- #
@@ -917,6 +916,26 @@ def test_feedback_adversaries_embed_as_replayed_open_loop(pennies_problem,
             assert res.control.indices == tuple(res.closed_loop.v_indices)
             assert np.array_equal(res.closed_loop.states, res.replayed.states)
             assert res.replayed.payoff == res.closed_loop.payoff
+
+
+def test_doctored_replay_is_caught_at_the_first_state_it_moves(pennies_problem,
+                                                                monkeypatch):
+    spec = pennies_problem.spec
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    beta = hitswitch_strategy(spec.controls_v, 0.0, spec.horizon, level=0.6)
+    honest = ReplayControl.realize_batch
+
+    def doctored(self, *args):
+        paths = np.array(honest(self, *args))
+        paths[:, 10] = 1 - paths[:, 10]
+        return paths
+
+    monkeypatch.setattr(ReplayControl, "realize_batch", doctored)
+    # pennies' drift is u * v, so the flipped v on step 10 moves state 11
+    noise = sample_noise(np.linspace(0.0, spec.horizon, 33), 4, spec.noise_dim)
+    with pytest.raises(EmbeddingMismatchError, match="diverges at step 11") as err:
+        embed_feedback_as_openloop(spec, alpha, beta, noise, np.array([0.0]))
+    assert err.value.step == 11 and err.value.max_abs_diff > 0.0
 
 
 # ----------------------------------------------------------------- blow-up ---- #

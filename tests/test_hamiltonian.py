@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from hypothesis.extra import numpy as hnp
 
+import robustctl.hamiltonian as hamiltonian
 from robustctl.errors import ModelEvaluationError, NumericalSolveError
 from robustctl.hamiltonian import (HamiltonianQuery, hamiltonian_lower,
                                    hamiltonian_mixed, hamiltonian_upper,
@@ -196,6 +197,15 @@ def test_matrix_game_lp_path():
     assert np.allclose(sol.mu, 1.0 / 3.0, atol=1e-8)
     assert sol.mu.min() >= 0 and sol.nu.min() >= 0
     assert sol.mu.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_bad_lp_certificate_trips_the_residual_check(monkeypatch):
+    # pure first-row/column weights on rock-paper-scissors guarantee -1 and concede +1
+    A = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+    monkeypatch.setattr(hamiltonian, "_lp_value", lambda M: (0.0, np.eye(3)[0]))
+    with pytest.raises(NumericalSolveError, match="LP residual") as err:
+        solve_matrix_game(A)
+    assert err.value.residual == 2.0
 
 
 @given(a=hs.lists(hs.floats(-5, 5), min_size=4, max_size=4))

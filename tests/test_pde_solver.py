@@ -7,7 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from robustctl.errors import CflViolationError, ConfigError, ModelEvaluationError
+from robustctl.errors import (CflViolationError, ConfigError, ModelEvaluationError,
+                              NumericalSolveError)
 from robustctl.pde_solver import (cfl_max_dt, compare_to_reference, make_grid,
                                   solve_isaacs)
 from robustctl.sde_core import ControlSet, ProblemSpec, eval_payoff
@@ -187,6 +188,15 @@ def test_max_update_certificate_is_consistent(pennies_fields):
     lower, _ = pennies_fields
     steps = np.abs(np.diff(lower.values, axis=0)).max(axis=1)
     assert np.allclose(lower.max_update, steps, atol=1e-15)
+
+
+def test_overflowing_layer_trips_the_non_finite_guard():
+    # a huge but finite payoff passes every model check; its second
+    # difference overflows on the first layer the march produces
+    spec = simple_spec(0.0, 1.0, payoff=lambda x: np.full(x.shape[:-1], 1e308), bound=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalSolveError, match=r"at t=0.49, node index \(0,\) while"):
+            solve_isaacs(spec, make_grid(spec, -1.0, 1.0, 0.1), "lower")
 
 
 # ----------------------------------------------------- feedback certificates ---- #

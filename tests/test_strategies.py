@@ -1,5 +1,9 @@
 """Stopping rules, elementary strategies, feedback maps, open-loop controls,
-and the anticipation screen."""
+and the anticipation screen.
+
+The package runs every player through its batch form only; the per-path
+semantics these tests compare against live in ``strategy_oracle``.
+"""
 
 from __future__ import annotations
 
@@ -10,22 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import robustctl.strategies as strategies
+import strategy_oracle as oracle
 from robustctl.errors import (ConfigError, ModelEvaluationError,
                               StrategyIntervalError, StrategyStructureError)
+from robustctl.game_engine import simulate_feedback_pair, simulate_strong
 from robustctl.sde_core import ControlSet, derive_seed, sample_noise, stream_generator
-from robustctl.strategies import (UNDEFINED, AbsRegion, CappedRule,
+from robustctl.strategies import (_NOT_YET, UNDEFINED, _track, AbsRegion, CappedRule,
                                   ConstantAction, ConstantControl,
                                   ElementaryStrategy, FeedbackLookupAction,
                                   FeedbackMap, FixedTimeRule, GridIndexRule,
                                   HittingRule, LookaheadAction, LookaheadControl,
                                   LookaheadRule, OpenLoopControl,
                                   OutsideBoxRegion, PiecewiseRandomControl,
-                                  ReplayControl, SignControl, StrategyTracker,
+                                  ReplayControl, SignControl,
                                   ThresholdRegion, check_nonanticipative,
-                                  concatenate, evaluate_strategy,
-                                  make_grid_strategy, realize_open_loop,
-                                  strategy_control_index,
-                                  strategy_control_sequence)
+                                  concatenate, fire_batch, make_grid_strategy,
+                                  realize_checked)
 
 PM = ControlSet(np.array([[-1.0], [1.0]]), label="pm")
 TIMES = np.linspace(0.0, 1.0, 33)
@@ -46,6 +51,11 @@ def constant_strategy(index: int, start: float = 0.0, end: float = 1.0,
                               label=f"const{index}")
 
 
+def fire(rule, states: np.ndarray) -> int:
+    """fire_batch on one path (N+1, dim)."""
+    return int(fire_batch(rule, TIMES, states[None])[0])
+
+
 # ---------------------------------------------------------- stopping rules ---- #
 
 
@@ -54,8 +64,9 @@ def test_fixed_time_rule_snaps_up():
     j = rule.fixed_fire_index(TIMES)
     assert TIMES[j] >= 0.30 - 1e-12
     assert TIMES[j - 1] < 0.30
-    assert rule.fire_index(TIMES, None, j) == j
-    assert rule.fire_index(TIMES, None, j - 1) is None
+    path = random_walk(0)
+    assert fire(rule, path) == j
+    assert fire(rule, path[:j]) == _NOT_YET
     # exactly on a grid point: no spurious shift to the next one
     assert TIMES[FixedTimeRule(0.25).fixed_fire_index(TIMES)] == 0.25
     # beyond the grid: clamps to the last index
@@ -72,10 +83,10 @@ def test_hitting_rule_finds_first_entry():
     states = np.zeros((TIMES.size, 1))
     states[10:] = 2.0
     rule = HittingRule(AbsRegion(1.5))
-    assert rule.fire_index(TIMES, states, TIMES.size - 1) == 10
-    assert rule.fire_index(TIMES, states, 9) is None
+    assert fire(rule, states) == 10
+    assert fire(rule, states[:10]) == _NOT_YET
     calm = np.zeros((TIMES.size, 1))
-    assert rule.fire_index(TIMES, calm, TIMES.size - 1) is None
+    assert fire(rule, calm) == _NOT_YET
 
 
 def test_hitting_rule_chained_after_fixed_time():
@@ -85,7 +96,7 @@ def test_hitting_rule_chained_after_fixed_time():
     states[20:] = 2.0
     chained = HittingRule(AbsRegion(1.5), from_rule=FixedTimeRule(0.5))
     start = FixedTimeRule(0.5).fixed_fire_index(TIMES)
-    assert chained.fire_index(TIMES, states, TIMES.size - 1) == 20
+    assert fire(chained, states) == 20
     assert start <= 20
 
 
@@ -93,9 +104,9 @@ def test_capped_rule_is_min():
     states = np.zeros((TIMES.size, 1))
     states[12:] = 5.0
     rule = CappedRule(HittingRule(AbsRegion(1.0)), FixedTimeRule(1.0))
-    assert rule.fire_index(TIMES, states, TIMES.size - 1) == 12
+    assert fire(rule, states) == 12
     calm = np.zeros((TIMES.size, 1))
-    assert rule.fire_index(TIMES, calm, TIMES.size - 1) == TIMES.size - 1
+    assert fire(rule, calm) == TIMES.size - 1
     assert rule.fixed_fire_index(TIMES) is None  # inner part is path-dependent
 
 
@@ -114,29 +125,28 @@ def test_regions():
 @given(seed=hs.integers(0, 10_000), level=hs.floats(0.2, 1.5))
 @settings(max_examples=60, deadline=None)
 def test_fire_index_is_prefix_consistent(seed, level):
-    # once a rule fires at j <= upto, growing upto never moves the index
+    # once a rule fires at j <= upto, growing the path past upto never moves the index
     states = random_walk(seed)
     n = TIMES.size - 1
     for rule in (FixedTimeRule(0.4), GridIndexRule(7), HittingRule(AbsRegion(level)),
                  CappedRule(HittingRule(AbsRegion(level)), FixedTimeRule(0.9))):
-        final = rule.fire_index(TIMES, states, n)
+        final = fire(rule, states)
         for upto in range(0, n + 1, 5):
-            early = rule.fire_index(TIMES, states, upto)
-            if early is not None:
-                assert early == final
-            else:
-                assert final is None or final > upto
+            early = fire(rule, states[:upto + 1])
+            assert early == (final if final <= upto else _NOT_YET)
 
 
 # ------------------------------------------------------ strategy evaluation ---- #
 
 
+def track(strat: ElementaryStrategy, paths: np.ndarray) -> tuple[np.ndarray, int]:
+    """StrategyTracker run over stacked paths (n, N+1, dim): indices (n, N), clamps."""
+    return _track(strat, TIMES, paths)
+
+
 def test_single_segment_constant_strategy():
-    strat = constant_strategy(1)
-    path = random_walk(0)
-    for t in (0.05, 0.5, 1.0):
-        assert strategy_control_index(strat, t, TIMES, path) == 1
-        assert evaluate_strategy(strat, t, TIMES, path)[0] == 1.0
+    got, _ = track(constant_strategy(1), random_walk(0)[None])
+    assert np.all(got == 1)
 
 
 def test_two_piece_schedule():
@@ -144,23 +154,25 @@ def test_two_piece_schedule():
         control_set=PM, start_rule=FixedTimeRule(0.0),
         rules=(FixedTimeRule(0.5), FixedTimeRule(1.0)),
         actions=(ConstantAction(0), ConstantAction(1)), label="two")
-    path = random_walk(1)
-    assert strategy_control_index(strat, 0.25, TIMES, path) == 0
-    assert strategy_control_index(strat, 0.5, TIMES, path) == 0   # (0, T/2] closes at T/2
-    assert strategy_control_index(strat, 0.75, TIMES, path) == 1
+    got, _ = track(strat, random_walk(1)[None])
+    # step i is the interval (t_i, t_{i+1}]; (0, T/2] closes at T/2
+    assert np.all(got[0, :16] == 0)
+    assert np.all(got[0, 16:] == 1)
 
 
-def test_queries_outside_the_active_window_raise():
-    late_start = ElementaryStrategy(
-        control_set=PM, start_rule=FixedTimeRule(0.5),
-        rules=(FixedTimeRule(0.75),), actions=(ConstantAction(0),), label="late")
-    path = random_walk(2)
-    with pytest.raises(StrategyIntervalError):
-        strategy_control_index(late_start, 0.25, TIMES, path)
-    with pytest.raises(StrategyIntervalError):
-        strategy_control_index(late_start, 0.9, TIMES, path)  # exhausted
-    with pytest.raises(StrategyIntervalError):
-        strategy_control_index(late_start, 1.5, TIMES, path)  # off the grid
+def test_queries_outside_the_active_window_raise(pennies_problem):
+    # the tracker leaves such steps UNDEFINED, and the engine refuses to march them
+    spec = pennies_problem.spec
+    noise = sample_noise(np.linspace(0.0, spec.horizon, 33), 2, spec.noise_dim)
+    x0 = np.array([0.0])
+    exhausted = constant_strategy(0, start=0.0, end=0.25)
+    with pytest.raises(StrategyIntervalError, match="inactive on step 0"):
+        simulate_strong(spec, constant_strategy(0, start=0.25, end=0.5),
+                        ConstantControl(0), noise, x0)
+    with pytest.raises(StrategyIntervalError, match="inactive on step 16"):
+        simulate_strong(spec, exhausted, ConstantControl(0), noise, x0)
+    with pytest.raises(StrategyIntervalError, match="adversary strategy"):
+        simulate_feedback_pair(spec, constant_strategy(0, end=0.5), exhausted, noise, x0)
 
 
 def test_structure_validation():
@@ -179,24 +191,21 @@ def test_out_of_order_rules_are_clamped_and_counted():
         rules=(FixedTimeRule(0.75), FixedTimeRule(0.25), FixedTimeRule(1.0)),
         actions=(ConstantAction(0), ConstantAction(1), ConstantAction(0)),
         label="folded")
-    path = random_walk(3)
-    assert strategy_control_index(strat, 0.5, TIMES, path) == 0
+    got, clamps = track(strat, random_walk(3)[None])
     # after the clamp point both the second rule and its action collapse
     # onto tau_1 = 0.75, so segment 3 is in force on (0.75, 1]
-    assert strategy_control_index(strat, 0.9, TIMES, path) == 0
-    seq, clamps = strategy_control_sequence(strat, TIMES, path)
     assert clamps == 1
-    assert not np.any(seq == UNDEFINED)
+    assert np.all(got[0] == 0)
 
 
 def test_sequence_marks_inactive_steps_undefined():
     late = ElementaryStrategy(
         control_set=PM, start_rule=FixedTimeRule(0.5),
-        rules=(FixedTimeRule(1.0),), actions=(ConstantAction(1),), label="late")
-    seq, _ = strategy_control_sequence(late, TIMES, random_walk(4))
-    start = FixedTimeRule(0.5).fixed_fire_index(TIMES)
-    assert np.all(seq[:start] == UNDEFINED)
-    assert np.all(seq[start:] == 1)
+        rules=(FixedTimeRule(0.75),), actions=(ConstantAction(1),), label="late")
+    got, _ = track(late, random_walk(4)[None])
+    assert np.all(got[0, :16] == UNDEFINED)
+    assert np.all(got[0, 16:24] == 1)
+    assert np.all(got[0, 24:] == UNDEFINED)  # exhausted
 
 
 def tracker_cases(feedback: FeedbackMap) -> list:
@@ -232,22 +241,13 @@ def tracker_cases(feedback: FeedbackMap) -> list:
     return [make_grid_strategy(feedback, TIMES[::8]), hit, chained, glued, clamped, folded]
 
 
-def track(strat: ElementaryStrategy, paths: np.ndarray) -> tuple[np.ndarray, int]:
-    """StrategyTracker run over stacked paths (n, N+1, dim); indices (n, N)."""
-    tracker = StrategyTracker(strat, TIMES, paths.shape[0])
-    got = np.empty(paths.shape[:1] + (TIMES.size - 1,), dtype=np.int64)
-    for i in range(TIMES.size - 1):
-        got[:, i] = tracker.on_state(i, paths[:, i])
-    return got, tracker.clamp_count
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_tracker_agrees_with_recomputation(seed, pennies_fields):
-    """On one path the tracker must replay strategy_control_sequence exactly."""
+    """On one path the tracker must replay the oracle's per-step recomputation."""
     lower, _ = pennies_fields
     path = random_walk(seed)
     for strat in tracker_cases(lower.feedback_u):
-        want, want_clamps = strategy_control_sequence(strat, TIMES, path)
+        want, want_clamps = oracle.control_sequence(strat, TIMES, path)
         got, clamps = track(strat, path[None])
         assert np.array_equal(got[0], want), strat.label
         assert clamps == want_clamps, strat.label
@@ -261,7 +261,7 @@ def test_tracker_rows_agree_in_one_batch(pennies_fields):
         got, clamps = track(strat, paths)
         want_clamps = 0
         for p in range(paths.shape[0]):
-            want, row_clamps = strategy_control_sequence(strat, TIMES, paths[p])
+            want, row_clamps = oracle.control_sequence(strat, TIMES, paths[p])
             assert np.array_equal(got[p], want), (strat.label, p)
             want_clamps += row_clamps
         assert clamps == want_clamps, strat.label
@@ -281,9 +281,8 @@ def random_feedback(seed: int, n_times: int = 5, n_nodes: int = 9) -> FeedbackMa
 def test_feedback_lookup_snaps_and_clamps():
     fb = random_feedback(0)
     # dead center of a cell and far outside the box agree with direct indexing
-    assert fb.lookup_index(0.0, np.array([-2.0])) == int(fb.indices[0, 0])
-    assert fb.lookup_index(1.0, np.array([99.0])) == int(fb.indices[-1, -1])
-    assert fb.lookup(0.5, np.array([0.0]))[0] in (-1.0, 1.0)
+    assert fb.lookup_index_batch(0.0, np.array([[-2.0]]))[0] == fb.indices[0, 0]
+    assert fb.lookup_index_batch(1.0, np.array([[99.0]]))[0] == fb.indices[-1, -1]
 
 
 def test_feedback_batch_matches_scalar():
@@ -292,7 +291,8 @@ def test_feedback_batch_matches_scalar():
     xs = rng.uniform(-3, 3, size=(200, 1))
     for t in (0.0, 0.37, 1.0):
         batch = fb.lookup_index_batch(t, xs)
-        scalar = np.array([fb.lookup_index(t, x) for x in xs])
+        scalar = np.array([oracle.snap_lookup(fb.times, fb.axes, fb.indices, t, x)
+                           for x in xs])
         assert np.array_equal(batch, scalar)
 
 
@@ -315,7 +315,7 @@ def test_feedback_validation():
 
 def test_constant_feedback_map():
     fb = FeedbackMap.constant(PM, 1, TIMES, (np.linspace(-2, 2, 9),))
-    assert fb.lookup_index(0.3, np.array([1.7])) == 1
+    assert fb.lookup_index_batch(0.3, np.array([[1.7]]))[0] == 1
 
 
 # --------------------------------------------------------- grid strategies ---- #
@@ -325,28 +325,23 @@ def test_grid_strategy_freezes_at_decision_times():
     """On (t_k, t_{k+1}] the ladder plays the table at (t_k, y(t_k))."""
     fb = random_feedback(2, n_times=33)
     decisions = TIMES[::8]
-    strat = make_grid_strategy(fb, decisions)
-    for seed in range(100):
-        path = random_walk(seed)
-        for j in (1, 7, 8, 9, 17, 32):
-            t = TIMES[j]
-            k = np.searchsorted(decisions, t, side="left") - 1
-            k = max(k, 0)
-            want = fb.lookup_index(float(decisions[k]),
-                                   path[int(np.searchsorted(TIMES, decisions[k]))])
-            assert strategy_control_index(strat, t, TIMES, path) == want
+    paths = np.stack([random_walk(seed) for seed in range(100)])
+    got, _ = track(make_grid_strategy(fb, decisions), paths)
+    for j in (1, 7, 8, 9, 17, 32):
+        k = max(np.searchsorted(decisions, TIMES[j], side="left") - 1, 0)
+        at = int(np.searchsorted(TIMES, decisions[k]))
+        want = [oracle.snap_lookup(fb.times, fb.axes, fb.indices, float(decisions[k]),
+                                   path[at]) for path in paths]
+        assert np.array_equal(got[:, j - 1], want), j
 
 
 def test_grid_strategy_refinement_consistency():
     # a table constant in time and space cannot distinguish 4 from 8 splits
     fb = FeedbackMap.constant(PM, 1, TIMES, (np.linspace(-2, 2, 9),))
-    s4 = make_grid_strategy(fb, TIMES[::8])
-    s8 = make_grid_strategy(fb, TIMES[::4])
-    for seed in range(100):
-        path = random_walk(seed)
-        a, _ = strategy_control_sequence(s4, TIMES, path)
-        b, _ = strategy_control_sequence(s8, TIMES, path)
-        assert np.array_equal(a, b)
+    paths = np.stack([random_walk(seed) for seed in range(100)])
+    a, _ = track(make_grid_strategy(fb, TIMES[::8]), paths)
+    b, _ = track(make_grid_strategy(fb, TIMES[::4]), paths)
+    assert np.array_equal(a, b)
 
 
 def test_grid_strategy_validation():
@@ -366,9 +361,9 @@ def test_concatenate_constants_is_two_piece():
                               rules=(FixedTimeRule(1.0),),
                               actions=(ConstantAction(1),), label="tail")
     glued = concatenate(first, tail, FixedTimeRule(0.5))
-    path = random_walk(5)
-    assert strategy_control_index(glued, 0.25, TIMES, path) == 0
-    assert strategy_control_index(glued, 0.75, TIMES, path) == 1
+    got, _ = track(glued, random_walk(5)[None])
+    assert np.all(got[0, :16] == 0)
+    assert np.all(got[0, 16:] == 1)
 
 
 def test_concatenate_with_never_firing_junction_plays_first_everywhere():
@@ -378,10 +373,8 @@ def test_concatenate_with_never_firing_junction_plays_first_everywhere():
                               rules=(FixedTimeRule(1.0),),
                               actions=(ConstantAction(1),), label="tail")
     glued = concatenate(first, tail, junction)
-    path = random_walk(6)
-    seq, _ = strategy_control_sequence(glued, TIMES, path)
-    ref, _ = strategy_control_sequence(first, TIMES, path)
-    assert np.array_equal(seq, ref)
+    path = random_walk(6)[None]
+    assert np.array_equal(track(glued, path)[0], track(first, path)[0])
 
 
 def test_concatenate_structural_checks():
@@ -401,40 +394,55 @@ def test_concatenate_probe_rejects_tail_firing_early():
         control_set=PM, start_rule=junction,
         rules=(FixedTimeRule(0.1), FixedTimeRule(1.0)),
         actions=(ConstantAction(0), ConstantAction(1)), label="early")
-    with pytest.raises(StrategyStructureError):
+    with pytest.raises(StrategyStructureError,
+                       match="tail rule 0 fires at index 4, before the junction at 16, "
+                             "on probe path 0"):
         concatenate(constant_strategy(0), tail, junction, probe_times=TIMES)
+    # a hitting junction that never fires on a probe path leaves nothing to order
+    unreachable = HittingRule(AbsRegion(50.0))
+    tail = dataclasses.replace(tail, start_rule=unreachable)
+    concatenate(constant_strategy(0), tail, unreachable, probe_times=TIMES)
 
 
 # -------------------------------------------------------- open-loop controls ---- #
 
 
+def realize(ctrl, noise, n_choices: int | None = 2) -> np.ndarray:
+    """realize_checked on a one-row batch."""
+    seeds = np.array([noise.seed], dtype=np.uint64)
+    return realize_checked(ctrl, noise.times, noise.dW[None], noise.extra[None], seeds,
+                           n_choices)[0]
+
+
+def noise_batch(seeds, extra_dim: int = 0):
+    rows = [sample_noise(TIMES, int(s), 1, extra_dim) for s in seeds]
+    return (rows, np.stack([r.dW for r in rows]), np.stack([r.extra for r in rows]),
+            np.asarray(seeds, dtype=np.uint64))
+
+
 def test_constant_control():
     noise = sample_noise(TIMES, 11, 1)
-    assert np.all(realize_open_loop(ConstantControl(1), noise, 2) == 1)
+    assert np.all(realize(ConstantControl(1), noise) == 1)
 
 
 def test_sign_control_conventions():
     noise = sample_noise(TIMES, 12, 1)
     ctrl = SignControl(pos_index=1, neg_index=0)
-    path = realize_open_loop(ctrl, noise, 2)
+    path = realize(ctrl, noise)
     # step 0 sums zero increments, and the convention is sign(0) = +
     assert path[0] == 1
-    level = np.concatenate([[0.0], np.cumsum(noise.dW[:-1, 0])])
-    assert np.array_equal(path, np.where(level >= 0, 1, 0))
     # the zero-noise path plays pos_index throughout
     flat = dataclasses.replace(noise, dW=np.zeros_like(noise.dW))
-    assert np.all(realize_open_loop(ctrl, flat, 2) == 1)
+    assert np.all(realize(ctrl, flat) == 1)
 
 
 def test_sign_control_batch_matches_scalar():
-    n_paths = 16
-    dW = np.stack([sample_noise(TIMES, 100 + p, 1).dW for p in range(n_paths)])
-    extra = np.zeros((n_paths, TIMES.size - 1, 0))
-    ctrl = SignControl(pos_index=1, neg_index=0)
-    batch = ctrl.realize_batch(TIMES, dW, extra, np.arange(n_paths))
-    for p in range(n_paths):
-        noise = sample_noise(TIMES, 100 + p, 1)
-        assert np.array_equal(batch[p], realize_open_loop(ctrl, noise, 2))
+    rows, dW, extra, seeds = noise_batch(range(100, 116), extra_dim=1)
+    for ctrl in (SignControl(pos_index=1, neg_index=0),
+                 SignControl(pos_index=0, neg_index=1, source="extra")):
+        batch = ctrl.realize_batch(TIMES, dW, extra, seeds)
+        for p, noise in enumerate(rows):
+            assert np.array_equal(batch[p], oracle.realize(ctrl, noise)), (ctrl.label, p)
 
 
 def test_sign_control_extra_source_ignores_brownian():
@@ -443,18 +451,18 @@ def test_sign_control_extra_source_ignores_brownian():
     assert ctrl.info_level == "enlarged"
     assert ctrl.extra_dim == 1
     noise = sample_noise(TIMES, 13, 1, extra_dim=1)
-    base = realize_open_loop(ctrl, noise, 2)
+    base = realize(ctrl, noise)
     jolted = dataclasses.replace(noise, dW=noise.dW + 3.0)
-    assert np.array_equal(base, realize_open_loop(ctrl, jolted, 2))
+    assert np.array_equal(base, realize(ctrl, jolted))
     flipped = dataclasses.replace(noise, extra=-noise.extra)
-    assert not np.array_equal(base, realize_open_loop(ctrl, flipped, 2))
+    assert not np.array_equal(base, realize(ctrl, flipped))
 
 
 def test_sign_control_requires_extra_stream():
     ctrl = SignControl(pos_index=1, neg_index=0, source="extra")
     noise = sample_noise(TIMES, 14, 1, extra_dim=0)
-    with pytest.raises(ConfigError):
-        realize_open_loop(ctrl, noise, 2)
+    with pytest.raises(ConfigError, match="needs extra_dim >= 1"):
+        realize(ctrl, noise)
     with pytest.raises(ConfigError):
         SignControl(pos_index=0, neg_index=1, source="both")
 
@@ -462,49 +470,54 @@ def test_sign_control_requires_extra_stream():
 def test_replay_control():
     noise = sample_noise(TIMES, 15, 1)
     idx = tuple(int(i % 2) for i in range(TIMES.size - 1))
-    assert np.array_equal(realize_open_loop(ReplayControl(idx), noise, 2), idx)
-    with pytest.raises(ConfigError):
-        realize_open_loop(ReplayControl((0, 1)), noise, 2)
+    assert np.array_equal(realize(ReplayControl(idx), noise), idx)
+    _, dW, extra, seeds = noise_batch(range(3))  # one recorded path on every row
+    assert np.array_equal(realize_checked(ReplayControl(idx), TIMES, dW, extra, seeds),
+                          [idx] * 3)
+    with pytest.raises(ConfigError, match="2 steps, noise has 32"):
+        realize(ReplayControl((0, 1)), noise)
 
 
 def test_piecewise_random_control_draws_from_the_path_seed():
     ctrl = PiecewiseRandomControl(n_choices=2, n_segments=4, salt=1)
     assert ctrl.info_level == "enlarged"
     noise = sample_noise(TIMES, 16, 1, extra_dim=1)
-    base = realize_open_loop(ctrl, noise, 2)
+    base = realize(ctrl, noise)
     # piecewise constant on 4 blocks
     assert len(np.flatnonzero(np.diff(base))) <= 3
     # private randomness: both noise streams are irrelevant
     jolted = dataclasses.replace(noise, dW=noise.dW * -2.0, extra=noise.extra + 1.0)
-    assert np.array_equal(base, realize_open_loop(ctrl, jolted, 2))
+    assert np.array_equal(base, realize(ctrl, jolted))
     # but the path seed is not
     other = dataclasses.replace(noise, seed=noise.seed + 1)
     salted = PiecewiseRandomControl(n_choices=2, n_segments=4, salt=2)
-    assert not np.array_equal(base, realize_open_loop(salted, other, 2)) \
-        or not np.array_equal(base, realize_open_loop(ctrl, other, 2))
-    with pytest.raises(StrategyStructureError):
-        ctrl.control_index(0, TIMES, noise.dW, noise.extra)
+    assert not np.array_equal(base, realize(salted, other)) \
+        or not np.array_equal(base, realize(ctrl, other))
 
 
 def test_piecewise_random_batch_matches_scalar():
     ctrl = PiecewiseRandomControl(n_choices=3, n_segments=5, salt=0)
-    seeds = np.array([derive_seed(77, p) for p in range(8)], dtype=np.uint64)
-    dW = np.stack([sample_noise(TIMES, int(s), 1).dW for s in seeds])
-    batch = ctrl.realize_batch(TIMES, dW, np.zeros((8, TIMES.size - 1, 0)), seeds)
-    for p, s in enumerate(seeds):
-        noise = sample_noise(TIMES, int(s), 1)
-        assert np.array_equal(batch[p], realize_open_loop(ctrl, noise, 3))
+    rows, dW, extra, seeds = noise_batch([derive_seed(77, p) for p in range(8)])
+    batch = ctrl.realize_batch(TIMES, dW, extra, seeds)
+    for p, noise in enumerate(rows):
+        assert np.array_equal(batch[p], oracle.realize(ctrl, noise))
 
 
-def test_realize_open_loop_validates_range():
-    class Wild(OpenLoopControl):
-        label = "wild"
+def test_realize_checked_validates_the_batch_form():
+    class Fixed(OpenLoopControl):
+        def __init__(self, out):
+            self.out = out
 
-        def control_index(self, i, times, dW, extra):
-            return 99
+        def realize_batch(self, times, dW, extra, seeds):
+            return self.out
 
-    with pytest.raises(ModelEvaluationError):
-        realize_open_loop(Wild(), sample_noise(TIMES, 17, 1), 2)
+    noise = sample_noise(TIMES, 17, 1)
+    with pytest.raises(ModelEvaluationError, match="outside"):
+        realize(Fixed(np.full((1, 32), 99)), noise)
+    with pytest.raises(ModelEvaluationError, match=r"shape \(32,\), expected \(1, 32\)"):
+        realize(Fixed(np.zeros(32)), noise)
+    with pytest.raises(StrategyStructureError, match="OpenLoopControl has no batch form"):
+        realize(OpenLoopControl(), noise)
 
 
 # --------------------------------------------------- anticipation checking ---- #
@@ -519,6 +532,7 @@ def test_builtin_rules_pass_the_screen():
 
 
 def test_builtin_controls_pass_the_screen():
+    # PiecewiseRandomControl passes only because both rows of a pair share a seed
     controls = (ConstantControl(1), SignControl(1, 0),
                 SignControl(1, 0, source="extra"),
                 PiecewiseRandomControl(2, 4, salt=0), ReplayControl((1, 0) * 16))
@@ -535,16 +549,52 @@ def test_strategies_pass_the_screen(pennies_fields):
 
 
 def test_lookahead_fixtures_fail_the_screen():
+    # the rule and the action have no batch form: refused by name, every trial failed
     assert LookaheadRule().anticipating
     rep_rule = check_nonanticipative(LookaheadRule(), n_trials=200, seed=0)
-    assert not rep_rule.passed
-    assert rep_rule.first_failure is not None
-    rep_ctrl = check_nonanticipative(LookaheadControl(1, 0), n_trials=200, seed=0)
-    assert not rep_ctrl.passed
+    assert not rep_rule.passed and rep_rule.failures == rep_rule.trials == 200
+    assert "LookaheadRule" in rep_rule.first_failure["refused"]
     peeker = ElementaryStrategy(
         control_set=PM, start_rule=FixedTimeRule(0.0),
         rules=(FixedTimeRule(1.0),), actions=(LookaheadAction(1, 0),),
         label="peeker")
     assert peeker.anticipating
     rep_strat = check_nonanticipative(peeker, n_trials=200, seed=0)
-    assert not rep_strat.passed
+    assert not rep_strat.passed and rep_strat.failures == 200
+    assert "LookaheadAction" in rep_strat.first_failure["refused"]
+    # the control has a batch form, so the trials themselves catch it
+    rep_ctrl = check_nonanticipative(LookaheadControl(1, 0), n_trials=200, seed=0)
+    assert 0 < rep_ctrl.failures < rep_ctrl.trials
+    failure = rep_ctrl.first_failure
+    assert failure["step"] == failure["cut"] and failure["a"] != failure["b"]
+
+
+class UnshiftedSignControl(SignControl):
+    """SignControl whose running sum includes the current step's increment."""
+
+    def realize_batch(self, times, dW, extra, seeds):
+        level = np.cumsum(dW[..., self.coord], axis=1)
+        return np.where(level >= 0.0, self.pos_index, self.neg_index).astype(np.int64)
+
+
+class RetroMonitor:
+    """A rule monitor that dates each fire one index before the state that triggers it."""
+
+    def __init__(self, n):
+        self.fire = np.full(n, _NOT_YET)
+
+    def observe(self, j, X):
+        self.fire[(self.fire == _NOT_YET) & (X[:, 0] > 0.5)] = j - 1
+
+    def fired_by(self, j):
+        return self.fire
+
+
+def test_screen_runs_the_batch_form_the_engine_runs(monkeypatch):
+    # either object's first divergence lies exactly at the cut
+    rep = check_nonanticipative(UnshiftedSignControl(1, 0), n_trials=200, seed=0)
+    assert not rep.passed and rep.first_failure["step"] == rep.first_failure["cut"]
+    monkeypatch.setattr(strategies, "_rule_monitor", lambda rule, times, n: RetroMonitor(n))
+    rep = check_nonanticipative(HittingRule(AbsRegion(0.5)), n_trials=200, seed=0)
+    assert not rep.passed and rep.first_failure["cut"] in (rep.first_failure["fire_a"],
+                                                           rep.first_failure["fire_b"])
