@@ -68,12 +68,16 @@ class NumericalSolveError(RobustCtlError):
 
 
 class EmbeddingMismatchError(RobustCtlError):
-    """Replaying a recorded adversary path did not reproduce the trajectory."""
+    """Replayed adversary paths did not reproduce the trajectories. Carries the
+    first mismatching row's step, max_abs_diff and seed, and every mismatching row."""
 
-    def __init__(self, message: str, *, step: int | None = None, max_abs_diff: float | None = None):
+    def __init__(self, message: str, *, step: int | None = None, max_abs_diff: float | None = None,
+                 seed: int | None = None, rows: list | None = None):
         super().__init__(message)
         self.step = step
         self.max_abs_diff = max_abs_diff
+        self.seed = seed
+        self.rows = rows
 
 
 class ConfigError(RobustCtlError):

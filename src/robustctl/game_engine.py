@@ -14,7 +14,7 @@ side is an :class:`Adversary` wrapper around one of four kinds:
     Another elementary strategy, for strategy-vs-strategy games.
 
 State-feedback kinds are not open-loop objects, but every trajectory they
-produce is reproduced exactly by replaying the recorded control path as an
+produce is reproduced exactly by replaying the recorded control paths as an
 open-loop control against the same noise (:func:`embed_feedback_as_openloop`
 asserts this bitwise), which is what makes them legitimate members of the
 adversary families used for inner infima.
@@ -25,10 +25,10 @@ reduced by one sup-inf fold (:func:`_fold`).  :func:`value_experiment` is
 the only entry point for payoff tables; :func:`estimate_payoff`,
 :func:`robust_value` and :func:`filtration_experiment` are thin calls into
 it, and :func:`dpp_checks` folds every rule's restart values from one
-recorded table.  The single-path entry points (:func:`simulate_strong`,
-:func:`simulate_feedback_pair` and, through them,
-:func:`embed_feedback_as_openloop`) march a chunk of one.  Strategies are
-played by :class:`~robustctl.strategies.StrategyTracker` and open-loop
+recorded table.  A single path (:func:`simulate_strong`,
+:func:`simulate_feedback_pair`) is a chunk of one; the embedding marches its
+noise paths as one chunk for the pair and one for the replay.  Strategies
+are played by :class:`~robustctl.strategies.StrategyTracker` and open-loop
 controls realized by :func:`~robustctl.strategies.realize_checked`, the
 batch forms that :func:`~robustctl.strategies.check_nonanticipative`
 screens; the tests check both against a per-path oracle.  With
@@ -53,8 +53,8 @@ from .errors import (ConfigError, EmbeddingMismatchError, ModelEvaluationError,
                      SimulationBlowUpError, StrategyIntervalError,
                      StrategyStructureError)
 from .pde_solver import ValueField
-from .sde_core import (NoisePath, ProblemSpec, STREAM_BROWNIAN, STREAM_EXTRA,
-                       derive_seed, derive_seed_array, eval_pairs, eval_payoff)
+from .sde_core import (NoisePath, ProblemSpec, derive_seed, derive_seed_array,
+                       eval_pairs, eval_payoff, sample_noise_batch)
 from .strategies import (AbsRegion, ConstantAction, ConstantControl,
                          ElementaryStrategy, FeedbackMap, FixedTimeRule,
                          HittingRule, OpenLoopControl, PiecewiseRandomControl,
@@ -215,15 +215,21 @@ def _refuse_anticipating(cells) -> None:
                 "anticipating strategies/controls are test fixtures; refusing to simulate")
 
 
+def _march_noise(spec: ProblemSpec, strategy: ElementaryStrategy, adversary: Adversary,
+                 noises: list, x0):
+    """One recorded chunk on the given noise paths, one row each; see :func:`_march_chunk`."""
+    _refuse_anticipating([(strategy, adversary)])
+    seeds = np.array([n.seed for n in noises], dtype=np.uint64)
+    return _march_chunk(spec, noises[0].times, seeds, _as_state(spec, x0), strategy,
+                        adversary, np.stack([n.dW for n in noises]),
+                        np.stack([n.extra for n in noises]), record_states=True)
+
+
 def _simulate_path(spec: ProblemSpec, strategy: ElementaryStrategy,
                    adversary: Adversary, noise: NoisePath, x0) -> Trajectory:
     """One path on the given noise, marched by the batch engine as a chunk of one."""
-    x0 = _as_state(spec, x0)
-    _refuse_anticipating([(strategy, adversary)])
-    seeds = np.array([noise.seed], dtype=np.uint64)
-    payoffs, clamps, (states, u_paths, v_paths) = _march_chunk(
-        spec, noise.times, seeds, x0, strategy, adversary, noise.dW[None],
-        noise.extra[None], record_states=True)
+    payoffs, clamps, (states, u_paths, v_paths) = _march_noise(spec, strategy, adversary,
+                                                               [noise], x0)
     return Trajectory(times=noise.times, states=states[0],
                       u_indices=u_paths[0].astype(np.int64),
                       v_indices=v_paths[0].astype(np.int64), payoff=float(payoffs[0]),
@@ -252,40 +258,50 @@ def simulate_feedback_pair(spec: ProblemSpec, alpha: ElementaryStrategy,
 
 @dataclass(eq=False)
 class EmbeddingResult:
-    """A feedback-vs-feedback path and its open-loop replay, verified equal."""
+    """Feedback-vs-feedback paths, one row per noise path, verified equal to their
+    open-loop replay: states (c, N+1, dim), index paths (c, N), payoffs (c,)."""
 
-    closed_loop: Trajectory
-    replayed: Trajectory
+    states: np.ndarray
+    u_indices: np.ndarray
+    v_indices: np.ndarray
+    payoffs: np.ndarray
     control: ReplayControl
 
 
 def embed_feedback_as_openloop(spec: ProblemSpec, alpha: ElementaryStrategy,
-                               beta: ElementaryStrategy, noise: NoisePath,
-                               x0: np.ndarray) -> EmbeddingResult:
-    """Record beta's moves along the pair trajectory and replay them open loop.
+                               beta: ElementaryStrategy, noise, x0) -> EmbeddingResult:
+    """Record beta's moves along the pair's paths and replay them open loop.
 
-    The replayed trajectory must match the closed-loop one bitwise in
-    states and in both control paths; any discrepancy raises
-    :class:`EmbeddingMismatchError`.  This is the pathwise mechanism that
-    embeds feedback adversaries into the open-loop adversary class.
+    ``noise`` is one :class:`NoisePath` or a sequence of them on one time
+    grid, one row each.  The pair and then alpha against a
+    :class:`ReplayControl` of the recorded v paths are each marched as one
+    chunk; states and both index paths must match bitwise on every row, or
+    :class:`EmbeddingMismatchError` names the first mismatching row and all
+    of them.  This pathwise identity embeds feedback adversaries into the
+    open-loop class.
     """
-    closed = simulate_feedback_pair(spec, alpha, beta, noise, x0)
-    control = ReplayControl(indices=tuple(int(j) for j in closed.v_indices),
-                            label=f"replay[{beta.label}]")
-    replayed = simulate_strong(spec, alpha, control, noise, _as_state(spec, x0))
-    if not np.array_equal(closed.states, replayed.states):
-        diff = np.abs(closed.states - replayed.states)
-        step = int(np.argmax(np.any(diff > 0, axis=tuple(range(1, diff.ndim)))))
+    noises = [noise] if isinstance(noise, NoisePath) else list(noise)
+    if any(not np.array_equal(n.times, noises[0].times) for n in noises):
+        raise ConfigError("embedding noise paths must share one time grid")
+    closed = Adversary(id=beta.label, kind="strategy", strategy=beta)
+    payoffs, _, (states, u, v) = _march_noise(spec, alpha, closed, noises, x0)
+    control = ReplayControl(v, label=f"replay[{beta.label}]")
+    replay = Adversary(id=control.label, kind="open_loop", control=control)
+    _, _, (r_states, r_u, r_v) = _march_noise(spec, alpha, replay, noises, x0)
+    moved = [("trajectory", np.any(states != r_states, axis=2)),
+             ("u path", u != r_u), ("v path", v != r_v)]
+    rows = np.flatnonzero(np.any([m.any(axis=1) for _, m in moved], axis=0))
+    if rows.size:
+        p = int(rows[0])
+        name, m = next((name, m[p]) for name, m in moved if m[p].any())
+        step = int(np.argmax(m))
         raise EmbeddingMismatchError(
-            f"replayed trajectory diverges at step {step}",
-            step=step, max_abs_diff=float(diff.max()))
-    for name, a, b in (("u", closed.u_indices, replayed.u_indices),
-                       ("v", closed.v_indices, replayed.v_indices)):
-        if not np.array_equal(a, b):
-            step = int(np.argmax(a != b))
-            raise EmbeddingMismatchError(
-                f"replayed {name}-controls diverge at step {step}", step=step)
-    return EmbeddingResult(closed_loop=closed, replayed=replayed, control=control)
+            f"replayed {name} diverges at step {step} on row {p} (seed {noises[p].seed}); "
+            f"mismatching rows {rows.tolist()}",
+            step=step, max_abs_diff=float(np.abs(states[p] - r_states[p]).max()),
+            seed=noises[p].seed, rows=rows.tolist())
+    return EmbeddingResult(states=states, u_indices=u, v_indices=v, payoffs=payoffs,
+                           control=control)
 
 
 def _as_state(spec: ProblemSpec, x0) -> np.ndarray:
@@ -296,50 +312,6 @@ def _as_state(spec: ProblemSpec, x0) -> np.ndarray:
 
 
 # ----------------------------------------------------------- batch engine ---- #
-
-
-def _chunk_noise(times: np.ndarray, seeds: np.ndarray, noise_dim: int,
-                 extra_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path Philox noise for a chunk; row p matches sample_noise(seeds[p]).
-
-    One bit generator is recycled through all paths by resetting its state
-    (key = path seed, counter stream word, empty buffer), which draws the
-    exact same numbers as constructing it fresh but skips the construction
-    cost.  The scale multiply happens on the full block afterwards;
-    elementwise, so still bitwise equal to scaling row by row.
-    """
-    n = times.size - 1
-    scale = np.sqrt(np.diff(times))[:, None]
-    dW = np.empty((seeds.size, n, noise_dim))
-    extra = np.empty((seeds.size, n, extra_dim))
-    bg = np.random.Philox(key=np.uint64(0))
-    gen = np.random.Generator(bg)
-    state = bg.state
-    key = state["state"]["key"]
-    counter = state["state"]["counter"]
-    buffer = state["buffer"]
-
-    def reset(seed_word, stream):
-        key[0] = seed_word
-        key[1] = 0
-        counter[:] = 0
-        counter[3] = stream
-        buffer[:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        bg.state = state
-
-    for p in range(seeds.size):
-        reset(seeds[p], STREAM_BROWNIAN)
-        gen.standard_normal(out=dW[p])
-        if extra_dim:
-            reset(seeds[p], STREAM_EXTRA)
-            gen.standard_normal(out=extra[p])
-    dW *= scale
-    if extra_dim:
-        extra *= scale
-    return dW, extra
 
 
 def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.ndarray,
@@ -611,7 +583,7 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
 
     def worker(chunk_id, start, stop):
         chunk_seeds = seeds[start:stop]
-        dW, extra = _chunk_noise(times, chunk_seeds, spec.noise_dim, extra_dim)
+        dW, extra = sample_noise_batch(times, chunk_seeds, spec.noise_dim, extra_dim)
         dW_tm = np.ascontiguousarray(dW.transpose(1, 0, 2))
         factories: dict = {}
         for _, adversary in cells:
@@ -868,9 +840,9 @@ def dpp_checks(spec: ProblemSpec, field: ValueField, s: float, x0, strategies,
     if not rules:
         raise ConfigError("dynamic-programming check needs at least one rule")
     for label, rho in rules:
-        gate = check_nonanticipative(rho, n_trials=gate_trials,
-                                     seed=derive_seed(master_seed, 23),
-                                     n_steps=min(64, engine.n_steps), horizon=spec.horizon)
+        gate = check_nonanticipative(rho, n_trials=gate_trials, seed=derive_seed(master_seed, 23),
+                                     n_steps=min(64, engine.n_steps), horizon=spec.horizon,
+                                     state_dim=spec.dim)
         if not gate.passed:
             raise StrategyStructureError(
                 f"stopping rule {label!r} failed the non-anticipativity screen "
@@ -959,25 +931,22 @@ def default_adversary_families(problem, lower_field: ValueField | None = None,
     return base, enlarged
 
 
+def _ladder(feedback: FeedbackMap, k: int, s: float, horizon: float,
+            engine: EngineConfig, label: str) -> ElementaryStrategy:
+    """Grid feedback read at the simulation grid points nearest to k even splits of [s, T]."""
+    if k < 1:
+        raise ConfigError(f"decision count must be >= 1, got {k}")
+    idx = np.unique(np.round(np.linspace(0, engine.n_steps, int(k) + 1)).astype(int))
+    times = np.linspace(s, horizon, engine.n_steps + 1)
+    return make_grid_strategy(feedback, times[idx], label=label)
+
+
 def default_strategy_family(problem, lower_field: ValueField, decision_counts,
                             s: float, engine: EngineConfig) -> list:
-    """Grid-feedback strategies reading the lower field at k decision times.
-
-    Decision times are the simulation grid points nearest to an even split,
-    so every strategy is simulatable exactly; counts are kept in the given
-    order for monotonicity reporting.
-    """
-    times = np.linspace(s, problem.spec.horizon, engine.n_steps + 1)
-    out = []
-    for k in decision_counts:
-        if k < 1:
-            raise ConfigError(f"decision count must be >= 1, got {k}")
-        idx = np.unique(np.round(np.linspace(0, engine.n_steps, int(k) + 1)).astype(int))
-        if idx.size < 2:
-            raise ConfigError(f"decision count {k} collapses on a {engine.n_steps}-step grid")
-        strat = make_grid_strategy(lower_field.feedback_u, times[idx], label=f"grid{k}")
-        out.append((f"grid{k}", strat))
-    return out
+    """Grid-feedback strategies reading the lower field at k decision times
+    (see :func:`_ladder`), in the given order for monotonicity reporting."""
+    return [(f"grid{k}", _ladder(lower_field.feedback_u, k, s, problem.spec.horizon,
+                                 engine, f"grid{k}")) for k in decision_counts]
 
 
 def _constant_strategy(control_set, index: int, s: float, horizon: float,
@@ -992,12 +961,7 @@ def builtin_pairs(problem, lower_field: ValueField, upper_field: ValueField,
     """The built-in (alpha, beta) strategy pairs for the embedding suite."""
     spec = problem.spec
     T = spec.horizon
-    times = np.linspace(s, T, engine.n_steps + 1)
-
-    def ladder(feedback, k, label):
-        idx = np.unique(np.round(np.linspace(0, engine.n_steps, k + 1)).astype(int))
-        return make_grid_strategy(feedback, times[idx], label=label)
-
+    ladder = lambda feedback, k, label: _ladder(feedback, k, s, T, engine, label)
     alphas = [
         ("alpha:const0", _constant_strategy(spec.controls_u, 0, s, T, "alpha:const0")),
         ("alpha:grid4", ladder(lower_field.feedback_u, 4, "alpha:grid4")),

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import game_engine as ge
 from .config import DEFAULTS, resolve_config
-from .errors import CflViolationError, ConfigError, RobustCtlError
+from .errors import CflViolationError, ConfigError, EmbeddingMismatchError, RobustCtlError
 from .hamiltonian import HamiltonianQuery, lagrangian_matrix, minimax, solve_matrix_game
 from .pde_solver import ValueField, cfl_max_dt, compare_to_reference, make_grid, solve_isaacs
 from .problems import build_problem
@@ -336,24 +336,25 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
         upper = need("upper", "embedding")
         pairs = ge.builtin_pairs(problem, lower, upper, s0, engine)
         times = np.linspace(s0, spec.horizon, engine.n_steps + 1)
-        mismatches = 0
-        rows = []
-        for k in range(cfg["embedding"]["n_seeds"]):
-            for aid, alpha, bid, beta in pairs:
-                noise = sample_noise(times, derive_seed(master_seed, 29, k, hash_pair(aid, bid)),
-                                     spec.noise_dim)
-                try:
-                    ge.embed_feedback_as_openloop(spec, alpha, beta, noise, x0)
-                    rows.append([aid, bid, k, True])
-                except RobustCtlError as exc:
-                    mismatches += 1
-                    rows.append([aid, bid, k, False])
-                    warnings.append(f"embedding {aid}/{bid} seed {k}: {exc}")
+        n_seeds = cfg["embedding"]["n_seeds"]
+        failed = {}  # (pair, seed index) -> the error of that row
+        for aid, alpha, bid, beta in pairs:
+            noises = [sample_noise(times, derive_seed(master_seed, 29, k, hash_pair(aid, bid)),
+                                   spec.noise_dim) for k in range(n_seeds)]
+            try:
+                ge.embed_feedback_as_openloop(spec, alpha, beta, noises, x0)
+            except RobustCtlError as exc:
+                bad = exc.rows if isinstance(exc, EmbeddingMismatchError) else range(n_seeds)
+                failed.update({(aid, bid, k): exc for k in bad})
+        rows = [[aid, bid, k, (aid, bid, k) not in failed]
+                for k in range(n_seeds) for aid, _, bid, _ in pairs]
+        mismatches = len(failed)
+        warnings.extend(f"embedding {aid}/{bid} seed {k}: {exc}"
+                        for (aid, bid, k), exc in failed.items())
         checks.add("embedding.match", "embedding", mismatches == 0,
                    value=float(mismatches), tolerance=0.0,
-                   detail=f"{len(pairs)} pairs x {cfg['embedding']['n_seeds']} seeds")
-        summary["embedding"] = {"n_pairs": len(pairs),
-                                "n_seeds": cfg["embedding"]["n_seeds"],
+                   detail=f"{len(pairs)} pairs x {n_seeds} seeds")
+        summary["embedding"] = {"n_pairs": len(pairs), "n_seeds": n_seeds,
                                 "mismatches": mismatches}
         tables["embedding"] = (["alpha", "beta", "seed", "matched"], rows)
 

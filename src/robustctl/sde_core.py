@@ -36,6 +36,7 @@ __all__ = [
     "eval_payoff",
     "euler_step",
     "sample_noise",
+    "sample_noise_batch",
     "validate_assumptions",
     "derive_seed",
     "derive_seed_array",
@@ -291,9 +292,39 @@ class NoisePath:
         return self.dW.shape[0]
 
 
+def sample_noise_batch(times: np.ndarray, seeds: np.ndarray, noise_dim: int,
+                       extra_dim: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Noise for uint64 path seeds: ``dW`` (c, N, noise_dim), ``extra`` (c, N, extra_dim).
+
+    The only code that turns seeds into increments: row p is the
+    ``stream_generator(seeds[p], STREAM_BROWNIAN)`` (and ``STREAM_EXTRA``)
+    draw times sqrt(dt).  One bit generator is recycled through the rows by
+    setting a fresh state with the row's key and stream word, which draws
+    the same numbers as constructing it anew at a fraction of the cost.
+    """
+    n = times.size - 1
+    dW = np.empty((seeds.size, n, noise_dim))
+    extra = np.empty((seeds.size, n, extra_dim))
+    bg = np.random.Philox(key=np.uint64(0))
+    gen = np.random.Generator(bg)
+    fresh = bg.state  # zero counter, empty buffer; only key[0] and counter[3] change
+    for p in range(seeds.size):
+        for stream, out in ((STREAM_BROWNIAN, dW), (STREAM_EXTRA, extra)):
+            if out.shape[2]:
+                fresh["state"]["key"][0] = seeds[p]
+                fresh["state"]["counter"][3] = stream
+                bg.state = fresh
+                gen.standard_normal(out=out[p])
+    # elementwise on the full block, so bitwise equal to scaling row by row
+    scale = np.sqrt(np.diff(times))[:, None]
+    dW *= scale
+    extra *= scale
+    return dW, extra
+
+
 def sample_noise(time_grid: np.ndarray, seed: int, noise_dim: int,
                  extra_dim: int = 0) -> NoisePath:
-    """Draw one noise path for one seed.
+    """Draw one noise path for one seed: the one-row case of :func:`sample_noise_batch`.
 
     Pure in (time_grid, seed, dims): repeated calls agree bitwise.  The
     Brownian and extra increments come from disjoint Philox streams of the
@@ -302,17 +333,11 @@ def sample_noise(time_grid: np.ndarray, seed: int, noise_dim: int,
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ConfigError("time_grid must be 1-d with at least two points")
-    dts = np.diff(times)
-    if not np.all(dts > 0):
+    if not np.all(np.diff(times) > 0):
         raise ConfigError("time_grid must be strictly increasing")
-    scale = np.sqrt(dts)[:, None]
-    n = times.size - 1
-    dW = stream_generator(seed, STREAM_BROWNIAN).standard_normal((n, noise_dim)) * scale
-    if extra_dim > 0:
-        extra = stream_generator(seed, STREAM_EXTRA).standard_normal((n, extra_dim)) * scale
-    else:
-        extra = np.zeros((n, 0))
-    return NoisePath(times=times, dW=dW, extra=extra, seed=int(seed))
+    dW, extra = sample_noise_batch(times, np.array([int(seed) & _MASK64], dtype=np.uint64),
+                                   noise_dim, extra_dim)
+    return NoisePath(times=times, dW=dW[0], extra=extra[0], seed=int(seed))
 
 
 # ----------------------------------------------------- assumption checks ---- #

@@ -658,18 +658,22 @@ class SignControl(OpenLoopControl):
         return np.where(level >= 0.0, self.pos_index, self.neg_index).astype(np.int64)
 
 
-@dataclass(frozen=True)
 class ReplayControl(OpenLoopControl):
-    """Replays a recorded index path verbatim on every row."""
+    """Replays recorded index paths verbatim: one (N,) path on every row, or (c, N), one per row."""
 
-    indices: tuple
-    label: str = "replay"
+    def __init__(self, indices, label: str = "replay"):
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.label = label
 
     def realize_batch(self, times, dW, extra, seeds):
-        if len(self.indices) != dW.shape[1]:
+        paths = self.indices
+        if paths.shape[-1] != dW.shape[1]:
             raise ConfigError(
-                f"replay control has {len(self.indices)} steps, noise has {dW.shape[1]}")
-        return np.broadcast_to(np.asarray(self.indices, dtype=np.int64), dW.shape[:2])
+                f"replay control has {paths.shape[-1]} steps, noise has {dW.shape[1]}")
+        if paths.ndim == 2 and paths.shape[0] != dW.shape[0]:
+            raise ConfigError(
+                f"replay control has {paths.shape[0]} rows, noise has {dW.shape[0]}")
+        return np.broadcast_to(paths, dW.shape[:2])
 
 
 class PiecewiseRandomControl(OpenLoopControl):

@@ -23,7 +23,8 @@ from robustctl.problems import build_problem
 from robustctl.reports import summary_to_json
 from robustctl.runner import COMMANDS, Checks, _finish, run_experiment, write_result
 from robustctl.sde_core import derive_seed, derive_seed_array
-from robustctl.strategies import AbsRegion, CappedRule, FixedTimeRule, HittingRule
+from robustctl.strategies import (AbsRegion, CappedRule, FixedTimeRule, HittingRule,
+                                  ReplayControl)
 
 CHEAP_PENNIES = {
     "problem": {"id": "pennies"},
@@ -278,6 +279,31 @@ def test_every_stage_equals_the_direct_calls():
     assert summary["embedding"] == {"n_pairs": 9, "n_seeds": 1, "mismatches": 0}
     assert [row[3] for row in tables["embedding"][1]] == [True] * 9
     assert result.exit_code == 0, summary["failed_checks"]
+
+
+def test_embedding_check_fails_on_exactly_the_doctored_rows(monkeypatch):
+    # the replay flips v on step 10 of row 0 only, so each pair's seed-0 row,
+    # and no other, must come back unmatched
+    honest = ReplayControl.realize_batch
+
+    def doctored(self, *args):
+        paths = np.array(honest(self, *args))
+        paths[0, 10] = 1 - paths[0, 10]
+        return paths
+
+    monkeypatch.setattr(ReplayControl, "realize_batch", doctored)
+    cfg = {**CHEAP_PENNIES, "embedding": {"n_seeds": 3},
+           "experiments": {"value": False, "filtration": False, "embedding": True}}
+    result = run_experiment(cfg, command="run", seed=6)
+    summary, rows = result.summary, result.tables["embedding"][1]
+    assert summary["embedding"] == {"n_pairs": 9, "n_seeds": 3, "mismatches": 9}
+    assert [row[2] for row in rows] == [0] * 9 + [1] * 9 + [2] * 9
+    assert [row[3] for row in rows] == [False] * 9 + [True] * 18
+    embedding_warnings = [w for w in summary["warnings"] if w.startswith("embedding ")]
+    assert len(embedding_warnings) == 9
+    for aid, bid, _, _ in rows[:9]:
+        assert any(w.startswith(f"embedding {aid}/{bid} seed 0: ") for w in embedding_warnings)
+    assert summary["failed_checks"] == ["embedding.match"] and result.exit_code == 1
 
 
 def test_filtration_without_the_value_stage_picks_over_the_base_family():

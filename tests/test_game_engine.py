@@ -31,15 +31,18 @@ from robustctl.game_engine import (Adversary, AdversaryFamily,
                                    filtration_experiment, robust_value,
                                    simulate_feedback_pair, simulate_strong,
                                    value_experiment)
-from robustctl.sde_core import (derive_seed_array, eval_payoff, euler_step,
+from robustctl.pde_solver import make_grid, solve_isaacs
+from robustctl.sde_core import (ControlSet, NoisePath, ProblemSpec,
+                                derive_seed_array, eval_payoff, euler_step,
                                 sample_noise)
 from robustctl.strategies import (_NOT_YET, AbsRegion, CappedRule,
                                   ConstantAction, ConstantControl,
                                   ElementaryStrategy, FixedTimeRule,
                                   GridIndexRule, HittingRule, LookaheadAction,
                                   LookaheadControl, LookaheadRule,
-                                  PiecewiseRandomControl, ReplayControl,
-                                  SignControl, StoppingRule, fire_batch,
+                                  OpenLoopControl, PiecewiseRandomControl,
+                                  ReplayControl, SignControl, StoppingRule,
+                                  check_nonanticipative, fire_batch,
                                   make_grid_strategy)
 
 
@@ -160,7 +163,7 @@ def test_recorded_index_paths_match_the_oracle(pennies_problem):
             assert np.array_equal(got, want), (seed, strat.label)
             switches += np.count_nonzero(np.diff(got))
         res = embed_feedback_as_openloop(spec, alpha, beta, noise, np.array([0.0]))
-        assert np.array_equal(res.replayed.states, traj.states)
+        assert np.array_equal(res.states[0], traj.states)
     assert switches > 0
 
 
@@ -847,6 +850,28 @@ def test_dpp_runs_a_capped_first_exit_rule(drift_problem, drift_fields):
     assert rep.worst_adversary in family.ids
 
 
+def test_dpp_screens_rules_at_the_state_dimension():
+    # a rule on coordinate 1 of a plane diffusion: the screen must walk 2-d
+    # paths, or the region lookup fails before the march starts
+    zero = ControlSet(np.array([[0.0]]))
+    spec = ProblemSpec(label="plane", dim=2, noise_dim=2, horizon=0.5,
+                       drift=lambda t, x, u, v: np.zeros_like(x),
+                       diffusion=lambda t, x, u, v: np.broadcast_to(np.eye(2), x.shape + (2,)),
+                       payoff=lambda x: np.exp(-(x ** 2).sum(axis=-1)),
+                       controls_u=zero, controls_v=zero, payoff_bound=1.0)
+    field = solve_isaacs(spec, make_grid(spec, -3, 3, 0.25), "lower")
+    alpha = constant_strategy(zero, 0, 0.0, spec.horizon)
+    family = AdversaryFamily((const_adv(0, "c0"),))
+    kw = dict(n_paths=256, master_seed=3, engine=EngineConfig(n_steps=32))
+    x0 = np.array([0.0, 0.2])
+    exit1, at_t = dpp_checks(spec, field, 0.0, x0, [("c", alpha)], family,
+                             [("exit1", HittingRule(AbsRegion(0.5, coord=1))),
+                              ("T", FixedTimeRule(spec.horizon))], **kw)
+    # no control: the restart identity is the heat martingale, at any rule
+    assert exit1.residual < 4 * exit1.std_error + 0.02
+    assert exit1.game_value != at_t.game_value
+
+
 def test_dpp_refuses_an_anticipating_rule(pennies_problem, pennies_fields):
     lower, _ = pennies_fields
     spec = pennies_problem.spec
@@ -900,6 +925,7 @@ def test_feedback_adversaries_embed_as_replayed_open_loop(pennies_problem,
                                                           drift_problem,
                                                           pennies_fields,
                                                           drift_fields):
+    # one batched call per pair; every row is the single-path march on its noise
     for problem, fields in ((pennies_problem, pennies_fields),
                             (drift_problem, drift_fields)):
         spec = problem.spec
@@ -909,13 +935,60 @@ def test_feedback_adversaries_embed_as_replayed_open_loop(pennies_problem,
                                    label="grid4")
         beta = make_grid_strategy(upper.feedback_v, times[[0, 16, 32]],
                                   label="grid2")
-        for seed in range(5):
-            noise = sample_noise(times, seed, spec.noise_dim)
-            res = embed_feedback_as_openloop(spec, alpha, beta, noise,
-                                             np.array([0.1]))
-            assert res.control.indices == tuple(res.closed_loop.v_indices)
-            assert np.array_equal(res.closed_loop.states, res.replayed.states)
-            assert res.replayed.payoff == res.closed_loop.payoff
+        noises = [sample_noise(times, seed, spec.noise_dim) for seed in range(5)]
+        res = embed_feedback_as_openloop(spec, alpha, beta, noises, np.array([0.1]))
+        assert res.states.shape == (5, 33, 1) and res.v_indices.shape == (5, 32)
+        assert np.array_equal(res.control.indices, res.v_indices)
+        for k, noise in enumerate(noises):
+            traj = simulate_feedback_pair(spec, alpha, beta, noise, np.array([0.1]))
+            assert np.array_equal(res.states[k], traj.states)
+            assert np.array_equal(res.u_indices[k], traj.u_indices)
+            assert np.array_equal(res.v_indices[k], traj.v_indices)
+            assert res.payoffs[k] == traj.payoff
+            one = embed_feedback_as_openloop(spec, alpha, beta, noise, np.array([0.1]))
+            assert np.array_equal(one.states[0], res.states[k])
+
+
+def test_embedding_refuses_noise_on_different_grids(pennies_problem):
+    spec = pennies_problem.spec
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    beta = hitswitch_strategy(spec.controls_v, 0.0, spec.horizon)
+    noises = [sample_noise(np.linspace(0.0, spec.horizon, 33), 0, spec.noise_dim),
+              sample_noise(np.linspace(0.0, 0.5 * spec.horizon, 33), 1, spec.noise_dim)]
+    with pytest.raises(ConfigError, match="one time grid"):
+        embed_feedback_as_openloop(spec, alpha, beta, noises, np.array([0.0]))
+
+
+class EmbeddedReply(OpenLoopControl):
+    """beta's recorded replies as a map of the noise, through the batched embedding."""
+
+    def __init__(self, spec, alpha, beta):
+        self.spec, self.alpha, self.beta = spec, alpha, beta
+        self.label = f"{alpha.label}/{beta.label}"
+
+    def realize_batch(self, times, dW, extra, seeds):
+        noises = [NoisePath(times=times, dW=dW[p], extra=extra[p], seed=int(seeds[p]))
+                  for p in range(seeds.size)]
+        return embed_feedback_as_openloop(self.spec, self.alpha, self.beta, noises,
+                                          np.zeros(self.spec.dim)).v_indices
+
+
+def test_embedded_replies_are_non_anticipating_maps_of_the_noise(
+        pennies_problem, drift_problem, pennies_fields, drift_fields):
+    # the paper's embedding: nature's feedback reply, played against alpha, is
+    # an open-loop control, so v on step i reads the increments before i only.
+    # An off-by-one in the engine's noise indexing makes the state, and with it
+    # the hitting-time replies, depend on the current increment; each
+    # beta:hitswitch pair then fails 6 to 9 of the 1000 trials.
+    engine = EngineConfig(n_steps=64)
+    for problem, (lower, upper) in ((pennies_problem, pennies_fields),
+                                    (drift_problem, drift_fields)):
+        spec = problem.spec
+        for aid, alpha, bid, beta in builtin_pairs(problem, lower, upper, 0.0, engine):
+            rep = check_nonanticipative(EmbeddedReply(spec, alpha, beta), n_trials=1000,
+                                        seed=5, n_steps=engine.n_steps,
+                                        horizon=spec.horizon, noise_dim=spec.noise_dim)
+            assert rep.failures == 0, (problem.id, aid, bid, rep.first_failure)
 
 
 def test_doctored_replay_is_caught_at_the_first_state_it_moves(pennies_problem,
@@ -936,6 +1009,7 @@ def test_doctored_replay_is_caught_at_the_first_state_it_moves(pennies_problem,
     with pytest.raises(EmbeddingMismatchError, match="diverges at step 11") as err:
         embed_feedback_as_openloop(spec, alpha, beta, noise, np.array([0.0]))
     assert err.value.step == 11 and err.value.max_abs_diff > 0.0
+    assert err.value.seed == 4 and err.value.rows == [0]
 
 
 # ----------------------------------------------------------------- blow-up ---- #

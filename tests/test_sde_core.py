@@ -13,8 +13,8 @@ from robustctl.errors import ConfigError, ModelEvaluationError
 from robustctl.sde_core import (STREAM_BROWNIAN, STREAM_EXTRA, ControlSet,
                                 ProblemSpec, derive_seed, derive_seed_array,
                                 euler_step, eval_diffusion, eval_drift,
-                                eval_payoff, sample_noise, stream_generator,
-                                validate_assumptions)
+                                eval_payoff, sample_noise, sample_noise_batch,
+                                stream_generator, validate_assumptions)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -89,6 +89,29 @@ def test_sample_noise_increment_variance():
     noise = sample_noise(times, 0, 1)
     var = float(np.var(noise.dW[:, 0]))
     assert dt * 0.9 <= var <= dt * 1.1
+
+
+def test_noise_panel_rows_are_fresh_stream_draws():
+    # the independent oracle for the engine's noise: row p of the panel is a
+    # freshly constructed generator's draw for seeds[p], times sqrt(dt)
+    times = np.cumsum(np.r_[0.0, np.linspace(0.01, 0.05, 24)])
+    scale = np.sqrt(np.diff(times))[:, None]
+    seeds = derive_seed_array(17, np.arange(64))
+    for noise_dim, extra_dim in ((1, 0), (2, 3)):
+        dW, extra = sample_noise_batch(times, seeds, noise_dim, extra_dim)
+        assert dW.shape == (64, 24, noise_dim) and extra.shape == (64, 24, extra_dim)
+        for p, seed in enumerate(seeds):
+            want = stream_generator(int(seed), STREAM_BROWNIAN).standard_normal((24, noise_dim))
+            assert np.array_equal(dW[p], want * scale)
+            want = stream_generator(int(seed), STREAM_EXTRA).standard_normal((24, extra_dim))
+            assert np.array_equal(extra[p], want * scale)
+    # sample_noise is the one-row case, seed masked to 64 bits
+    for seed in (3, -3, 2 ** 64 + 3):
+        one = sample_noise(times, seed, 2, extra_dim=3)
+        row = np.array([seed & (2 ** 64 - 1)], dtype=np.uint64)
+        dW, extra = sample_noise_batch(times, row, 2, 3)
+        assert np.array_equal(one.dW, dW[0]) and np.array_equal(one.extra, extra[0])
+        assert one.seed == seed
 
 
 def test_sample_noise_rejects_bad_grid():

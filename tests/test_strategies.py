@@ -478,6 +478,17 @@ def test_replay_control():
         realize(ReplayControl((0, 1)), noise)
 
 
+def test_replay_control_plays_one_recorded_path_per_row():
+    _, dW, extra, seeds = noise_batch(range(3))
+    paths = np.arange(3 * 32).reshape(3, 32) % 2
+    assert np.array_equal(realize_checked(ReplayControl(paths), TIMES, dW, extra, seeds),
+                          paths)
+    with pytest.raises(ConfigError, match="replay control has 2 rows, noise has 3"):
+        realize_checked(ReplayControl(paths[:2]), TIMES, dW, extra, seeds)
+    with pytest.raises(ConfigError, match="replay control has 31 steps, noise has 32"):
+        realize_checked(ReplayControl(paths[:, :31]), TIMES, dW, extra, seeds)
+
+
 def test_piecewise_random_control_draws_from_the_path_seed():
     ctrl = PiecewiseRandomControl(n_choices=2, n_segments=4, salt=1)
     assert ctrl.info_level == "enlarged"
