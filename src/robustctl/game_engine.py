@@ -22,16 +22,19 @@ adversary families used for inner infima.
 One chunked batch engine computes every trajectory.  Every estimate is a
 cell of one strategies x adversaries table marched on one noise panel and
 reduced by one sup-inf fold (:func:`_fold`).  :func:`value_experiment` is
-the only entry point for payoff tables; :func:`estimate_payoff`,
-:func:`robust_value` and :func:`filtration_experiment` are thin calls into
-it, and :func:`dpp_checks` folds every rule's restart values from one
-recorded table.  A single path (:func:`simulate_strong`,
-:func:`simulate_feedback_pair`) is a chunk of one; the embedding marches its
-noise paths as one chunk for the pair and one for the replay.  Strategies
-are played by :class:`~robustctl.strategies.StrategyTracker` and open-loop
-controls realized by :func:`~robustctl.strategies.realize_checked`, the
-batch forms that :func:`~robustctl.strategies.check_nonanticipative`
-screens; the tests check both against a per-path oracle.  With
+the only entry point for payoff tables; :func:`estimate_payoff` and
+:func:`filtration_experiment` are thin calls into it, and
+:func:`dpp_checks` folds every rule's restart values from one recorded
+table.  The two games have one recorded entry point each, both returning a
+:class:`Paths` record of a batch of noise paths marched as one chunk:
+:func:`simulate_strong` (feedback alpha against an open-loop control) and
+:func:`simulate_feedback_pair` (alpha against a feedback beta); the
+embedding is the second replayed through the first.  Both players'
+strategies are played by :class:`~robustctl.strategies.StrategyTracker`,
+built and checked by one helper (:func:`_tracker`), and open-loop controls
+realized by :func:`~robustctl.strategies.realize_checked`, the batch forms
+that :func:`~robustctl.strategies.check_nonanticipative` screens; the tests
+check both against a per-path oracle.  With
 ``EngineConfig.threads > 1`` the chunks are marched in worker processes
 started by fork, which write their results into arrays shared with the
 parent.  Results are bitwise invariant to chunk size and worker count: path
@@ -56,18 +59,17 @@ from .pde_solver import ValueField
 from .sde_core import (NoisePath, ProblemSpec, derive_seed, derive_seed_array,
                        eval_pairs, eval_payoff, sample_noise_batch)
 from .strategies import (AbsRegion, ConstantAction, ConstantControl,
-                         ElementaryStrategy, FeedbackMap, FixedTimeRule,
-                         HittingRule, OpenLoopControl, PiecewiseRandomControl,
-                         ReplayControl, SignControl, StoppingRule, StrategyTracker,
-                         check_nonanticipative, fire_batch, make_grid_strategy,
-                         realize_checked)
+                         ElementaryStrategy, FeedbackLookupAction, FeedbackMap,
+                         FixedTimeRule, HittingRule, OpenLoopControl,
+                         PiecewiseRandomControl, ReplayControl, SignControl,
+                         StoppingRule, StrategyTracker, check_nonanticipative,
+                         fire_batch, make_grid_strategy, realize_checked)
 
 __all__ = [
-    "Trajectory", "ValueEstimate", "EngineConfig",
+    "Paths", "ValueEstimate", "EngineConfig",
     "Adversary", "AdversaryFamily", "BestResponseTable",
-    "simulate_strong", "simulate_feedback_pair",
-    "EmbeddingResult", "embed_feedback_as_openloop",
-    "estimate_payoff", "RobustValue", "robust_value",
+    "simulate_strong", "simulate_feedback_pair", "embed_feedback_as_openloop",
+    "estimate_payoff", "RobustValue",
     "ValueExperimentReport", "value_experiment",
     "FiltrationReport", "filtration_experiment",
     "DppReport", "dpp_check", "dpp_checks",
@@ -79,15 +81,17 @@ __all__ = [
 
 
 @dataclass(eq=False)
-class Trajectory:
-    """One simulated path with the control indices actually played."""
+class Paths:
+    """One marched chunk, one row per path: states (c, N+1, dim), the u and v
+    index paths (c, N) as played, payoffs (c,), path seeds (c,) and the clamp
+    count summed over rows.  States and index paths are None when the march
+    did not record them."""
 
-    times: np.ndarray
-    states: np.ndarray
-    u_indices: np.ndarray
-    v_indices: np.ndarray
-    payoff: float
-    seed: int
+    states: np.ndarray | None
+    u_indices: np.ndarray | None
+    v_indices: np.ndarray | None
+    payoffs: np.ndarray
+    seeds: np.ndarray
     clamp_count: int = 0
 
 
@@ -112,14 +116,12 @@ class EngineConfig:
     ``threads`` is the number of worker processes (started by fork) that
     march chunks side by side; 1 marches every chunk in this process.
     Results are bitwise the same for any ``chunk_size`` and ``threads``;
-    they exist for memory and speed only.  ``extra_dim`` overrides the
-    auxiliary noise width (default: whatever the adversary requires).
+    they exist for memory and speed only.
     """
 
     n_steps: int
     chunk_size: int = 8192
     threads: int = 1
-    extra_dim: int | None = None
 
     def __post_init__(self):
         if self.n_steps < 1 or self.chunk_size < 1 or self.threads < 1:
@@ -205,7 +207,7 @@ class AdversaryFamily:
         return max(m.extra_dim for m in self.members)
 
 
-# ------------------------------------------------- single-path entry points ---- #
+# ------------------------------------------------------ recorded entry points ---- #
 
 
 def _refuse_anticipating(cells) -> None:
@@ -215,9 +217,13 @@ def _refuse_anticipating(cells) -> None:
                 "anticipating strategies/controls are test fixtures; refusing to simulate")
 
 
-def _march_noise(spec: ProblemSpec, strategy: ElementaryStrategy, adversary: Adversary,
-                 noises: list, x0):
-    """One recorded chunk on the given noise paths, one row each; see :func:`_march_chunk`."""
+def _record(spec: ProblemSpec, strategy: ElementaryStrategy, adversary: Adversary,
+            noise, x0) -> Paths:
+    """The game on one :class:`NoisePath` or a sequence of them on one time grid,
+    marched as one recorded chunk, one row per path."""
+    noises = [noise] if isinstance(noise, NoisePath) else list(noise)
+    if any(not np.array_equal(n.times, noises[0].times) for n in noises):
+        raise ConfigError("noise paths must share one time grid")
     _refuse_anticipating([(strategy, adversary)])
     seeds = np.array([n.seed for n in noises], dtype=np.uint64)
     return _march_chunk(spec, noises[0].times, seeds, _as_state(spec, x0), strategy,
@@ -225,83 +231,54 @@ def _march_noise(spec: ProblemSpec, strategy: ElementaryStrategy, adversary: Adv
                         np.stack([n.extra for n in noises]), record_states=True)
 
 
-def _simulate_path(spec: ProblemSpec, strategy: ElementaryStrategy,
-                   adversary: Adversary, noise: NoisePath, x0) -> Trajectory:
-    """One path on the given noise, marched by the batch engine as a chunk of one."""
-    payoffs, clamps, (states, u_paths, v_paths) = _march_noise(spec, strategy, adversary,
-                                                               [noise], x0)
-    return Trajectory(times=noise.times, states=states[0],
-                      u_indices=u_paths[0].astype(np.int64),
-                      v_indices=v_paths[0].astype(np.int64), payoff=float(payoffs[0]),
-                      seed=noise.seed, clamp_count=clamps)
-
-
 def simulate_strong(spec: ProblemSpec, strategy: ElementaryStrategy,
-                    control: OpenLoopControl, noise: NoisePath,
-                    x0: np.ndarray) -> Trajectory:
-    """One path of the strong-formulation game: feedback u against open-loop v.
+                    control: OpenLoopControl, noise, x0) -> Paths:
+    """The strong-formulation game: feedback u against open-loop v, on the noise paths.
 
-    The control's index path is realized from the noise up front (it is
+    The control's index paths are realized from the noise up front (they are
     state-independent by definition) and consumed step by step.
     """
-    adversary = Adversary(id=control.label, kind="open_loop", control=control)
-    return _simulate_path(spec, strategy, adversary, noise, x0)
+    return _record(spec, strategy, Adversary(id=control.label, kind="open_loop",
+                                             control=control), noise, x0)
 
 
 def simulate_feedback_pair(spec: ProblemSpec, alpha: ElementaryStrategy,
-                           beta: ElementaryStrategy, noise: NoisePath,
-                           x0: np.ndarray) -> Trajectory:
-    """One path with both players running elementary feedback strategies."""
-    adversary = Adversary(id=beta.label, kind="strategy", strategy=beta)
-    return _simulate_path(spec, alpha, adversary, noise, x0)
-
-
-@dataclass(eq=False)
-class EmbeddingResult:
-    """Feedback-vs-feedback paths, one row per noise path, verified equal to their
-    open-loop replay: states (c, N+1, dim), index paths (c, N), payoffs (c,)."""
-
-    states: np.ndarray
-    u_indices: np.ndarray
-    v_indices: np.ndarray
-    payoffs: np.ndarray
-    control: ReplayControl
+                           beta: ElementaryStrategy, noise, x0) -> Paths:
+    """The symmetric game: both players run elementary feedback strategies."""
+    return _record(spec, alpha, Adversary(id=beta.label, kind="strategy", strategy=beta),
+                   noise, x0)
 
 
 def embed_feedback_as_openloop(spec: ProblemSpec, alpha: ElementaryStrategy,
-                               beta: ElementaryStrategy, noise, x0) -> EmbeddingResult:
-    """Record beta's moves along the pair's paths and replay them open loop.
+                               beta: ElementaryStrategy, noise, x0) -> tuple:
+    """The pair's :class:`Paths` and the :class:`ReplayControl` that reproduces them.
 
     ``noise`` is one :class:`NoisePath` or a sequence of them on one time
-    grid, one row each.  The pair and then alpha against a
-    :class:`ReplayControl` of the recorded v paths are each marched as one
-    chunk; states and both index paths must match bitwise on every row, or
-    :class:`EmbeddingMismatchError` names the first mismatching row and all
-    of them.  This pathwise identity embeds feedback adversaries into the
-    open-loop class.
+    grid, one row each.  The pair is marched by :func:`simulate_feedback_pair`,
+    then alpha against a replay of the recorded v paths by
+    :func:`simulate_strong`; states and both index paths must match bitwise
+    on every row, or :class:`EmbeddingMismatchError` names the first
+    mismatching row and all of them.  This pathwise identity embeds feedback
+    adversaries into the open-loop class.
     """
-    noises = [noise] if isinstance(noise, NoisePath) else list(noise)
-    if any(not np.array_equal(n.times, noises[0].times) for n in noises):
-        raise ConfigError("embedding noise paths must share one time grid")
-    closed = Adversary(id=beta.label, kind="strategy", strategy=beta)
-    payoffs, _, (states, u, v) = _march_noise(spec, alpha, closed, noises, x0)
-    control = ReplayControl(v, label=f"replay[{beta.label}]")
-    replay = Adversary(id=control.label, kind="open_loop", control=control)
-    _, _, (r_states, r_u, r_v) = _march_noise(spec, alpha, replay, noises, x0)
-    moved = [("trajectory", np.any(states != r_states, axis=2)),
-             ("u path", u != r_u), ("v path", v != r_v)]
+    pair = simulate_feedback_pair(spec, alpha, beta, noise, x0)
+    control = ReplayControl(pair.v_indices, label=f"replay[{beta.label}]")
+    replay = simulate_strong(spec, alpha, control, noise, x0)
+    moved = [("trajectory", np.any(pair.states != replay.states, axis=2)),
+             ("u path", pair.u_indices != replay.u_indices),
+             ("v path", pair.v_indices != replay.v_indices)]
     rows = np.flatnonzero(np.any([m.any(axis=1) for _, m in moved], axis=0))
     if rows.size:
         p = int(rows[0])
         name, m = next((name, m[p]) for name, m in moved if m[p].any())
         step = int(np.argmax(m))
+        seed = int(pair.seeds[p])
         raise EmbeddingMismatchError(
-            f"replayed {name} diverges at step {step} on row {p} (seed {noises[p].seed}); "
+            f"replayed {name} diverges at step {step} on row {p} (seed {seed}); "
             f"mismatching rows {rows.tolist()}",
-            step=step, max_abs_diff=float(np.abs(states[p] - r_states[p]).max()),
-            seed=noises[p].seed, rows=rows.tolist())
-    return EmbeddingResult(states=states, u_indices=u, v_indices=v, payoffs=payoffs,
-                           control=control)
+            step=step, max_abs_diff=float(np.abs(pair.states[p] - replay.states[p]).max()),
+            seed=seed, rows=rows.tolist())
+    return pair, control
 
 
 def _as_state(spec: ProblemSpec, x0) -> np.ndarray:
@@ -314,6 +291,27 @@ def _as_state(spec: ProblemSpec, x0) -> np.ndarray:
 # ----------------------------------------------------------- batch engine ---- #
 
 
+def _tracker(strategy: ElementaryStrategy, controls, side: str, times: np.ndarray,
+             n: int) -> StrategyTracker:
+    """The tracker for one side's strategy, its actions checked against that side's set.
+
+    The one check for either player, made once per march: the tracker and
+    the step kernel index unchecked, so a constant index or a feedback
+    table on a control set past the side's would decode as another (u, v)
+    pair.
+    """
+    n_set = controls.size
+    for action in strategy.actions:
+        if isinstance(action, ConstantAction) and not 0 <= action.index < n_set:
+            raise ModelEvaluationError(f"{side} strategy {strategy.label!r} plays index "
+                                       f"{action.index} outside [0, {n_set})")
+        if isinstance(action, FeedbackLookupAction) and action.feedback.control_set.size > n_set:
+            raise ModelEvaluationError(
+                f"{side} strategy {strategy.label!r} reads table {action.feedback.label!r} "
+                f"on {action.feedback.control_set.size} controls, outside [0, {n_set})")
+    return StrategyTracker(strategy, times, n)
+
+
 def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.ndarray,
                            dW: np.ndarray, extra: np.ndarray, seeds: np.ndarray):
     """Strategy-independent batch form of an adversary on one chunk's noise.
@@ -324,9 +322,9 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
     realization; strategy-kind adversaries are stateful and get a fresh
     tracker per cell instead.
     """
-    n_v = spec.controls_v.size
     if adversary.kind == "open_loop":
-        paths = realize_checked(adversary.control, times, dW, extra, seeds, n_v)
+        paths = realize_checked(adversary.control, times, dW, extra, seeds,
+                                spec.controls_v.size)
         # time-major so each step reads one contiguous row
         paths_tm = np.ascontiguousarray(paths.astype(np.int32).T)
         step = lambda i, X, u_idx: paths_tm[i]
@@ -340,37 +338,27 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
         step = lambda i, X, u_idx: table.lookup_batch(float(times[i]), u_idx, X)
         return lambda: (step, None)
     def factory():
-        tracker = StrategyTracker(adversary.strategy, times, seeds.size)
-
-        def from_strategy(i, X, u_idx):
-            v = tracker.on_state(i, X)
-            if not tracker.all_defined:
-                raise StrategyIntervalError(
-                    f"adversary strategy {adversary.strategy.label!r} inactive on step {i}")
-            # an index past the set would decode as another (u, v) pair in _step_batch
-            if v.min() < 0 or v.max() >= n_v:
-                raise ModelEvaluationError(
-                    f"adversary {adversary.id!r} produced indices outside [0, {n_v}) on step {i}")
-            return v
-
-        return from_strategy, tracker
+        tracker = _tracker(adversary.strategy, spec.controls_v, "adversary", times,
+                           seeds.size)
+        return (lambda i, X, u_idx: tracker.on_state(i, X)), tracker
 
     return factory
 
 
 def _step_uniform(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
-                  iu: int, jv: int, dWi: np.ndarray) -> None:
+                  iu: int, jv: int, dWi: np.ndarray) -> tuple:
     # in-place x += b dt; x += sig dW keeps euler_step's association exactly
     u, v = spec.controls_u.point(iu), spec.controls_v.point(jv)
     b = np.asarray(spec.drift(t, X, u, v), dtype=float)
     sig = np.asarray(spec.diffusion(t, X, u, v), dtype=float)
     X += b * dt
     X += (sig * dWi[..., None, :]).sum(axis=-1)
+    return b, sig, None
 
 
 def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
                 u_idx: np.ndarray, v_idx: np.ndarray, dWi: np.ndarray,
-                rows: np.ndarray) -> None:
+                rows: np.ndarray) -> tuple:
     """One Euler step in place, with paths grouped by their (u, v) pair.
 
     Steps where every path shares one pair (the pair code's min equals its
@@ -381,6 +369,9 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
     The coefficient contract (vectorized, row i depends on x[i] alone) makes
     that the same floats as a per-group evaluation, without mask extraction
     and scatter; ``rows`` is ``arange(len(X))``, built once per march.
+    Returns the coefficient blocks it evaluated, for the blow-up report:
+    (drift, diffusion, None) on a uniform step, else (drift per live pair,
+    diffusion per live pair, each row's pair slot).
     """
     n_u, n_v = spec.controls_u.size, spec.controls_v.size
     if n_u == 1 and n_v == 1:
@@ -403,73 +394,92 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
     sel = slot[code]
     X += B[sel, rows] * dt
     X += (S[sel, rows] * dWi[..., None, :]).sum(axis=-1)
+    return B, S, sel
+
+
+def _blow_up(spec: ProblemSpec, t: float, t_next: float, X: np.ndarray, seeds: np.ndarray,
+             u_idx: np.ndarray, v_idx: np.ndarray, blocks: tuple) -> None:
+    """Raise for a step that left the finite range, naming the cause.
+
+    The offending row is the first non-finite one (else the largest).  When
+    a coefficient block the step evaluated for that row is non-finite, the
+    callback is at fault: :class:`ModelEvaluationError` names it with t, u,
+    v and the path seed.  Otherwise the state overflowed on finite
+    coefficients: :class:`SimulationBlowUpError`.
+    """
+    finite_rows = np.all(np.isfinite(X), axis=-1)
+    bad = int(np.argmin(finite_rows)) if not finite_rows.all() \
+        else int(np.argmax(np.abs(X).max(axis=-1)))
+    seed = int(seeds[bad])
+    b, sig, sel = blocks
+    if sel is not None:
+        b, sig = b[sel[bad]], sig[sel[bad]]
+    for name, block in (("drift", b), ("diffusion", sig)):
+        if not np.all(np.isfinite(block[bad])):
+            u = spec.controls_u.point(int(u_idx[bad]))
+            v = spec.controls_v.point(int(v_idx[bad]))
+            raise ModelEvaluationError(f"{spec.label}.{name}(t={t}, u={u}, v={v}) returned "
+                                       f"non-finite values on path seed {seed}")
+    raise SimulationBlowUpError(f"state left the finite range at t={t_next} (seed {seed})",
+                                t=t_next, state=X[bad].copy(), seed=seed)
 
 
 def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
                  x0: np.ndarray, strategy: ElementaryStrategy,
                  adversary: Adversary, dW: np.ndarray, extra: np.ndarray,
                  dW_tm: np.ndarray | None = None, v_factory=None,
-                 record_states: bool = False):
-    """Payoffs, clamp count and (optionally) recorded paths for one chunk.
+                 record_states: bool = False) -> Paths:
+    """One chunk marched: its :class:`Paths`, with states and index paths
+    recorded when ``record_states`` (the indices as int32, to keep recorded
+    chunks small).
 
     ``dW`` is path-major (c, N, noise_dim); ``dW_tm`` is the same increments
     time-major (N, c, noise_dim) so step slices are contiguous, built here
     when the caller did not share one.  ``v_factory`` is a prebuilt
     adversary realization for this chunk (see :func:`_adversary_realization`),
-    also built here when not shared.  With ``record_states`` the third
-    result is (states (c, N+1, dim), u indices (c, N), v indices (c, N)),
-    else None; the indices are int32 to keep recorded chunks small.
+    also built here when not shared.
     """
     n = times.size - 1
     c = seeds.size
-    n_u = spec.controls_u.size
-    for action in strategy.actions:
-        # checked once here: the tracker and the step kernel index unchecked
-        if isinstance(action, ConstantAction) and not 0 <= action.index < n_u:
-            raise ModelEvaluationError(
-                f"strategy {strategy.label!r} plays index {action.index} outside [0, {n_u})")
-    u_tracker = StrategyTracker(strategy, times, c)
+    u_tracker = _tracker(strategy, spec.controls_u, "controller", times, c)
     if v_factory is None:
         v_factory = _adversary_realization(adversary, spec, times, dW, extra, seeds)
     v_source, v_tracker = v_factory()
+    trackers = [("controller", u_tracker)] + ([("adversary", v_tracker)] if v_tracker else [])
     if dW_tm is None:
         dW_tm = np.ascontiguousarray(dW.transpose(1, 0, 2))
     X = np.broadcast_to(x0, (c, spec.dim)).copy()
     # validated once at the start so the step loop can call the raw
     # callbacks; a shape bug is structural and shows on any state
     eval_pairs(spec, float(times[0]), X)
-    recorded = None
+    states = u_paths = v_paths = None
     if record_states:
         states = np.empty((c, n + 1, spec.dim))
         states[:, 0] = X
         u_paths = np.empty((c, n), dtype=np.int32)
         v_paths = np.empty((c, n), dtype=np.int32)
-        recorded = (states, u_paths, v_paths)
     dts = np.diff(times)
     rows = np.arange(c)
     for i in range(n):
         u_idx = u_tracker.on_state(i, X)
-        if not u_tracker.all_defined:
-            raise StrategyIntervalError(
-                f"strategy {strategy.label!r} inactive on step {i} (t={times[i]})")
         v_idx = v_source(i, X, u_idx)
-        _step_batch(spec, float(times[i]), float(dts[i]), X, u_idx, v_idx,
-                    dW_tm[i], rows)
+        for side, tracker in trackers:
+            if not tracker.all_defined:
+                raise StrategyIntervalError(f"{side} strategy {tracker.strategy.label!r} "
+                                            f"inactive on step {i} (t={times[i]})")
+        blocks = _step_batch(spec, float(times[i]), float(dts[i]), X, u_idx, v_idx,
+                             dW_tm[i], rows)
         # a single reduce; any nan/inf entry forces a non-finite total
         if not np.isfinite(float(X.sum())):
-            finite_rows = np.all(np.isfinite(X), axis=-1)
-            bad = int(np.argmin(finite_rows)) if not finite_rows.all() \
-                else int(np.argmax(np.abs(X).max(axis=-1)))
-            raise SimulationBlowUpError(
-                f"state left the finite range at t={times[i + 1]} (seed {int(seeds[bad])})",
-                t=float(times[i + 1]), state=X[bad].copy(), seed=int(seeds[bad]))
+            _blow_up(spec, float(times[i]), float(times[i + 1]), X, seeds, u_idx, v_idx,
+                     blocks)
         if record_states:
             states[:, i + 1] = X
             u_paths[:, i] = u_idx
             v_paths[:, i] = v_idx
-    payoffs = eval_payoff(spec, X)
-    clamps = u_tracker.clamp_count + (v_tracker.clamp_count if v_tracker else 0)
-    return payoffs, clamps, recorded
+    clamps = sum(tracker.clamp_count for _, tracker in trackers)
+    return Paths(states=states, u_indices=u_paths, v_indices=v_paths,
+                 payoffs=eval_payoff(spec, X), seeds=seeds, clamp_count=clamps)
 
 
 def _map_chunks(n_paths: int, engine: EngineConfig, worker) -> int:
@@ -571,10 +581,7 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     processes need not return anything.
     """
     _refuse_anticipating(cells)
-    needed = max(adv.extra_dim for _, adv in cells)
-    extra_dim = needed if engine.extra_dim is None else engine.extra_dim
-    if extra_dim < needed:
-        raise ConfigError(f"engine extra_dim {extra_dim} below required {needed}")
+    extra_dim = max(adv.extra_dim for _, adv in cells)
     n_paths = seeds.size
     record = bool(postprocess)
     values = _shared_zeros((max(len(postprocess), 1), len(cells), n_paths), np.float64)
@@ -591,17 +598,15 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
                 factories[adversary] = _adversary_realization(
                     adversary, spec, times, dW, extra, chunk_seeds)
         for ci, (strategy, adversary) in enumerate(cells):
-            payoffs, clamps, recorded = _march_chunk(spec, times, chunk_seeds, x0,
-                                                     strategy, adversary, dW, extra,
-                                                     dW_tm=dW_tm,
-                                                     v_factory=factories[adversary],
-                                                     record_states=record)
+            paths = _march_chunk(spec, times, chunk_seeds, x0, strategy, adversary, dW,
+                                 extra, dW_tm=dW_tm, v_factory=factories[adversary],
+                                 record_states=record)
             if record:
                 for k, post in enumerate(postprocess):
-                    values[k, ci, start:stop] = post(times, recorded[0])
+                    values[k, ci, start:stop] = post(times, paths.states)
             else:
-                values[0, ci, start:stop] = payoffs
-            clamp_store[chunk_id, ci] = clamps
+                values[0, ci, start:stop] = paths.payoffs
+            clamp_store[chunk_id, ci] = paths.clamp_count
 
     _map_chunks(n_paths, engine, worker)
     return values.copy(), clamp_store.sum(axis=0)
@@ -770,19 +775,9 @@ def estimate_payoff(spec: ProblemSpec, s: float, x0, strategy: ElementaryStrateg
     The 1 x 1 table of :func:`value_experiment`, so it shares the noise of
     any other estimate with the same master seed.
     """
-    return robust_value(spec, s, x0, strategy, AdversaryFamily((adversary,)), n_paths,
-                        master_seed, engine, keep_payoffs).estimate
-
-
-def robust_value(spec: ProblemSpec, s: float, x0, strategy: ElementaryStrategy,
-                 family: AdversaryFamily, n_paths: int, master_seed: int,
-                 engine: EngineConfig, keep_payoffs: bool = False) -> RobustValue:
-    """min over the family of estimated payoffs, all under the same noise.
-
-    The 1 x m table of :func:`value_experiment`; ties keep the earliest member.
-    """
-    return value_experiment(spec, s, x0, [(strategy.label, strategy)], family, n_paths,
-                            master_seed, engine, keep_payoffs).best
+    return value_experiment(spec, s, x0, [(strategy.label, strategy)],
+                            AdversaryFamily((adversary,)), n_paths, master_seed, engine,
+                            keep_payoffs).best.estimate
 
 
 def filtration_experiment(spec: ProblemSpec, s: float, x0,

@@ -185,7 +185,6 @@ class ValueField:
     """
 
     which: str
-    problem_label: str
     grid: SpaceTimeGrid
     values: np.ndarray
     feedback_u: FeedbackMap
@@ -304,7 +303,7 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower") -
 
     label = f"{spec.label}/{which}"
     return ValueField(
-        which=which, problem_label=spec.label, grid=grid, values=values,
+        which=which, grid=grid, values=values,
         feedback_u=FeedbackMap(times=times, axes=grid.axes, indices=fb_u,
                                control_set=spec.controls_u, label=f"{label}/u"),
         feedback_v=FeedbackMap(times=times, axes=grid.axes, indices=fb_v,
@@ -318,9 +317,6 @@ class FieldErrorReport:
 
     sup_error: float
     rms_error: float
-    n_points: int
-    worst_t: float
-    worst_x: tuple
 
 
 def compare_to_reference(field: ValueField, reference, lo=None, hi=None) -> FieldErrorReport:
@@ -336,15 +332,9 @@ def compare_to_reference(field: ValueField, reference, lo=None, hi=None) -> Fiel
     sup = 0.0
     sq_sum = 0.0
     count = 0
-    worst_t, worst_x = float(grid.times[0]), tuple(pts[0])
     for i, t in enumerate(grid.times):
         err = np.abs(field.values[i][mask] - reference(float(t), pts))
-        layer_sup = float(err.max())
-        if layer_sup > sup:
-            sup = layer_sup
-            worst_t = float(t)
-            worst_x = tuple(pts[int(np.argmax(err))])
+        sup = max(sup, float(err.max()))
         sq_sum += float((err ** 2).sum())
         count += err.size
-    return FieldErrorReport(sup_error=sup, rms_error=float(np.sqrt(sq_sum / count)),
-                            n_points=count, worst_t=worst_t, worst_x=worst_x)
+    return FieldErrorReport(sup_error=sup, rms_error=float(np.sqrt(sq_sum / count)))

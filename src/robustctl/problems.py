@@ -23,7 +23,7 @@ compared on it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,6 @@ from .sde_core import ControlSet, ProblemSpec
 
 __all__ = [
     "BenchmarkProblem",
-    "register_problem",
     "build_problem",
     "available_problems",
 ]
@@ -45,17 +44,13 @@ class BenchmarkProblem:
 
     ``reference(t, x)`` is the closed-form value function when one exists
     (x batched as (..., dim), returns (...,)), else None.  ``isaacs_holds``
-    declares whether lower and upper Hamiltonians coincide; ``concave_in_u``
-    whether the drift/diffusion pair is concave in u (a sufficient condition
-    for that coincidence with convex compact controls; with finite sets it is
-    recorded for reporting only).
+    declares whether lower and upper Hamiltonians coincide.
     """
 
     id: str
     spec: ProblemSpec
     parameters: dict
     isaacs_holds: bool
-    concave_in_u: bool
     reference: Callable[[float, np.ndarray], np.ndarray] | None
     grid_lo: float
     grid_hi: float
@@ -68,22 +63,12 @@ class BenchmarkProblem:
     sim_steps: int
 
 
-_REGISTRY: dict[str, Callable[[dict], BenchmarkProblem]] = {}
-
-
-def register_problem(problem_id: str, builder: Callable[[dict], BenchmarkProblem]) -> None:
-    """Register a problem builder under a new id."""
-    if problem_id in _REGISTRY:
-        raise ConfigError(f"problem id {problem_id!r} already registered")
-    _REGISTRY[problem_id] = builder
-
-
 def available_problems() -> list[str]:
     return sorted(_REGISTRY)
 
 
 def build_problem(problem_id: str, parameters: dict | None = None) -> BenchmarkProblem:
-    """Instantiate a registered problem with optional parameter overrides."""
+    """Instantiate a built-in problem with optional parameter overrides."""
     if problem_id not in _REGISTRY:
         raise ConfigError(
             f"unknown problem {problem_id!r}; known: {', '.join(available_problems())}")
@@ -134,7 +119,7 @@ def _build_constant(params: dict) -> BenchmarkProblem:
         payoff_bound=abs(c), lipschitz_const=0.0, growth_const=1.0)
     return BenchmarkProblem(
         id="constant", spec=spec, parameters=p,
-        isaacs_holds=True, concave_in_u=True,
+        isaacs_holds=True,
         reference=lambda t, x: np.full(np.asarray(x).shape[:-1], c),
         grid_lo=-1.0, grid_hi=1.0, grid_h=0.25, grid_dt=horizon / 20.0,
         interior_lo=-1.0, interior_hi=1.0, box_lo=-5.0, box_hi=5.0,
@@ -162,7 +147,7 @@ def _build_heat(params: dict) -> BenchmarkProblem:
 
     return BenchmarkProblem(
         id="heat", spec=spec, parameters=p,
-        isaacs_holds=True, concave_in_u=True, reference=reference,
+        isaacs_holds=True, reference=reference,
         grid_lo=-6.0, grid_hi=6.0, grid_h=0.05, grid_dt=None,
         interior_lo=-3.0, interior_hi=3.0, box_lo=-6.0, box_hi=6.0,
         sim_steps=max(1, round(horizon / 1e-3)))
@@ -183,7 +168,7 @@ def _build_pennies(params: dict) -> BenchmarkProblem:
         payoff_bound=1.0, lipschitz_const=0.0, growth_const=2.0)
     return BenchmarkProblem(
         id="pennies", spec=spec, parameters=p,
-        isaacs_holds=False, concave_in_u=False, reference=None,
+        isaacs_holds=False, reference=None,
         grid_lo=-4.0, grid_hi=4.0, grid_h=0.02, grid_dt=None,
         interior_lo=-1.5, interior_hi=1.5, box_lo=-5.0, box_hi=5.0,
         sim_steps=max(1, round(horizon / 2e-3)))
@@ -204,7 +189,7 @@ def _build_drift_control(params: dict) -> BenchmarkProblem:
         payoff_bound=1.0, lipschitz_const=0.0, growth_const=2.5)
     return BenchmarkProblem(
         id="drift_control", spec=spec, parameters=p,
-        isaacs_holds=True, concave_in_u=True, reference=None,
+        isaacs_holds=True, reference=None,
         grid_lo=-4.0, grid_hi=4.0, grid_h=0.02, grid_dt=None,
         interior_lo=-1.5, interior_hi=1.5, box_lo=-5.0, box_hi=5.0,
         sim_steps=max(1, round(horizon / 2e-3)))
@@ -227,14 +212,16 @@ def _build_growth_violator(params: dict) -> BenchmarkProblem:
         payoff_bound=1.0, lipschitz_const=25.0, growth_const=1.0)
     return BenchmarkProblem(
         id="growth_violator", spec=spec, parameters=p,
-        isaacs_holds=True, concave_in_u=True, reference=None,
+        isaacs_holds=True, reference=None,
         grid_lo=-1.0, grid_hi=1.0, grid_h=0.1, grid_dt=None,
         interior_lo=-1.0, interior_hi=1.0, box_lo=-10.0, box_hi=10.0,
         sim_steps=50)
 
 
-register_problem("constant", _build_constant)
-register_problem("heat", _build_heat)
-register_problem("pennies", _build_pennies)
-register_problem("drift_control", _build_drift_control)
-register_problem("growth_violator", _build_growth_violator)
+_REGISTRY: dict[str, Callable[[dict], BenchmarkProblem]] = {
+    "constant": _build_constant,
+    "heat": _build_heat,
+    "pennies": _build_pennies,
+    "drift_control": _build_drift_control,
+    "growth_violator": _build_growth_violator,
+}

@@ -196,6 +196,41 @@ def test_strict_mode_promotes_warnings_to_failure():
     assert hard.summary["failed_checks"] == []
 
 
+def test_a_falling_rung_fails_monotone_and_clamps_warn(monkeypatch):
+    # no shipped ladder lets value.monotone or the clamp warning fire, so the
+    # value table is doctored after the march: clamps on grid2 and, in the
+    # first run, grid4 one unit below grid2, far outside the band
+    real = ge.value_experiment
+
+    def doctored(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.per_strategy["grid2"].estimate.clamp_count = 3
+        if drop:
+            grid4 = report.per_strategy["grid4"].estimate
+            grid4.mean = report.per_strategy["grid2"].mean - 1.0
+        return report
+
+    monkeypatch.setattr(ge, "value_experiment", doctored)
+    cfg = {**CHEAP_PENNIES, "experiments": {"value": True, "filtration": False,
+                                            "hamiltonian": False}}
+    warning = "value: 3 rule-order clamps during simulation"
+    drop = True
+    fallen = run_experiment(cfg, command="run", seed=3)
+    assert fallen.exit_code == 1
+    assert fallen.summary["failed_checks"] == ["value.monotone"]
+    mono = next(c for c in fallen.summary["checks"] if c["id"] == "value.monotone")
+    assert mono["value"] == 1.0
+    assert mono["detail"].startswith("grid4 (") and " below grid2 (" in mono["detail"]
+    assert fallen.summary["value"]["monotonicity_violations"] == [mono["detail"]]
+    assert fallen.summary["warnings"] == [warning]
+    drop = False
+    for strict, code in ((False, 0), (True, 1)):
+        clamped = run_experiment(cfg, command="run", seed=3, strict=strict)
+        assert clamped.summary["failed_checks"] == []
+        assert clamped.summary["warnings"] == [warning]
+        assert clamped.exit_code == code
+
+
 # ------------------------------------------- the stages against direct calls ---- #
 
 ALL_STAGES = {

@@ -20,7 +20,7 @@ import pytest
 import strategy_oracle as oracle
 from robustctl.errors import (ConfigError, EmbeddingMismatchError,
                               ModelEvaluationError, SimulationBlowUpError,
-                              StrategyStructureError)
+                              StrategyIntervalError, StrategyStructureError)
 from robustctl.game_engine import (Adversary, AdversaryFamily,
                                    BestResponseTable, EngineConfig,
                                    _map_chunks, _run_cells,
@@ -28,21 +28,20 @@ from robustctl.game_engine import (Adversary, AdversaryFamily,
                                    default_adversary_families,
                                    default_strategy_family, dpp_check,
                                    dpp_checks, embed_feedback_as_openloop, estimate_payoff,
-                                   filtration_experiment, robust_value,
-                                   simulate_feedback_pair, simulate_strong,
-                                   value_experiment)
+                                   filtration_experiment, simulate_feedback_pair,
+                                   simulate_strong, value_experiment)
 from robustctl.pde_solver import make_grid, solve_isaacs
 from robustctl.sde_core import (ControlSet, NoisePath, ProblemSpec,
                                 derive_seed_array, eval_payoff, euler_step,
                                 sample_noise)
-from robustctl.strategies import (_NOT_YET, AbsRegion, CappedRule,
+from robustctl.strategies import (_NOT_YET, UNDEFINED, AbsRegion, CappedRule,
                                   ConstantAction, ConstantControl,
                                   ElementaryStrategy, FixedTimeRule,
                                   GridIndexRule, HittingRule, LookaheadAction,
                                   LookaheadControl, LookaheadRule,
                                   OpenLoopControl, PiecewiseRandomControl,
                                   ReplayControl, SignControl, StoppingRule,
-                                  check_nonanticipative, fire_batch,
+                                  _track, check_nonanticipative, fire_batch,
                                   make_grid_strategy)
 
 
@@ -69,7 +68,7 @@ def const_adv(index: int, label: str) -> Adversary:
     return Adversary(id=label, kind="open_loop", control=ConstantControl(index))
 
 
-# --------------------------------------------------- single-path simulation ---- #
+# ------------------------------------------------------ recorded simulation ---- #
 
 
 def test_zero_coefficient_path_stays_put(constant_problem):
@@ -77,11 +76,11 @@ def test_zero_coefficient_path_stays_put(constant_problem):
     times = np.linspace(0.0, spec.horizon, 17)
     noise = sample_noise(times, 5, spec.noise_dim)
     alpha = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
-    traj = simulate_strong(spec, alpha, ConstantControl(0), noise, np.array([0.3]))
-    assert np.all(traj.states == 0.3)
-    assert traj.payoff == 1.0
-    assert traj.seed == 5
-    assert np.all(traj.u_indices == 0) and np.all(traj.v_indices == 0)
+    paths = simulate_strong(spec, alpha, ConstantControl(0), noise, np.array([0.3]))
+    assert paths.states.shape == (1, 17, 1) and np.all(paths.states == 0.3)
+    assert paths.payoffs.tolist() == [1.0]
+    assert paths.seeds.tolist() == [5] and paths.clamp_count == 0
+    assert np.all(paths.u_indices == 0) and np.all(paths.v_indices == 0)
 
 
 def test_matched_signs_reproduce_drifted_walk_bitwise(pennies_problem):
@@ -91,12 +90,12 @@ def test_matched_signs_reproduce_drifted_walk_bitwise(pennies_problem):
     times = np.linspace(0.0, spec.horizon, 33)
     noise = sample_noise(times, 11, spec.noise_dim)
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
-    traj = simulate_strong(spec, alpha, ConstantControl(1), noise, np.array([0.1]))
+    paths = simulate_strong(spec, alpha, ConstantControl(1), noise, np.array([0.1]))
     x = 0.1
     for i in range(32):
         x = (x + float(times[i + 1] - times[i])) + float(noise.dW[i, 0])
-        assert traj.states[i + 1, 0] == x
-    assert traj.payoff == float(np.tanh(x))
+        assert paths.states[0, i + 1, 0] == x
+    assert paths.payoffs[0] == float(np.tanh(x))
 
 
 def test_zero_noise_drift_integrates_exactly(drift_problem):
@@ -106,9 +105,9 @@ def test_zero_noise_drift_integrates_exactly(drift_problem):
     times = np.linspace(0.0, spec.horizon, 65)
     noise = sample_noise(times, 0, spec.noise_dim)
     alpha = constant_strategy(spec.controls_u, 2, 0.0, spec.horizon)
-    traj = simulate_strong(spec, alpha, ConstantControl(0), noise, np.array([0.0]))
-    assert traj.states[-1, 0] == 0.25
-    assert np.all(traj.u_indices == 2) and np.all(traj.v_indices == 0)
+    paths = simulate_strong(spec, alpha, ConstantControl(0), noise, np.array([0.0]))
+    assert paths.states[0, -1, 0] == 0.25
+    assert np.all(paths.u_indices == 2) and np.all(paths.v_indices == 0)
 
 
 def test_feedback_pair_freezes_both_players(pennies_problem):
@@ -119,8 +118,8 @@ def test_feedback_pair_freezes_both_players(pennies_problem):
     noise = sample_noise(times, 3, spec.noise_dim)
     alpha = hitswitch_strategy(spec.controls_u, 0.0, spec.horizon, level=0.4)
     beta = hitswitch_strategy(spec.controls_v, 0.0, spec.horizon, level=0.6)
-    traj = simulate_feedback_pair(spec, alpha, beta, noise, np.array([0.0]))
-    for seq in (traj.u_indices, traj.v_indices):
+    paths = simulate_feedback_pair(spec, alpha, beta, noise, np.array([0.0]))
+    for seq in (paths.u_indices[0], paths.v_indices[0]):
         changes = np.count_nonzero(np.diff(seq))
         assert changes <= 1  # one switch each at most
 
@@ -131,7 +130,7 @@ def test_out_of_range_strategy_reply_is_refused(pennies_problem):
     times = np.linspace(0.0, spec.horizon, 9)
     alpha = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
     beta = constant_strategy(spec.controls_v, 2, 0.0, spec.horizon)
-    with pytest.raises(ModelEvaluationError, match="outside"):
+    with pytest.raises(ModelEvaluationError, match="adversary strategy 'const2' .*outside"):
         simulate_feedback_pair(spec, alpha, beta, sample_noise(times, 1, spec.noise_dim),
                                np.array([0.0]))
 
@@ -147,6 +146,65 @@ def test_out_of_range_controller_action_is_refused(pennies_problem):
                         sample_noise(times, 1, spec.noise_dim), np.array([0.0]))
 
 
+def test_feedback_table_on_a_larger_set_is_refused_for_either_side(pennies_problem,
+                                                                  drift_fields):
+    # a drift_control table plays indices 0..2; pennies' sets have two points,
+    # so index 2 would read past them on either side
+    spec = pennies_problem.spec
+    lower, _ = drift_fields
+    times = np.linspace(0.0, spec.horizon, 9)
+    wide = make_grid_strategy(lower.feedback_u, times[[0, 4, 8]], label="wide")
+    noise = sample_noise(times, 1, spec.noise_dim)
+    fits = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
+    for side, run in (("controller", lambda: simulate_strong(
+                          spec, wide, ConstantControl(0), noise, np.array([0.0]))),
+                      ("adversary", lambda: simulate_feedback_pair(
+                          spec, fits, wide, noise, np.array([0.0])))):
+        with pytest.raises(ModelEvaluationError,
+                           match=rf"{side} strategy 'wide' reads table .* on 3 controls, "
+                                 r"outside \[0, 2\)"):
+            run()
+
+
+def test_a_strategy_that_runs_out_is_refused_on_either_side(pennies_problem):
+    # every built-in strategy ends on FixedTimeRule(T), which fires after the
+    # last step; one ending on a bare hitting rule runs out on each path that
+    # hits, and the tracker's monitors must mark those rows UNDEFINED from
+    # the hitting step on, which the engine refuses at the first such step
+    spec = pennies_problem.spec
+    times = np.linspace(0.0, spec.horizon, 33)
+    noises = [sample_noise(times, seed, spec.noise_dim) for seed in range(16)]
+    x0 = np.array([0.0])
+
+    def runs_out(control_set):
+        return ElementaryStrategy(control_set=control_set, start_rule=FixedTimeRule(0.0),
+                                  rules=(HittingRule(AbsRegion(0.5)),),
+                                  actions=(ConstantAction(1),), label="runs_out")
+
+    # until it runs out, the strategy plays index 1, so u = v = +1 on both sides
+    played = simulate_strong(spec, constant_strategy(spec.controls_u, 1, 0.0, spec.horizon),
+                             ConstantControl(1), noises, x0).states
+    got, _ = _track(runs_out(spec.controls_u), times, played)
+    out_at = []
+    for p in range(len(noises)):
+        want, _ = oracle.control_sequence(runs_out(spec.controls_u), times, played[p])
+        assert np.array_equal(got[p], want), p
+        undefined = np.flatnonzero(want == UNDEFINED)
+        if undefined.size:
+            assert np.array_equal(undefined, np.arange(undefined[0], times.size - 1)), p
+            out_at.append(int(undefined[0]))
+    assert 0 < len(out_at) < len(noises) and len(set(out_at)) > 1
+    first = min(out_at)
+    fits = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    for side, run in (("controller", lambda: simulate_strong(
+                          spec, runs_out(spec.controls_u), ConstantControl(1), noises, x0)),
+                      ("adversary", lambda: simulate_feedback_pair(
+                          spec, fits, runs_out(spec.controls_v), noises, x0))):
+        with pytest.raises(StrategyIntervalError,
+                           match=rf"^{side} strategy 'runs_out' inactive on step {first} "):
+            run()
+
+
 def test_recorded_index_paths_match_the_oracle(pennies_problem):
     # the u/v paths of a trajectory are what each strategy plays on the
     # recorded states, and replaying v open loop reproduces those states
@@ -157,13 +215,13 @@ def test_recorded_index_paths_match_the_oracle(pennies_problem):
     switches = 0
     for seed in range(8):
         noise = sample_noise(times, seed, spec.noise_dim)
-        traj = simulate_feedback_pair(spec, alpha, beta, noise, np.array([0.0]))
-        for strat, got in ((alpha, traj.u_indices), (beta, traj.v_indices)):
-            want, _ = oracle.control_sequence(strat, times, traj.states)
+        paths = simulate_feedback_pair(spec, alpha, beta, noise, np.array([0.0]))
+        for strat, got in ((alpha, paths.u_indices[0]), (beta, paths.v_indices[0])):
+            want, _ = oracle.control_sequence(strat, times, paths.states[0])
             assert np.array_equal(got, want), (seed, strat.label)
             switches += np.count_nonzero(np.diff(got))
-        res = embed_feedback_as_openloop(spec, alpha, beta, noise, np.array([0.0]))
-        assert np.array_equal(res.states[0], traj.states)
+        pair, _ = embed_feedback_as_openloop(spec, alpha, beta, noise, np.array([0.0]))
+        assert np.array_equal(pair.states, paths.states)
     assert switches > 0
 
 
@@ -317,32 +375,6 @@ def test_worker_processes_need_fork(monkeypatch):
     assert EngineConfig(n_steps=4, threads=1).threads == 1
     with pytest.raises(ConfigError, match="'fork'"):
         EngineConfig(n_steps=4, threads=2)
-
-
-def test_unused_extra_width_does_not_change_results(pennies_problem):
-    spec = pennies_problem.spec
-    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
-    adv = Adversary(id="sgn", kind="open_loop",
-                    control=SignControl(pos_index=1, neg_index=0))
-    bare = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, n_paths=32,
-                           master_seed=2, engine=EngineConfig(n_steps=16),
-                           keep_payoffs=True)
-    wide = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, n_paths=32,
-                           master_seed=2,
-                           engine=EngineConfig(n_steps=16, extra_dim=3),
-                           keep_payoffs=True)
-    assert np.array_equal(bare.payoffs, wide.payoffs)
-
-
-def test_narrow_extra_override_is_rejected(pennies_problem):
-    spec = pennies_problem.spec
-    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
-    adv = Adversary(id="sgnE", kind="open_loop",
-                    control=SignControl(pos_index=1, neg_index=0, source="extra"))
-    with pytest.raises(ConfigError, match="extra_dim"):
-        estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, n_paths=4,
-                        master_seed=0,
-                        engine=EngineConfig(n_steps=8, extra_dim=0))
 
 
 def test_clamped_rules_are_counted_per_path(pennies_problem):
@@ -554,9 +586,9 @@ def test_singleton_family_matches_plain_estimate(pennies_problem):
     engine = EngineConfig(n_steps=16)
     est = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, n_paths=32,
                           master_seed=5, engine=engine)
-    rv = robust_value(spec, 0.0, np.array([0.0]), alpha,
-                      AdversaryFamily((adv,)), n_paths=32, master_seed=5,
-                      engine=engine)
+    rv = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)],
+                          AdversaryFamily((adv,)), n_paths=32, master_seed=5,
+                          engine=engine).best
     assert rv.mean == est.mean
     assert rv.estimate.std_error == est.std_error
     assert rv.worst_id == "only"
@@ -567,8 +599,8 @@ def test_opposing_sign_is_the_worst_constant(pennies_problem):
     spec = pennies_problem.spec
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     family = AdversaryFamily((const_adv(1, "up"), const_adv(0, "down")))
-    rv = robust_value(spec, 0.0, np.array([0.0]), alpha, family, n_paths=256,
-                      master_seed=7, engine=EngineConfig(n_steps=32))
+    rv = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)], family,
+                          n_paths=256, master_seed=7, engine=EngineConfig(n_steps=32)).best
     assert rv.worst_id == "down"
     assert rv.members["down"].mean < rv.members["up"].mean
     assert rv.mean == rv.members["down"].mean
@@ -579,8 +611,8 @@ def test_ties_keep_the_earliest_member(pennies_problem):
     spec = pennies_problem.spec
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     family = AdversaryFamily((const_adv(0, "first"), const_adv(0, "second")))
-    rv = robust_value(spec, 0.0, np.array([0.0]), alpha, family, n_paths=32,
-                      master_seed=7, engine=EngineConfig(n_steps=16))
+    rv = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)], family,
+                          n_paths=32, master_seed=7, engine=EngineConfig(n_steps=16)).best
     assert rv.members["first"].mean == rv.members["second"].mean
     assert rv.worst_id == "first"
     # and the outer maximum keeps the earliest of two equal strategies
@@ -612,10 +644,10 @@ def test_extending_the_family_never_raises_the_value(pennies_problem):
              Adversary(id="pw", kind="open_loop",
                        control=PiecewiseRandomControl(2, 4, salt=1)))
     kw = dict(n_paths=64, master_seed=13, engine=EngineConfig(n_steps=16))
-    small = robust_value(spec, 0.0, np.array([0.0]), alpha,
-                         AdversaryFamily(base_members), **kw)
-    big = robust_value(spec, 0.0, np.array([0.0]), alpha,
-                       AdversaryFamily(base_members + extra), **kw)
+    small = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)],
+                             AdversaryFamily(base_members), **kw).best
+    big = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)],
+                           AdversaryFamily(base_members + extra), **kw).best
     assert big.mean <= small.mean
     for aid in ("c0", "c1"):  # shared members see identical noise
         assert big.members[aid].mean == small.members[aid].mean
@@ -638,8 +670,8 @@ def test_value_experiment_rows_match_standalone_runs(pennies_problem, pennies_fi
     report = value_experiment(spec, 0.0, np.array([0.0]), strategies, family,
                               n_paths=64, master_seed=17, engine=engine)
     for label, strat in strategies:
-        alone = robust_value(spec, 0.0, np.array([0.0]), strat, family,
-                             n_paths=64, master_seed=17, engine=engine)
+        alone = value_experiment(spec, 0.0, np.array([0.0]), [(label, strat)], family,
+                                 n_paths=64, master_seed=17, engine=engine).best
         got = report.per_strategy[label]
         assert got.worst_id == alone.worst_id
         for aid in family.ids:
@@ -728,8 +760,8 @@ def test_filtration_delta_is_structurally_nonnegative(pennies_problem, pennies_f
                         + rep.enlarged.estimate.std_error ** 2)
     assert rep.se_combined == pytest.approx(expect_se, rel=1e-12)
     # base rows are shared with the enlarged run, so standalone values match
-    alone = robust_value(spec, 0.0, np.array([0.0]), alpha, base, n_paths=40,
-                         master_seed=19, engine=engine)
+    alone = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)], base,
+                             n_paths=40, master_seed=19, engine=engine).best
     for aid in base.ids:
         assert rep.base.members[aid].mean == alone.members[aid].mean
 
@@ -787,7 +819,8 @@ def test_filtration_report_from_a_table_row_matches_the_experiment(pennies_probl
         assert (got.delta, got.se_combined) == (want.delta, want.se_combined)
         assert_same_robust(got.base, want.base)
         assert_same_robust(got.enlarged, want.enlarged)
-        assert_same_robust(got.base, robust_value(spec, 0.0, x0, strat, base, **kw))
+        alone = value_experiment(spec, 0.0, x0, [(label, strat)], base, **kw).best
+        assert_same_robust(got.base, alone)
     with pytest.raises(ConfigError, match="missing"):
         on_base.restricted(enlarged)
 
@@ -936,17 +969,19 @@ def test_feedback_adversaries_embed_as_replayed_open_loop(pennies_problem,
         beta = make_grid_strategy(upper.feedback_v, times[[0, 16, 32]],
                                   label="grid2")
         noises = [sample_noise(times, seed, spec.noise_dim) for seed in range(5)]
-        res = embed_feedback_as_openloop(spec, alpha, beta, noises, np.array([0.1]))
+        res, control = embed_feedback_as_openloop(spec, alpha, beta, noises,
+                                                  np.array([0.1]))
         assert res.states.shape == (5, 33, 1) and res.v_indices.shape == (5, 32)
-        assert np.array_equal(res.control.indices, res.v_indices)
+        assert np.array_equal(control.indices, res.v_indices)
+        assert res.seeds.tolist() == list(range(5))
         for k, noise in enumerate(noises):
-            traj = simulate_feedback_pair(spec, alpha, beta, noise, np.array([0.1]))
-            assert np.array_equal(res.states[k], traj.states)
-            assert np.array_equal(res.u_indices[k], traj.u_indices)
-            assert np.array_equal(res.v_indices[k], traj.v_indices)
-            assert res.payoffs[k] == traj.payoff
-            one = embed_feedback_as_openloop(spec, alpha, beta, noise, np.array([0.1]))
-            assert np.array_equal(one.states[0], res.states[k])
+            one = simulate_feedback_pair(spec, alpha, beta, noise, np.array([0.1]))
+            assert np.array_equal(res.states[k], one.states[0])
+            assert np.array_equal(res.u_indices[k], one.u_indices[0])
+            assert np.array_equal(res.v_indices[k], one.v_indices[0])
+            assert res.payoffs[k] == one.payoffs[0]
+            alone, _ = embed_feedback_as_openloop(spec, alpha, beta, noise, np.array([0.1]))
+            assert np.array_equal(alone.states[0], res.states[k])
 
 
 def test_embedding_refuses_noise_on_different_grids(pennies_problem):
@@ -969,8 +1004,9 @@ class EmbeddedReply(OpenLoopControl):
     def realize_batch(self, times, dW, extra, seeds):
         noises = [NoisePath(times=times, dW=dW[p], extra=extra[p], seed=int(seeds[p]))
                   for p in range(seeds.size)]
-        return embed_feedback_as_openloop(self.spec, self.alpha, self.beta, noises,
-                                          np.zeros(self.spec.dim)).v_indices
+        pair, _ = embed_feedback_as_openloop(self.spec, self.alpha, self.beta, noises,
+                                             np.zeros(self.spec.dim))
+        return pair.v_indices
 
 
 def test_embedded_replies_are_non_anticipating_maps_of_the_noise(
@@ -1016,40 +1052,30 @@ def test_doctored_replay_is_caught_at_the_first_state_it_moves(pennies_problem,
 
 
 def test_quadratic_drift_blows_up_on_every_entry_point(violator_problem):
-    # the engine validates coefficients once per chunk, so the inf reaches
-    # the state and trips the blow-up sentinel, for a chunk of paths and for
-    # a single simulated path alike
+    # the engine validates coefficients once per march; when the state
+    # leaves the finite range, the step's own drift block shows that x**2
+    # overflowed first, so the error names the callback, for a chunk of
+    # paths and for a recorded path alike
     spec = violator_problem.spec
     alpha = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
+    named = r"growth_violator\.drift\(t=0\.24, u=\[0\.\], v=\[0\.\]\) returned non-finite"
     with np.errstate(over="ignore"):
-        with pytest.raises(SimulationBlowUpError) as err:
-            estimate_payoff(spec, 0.0, np.array([8.0]), alpha, const_adv(0, "c"),
-                            n_paths=4, master_seed=0,
-                            engine=EngineConfig(n_steps=50))
-        assert 0.0 < err.value.t <= spec.horizon
-        assert not np.all(np.isfinite(err.value.state))
-
         times = np.linspace(0.0, spec.horizon, 51)
         noise = sample_noise(times, 123, spec.noise_dim)
-        with pytest.raises(SimulationBlowUpError) as err_one:
-            simulate_strong(spec, alpha, ConstantControl(0), noise,
-                            np.array([8.0]))
-        assert err_one.value.seed == 123
-        assert 0.0 < err_one.value.t <= spec.horizon
+        with pytest.raises(ModelEvaluationError, match=named + ".* path seed 123$"):
+            simulate_strong(spec, alpha, ConstantControl(0), noise, np.array([8.0]))
 
         # raised in a worker process, it arrives as at threads=1
         errs = []
         for threads in (1, 2):
-            with pytest.raises(SimulationBlowUpError) as err_chunked:
+            with pytest.raises(ModelEvaluationError, match=named) as err_chunked:
                 estimate_payoff(spec, 0.0, np.array([8.0]), alpha, const_adv(0, "c"),
                                 n_paths=4, master_seed=0,
                                 engine=EngineConfig(n_steps=50, chunk_size=2,
                                                     threads=threads))
             errs.append(err_chunked.value)
         one, two = errs
-        assert type(two) is SimulationBlowUpError and str(two) == str(one)
-        assert (two.t, two.seed) == (one.t, one.seed)
-        assert np.array_equal(two.state, one.state, equal_nan=True)
+        assert type(two) is ModelEvaluationError and str(two) == str(one)
 
 
 def test_state_overflow_raises_with_location(violator_problem):
