@@ -26,20 +26,26 @@ _NONNEG_INT = {"type": "integer", "minimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 _BOOL = {"type": "boolean"}
 
+
+def _default(schema: dict, value) -> dict:
+    """``schema`` with its JSON Schema ``default`` annotation."""
+    return {**schema, "default": value}
+
+
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "additionalProperties": False,
     "required": ["problem"],
     "properties": {
-        "schema_version": _POS_INT,
+        "schema_version": _default(_POS_INT, 1),
         "problem": {
             "type": "object",
             "additionalProperties": False,
             "required": ["id"],
             "properties": {
                 "id": {"type": "string"},
-                "parameters": {"type": "object"},
+                "parameters": {"type": "object", "default": {}},
             },
         },
         "grid": {
@@ -50,7 +56,7 @@ SCHEMA = {
                 "hi": _NUM,
                 "h": _POS_NUM,
                 "dt": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "cfl_safety": _POS_NUM,
+                "cfl_safety": _default(_POS_NUM, 1.0),
             },
         },
         "equations": {
@@ -58,17 +64,18 @@ SCHEMA = {
             "items": {"enum": ["lower", "upper"]},
             "minItems": 1,
             "uniqueItems": True,
+            "default": ["lower", "upper"],
         },
         "simulate": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "start_time": {"type": "number", "minimum": 0},
+                "start_time": {"type": "number", "minimum": 0, "default": 0.0},
                 "start_state": {"type": "array", "items": _NUM, "minItems": 1},
-                "n_paths": {"type": "integer", "minimum": 2},
+                "n_paths": {"type": "integer", "minimum": 2, "default": 4000},
                 "n_steps": _POS_INT,
-                "chunk_size": _POS_INT,
-                "dump_paths": _BOOL,
+                "chunk_size": _default(_POS_INT, 8192),
+                "dump_paths": _default(_BOOL, False),
             },
         },
         "strategies": {
@@ -77,7 +84,7 @@ SCHEMA = {
             "properties": {
                 "decision_counts": {
                     "type": "array", "items": _POS_INT, "minItems": 1,
-                    "uniqueItems": True,
+                    "uniqueItems": True, "default": [2, 4, 8, 16],
                 },
             },
         },
@@ -85,21 +92,21 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_random": _NONNEG_INT,
-                "random_segments": _POS_INT,
-                "include_feedback": _BOOL,
-                "include_best_response": _BOOL,
+                "n_random": _default(_NONNEG_INT, 3),
+                "random_segments": _default(_POS_INT, 8),
+                "include_feedback": _default(_BOOL, True),
+                "include_best_response": _default(_BOOL, True),
             },
         },
         "experiments": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "value": _BOOL,
-                "filtration": _BOOL,
-                "dpp": _BOOL,
-                "embedding": _BOOL,
-                "hamiltonian": _BOOL,
+                "value": _default(_BOOL, True),
+                "filtration": _default(_BOOL, True),
+                "dpp": _default(_BOOL, False),
+                "embedding": _default(_BOOL, False),
+                "hamiltonian": _default(_BOOL, True),
             },
         },
         "dpp": {
@@ -119,95 +126,68 @@ SCHEMA = {
                             "level": _POS_NUM,
                         },
                     },
+                    "default": [{"kind": "fixed_time"},
+                                {"kind": "first_exit", "level": 1.0}],
                 },
             },
         },
         "embedding": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"n_seeds": _POS_INT},
+            "properties": {"n_seeds": _default(_POS_INT, 5)},
         },
         "hamiltonian": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_queries": _POS_INT,
-                "gradient_scale": _POS_NUM,
-                "curvature_scale": _POS_NUM,
+                "n_queries": _default(_POS_INT, 2000),
+                "gradient_scale": _default(_POS_NUM, 3.0),
+                "curvature_scale": _default(_POS_NUM, 3.0),
             },
         },
         "assumptions": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "enabled": _BOOL,
-                "n_samples": _POS_INT,
-                "slack": {"type": "number", "minimum": 0},
+                "enabled": _default(_BOOL, True),
+                "n_samples": _default(_POS_INT, 2000),
+                "slack": {"type": "number", "minimum": 0, "default": 0.05},
             },
         },
         "tolerances": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "pde_sup": _POS_NUM,
-                "value_abs": _POS_NUM,
-                "filtration_abs": _POS_NUM,
-                "dpp_abs": _POS_NUM,
-                "mc_abs": _POS_NUM,
-                "se_multiplier": _POS_NUM,
-                "monotonicity_se_multiplier": _POS_NUM,
-                "hamiltonian_slack": _POS_NUM,
+                "pde_sup": _default(_POS_NUM, 1e-2),
+                "value_abs": _default(_POS_NUM, 0.03),
+                "filtration_abs": _default(_POS_NUM, 0.02),
+                "dpp_abs": _default(_POS_NUM, 2e-2),
+                "mc_abs": _default(_POS_NUM, 5e-3),
+                "se_multiplier": _default(_POS_NUM, 3.0),
+                "monotonicity_se_multiplier": _default(_POS_NUM, 1.0),
+                "hamiltonian_slack": _default(_POS_NUM, 1e-8),
             },
         },
-        "seed": _NONNEG_INT,
-        "threads": _POS_INT,
-        "output_dir": {"type": ["string", "null"]},
+        "seed": _default(_NONNEG_INT, 0),
+        "threads": _default(_POS_INT, 1),
+        "output_dir": {"type": ["string", "null"], "default": None},
     },
 }
 
-DEFAULTS = {
-    "schema_version": 1,
-    "problem": {"parameters": {}},
-    "grid": {"cfl_safety": 1.0},
-    "equations": ["lower", "upper"],
-    "simulate": {
-        "start_time": 0.0,
-        "n_paths": 4000,
-        "chunk_size": 8192,
-        "dump_paths": False,
-    },
-    "strategies": {"decision_counts": [2, 4, 8, 16]},
-    "adversaries": {
-        "n_random": 3,
-        "random_segments": 8,
-        "include_feedback": True,
-        "include_best_response": True,
-    },
-    "experiments": {
-        "value": True,
-        "filtration": True,
-        "dpp": False,
-        "embedding": False,
-        "hamiltonian": True,
-    },
-    "dpp": {"rules": [{"kind": "fixed_time"}, {"kind": "first_exit", "level": 1.0}]},
-    "embedding": {"n_seeds": 5},
-    "hamiltonian": {"n_queries": 2000, "gradient_scale": 3.0, "curvature_scale": 3.0},
-    "assumptions": {"enabled": True, "n_samples": 2000, "slack": 0.05},
-    "tolerances": {
-        "pde_sup": 1e-2,
-        "value_abs": 0.03,
-        "filtration_abs": 0.02,
-        "dpp_abs": 2e-2,
-        "mc_abs": 5e-3,
-        "se_multiplier": 3.0,
-        "monotonicity_se_multiplier": 1.0,
-        "hamiltonian_slack": 1e-8,
-    },
-    "seed": 0,
-    "threads": 1,
-    "output_dir": None,
-}
+
+def _defaults_of(schema: dict) -> dict:
+    """Every ``default`` under an object schema's properties, nested as the keys
+    are; an object property without one contributes its own defaults, if any."""
+    out = {}
+    for key, prop in schema.get("properties", {}).items():
+        if "default" in prop:
+            out[key] = copy.deepcopy(prop["default"])
+        elif nested := _defaults_of(prop):
+            out[key] = nested
+    return out
+
+
+DEFAULTS = _defaults_of(SCHEMA)
 
 
 def load_config(path: str) -> dict:

@@ -6,13 +6,17 @@ side is an :class:`Adversary` wrapper around one of four kinds:
 ``open_loop``
     An :class:`~robustctl.strategies.OpenLoopControl`, reading noise only.
 ``feedback``
-    A state-feedback table v(t, x), re-read every step.
+    A state-feedback table v(t, x), played as the elementary strategy that
+    re-reads it at every grid time.
 ``best_response``
-    A table v(t, x, u) answering the controller's current action, taken
-    from a solved field's per-u best-reply certificate.
+    A solved lower :class:`~robustctl.pde_solver.ValueField`: its per-u reply
+    table ``response_v`` answers the controller's current action at (t, x).
 ``strategy``
     Another elementary strategy, for strategy-vs-strategy games.
 
+So nature plays in two forms: open-loop controls realized from the noise
+through :func:`~robustctl.strategies.realize_checked`, and strategies played
+by :class:`~robustctl.strategies.StrategyTracker`, plus the reply lookup.
 State-feedback kinds are not open-loop objects, but every trajectory they
 produce is reproduced exactly by replaying the recorded control paths as an
 open-loop control against the same noise (:func:`embed_feedback_as_openloop`
@@ -29,15 +33,12 @@ table.  The two games have one recorded entry point each, both returning a
 :class:`Paths` record of a batch of noise paths marched as one chunk:
 :func:`simulate_strong` (feedback alpha against an open-loop control) and
 :func:`simulate_feedback_pair` (alpha against a feedback beta); the
-embedding is the second replayed through the first.  Both players'
-strategies are played by :class:`~robustctl.strategies.StrategyTracker`,
-built and checked by one helper (:func:`_tracker`), and open-loop controls
-realized by :func:`~robustctl.strategies.realize_checked`, the batch forms
-that :func:`~robustctl.strategies.check_nonanticipative` screens; the tests
-check both against a per-path oracle.  With
-``EngineConfig.threads > 1`` the chunks are marched in worker processes
-started by fork, which write their results into arrays shared with the
-parent.  Results are bitwise invariant to chunk size and worker count: path
+embedding is the second replayed through the first.  One helper
+(:func:`_check_table`) checks every index either player reads from a table
+against that side's control set, once per march; the tests check the batch
+forms against a per-path oracle.  With ``EngineConfig.threads > 1`` the
+chunks are marched in worker processes started by fork, which write their
+results into arrays shared with the parent.  Results are bitwise invariant to chunk size and worker count: path
 seeds are derived per path index, chunks only group work, and all reductions
 run over fully assembled arrays.
 """
@@ -67,7 +68,7 @@ from .strategies import (AbsRegion, ConstantAction, ConstantControl,
 
 __all__ = [
     "Paths", "ValueEstimate", "EngineConfig",
-    "Adversary", "AdversaryFamily", "BestResponseTable",
+    "Adversary", "AdversaryFamily",
     "simulate_strong", "simulate_feedback_pair", "embed_feedback_as_openloop",
     "estimate_payoff", "RobustValue",
     "ValueExperimentReport", "value_experiment",
@@ -131,26 +132,6 @@ class EngineConfig:
                               "started by 'fork', which this platform does not offer")
 
 
-@dataclass(eq=False)
-class BestResponseTable:
-    """Adversary reply v(t, x, u) tabulated per controller action.
-
-    ``table[layer, u_index, cell...]`` holds the reply index on the space-time
-    grid of ``grid``, a feedback map that also does the snapping; built from
-    the per-u best-reply certificate of a solved lower field.
-    """
-
-    grid: FeedbackMap
-    table: np.ndarray
-
-    @classmethod
-    def from_field(cls, field: ValueField) -> "BestResponseTable":
-        return cls(grid=field.feedback_v, table=field.response_v)
-
-    def lookup_batch(self, t: float, u_indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.table[(self.grid.layer_of(t), u_indices) + self.grid._cells_of(x)]
-
-
 _ADVERSARY_KINDS = ("open_loop", "feedback", "best_response", "strategy")
 
 
@@ -162,7 +143,7 @@ class Adversary:
     kind: str
     control: OpenLoopControl | None = None
     feedback: FeedbackMap | None = None
-    response: BestResponseTable | None = None
+    response: ValueField | None = None
     strategy: ElementaryStrategy | None = None
 
     def __post_init__(self):
@@ -291,24 +272,27 @@ def _as_state(spec: ProblemSpec, x0) -> np.ndarray:
 # ----------------------------------------------------------- batch engine ---- #
 
 
+def _check_table(owner: str, label: str, n_read: int, n_set: int,
+                 what: str = "controls") -> None:
+    """The one table check for either player: the step kernel indexes unchecked,
+    so a table read past the set it indexes would decode as another (u, v) pair."""
+    if n_read > n_set:
+        raise ModelEvaluationError(f"{owner} reads table {label!r} on {n_read} {what}, "
+                                   f"outside [0, {n_set})")
+
+
 def _tracker(strategy: ElementaryStrategy, controls, side: str, times: np.ndarray,
              n: int) -> StrategyTracker:
-    """The tracker for one side's strategy, its actions checked against that side's set.
-
-    The one check for either player, made once per march: the tracker and
-    the step kernel index unchecked, so a constant index or a feedback
-    table on a control set past the side's would decode as another (u, v)
-    pair.
-    """
-    n_set = controls.size
+    """The tracker for one side's strategy, its actions checked against that side's
+    set once per march."""
+    owner = f"{side} strategy {strategy.label!r}"
     for action in strategy.actions:
-        if isinstance(action, ConstantAction) and not 0 <= action.index < n_set:
-            raise ModelEvaluationError(f"{side} strategy {strategy.label!r} plays index "
-                                       f"{action.index} outside [0, {n_set})")
-        if isinstance(action, FeedbackLookupAction) and action.feedback.control_set.size > n_set:
-            raise ModelEvaluationError(
-                f"{side} strategy {strategy.label!r} reads table {action.feedback.label!r} "
-                f"on {action.feedback.control_set.size} controls, outside [0, {n_set})")
+        if isinstance(action, ConstantAction) and not 0 <= action.index < controls.size:
+            raise ModelEvaluationError(f"{owner} plays index {action.index} "
+                                       f"outside [0, {controls.size})")
+        if isinstance(action, FeedbackLookupAction):
+            _check_table(owner, action.feedback.label, action.feedback.control_set.size,
+                         controls.size)
     return StrategyTracker(strategy, times, n)
 
 
@@ -319,8 +303,8 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
     Returns a factory() -> (step_fn, tracker_or_None) with step_fn(i, X,
     u_idx) -> (n,) v indices.  Open-loop controls are realized here, once
     per chunk, so every strategy cell marched on this chunk shares the
-    realization; strategy-kind adversaries are stateful and get a fresh
-    tracker per cell instead.
+    realization; strategies, a feedback table's included, are stateful and
+    get a fresh tracker per cell.
     """
     if adversary.kind == "open_loop":
         paths = realize_checked(adversary.control, times, dW, extra, seeds,
@@ -329,17 +313,20 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
         paths_tm = np.ascontiguousarray(paths.astype(np.int32).T)
         step = lambda i, X, u_idx: paths_tm[i]
         return lambda: (step, None)
-    if adversary.kind == "feedback":
-        fb = adversary.feedback
-        step = lambda i, X, u_idx: fb.lookup_index_batch(float(times[i]), X)
-        return lambda: (step, None)
     if adversary.kind == "best_response":
-        table = adversary.response
-        step = lambda i, X, u_idx: table.lookup_batch(float(times[i]), u_idx, X)
+        grid, table = adversary.response.feedback_v, adversary.response.response_v
+        owner, label = f"adversary {adversary.id!r}", f"{grid.label} reply"
+        _check_table(owner, label, grid.control_set.size, spec.controls_v.size)
+        _check_table(owner, label, spec.controls_u.size, table.shape[1],
+                     "controller actions")
+        step = lambda i, X, u_idx: table[(grid.layer_of(float(times[i])), u_idx)
+                                         + grid._cells_of(X)]
         return lambda: (step, None)
+    strategy = adversary.strategy if adversary.kind == "strategy" \
+        else make_grid_strategy(adversary.feedback, times, label=adversary.id)
+
     def factory():
-        tracker = _tracker(adversary.strategy, spec.controls_v, "adversary", times,
-                           seeds.size)
+        tracker = _tracker(strategy, spec.controls_v, "adversary", times, seeds.size)
         return (lambda i, X, u_idx: tracker.on_state(i, X)), tracker
 
     return factory
@@ -905,7 +892,7 @@ def default_adversary_families(problem, lower_field: ValueField | None = None,
                                  feedback=lower_field.feedback_v))
     if lower_field is not None and include_best_response:
         members.append(Adversary(id="bestresp", kind="best_response",
-                                 response=BestResponseTable.from_field(lower_field)))
+                                 response=lower_field))
     base = AdversaryFamily(tuple(members), label="base")
 
     extras = []

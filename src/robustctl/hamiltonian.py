@@ -163,7 +163,8 @@ class MixedSolution:
 
     ``residual`` bounds the distance to the exact value: how far the
     returned (mu, nu) pair is from closing the duality gap.  ``method`` is
-    "saddle", "2x2" or "lp".
+    "saddle", "2x2" or "lp".  ``lower`` and ``upper`` are the pure values
+    max_u min_v and min_v max_u that wedge ``value``.
     """
 
     value: float
@@ -171,6 +172,8 @@ class MixedSolution:
     nu: np.ndarray
     residual: float
     method: str
+    lower: float
+    upper: float
 
 
 def solve_matrix_game(A: np.ndarray, tol: float = 1e-8) -> MixedSolution:
@@ -189,13 +192,15 @@ def solve_matrix_game(A: np.ndarray, tol: float = 1e-8) -> MixedSolution:
 
     v_low, u_star, _, _ = minimax(A, "lower")
     v_up, _, v_star, _ = minimax(A, "upper")
+    pure = {"lower": float(v_low), "upper": float(v_up)}
     if v_up <= v_low:
         # pure saddle point: exact, degenerate weights, lowest-index ties
         mu = np.zeros(n_u)
         mu[u_star] = 1.0
         nu = np.zeros(n_v)
         nu[v_star] = 1.0
-        return MixedSolution(value=float(v_low), mu=mu, nu=nu, residual=0.0, method="saddle")
+        return MixedSolution(value=float(v_low), mu=mu, nu=nu, residual=0.0, method="saddle",
+                             **pure)
 
     if A.shape == (2, 2):
         # completely mixed 2x2 game (no saddle): closed form
@@ -205,7 +210,8 @@ def solve_matrix_game(A: np.ndarray, tol: float = 1e-8) -> MixedSolution:
         value = (a * d - b * c) / denom
         mu = np.array([(d - c) / denom, (a - b) / denom])
         nu = np.array([(d - b) / denom, (a - c) / denom])
-        return MixedSolution(value=float(value), mu=mu, nu=nu, residual=0.0, method="2x2")
+        return MixedSolution(value=float(value), mu=mu, nu=nu, residual=0.0, method="2x2",
+                             **pure)
 
     scale = max(1.0, float(np.max(np.abs(A))))
     v_row, mu = _lp_value(A)            # max_mu min_j (mu^T A)_j
@@ -220,7 +226,7 @@ def solve_matrix_game(A: np.ndarray, tol: float = 1e-8) -> MixedSolution:
             f"matrix game LP residual {residual:.3e} exceeds {tol:.1e} * {scale:.3g}",
             residual=residual)
     return MixedSolution(value=0.5 * (guaranteed_row + guaranteed_col),
-                         mu=mu, nu=nu, residual=residual, method="lp")
+                         mu=mu, nu=nu, residual=residual, method="lp", **pure)
 
 
 def _lp_value(A: np.ndarray) -> tuple[float, np.ndarray]:

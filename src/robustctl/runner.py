@@ -14,7 +14,7 @@ import numpy as np
 from . import game_engine as ge
 from .config import DEFAULTS, resolve_config
 from .errors import CflViolationError, ConfigError, EmbeddingMismatchError, RobustCtlError
-from .hamiltonian import HamiltonianQuery, lagrangian_matrix, minimax, solve_matrix_game
+from .hamiltonian import HamiltonianQuery, hamiltonian_mixed
 from .pde_solver import ValueField, cfl_max_dt, compare_to_reference, make_grid, solve_isaacs
 from .problems import build_problem
 from .reports import SUMMARY_VERSION, emit_report
@@ -478,26 +478,21 @@ def _hamiltonian_stage(problem, cfg: dict, master_seed: int, tol: dict):
     for i in range(n):
         # the query symmetrizes M
         q = HamiltonianQuery(t=float(t_all[i]), x=x_all[i], p=p_all[i], M=m_all[i])
-        L = lagrangian_matrix(spec, q)
-        lo, up = float(minimax(L, "lower")[0]), float(minimax(L, "upper")[0])
-        mix = solve_matrix_game(L, tol=tol["hamiltonian_slack"])
-        worst = max(worst, lo - mix.value, mix.value - up)
+        mix = hamiltonian_mixed(spec, q, tol=tol["hamiltonian_slack"])
+        worst = max(worst, mix.lower - mix.value, mix.value - mix.upper)
         max_residual = max(max_residual, mix.residual)
         methods[mix.method] += 1
         rows.append([i, q.t] + [float(c) for c in q.x] + [float(c) for c in q.p]
                     + [float(c) for c in q.M.reshape(-1)]
-                    + [lo, mix.value, up, mix.method, mix.residual])
+                    + [mix.lower, mix.value, mix.upper, mix.method, mix.residual])
     ham = {"n_queries": n, "max_order_violation": worst,
            "max_mixed_residual": max_residual, "methods": methods}
     if spec.controls_u.size == 2 and spec.controls_v.size == 2:
         q = HamiltonianQuery(t=0.0, x=np.zeros(spec.dim),
                              p=np.ones(spec.dim), M=np.zeros((spec.dim, spec.dim)))
-        L = lagrangian_matrix(spec, q)
-        ham["unit_gradient_point"] = {
-            "lower": float(minimax(L, "lower")[0]),
-            "mixed": solve_matrix_game(L).value,
-            "upper": float(minimax(L, "upper")[0]),
-        }
+        mix = hamiltonian_mixed(spec, q)
+        ham["unit_gradient_point"] = {"lower": mix.lower, "mixed": mix.value,
+                                      "upper": mix.upper}
     return ham, (header, rows)
 
 

@@ -554,14 +554,13 @@ def make_grid_strategy(feedback: FeedbackMap, decision_times: Sequence[float],
 
 
 def concatenate(first: ElementaryStrategy, tail: ElementaryStrategy,
-                junction: StoppingRule, probe_times: np.ndarray | None = None,
-                probe_seed: int = 0) -> ElementaryStrategy:
+                junction: StoppingRule) -> ElementaryStrategy:
     """Play ``first`` with every rule capped at ``junction``, then ``tail``.
 
-    ``tail.start_rule`` must equal ``junction`` structurally.  With
-    ``probe_times`` given, a handful of random walks are checked for rule
-    order: any tail rule firing strictly before the junction on a probe path
-    is a structural error.
+    ``tail.start_rule`` must equal ``junction`` structurally.  Rule order is
+    not checked here: a tail rule that fires before the junction on a path
+    is clamped to it when the strategy is tracked, and
+    :class:`StrategyTracker` counts the clamp on that path.
     """
     if first.control_set is not tail.control_set and not (
             first.control_set.points.shape == tail.control_set.points.shape
@@ -570,8 +569,6 @@ def concatenate(first: ElementaryStrategy, tail: ElementaryStrategy,
     if tail.start_rule != junction:
         raise StrategyStructureError(
             f"concatenate: tail starts at {tail.start_rule!r}, junction is {junction!r}")
-    if probe_times is not None:
-        _probe_rule_order(tail, junction, np.asarray(probe_times, dtype=float), probe_seed)
     capped = tuple(CappedRule(r, junction) for r in first.rules)
     return ElementaryStrategy(
         control_set=first.control_set,
@@ -579,22 +576,6 @@ def concatenate(first: ElementaryStrategy, tail: ElementaryStrategy,
         rules=capped + tail.rules,
         actions=first.actions + tail.actions,
         label=f"{first.label}+{tail.label}")
-
-
-def _probe_rule_order(tail: ElementaryStrategy, junction: StoppingRule,
-                      times: np.ndarray, seed: int, n_paths: int = 8) -> None:
-    rng = stream_generator(derive_seed(seed, 11), 0)
-    steps = rng.standard_normal((n_paths, times.size - 1, 1)) * np.sqrt(np.diff(times))[:, None]
-    states = np.concatenate([np.zeros((n_paths, 1, 1)), np.cumsum(steps, axis=1)], axis=1)
-    fj = fire_batch(junction, times, states)
-    fr = np.stack([fire_batch(rule, times, states) for rule in tail.rules])
-    early = (fr < fj) & (fj != _NOT_YET)
-    if early.any():
-        p = int(np.argmax(early.any(axis=0)))
-        k = int(np.argmax(early[:, p]))
-        raise StrategyStructureError(
-            f"concatenate: tail rule {k} fires at index {fr[k, p]}, "
-            f"before the junction at {fj[p]}, on probe path {p}")
 
 
 # ------------------------------------------------------ open-loop controls ---- #

@@ -21,8 +21,7 @@ import strategy_oracle as oracle
 from robustctl.errors import (ConfigError, EmbeddingMismatchError,
                               ModelEvaluationError, SimulationBlowUpError,
                               StrategyIntervalError, StrategyStructureError)
-from robustctl.game_engine import (Adversary, AdversaryFamily,
-                                   BestResponseTable, EngineConfig,
+from robustctl.game_engine import (Adversary, AdversaryFamily, EngineConfig,
                                    _map_chunks, _run_cells,
                                    builtin_pairs,
                                    default_adversary_families,
@@ -166,6 +165,31 @@ def test_feedback_table_on_a_larger_set_is_refused_for_either_side(pennies_probl
             run()
 
 
+def test_nature_tables_on_another_game_are_refused(pennies_problem, drift_fields,
+                                                   heat_field):
+    # drift_control's tables reply with v indices 0..2 and its reply table
+    # has three u rows; heat's has one.  On pennies' two-point sets each
+    # lookup would read past a set and decode as another (u, v) pair
+    spec = pennies_problem.spec
+    lower, _ = drift_fields
+    alpha = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
+    cases = [
+        (Adversary(id="fbwide", kind="feedback", feedback=lower.feedback_v),
+         r"adversary strategy 'fbwide' reads table 'drift_control/lower/v' "
+         r"on 3 controls, outside \[0, 2\)"),
+        (Adversary(id="brwide", kind="best_response", response=lower),
+         r"adversary 'brwide' reads table 'drift_control/lower/v reply' "
+         r"on 3 controls, outside \[0, 2\)"),
+        (Adversary(id="brnarrow", kind="best_response", response=heat_field),
+         r"adversary 'brnarrow' reads table 'heat/lower/v reply' "
+         r"on 2 controller actions, outside \[0, 1\)"),
+    ]
+    for adv, named in cases:
+        with pytest.raises(ModelEvaluationError, match=named):
+            estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, n_paths=4,
+                            master_seed=0, engine=EngineConfig(n_steps=8))
+
+
 def test_a_strategy_that_runs_out_is_refused_on_either_side(pennies_problem):
     # every built-in strategy ends on FixedTimeRule(T), which fires after the
     # last step; one ending on a bare hitting rule runs out on each path that
@@ -290,8 +314,7 @@ def test_chunk_and_thread_layout_is_invisible(pennies_problem, pennies_fields):
     beta = hitswitch_strategy(spec.controls_v, 0.0, spec.horizon, level=0.9)
     family = AdversaryFamily((
         adv, Adversary(id="fb", kind="feedback", feedback=lower.feedback_v),
-        Adversary(id="br", kind="best_response",
-                  response=BestResponseTable.from_field(lower)),
+        Adversary(id="br", kind="best_response", response=lower),
         Adversary(id="beta", kind="strategy", strategy=beta)))
     strategies = [("grid4", ladder), ("hitswitch", hitter)]
     rho = CappedRule(HittingRule(AbsRegion(0.5)), FixedTimeRule(spec.horizon))
@@ -453,8 +476,8 @@ def _reference_march(spec, noise, x0, strategy, adv):
             fb = adv.feedback
             jv = oracle.snap_lookup(fb.times, fb.axes, fb.indices, t, states[i])
         elif adv.kind == "best_response":
-            grid = adv.response.grid
-            jv = oracle.snap_lookup(grid.times, grid.axes, adv.response.table, t,
+            grid = adv.response.feedback_v
+            jv = oracle.snap_lookup(grid.times, grid.axes, adv.response.response_v, t,
                                     states[i], iu)
         else:
             jv, _ = oracle.step_control(adv.strategy, times, prefix, i)
@@ -487,8 +510,7 @@ def test_batch_engine_matches_per_path_reference(pennies_problem, pennies_fields
     hitter = hitswitch_strategy(spec.controls_u, s, spec.horizon, level=0.8)
     beta = hitswitch_strategy(spec.controls_v, s, spec.horizon, level=0.9)
     fb = Adversary(id="fb", kind="feedback", feedback=lower.feedback_v)
-    br = Adversary(id="br", kind="best_response",
-                   response=BestResponseTable.from_field(lower))
+    br = Adversary(id="br", kind="best_response", response=lower)
     cases = [
         (ladder, const_adv(0, "c0")),
         (hitter, const_adv(1, "c1")),
@@ -532,19 +554,6 @@ def test_fire_batch_matches_scalar_scan():
         for p in range(states.shape[0]):
             f = oracle.fire_index(rule, times, states[p], cap)
             assert got[p] == (_NOT_YET if f is None else f), rule
-
-
-def test_best_response_lookup_batch_matches_scalar(pennies_fields):
-    lower, _ = pennies_fields
-    table = BestResponseTable.from_field(lower)
-    rng = np.random.default_rng(31)
-    x = rng.uniform(-4.5, 4.5, size=(64, 1))
-    u_idx = rng.integers(0, 2, size=64)
-    for t in (0.0, 0.13, 0.5):
-        batch = table.lookup_batch(t, u_idx, x)
-        scalar = [oracle.snap_lookup(lower.grid.times, lower.grid.axes, lower.response_v,
-                                     t, x[i], int(u_idx[i])) for i in range(64)]
-        assert np.array_equal(batch, np.asarray(scalar))
 
 
 class ScanOnlyRule(StoppingRule):

@@ -388,20 +388,20 @@ def test_concatenate_structural_checks():
         concatenate(first, tail_wrong_start, FixedTimeRule(0.5))
 
 
-def test_concatenate_probe_rejects_tail_firing_early():
+def test_concatenate_tail_firing_early_counts_one_clamp_per_path():
+    # the tail's first rule fires at index 4, before the junction at 16; the
+    # tracker clamps it to the junction on every path and counts each clamp,
+    # and the tail's second action is in force from the junction on
     junction = FixedTimeRule(0.5)
     tail = ElementaryStrategy(
         control_set=PM, start_rule=junction,
         rules=(FixedTimeRule(0.1), FixedTimeRule(1.0)),
         actions=(ConstantAction(0), ConstantAction(1)), label="early")
-    with pytest.raises(StrategyStructureError,
-                       match="tail rule 0 fires at index 4, before the junction at 16, "
-                             "on probe path 0"):
-        concatenate(constant_strategy(0), tail, junction, probe_times=TIMES)
-    # a hitting junction that never fires on a probe path leaves nothing to order
-    unreachable = HittingRule(AbsRegion(50.0))
-    tail = dataclasses.replace(tail, start_rule=unreachable)
-    concatenate(constant_strategy(0), tail, unreachable, probe_times=TIMES)
+    glued = concatenate(constant_strategy(0), tail, junction)
+    paths = np.stack([random_walk(seed) for seed in range(5)])
+    got, clamps = track(glued, paths)
+    assert clamps == 5
+    assert np.all(got[:, :16] == 0) and np.all(got[:, 16:] == 1)
 
 
 # -------------------------------------------------------- open-loop controls ---- #
