@@ -22,7 +22,7 @@ from robustctl.errors import (ConfigError, EmbeddingMismatchError,
                               ModelEvaluationError, SimulationBlowUpError,
                               StrategyIntervalError, StrategyStructureError)
 from robustctl.game_engine import (Adversary, AdversaryFamily, EngineConfig,
-                                   _map_chunks, _run_cells,
+                                   _adversary_realization, _map_chunks, _run_cells,
                                    builtin_pairs,
                                    default_adversary_families,
                                    default_strategy_family, dpp_check,
@@ -554,6 +554,26 @@ def test_fire_batch_matches_scalar_scan():
         for p in range(states.shape[0]):
             f = oracle.fire_index(rule, times, states[p], cap)
             assert got[p] == (_NOT_YET if f is None else f), rule
+
+
+def test_best_response_lookup_batch_matches_scalar(pennies_problem, pennies_fields):
+    # the best-reply adversary's batch step reads response_v for a whole chunk at
+    # once; each row must be the scalar snapped lookup at that (t, x, u)
+    spec = pennies_problem.spec
+    lower, _ = pennies_fields
+    adversary = Adversary(id="br", kind="best_response", response=lower)
+    times = np.linspace(0.0, 1.0, 9)
+    rng = np.random.default_rng(31)
+    x = rng.uniform(-4.5, 4.5, size=(64, 1))
+    u_idx = rng.integers(0, 2, size=64)
+    step, tracker = _adversary_realization(adversary, spec, times, None, None,
+                                           np.arange(64))()
+    assert tracker is None
+    for i in (0, 1, 4):
+        batch = step(i, x, u_idx)
+        scalar = [oracle.snap_lookup(lower.grid.times, lower.grid.axes, lower.response_v,
+                                     times[i], x[p], int(u_idx[p])) for p in range(64)]
+        assert np.array_equal(batch, np.asarray(scalar))
 
 
 class ScanOnlyRule(StoppingRule):
