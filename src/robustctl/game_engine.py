@@ -1,46 +1,43 @@
 """Monte Carlo engine for the game: strong-formulation simulation and values.
 
-The controller always plays an elementary feedback strategy.  The adversary
-side is an :class:`Adversary` wrapper around one of four kinds:
+Each player carries its own name and control set.  The controller plays an
+elementary feedback strategy; nature is an :class:`Adversary` ``(id,
+plays)``, and the type of ``plays`` says how it plays:
 
-``open_loop``
-    An :class:`~robustctl.strategies.OpenLoopControl`, reading noise only.
-``feedback``
-    A state-feedback table v(t, x), played as the elementary strategy that
-    re-reads it at every grid time.
-``best_response``
-    A solved lower :class:`~robustctl.pde_solver.ValueField`: its per-u reply
-    table ``response_v`` answers the controller's current action at (t, x).
-``strategy``
+:class:`~robustctl.strategies.OpenLoopControl`
+    A control reading noise only, realized through ``realize_checked``.
+:class:`~robustctl.strategies.ElementaryStrategy`
     Another elementary strategy, for strategy-vs-strategy games.
+:class:`~robustctl.strategies.FeedbackMap`
+    A table v(t, x), played as the strategy that re-reads it at every grid time.
+:class:`~robustctl.pde_solver.ValueField`
+    A solved lower field: its per-u reply table ``response_v`` answers the
+    controller's current action at (t, x).
 
-So nature plays in two forms: open-loop controls realized from the noise
-through :func:`~robustctl.strategies.realize_checked`, and strategies played
-by :class:`~robustctl.strategies.StrategyTracker`, plus the reply lookup.
-State-feedback kinds are not open-loop objects, but every trajectory they
+State-feedback players are not open-loop objects, but every trajectory they
 produce is reproduced exactly by replaying the recorded control paths as an
 open-loop control against the same noise (:func:`embed_feedback_as_openloop`
 asserts this bitwise), which is what makes them legitimate members of the
 adversary families used for inner infima.
 
 One chunked batch engine computes every trajectory.  Every estimate is a
-cell of one strategies x adversaries table marched on one noise panel and
-reduced by one sup-inf fold (:func:`_fold`).  :func:`value_experiment` is
-the only entry point for payoff tables; :func:`estimate_payoff` and
-:func:`filtration_experiment` are thin calls into it, and
-:func:`dpp_checks` folds every rule's restart values from one recorded
-table.  The two games have one recorded entry point each, both returning a
-:class:`Paths` record of a batch of noise paths marched as one chunk:
-:func:`simulate_strong` (feedback alpha against an open-loop control) and
-:func:`simulate_feedback_pair` (alpha against a feedback beta); the
-embedding is the second replayed through the first.  One helper
-(:func:`_check_table`) checks every index either player reads from a table
-against that side's control set, once per march; the tests check the batch
-forms against a per-path oracle.  With ``EngineConfig.threads > 1`` the
-chunks are marched in worker processes started by fork, which write their
-results into arrays shared with the parent.  Results are bitwise invariant to chunk size and worker count: path
-seeds are derived per path index, chunks only group work, and all reductions
-run over fully assembled arrays.
+cell of one strategies x adversaries table (strategies in a plain list,
+keyed by label) marched on one noise panel and reduced by one sup-inf fold
+(:func:`_fold`).  :func:`value_experiment` is the only entry point for
+payoff tables; :func:`estimate_payoff` and :func:`filtration_experiment`
+are thin calls into it, and :func:`dpp_checks` folds every rule's restart
+values from one recorded table.  The two games have one recorded entry
+point each, returning a :class:`Paths` record of noise paths marched as one
+chunk: :func:`simulate_strong` (feedback alpha against an open-loop control)
+and :func:`simulate_feedback_pair` (alpha against a feedback beta); the
+embedding is the second replayed through the first.  A strategy checks its
+actions against its own control set when built, so the engine makes one
+set comparison per side (:func:`_check_set`).  With ``EngineConfig.threads
+> 1`` the chunks are marched in worker processes started by fork, which
+write their results into arrays shared with the parent.  Results are
+bitwise invariant to chunk size and worker count: path seeds are derived
+per path index, chunks only group work, and all reductions run over fully
+assembled arrays.
 """
 
 from __future__ import annotations
@@ -57,10 +54,10 @@ from .errors import (ConfigError, EmbeddingMismatchError, ModelEvaluationError,
                      SimulationBlowUpError, StrategyIntervalError,
                      StrategyStructureError)
 from .pde_solver import ValueField
-from .sde_core import (NoisePath, ProblemSpec, derive_seed, derive_seed_array,
-                       eval_pairs, eval_payoff, sample_noise_batch)
+from .sde_core import (ControlSet, NoisePath, ProblemSpec, derive_seed,
+                       derive_seed_array, eval_pairs, eval_payoff, sample_noise_batch)
 from .strategies import (AbsRegion, ConstantAction, ConstantControl,
-                         ElementaryStrategy, FeedbackLookupAction, FeedbackMap,
+                         ElementaryStrategy, FeedbackMap,
                          FixedTimeRule, HittingRule, OpenLoopControl,
                          PiecewiseRandomControl, ReplayControl, SignControl,
                          StoppingRule, StrategyTracker, check_nonanticipative,
@@ -132,36 +129,25 @@ class EngineConfig:
                               "started by 'fork', which this platform does not offer")
 
 
-_ADVERSARY_KINDS = ("open_loop", "feedback", "best_response", "strategy")
-
-
 @dataclass(eq=False)
 class Adversary:
-    """One adversary the inner infimum ranges over, with a stable id."""
+    """An adversary of the inner infimum: a stable id and what it plays (see the module)."""
 
     id: str
-    kind: str
-    control: OpenLoopControl | None = None
-    feedback: FeedbackMap | None = None
-    response: ValueField | None = None
-    strategy: ElementaryStrategy | None = None
+    plays: OpenLoopControl | ElementaryStrategy | FeedbackMap | ValueField
 
     def __post_init__(self):
-        if self.kind not in _ADVERSARY_KINDS:
-            raise ConfigError(f"adversary {self.id!r}: unknown kind {self.kind!r}")
-        payload = {"open_loop": self.control, "feedback": self.feedback,
-                   "best_response": self.response, "strategy": self.strategy}[self.kind]
-        if payload is None:
-            raise ConfigError(f"adversary {self.id!r}: kind {self.kind!r} payload missing")
+        if not isinstance(self.plays, (OpenLoopControl, ElementaryStrategy, FeedbackMap,
+                                       ValueField)):
+            raise ConfigError(f"adversary {self.id!r} cannot play a {type(self.plays).__name__}")
 
     @property
     def extra_dim(self) -> int:
-        return self.control.extra_dim if self.kind == "open_loop" else 0
+        return self.plays.extra_dim if isinstance(self.plays, OpenLoopControl) else 0
 
     @property
     def anticipating(self) -> bool:
-        obj = {"open_loop": self.control, "strategy": self.strategy}.get(self.kind)
-        return bool(getattr(obj, "anticipating", False))
+        return bool(getattr(self.plays, "anticipating", False))
 
 
 @dataclass(eq=False)
@@ -205,6 +191,13 @@ def _record(spec: ProblemSpec, strategy: ElementaryStrategy, adversary: Adversar
     noises = [noise] if isinstance(noise, NoisePath) else list(noise)
     if any(not np.array_equal(n.times, noises[0].times) for n in noises):
         raise ConfigError("noise paths must share one time grid")
+    for n in noises:
+        if n.dW.shape[-1] != spec.noise_dim:
+            raise ConfigError(f"noise path seed {n.seed} has dW width {n.dW.shape[-1]}, "
+                              f"the game's noise_dim is {spec.noise_dim}")
+    if len({n.extra.shape[-1] for n in noises}) > 1:
+        raise ConfigError(f"noise paths carry extra widths "
+                          f"{sorted({n.extra.shape[-1] for n in noises})}; a batch needs one")
     _refuse_anticipating([(strategy, adversary)])
     seeds = np.array([n.seed for n in noises], dtype=np.uint64)
     return _march_chunk(spec, noises[0].times, seeds, _as_state(spec, x0), strategy,
@@ -219,15 +212,13 @@ def simulate_strong(spec: ProblemSpec, strategy: ElementaryStrategy,
     The control's index paths are realized from the noise up front (they are
     state-independent by definition) and consumed step by step.
     """
-    return _record(spec, strategy, Adversary(id=control.label, kind="open_loop",
-                                             control=control), noise, x0)
+    return _record(spec, strategy, Adversary(control.label, control), noise, x0)
 
 
 def simulate_feedback_pair(spec: ProblemSpec, alpha: ElementaryStrategy,
                            beta: ElementaryStrategy, noise, x0) -> Paths:
     """The symmetric game: both players run elementary feedback strategies."""
-    return _record(spec, alpha, Adversary(id=beta.label, kind="strategy", strategy=beta),
-                   noise, x0)
+    return _record(spec, alpha, Adversary(beta.label, beta), noise, x0)
 
 
 def embed_feedback_as_openloop(spec: ProblemSpec, alpha: ElementaryStrategy,
@@ -272,27 +263,18 @@ def _as_state(spec: ProblemSpec, x0) -> np.ndarray:
 # ----------------------------------------------------------- batch engine ---- #
 
 
-def _check_table(owner: str, label: str, n_read: int, n_set: int,
-                 what: str = "controls") -> None:
-    """The one table check for either player: the step kernel indexes unchecked,
-    so a table read past the set it indexes would decode as another (u, v) pair."""
-    if n_read > n_set:
-        raise ModelEvaluationError(f"{owner} reads table {label!r} on {n_read} {what}, "
-                                   f"outside [0, {n_set})")
+def _check_set(owner: str, plays_on: ControlSet, side: str, game_set: ControlSet) -> None:
+    """The one control-set check for either player: the step kernel decodes indices
+    unchecked, so a player on another set would play another (u, v) pair."""
+    if not plays_on.matches(game_set):
+        raise ModelEvaluationError(f"{owner} uses control set {plays_on}, "
+                                   f"the game's {side} set is {game_set}")
 
 
-def _tracker(strategy: ElementaryStrategy, controls, side: str, times: np.ndarray,
-             n: int) -> StrategyTracker:
-    """The tracker for one side's strategy, its actions checked against that side's
-    set once per march."""
-    owner = f"{side} strategy {strategy.label!r}"
-    for action in strategy.actions:
-        if isinstance(action, ConstantAction) and not 0 <= action.index < controls.size:
-            raise ModelEvaluationError(f"{owner} plays index {action.index} "
-                                       f"outside [0, {controls.size})")
-        if isinstance(action, FeedbackLookupAction):
-            _check_table(owner, action.feedback.label, action.feedback.control_set.size,
-                         controls.size)
+def _tracker(strategy: ElementaryStrategy, controls: ControlSet, side: str,
+             times: np.ndarray, n: int) -> StrategyTracker:
+    """The tracker for one side's strategy, its set checked against that side's."""
+    _check_set(f"{side} strategy {strategy.label!r}", strategy.control_set, side, controls)
     return StrategyTracker(strategy, times, n)
 
 
@@ -306,24 +288,25 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
     realization; strategies, a feedback table's included, are stateful and
     get a fresh tracker per cell.
     """
-    if adversary.kind == "open_loop":
-        paths = realize_checked(adversary.control, times, dW, extra, seeds,
-                                spec.controls_v.size)
+    plays = adversary.plays
+    if isinstance(plays, OpenLoopControl):
+        paths = realize_checked(plays, times, dW, extra, seeds, spec.controls_v.size)
         # time-major so each step reads one contiguous row
         paths_tm = np.ascontiguousarray(paths.astype(np.int32).T)
         step = lambda i, X, u_idx: paths_tm[i]
         return lambda: (step, None)
-    if adversary.kind == "best_response":
-        grid, table = adversary.response.feedback_v, adversary.response.response_v
-        owner, label = f"adversary {adversary.id!r}", f"{grid.label} reply"
-        _check_table(owner, label, grid.control_set.size, spec.controls_v.size)
-        _check_table(owner, label, spec.controls_u.size, table.shape[1],
-                     "controller actions")
+    if isinstance(plays, ValueField):
+        grid, table = plays.feedback_v, plays.response_v
+        owner = f"adversary {adversary.id!r} reply"
+        _check_set(f"{owner} table {grid.label!r}", grid.control_set, "adversary",
+                   spec.controls_v)
+        _check_set(f"{owner} rows {plays.feedback_u.label!r}", plays.feedback_u.control_set,
+                   "controller", spec.controls_u)
         step = lambda i, X, u_idx: table[(grid.layer_of(float(times[i])), u_idx)
                                          + grid._cells_of(X)]
         return lambda: (step, None)
-    strategy = adversary.strategy if adversary.kind == "strategy" \
-        else make_grid_strategy(adversary.feedback, times, label=adversary.id)
+    strategy = plays if isinstance(plays, ElementaryStrategy) \
+        else make_grid_strategy(plays, times, label=adversary.id)
 
     def factory():
         tracker = _tracker(strategy, spec.controls_v, "adversary", times, seeds.size)
@@ -626,14 +609,15 @@ def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
         raise ConfigError(f"n_paths must be >= 2, got {n_paths}")
     if not strategies:
         raise ConfigError("a Monte Carlo table needs at least one strategy")
-    labels = [label for label, _ in strategies]
-    for k, label in enumerate(labels):
-        if label in labels[:k]:
-            raise ConfigError(f"strategy label {label!r} appears more than once in the table")
+    for k, strategy in enumerate(strategies):
+        if not isinstance(strategy, ElementaryStrategy):
+            raise ConfigError(f"a table row is a {type(strategy).__name__}, not a strategy")
+        if strategy.label in [other.label for other in strategies[:k]]:
+            raise ConfigError(f"strategy label {strategy.label!r} appears more than once")
     x0 = _as_state(spec, x0)
     times = _sim_times(spec, s, engine)
     seeds = derive_seed_array(master_seed, np.arange(n_paths))
-    cells = [(strat, adv) for _, strat in strategies for adv in family.members]
+    cells = [(strat, adv) for strat in strategies for adv in family.members]
     return _run_cells(spec, times, x0, cells, seeds, engine, postprocess)
 
 
@@ -734,8 +718,8 @@ def _fold_table(strategies: list, family: AdversaryFamily, values: np.ndarray,
                            adversary_id=adv.id, clamp_count=int(clamps[k]),
                            payoffs=values[k] if keep_payoffs else None)
              for k, adv in enumerate(family.members, start=si * n_m)]
-            for si, (_, strat) in enumerate(strategies)]
-    return _fold([label for label, _ in strategies], rows)
+            for si, strat in enumerate(strategies)]
+    return _fold([strat.label for strat in strategies], rows)
 
 
 def value_experiment(spec: ProblemSpec, s: float, x0, strategies,
@@ -743,9 +727,11 @@ def value_experiment(spec: ProblemSpec, s: float, x0, strategies,
                      engine: EngineConfig, keep_payoffs: bool = False) -> ValueExperimentReport:
     """Robust value per strategy, keeping the strategy ordering; best = max.
 
-    Every strategy/adversary cell is marched on the same noise panel, so the
-    whole table is a common-random-numbers comparison and the noise cost is
-    paid once per chunk rather than once per cell.  Every payoff estimate in
+    ``strategies`` is a list of elementary strategies, keyed by their labels
+    in the report; a label may appear once.  Every strategy/adversary cell
+    is marched on the same noise panel, so the whole table is a
+    common-random-numbers comparison and the noise cost is paid once per
+    chunk rather than once per cell.  Every payoff estimate in
     the package is a cell of such a table.
     """
     strategies = list(strategies)
@@ -762,9 +748,8 @@ def estimate_payoff(spec: ProblemSpec, s: float, x0, strategy: ElementaryStrateg
     The 1 x 1 table of :func:`value_experiment`, so it shares the noise of
     any other estimate with the same master seed.
     """
-    return value_experiment(spec, s, x0, [(strategy.label, strategy)],
-                            AdversaryFamily((adversary,)), n_paths, master_seed, engine,
-                            keep_payoffs).best.estimate
+    return value_experiment(spec, s, x0, [strategy], AdversaryFamily((adversary,)), n_paths,
+                            master_seed, engine, keep_payoffs).best.estimate
 
 
 def filtration_experiment(spec: ProblemSpec, s: float, x0,
@@ -776,8 +761,8 @@ def filtration_experiment(spec: ProblemSpec, s: float, x0,
     One 1 x m table against ``enlarged``, folded once over all of it and
     once over the base members; ``base`` must lie within ``enlarged``.
     """
-    report = value_experiment(spec, s, x0, [(strategy.label, strategy)], enlarged,
-                              n_paths, master_seed, engine)
+    report = value_experiment(spec, s, x0, [strategy], enlarged, n_paths, master_seed,
+                              engine)
     return report.filtration(strategy.label, base)
 
 
@@ -878,37 +863,30 @@ def default_adversary_families(problem, lower_field: ValueField | None = None,
     under common random numbers its robust value can only be lower or equal.
     """
     V = problem.spec.controls_v
-    members = [Adversary(id=f"const:{_fmt_point(V.point(j))}", kind="open_loop",
-                         control=ConstantControl(j)) for j in range(V.size)]
+    members = [Adversary(f"const:{_fmt_point(V.point(j))}", ConstantControl(j))
+               for j in range(V.size)]
     if V.size >= 2:
         j_neg = int(np.argmin(V.points[:, 0]))
         j_pos = int(np.argmax(V.points[:, 0]))
-        members.append(Adversary(id="signW", kind="open_loop",
-                                 control=SignControl(pos_index=j_pos, neg_index=j_neg)))
-        members.append(Adversary(id="antisignW", kind="open_loop",
-                                 control=SignControl(pos_index=j_neg, neg_index=j_pos)))
+        members.append(Adversary("signW", SignControl(pos_index=j_pos, neg_index=j_neg)))
+        members.append(Adversary("antisignW", SignControl(pos_index=j_neg, neg_index=j_pos)))
     if lower_field is not None and include_feedback:
-        members.append(Adversary(id="worstfb", kind="feedback",
-                                 feedback=lower_field.feedback_v))
+        members.append(Adversary("worstfb", lower_field.feedback_v))
     if lower_field is not None and include_best_response:
-        members.append(Adversary(id="bestresp", kind="best_response",
-                                 response=lower_field))
+        members.append(Adversary("bestresp", lower_field))
     base = AdversaryFamily(tuple(members), label="base")
 
     extras = []
     if V.size >= 2:
         j_neg = int(np.argmin(V.points[:, 0]))
         j_pos = int(np.argmax(V.points[:, 0]))
-        extras.append(Adversary(id="signE", kind="open_loop",
-                                control=SignControl(pos_index=j_pos, neg_index=j_neg,
-                                                    source="extra")))
-        extras.append(Adversary(id="antisignE", kind="open_loop",
-                                control=SignControl(pos_index=j_neg, neg_index=j_pos,
-                                                    source="extra")))
+        extras.append(Adversary("signE", SignControl(pos_index=j_pos, neg_index=j_neg,
+                                                     source="extra")))
+        extras.append(Adversary("antisignE", SignControl(pos_index=j_neg, neg_index=j_pos,
+                                                         source="extra")))
     for k in range(n_random):
-        extras.append(Adversary(id=f"rand:{k}", kind="open_loop",
-                                control=PiecewiseRandomControl(V.size, random_segments,
-                                                               salt=k)))
+        extras.append(Adversary(f"rand:{k}", PiecewiseRandomControl(V.size, random_segments,
+                                                                    salt=k)))
     enlarged = AdversaryFamily(tuple(members) + tuple(extras), label="enlarged")
     return base, enlarged
 
@@ -927,8 +905,8 @@ def default_strategy_family(problem, lower_field: ValueField, decision_counts,
                             s: float, engine: EngineConfig) -> list:
     """Grid-feedback strategies reading the lower field at k decision times
     (see :func:`_ladder`), in the given order for monotonicity reporting."""
-    return [(f"grid{k}", _ladder(lower_field.feedback_u, k, s, problem.spec.horizon,
-                                 engine, f"grid{k}")) for k in decision_counts]
+    return [_ladder(lower_field.feedback_u, k, s, problem.spec.horizon, engine, f"grid{k}")
+            for k in decision_counts]
 
 
 def _constant_strategy(control_set, index: int, s: float, horizon: float,
@@ -940,23 +918,19 @@ def _constant_strategy(control_set, index: int, s: float, horizon: float,
 
 def builtin_pairs(problem, lower_field: ValueField, upper_field: ValueField,
                   s: float, engine: EngineConfig) -> list:
-    """The built-in (alpha, beta) strategy pairs for the embedding suite."""
+    """The built-in (alpha, beta) strategy pairs for the embedding suite, alpha-major."""
     spec = problem.spec
     T = spec.horizon
     ladder = lambda feedback, k, label: _ladder(feedback, k, s, T, engine, label)
-    alphas = [
-        ("alpha:const0", _constant_strategy(spec.controls_u, 0, s, T, "alpha:const0")),
-        ("alpha:grid4", ladder(lower_field.feedback_u, 4, "alpha:grid4")),
-        ("alpha:grid8", ladder(lower_field.feedback_u, 8, "alpha:grid8")),
-    ]
+    alphas = [_constant_strategy(spec.controls_u, 0, s, T, "alpha:const0"),
+              ladder(lower_field.feedback_u, 4, "alpha:grid4"),
+              ladder(lower_field.feedback_u, 8, "alpha:grid8")]
     j_last = spec.controls_v.size - 1
     hit_switch = ElementaryStrategy(
         control_set=spec.controls_v, start_rule=FixedTimeRule(s),
         rules=(HittingRule(AbsRegion(1.0)), FixedTimeRule(T)),
         actions=(ConstantAction(0), ConstantAction(j_last)), label="beta:hitswitch")
-    betas = [
-        ("beta:const_last", _constant_strategy(spec.controls_v, j_last, s, T, "beta:const_last")),
-        ("beta:grid4", ladder(upper_field.feedback_v, 4, "beta:grid4")),
-        ("beta:hitswitch", hit_switch),
-    ]
-    return [(aid, alpha, bid, beta) for aid, alpha in alphas for bid, beta in betas]
+    betas = [_constant_strategy(spec.controls_v, j_last, s, T, "beta:const_last"),
+             ladder(upper_field.feedback_v, 4, "beta:grid4"),
+             hit_switch]
+    return [(alpha, beta) for alpha in alphas for beta in betas]

@@ -338,7 +338,8 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
         times = np.linspace(s0, spec.horizon, engine.n_steps + 1)
         n_seeds = cfg["embedding"]["n_seeds"]
         failed = {}  # (pair, seed index) -> the error of that row
-        for aid, alpha, bid, beta in pairs:
+        for alpha, beta in pairs:
+            aid, bid = alpha.label, beta.label
             noises = [sample_noise(times, derive_seed(master_seed, 29, k, hash_pair(aid, bid)),
                                    spec.noise_dim) for k in range(n_seeds)]
             try:
@@ -346,8 +347,8 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
             except RobustCtlError as exc:
                 bad = exc.rows if isinstance(exc, EmbeddingMismatchError) else range(n_seeds)
                 failed.update({(aid, bid, k): exc for k in bad})
-        rows = [[aid, bid, k, (aid, bid, k) not in failed]
-                for k in range(n_seeds) for aid, _, bid, _ in pairs]
+        rows = [[a.label, b.label, k, (a.label, b.label, k) not in failed]
+                for k in range(n_seeds) for a, b in pairs]
         mismatches = len(failed)
         warnings.extend(f"embedding {aid}/{bid} seed {k}: {exc}"
                         for (aid, bid, k), exc in failed.items())
@@ -393,7 +394,7 @@ def _build_rho(rule_cfg: dict, horizon: float):
 
 
 def _monotone(report, ladder, se_mult: float):
-    labels = [label for label, _ in ladder]
+    labels = [strategy.label for strategy in ladder]
     violations = []
     for a, b in zip(labels, labels[1:]):
         ra, rb = report.per_strategy[a], report.per_strategy[b]

@@ -143,6 +143,16 @@ class ControlSet:
     def point(self, index: int) -> np.ndarray:
         return self.points[index]
 
+    def matches(self, other: "ControlSet") -> bool:
+        """Same points in the same order, so an index means the same control in both."""
+        return self is other or (self.points.shape == other.points.shape
+                                 and np.array_equal(self.points, other.points))
+
+    def __str__(self) -> str:
+        pts = [f"{p[0]:g}" if p.size == 1 else "(" + ", ".join(f"{c:g}" for c in p) + ")"
+               for p in self.points]
+        return "{" + ", ".join(pts) + "}"
+
 
 Coefficient = Callable[..., np.ndarray]
 

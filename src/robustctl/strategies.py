@@ -291,7 +291,7 @@ class FeedbackMap:
 # ----------------------------------------------------------- strategies ---- #
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ElementaryStrategy:
     """Stopping-rule ladder with one frozen action per segment.
 
@@ -299,7 +299,10 @@ class ElementaryStrategy:
     force on (tau_k, tau_{k+1}].  ``start_rule`` is tau_0.  Rule order is
     enforced at evaluation time by clamping each fire index below the
     previous one; clamps are counted and reported, since a clamp means the
-    declared ladder was inconsistent on that path.
+    declared ladder was inconsistent on that path.  Every action is checked
+    against ``control_set`` here: a constant index must lie in it and a
+    lookup table must be on it, so the engine checks only the set itself;
+    the strategy is frozen so the check holds for its lifetime.
     """
 
     control_set: ControlSet
@@ -309,13 +312,23 @@ class ElementaryStrategy:
     label: str = ""
 
     def __post_init__(self):
-        self.rules = tuple(self.rules)
-        self.actions = tuple(self.actions)
+        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "actions", tuple(self.actions))
         if len(self.rules) == 0:
             raise StrategyStructureError(f"strategy {self.label!r}: need at least one segment")
         if len(self.rules) != len(self.actions):
             raise StrategyStructureError(
                 f"strategy {self.label!r}: {len(self.rules)} rules vs {len(self.actions)} actions")
+        n = self.control_set.size
+        for action in self.actions:
+            if isinstance(action, ConstantAction) and not 0 <= action.index < n:
+                raise StrategyStructureError(
+                    f"strategy {self.label!r} plays index {action.index} outside [0, {n})")
+            table = action.feedback if isinstance(action, FeedbackLookupAction) else None
+            if table is not None and not table.control_set.matches(self.control_set):
+                raise StrategyStructureError(
+                    f"strategy {self.label!r} reads table {table.label!r} on "
+                    f"{table.control_set}, not on its own set {self.control_set}")
 
     @property
     def anticipating(self) -> bool:
@@ -562,9 +575,7 @@ def concatenate(first: ElementaryStrategy, tail: ElementaryStrategy,
     is clamped to it when the strategy is tracked, and
     :class:`StrategyTracker` counts the clamp on that path.
     """
-    if first.control_set is not tail.control_set and not (
-            first.control_set.points.shape == tail.control_set.points.shape
-            and np.array_equal(first.control_set.points, tail.control_set.points)):
+    if not first.control_set.matches(tail.control_set):
         raise StrategyStructureError("concatenate: control sets differ")
     if tail.start_rule != junction:
         raise StrategyStructureError(

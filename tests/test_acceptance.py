@@ -108,7 +108,7 @@ def test_criterion_02_heat_monte_carlo_hits_the_closed_form(heat_problem,
                                                             announce):
     spec = heat_problem.spec
     alpha = _constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
-    adv = Adversary(id="const:0", kind="open_loop", control=ConstantControl(0))
+    adv = Adversary("const:0", ConstantControl(0))
     t0 = time.perf_counter()
     est = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv,
                           n_paths=N_PATHS, master_seed=MASTER_SEED,
@@ -165,8 +165,8 @@ def test_criterion_04_game_value_matches_the_lower_field(pennies_value,
     gap = abs(best.mean - field_value)
     tol = max(3.0 * best.estimate.std_error, 0.03)
     bands = []
-    for (a, _), (b, _) in zip(ladder, ladder[1:]):
-        ra, rb = report.per_strategy[a], report.per_strategy[b]
+    for a, b in zip(ladder, ladder[1:]):
+        ra, rb = report.per_strategy[a.label], report.per_strategy[b.label]
         band = float(np.sqrt(ra.estimate.std_error ** 2
                              + rb.estimate.std_error ** 2))
         bands.append(rb.mean >= ra.mean - band)
@@ -185,7 +185,7 @@ def test_criterion_05_enlarging_the_filtration_changes_nothing(pennies_problem,
                                                                pennies_value,
                                                                announce):
     report, ladder, base, enlarged, engine, _ = pennies_value
-    best_strategy = dict(ladder)[report.best_label]
+    best_strategy = {s.label: s for s in ladder}[report.best_label]
     rep = filtration_experiment(pennies_problem.spec, 0.0, np.array([0.0]),
                                 best_strategy, base, enlarged,
                                 n_paths=N_PATHS, master_seed=MASTER_SEED,
@@ -211,7 +211,7 @@ def test_criterion_06_embedding_replays_every_builtin_pair(
         pairs = builtin_pairs(problem, lower, upper, 0.0, engine)
         times = np.linspace(0.0, spec.horizon, engine.n_steps + 1)
         for k in range(100):
-            for j, (aid, alpha, bid, beta) in enumerate(pairs):
+            for j, (alpha, beta) in enumerate(pairs):
                 noise = sample_noise(times, derive_seed(MASTER_SEED, 29, k, j),
                                      spec.noise_dim)
                 trials += 1

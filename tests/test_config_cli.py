@@ -279,7 +279,7 @@ def test_every_stage_equals_the_direct_calls():
     x0, n = np.array([0.0]), 200
     seed = derive_seed(6, 37)
     best = summary["value"]["best_strategy"]
-    strat = dict(ladder)[best]
+    strat = {s.label: s for s in ladder}[best]
 
     filt = ge.filtration_experiment(spec, 0.0, x0, strat, base, enlarged, n, seed, engine)
     assert summary["filtration"] == filtration_summary(best, filt)
@@ -350,8 +350,8 @@ def test_filtration_without_the_value_stage_picks_over_the_base_family():
     spec, lower, engine, base, enlarged, ladder = direct_inputs(summary)
     x0, n, seed = np.array([0.0]), 200, derive_seed(4, 37)
     probe = ge.value_experiment(spec, 0.0, x0, ladder, base, n, seed, engine)
-    filt = ge.filtration_experiment(spec, 0.0, x0, dict(ladder)[probe.best_label],
-                                    base, enlarged, n, seed, engine)
+    best = {s.label: s for s in ladder}[probe.best_label]
+    filt = ge.filtration_experiment(spec, 0.0, x0, best, base, enlarged, n, seed, engine)
     assert summary["filtration"] == filtration_summary(probe.best_label, filt)
     assert [row[0] for row in result.tables["estimates"][1]] == ["filtration"] * 2
 

@@ -29,13 +29,13 @@ from robustctl.game_engine import (Adversary, AdversaryFamily, EngineConfig,
                                    dpp_checks, embed_feedback_as_openloop, estimate_payoff,
                                    filtration_experiment, simulate_feedback_pair,
                                    simulate_strong, value_experiment)
-from robustctl.pde_solver import make_grid, solve_isaacs
+from robustctl.pde_solver import ValueField, make_grid, solve_isaacs
 from robustctl.sde_core import (ControlSet, NoisePath, ProblemSpec,
                                 derive_seed_array, eval_payoff, euler_step,
                                 sample_noise)
 from robustctl.strategies import (_NOT_YET, UNDEFINED, AbsRegion, CappedRule,
                                   ConstantAction, ConstantControl,
-                                  ElementaryStrategy, FixedTimeRule,
+                                  ElementaryStrategy, FeedbackMap, FixedTimeRule,
                                   GridIndexRule, HittingRule, LookaheadAction,
                                   LookaheadControl, LookaheadRule,
                                   OpenLoopControl, PiecewiseRandomControl,
@@ -64,7 +64,7 @@ def hitswitch_strategy(control_set, start: float, end: float,
 
 
 def const_adv(index: int, label: str) -> Adversary:
-    return Adversary(id=label, kind="open_loop", control=ConstantControl(index))
+    return Adversary(label, ConstantControl(index))
 
 
 # ------------------------------------------------------ recorded simulation ---- #
@@ -124,25 +124,21 @@ def test_feedback_pair_freezes_both_players(pennies_problem):
 
 
 def test_out_of_range_strategy_reply_is_refused(pennies_problem):
-    # index 2 on a two-point set would otherwise decode as another pair
+    # index 2 on a two-point set would otherwise decode as another pair; the
+    # strategy refuses it against its own set when it is built
     spec = pennies_problem.spec
-    times = np.linspace(0.0, spec.horizon, 9)
-    alpha = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
-    beta = constant_strategy(spec.controls_v, 2, 0.0, spec.horizon)
-    with pytest.raises(ModelEvaluationError, match="adversary strategy 'const2' .*outside"):
-        simulate_feedback_pair(spec, alpha, beta, sample_noise(times, 1, spec.noise_dim),
-                               np.array([0.0]))
+    with pytest.raises(StrategyStructureError,
+                       match=r"^strategy 'const2' plays index 2 outside \[0, 2\)$"):
+        constant_strategy(spec.controls_v, 2, 0.0, spec.horizon)
 
 
 def test_out_of_range_controller_action_is_refused(pennies_problem):
-    # the controller side of the check above, made once before the first step
+    # the controller side of the check above, with a negative index too
     spec = pennies_problem.spec
-    times = np.linspace(0.0, spec.horizon, 9)
-    alpha = constant_strategy(spec.controls_u, 2, 0.0, spec.horizon, label="bad")
-    with pytest.raises(ModelEvaluationError,
-                       match=r"strategy 'bad' plays index 2 outside \[0, 2\)"):
-        simulate_strong(spec, alpha, ConstantControl(0),
-                        sample_noise(times, 1, spec.noise_dim), np.array([0.0]))
+    for index in (2, -1):
+        with pytest.raises(StrategyStructureError,
+                           match=rf"^strategy 'bad' plays index {index} outside \[0, 2\)$"):
+            constant_strategy(spec.controls_u, index, 0.0, spec.horizon, label="bad")
 
 
 def test_feedback_table_on_a_larger_set_is_refused_for_either_side(pennies_problem,
@@ -160,34 +156,63 @@ def test_feedback_table_on_a_larger_set_is_refused_for_either_side(pennies_probl
                       ("adversary", lambda: simulate_feedback_pair(
                           spec, fits, wide, noise, np.array([0.0])))):
         with pytest.raises(ModelEvaluationError,
-                           match=rf"{side} strategy 'wide' reads table .* on 3 controls, "
-                                 r"outside \[0, 2\)"):
+                           match=rf"^{side} strategy 'wide' uses control set \{{-1, 0, 1\}}, "
+                                 rf"the game's {side} set is \{{-1, 1\}}$"):
             run()
 
 
 def test_nature_tables_on_another_game_are_refused(pennies_problem, drift_fields,
                                                    heat_field):
-    # drift_control's tables reply with v indices 0..2 and its reply table
-    # has three u rows; heat's has one.  On pennies' two-point sets each
-    # lookup would read past a set and decode as another (u, v) pair
+    # drift_control's tables reply with v indices 0..2 on {-0.5, 0, 0.5}, and
+    # heat's with index 0 on {0}; on pennies each index would decode as
+    # another v (heat's 0 as v = -1, a set no larger than pennies'), so the
+    # sets themselves are compared, and a reply field's u rows too
     spec = pennies_problem.spec
     lower, _ = drift_fields
     alpha = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
+    engine = EngineConfig(n_steps=8)
+    pm = r"\{-1, 1\}"
     cases = [
-        (Adversary(id="fbwide", kind="feedback", feedback=lower.feedback_v),
-         r"adversary strategy 'fbwide' reads table 'drift_control/lower/v' "
-         r"on 3 controls, outside \[0, 2\)"),
-        (Adversary(id="brwide", kind="best_response", response=lower),
-         r"adversary 'brwide' reads table 'drift_control/lower/v reply' "
-         r"on 3 controls, outside \[0, 2\)"),
-        (Adversary(id="brnarrow", kind="best_response", response=heat_field),
-         r"adversary 'brnarrow' reads table 'heat/lower/v reply' "
-         r"on 2 controller actions, outside \[0, 1\)"),
+        (Adversary("fbwide", lower.feedback_v),
+         rf"^adversary strategy 'fbwide' uses control set \{{-0.5, 0, 0.5\}}, "
+         rf"the game's adversary set is {pm}$"),
+        (Adversary("fbnarrow", heat_field.feedback_v),
+         rf"^adversary strategy 'fbnarrow' uses control set \{{0\}}, "
+         rf"the game's adversary set is {pm}$"),
+        (Adversary("brwide", lower),
+         rf"^adversary 'brwide' reply table 'drift_control/lower/v' uses control set "
+         rf"\{{-0.5, 0, 0.5\}}, the game's adversary set is {pm}$"),
+        (Adversary("brnarrow", heat_field),
+         rf"^adversary 'brnarrow' reply table 'heat/lower/v' uses control set "
+         rf"\{{0\}}, the game's adversary set is {pm}$"),
     ]
     for adv, named in cases:
         with pytest.raises(ModelEvaluationError, match=named):
             estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, n_paths=4,
-                            master_seed=0, engine=EngineConfig(n_steps=8))
+                            master_seed=0, engine=engine)
+    # heat's reply on a game with heat's v set but pennies' u set: its one
+    # u row would be read for both of pennies' actions
+    hybrid = dataclasses.replace(spec, controls_v=heat_field.feedback_v.control_set)
+    with pytest.raises(ModelEvaluationError,
+                       match=rf"^adversary 'brrows' reply rows 'heat/lower/u' uses control "
+                             rf"set \{{0\}}, the game's controller set is {pm}$"):
+        estimate_payoff(hybrid, 0.0, np.array([0.0]), alpha, Adversary("brrows", heat_field),
+                        n_paths=4, master_seed=0, engine=engine)
+
+
+def test_noise_of_another_width_is_refused(pennies_problem):
+    # sigma multiplies the sum of the components, so a width-2 path on a
+    # one-noise game would move the state (X_T 2.4709 against 2.3580, seed 5)
+    spec = pennies_problem.spec
+    times = np.linspace(0.0, spec.horizon, 9)
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    wide = sample_noise(times, 5, 2)
+    with pytest.raises(ConfigError, match=r"^noise path seed 5 has dW width 2, "
+                                          r"the game's noise_dim is 1$"):
+        simulate_strong(spec, alpha, ConstantControl(1), wide, np.array([0.0]))
+    mixed = [sample_noise(times, 5, 1), sample_noise(times, 6, 1, extra_dim=1)]
+    with pytest.raises(ConfigError, match=r"extra widths \[0, 1\]"):
+        simulate_strong(spec, alpha, ConstantControl(1), mixed, np.array([0.0]))
 
 
 def test_a_strategy_that_runs_out_is_refused_on_either_side(pennies_problem):
@@ -279,8 +304,7 @@ def test_deterministic_dynamics_have_zero_standard_error(drift_problem):
 def test_same_arguments_reproduce_bitwise(pennies_problem):
     spec = pennies_problem.spec
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
-    adv = Adversary(id="sgn", kind="open_loop",
-                    control=SignControl(pos_index=1, neg_index=0))
+    adv = Adversary("sgn", SignControl(pos_index=1, neg_index=0))
     kw = dict(n_paths=64, master_seed=12, engine=EngineConfig(n_steps=32),
               keep_payoffs=True)
     a = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, **kw)
@@ -295,8 +319,7 @@ def test_chunk_and_thread_layout_is_invisible(pennies_problem, pennies_fields):
     times = np.linspace(0.0, spec.horizon, 33)
     ladder = make_grid_strategy(lower.feedback_u, times[[0, 8, 16, 24, 32]],
                                 label="grid4")
-    adv = Adversary(id="sgn", kind="open_loop",
-                    control=SignControl(pos_index=1, neg_index=0))
+    adv = Adversary("sgn", SignControl(pos_index=1, neg_index=0))
     runs = []
     for chunk, threads in ((7, 1), (64, 3), (17, 2), (1000, 1)):
         engine = EngineConfig(n_steps=32, chunk_size=chunk, threads=threads)
@@ -313,10 +336,10 @@ def test_chunk_and_thread_layout_is_invisible(pennies_problem, pennies_fields):
     hitter = hitswitch_strategy(spec.controls_u, 0.0, spec.horizon, level=0.8)
     beta = hitswitch_strategy(spec.controls_v, 0.0, spec.horizon, level=0.9)
     family = AdversaryFamily((
-        adv, Adversary(id="fb", kind="feedback", feedback=lower.feedback_v),
-        Adversary(id="br", kind="best_response", response=lower),
-        Adversary(id="beta", kind="strategy", strategy=beta)))
-    strategies = [("grid4", ladder), ("hitswitch", hitter)]
+        adv, Adversary("fb", lower.feedback_v),
+        Adversary("br", lower),
+        Adversary("beta", beta)))
+    strategies = [ladder, hitter]
     rho = CappedRule(HittingRule(AbsRegion(0.5)), FixedTimeRule(spec.horizon))
 
     def tables(chunk, threads):
@@ -437,8 +460,7 @@ def test_anticipating_objects_are_refused(pennies_problem):
     spec = pennies_problem.spec
     honest = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     engine = EngineConfig(n_steps=8)
-    peeking_adv = Adversary(id="peek", kind="open_loop",
-                            control=LookaheadControl(1, 0))
+    peeking_adv = Adversary("peek", LookaheadControl(1, 0))
     with pytest.raises(StrategyStructureError, match="anticipating"):
         estimate_payoff(spec, 0.0, np.array([0.0]), honest, peeking_adv,
                         n_paths=4, master_seed=0, engine=engine)
@@ -464,23 +486,22 @@ def _reference_march(spec, noise, x0, strategy, adv):
     times = noise.times
     states = np.empty((times.size, spec.dim))
     states[0] = x0
-    if adv.kind == "open_loop":
-        v_path = oracle.realize(adv.control, noise)
+    plays = adv.plays
+    if isinstance(plays, OpenLoopControl):
+        v_path = oracle.realize(plays, noise)
     for i in range(noise.n_steps):
         t = float(times[i])
         prefix = states[: i + 1]
         iu, _ = oracle.step_control(strategy, times, prefix, i)
-        if adv.kind == "open_loop":
+        if isinstance(plays, OpenLoopControl):
             jv = v_path[i]
-        elif adv.kind == "feedback":
-            fb = adv.feedback
-            jv = oracle.snap_lookup(fb.times, fb.axes, fb.indices, t, states[i])
-        elif adv.kind == "best_response":
-            grid = adv.response.feedback_v
-            jv = oracle.snap_lookup(grid.times, grid.axes, adv.response.response_v, t,
-                                    states[i], iu)
+        elif isinstance(plays, FeedbackMap):
+            jv = oracle.snap_lookup(plays.times, plays.axes, plays.indices, t, states[i])
+        elif isinstance(plays, ValueField):
+            grid = plays.feedback_v
+            jv = oracle.snap_lookup(grid.times, grid.axes, plays.response_v, t, states[i], iu)
         else:
-            jv, _ = oracle.step_control(adv.strategy, times, prefix, i)
+            jv, _ = oracle.step_control(plays, times, prefix, i)
         states[i + 1] = euler_step(spec, t, float(times[i + 1] - times[i]), states[i],
                                    spec.controls_u.point(iu),
                                    spec.controls_v.point(jv), noise.dW[i])
@@ -509,24 +530,21 @@ def test_batch_engine_matches_per_path_reference(pennies_problem, pennies_fields
     const1 = constant_strategy(spec.controls_u, 1, s, spec.horizon)
     hitter = hitswitch_strategy(spec.controls_u, s, spec.horizon, level=0.8)
     beta = hitswitch_strategy(spec.controls_v, s, spec.horizon, level=0.9)
-    fb = Adversary(id="fb", kind="feedback", feedback=lower.feedback_v)
-    br = Adversary(id="br", kind="best_response", response=lower)
+    fb = Adversary("fb", lower.feedback_v)
+    br = Adversary("br", lower)
     cases = [
         (ladder, const_adv(0, "c0")),
         (hitter, const_adv(1, "c1")),
-        (ladder, Adversary(id="sgn", kind="open_loop",
-                           control=SignControl(pos_index=1, neg_index=0))),
-        (ladder, Adversary(id="sgnE", kind="open_loop",
-                           control=SignControl(pos_index=1, neg_index=0,
+        (ladder, Adversary("sgn", SignControl(pos_index=1, neg_index=0))),
+        (ladder, Adversary("sgnE", SignControl(pos_index=1, neg_index=0,
                                                source="extra"))),
-        (ladder, Adversary(id="pw", kind="open_loop",
-                           control=PiecewiseRandomControl(2, 4, salt=9))),
+        (ladder, Adversary("pw", PiecewiseRandomControl(2, 4, salt=9))),
         (const1, fb),
         (const1, br),
         (hitter, fb),
         (hitter, br),
         (ladder, br),
-        (ladder, Adversary(id="beta", kind="strategy", strategy=beta)),
+        (ladder, Adversary("beta", beta)),
     ]
     for strategy, adv in cases:
         est = estimate_payoff(spec, s, x0, strategy, adv, n_paths=24,
@@ -561,7 +579,7 @@ def test_best_response_lookup_batch_matches_scalar(pennies_problem, pennies_fiel
     # once; each row must be the scalar snapped lookup at that (t, x, u)
     spec = pennies_problem.spec
     lower, _ = pennies_fields
-    adversary = Adversary(id="br", kind="best_response", response=lower)
+    adversary = Adversary("br", lower)
     times = np.linspace(0.0, 1.0, 9)
     rng = np.random.default_rng(31)
     x = rng.uniform(-4.5, 4.5, size=(64, 1))
@@ -598,10 +616,11 @@ def test_rule_without_batch_form_is_refused_by_name(pennies_problem):
 
 
 def test_adversary_payload_validation():
-    with pytest.raises(ConfigError, match="unknown kind"):
-        Adversary(id="x", kind="psychic", control=ConstantControl(0))
-    with pytest.raises(ConfigError, match="payload missing"):
-        Adversary(id="x", kind="feedback")
+    # the payload's type is the kind: anything else has no way to play
+    with pytest.raises(ConfigError, match="'x' cannot play a str"):
+        Adversary("x", "psychic")
+    with pytest.raises(ConfigError, match="'x' cannot play a NoneType"):
+        Adversary("x", None)
     with pytest.raises(ConfigError, match="empty"):
         AdversaryFamily((), label="none")
     with pytest.raises(ConfigError, match="duplicate"):
@@ -615,7 +634,7 @@ def test_singleton_family_matches_plain_estimate(pennies_problem):
     engine = EngineConfig(n_steps=16)
     est = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, n_paths=32,
                           master_seed=5, engine=engine)
-    rv = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)],
+    rv = value_experiment(spec, 0.0, np.array([0.0]), [alpha],
                           AdversaryFamily((adv,)), n_paths=32, master_seed=5,
                           engine=engine).best
     assert rv.mean == est.mean
@@ -628,7 +647,7 @@ def test_opposing_sign_is_the_worst_constant(pennies_problem):
     spec = pennies_problem.spec
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     family = AdversaryFamily((const_adv(1, "up"), const_adv(0, "down")))
-    rv = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)], family,
+    rv = value_experiment(spec, 0.0, np.array([0.0]), [alpha], family,
                           n_paths=256, master_seed=7, engine=EngineConfig(n_steps=32)).best
     assert rv.worst_id == "down"
     assert rv.members["down"].mean < rv.members["up"].mean
@@ -640,26 +659,26 @@ def test_ties_keep_the_earliest_member(pennies_problem):
     spec = pennies_problem.spec
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     family = AdversaryFamily((const_adv(0, "first"), const_adv(0, "second")))
-    rv = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)], family,
+    rv = value_experiment(spec, 0.0, np.array([0.0]), [alpha], family,
                           n_paths=32, master_seed=7, engine=EngineConfig(n_steps=16)).best
     assert rv.members["first"].mean == rv.members["second"].mean
     assert rv.worst_id == "first"
     # and the outer maximum keeps the earliest of two equal strategies
     twin = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon, label="twin")
-    report = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha), ("twin", twin)],
+    report = value_experiment(spec, 0.0, np.array([0.0]), [alpha, twin],
                               family, n_paths=32, master_seed=7,
                               engine=EngineConfig(n_steps=16))
-    assert report.per_strategy["alpha"].mean == report.per_strategy["twin"].mean
-    assert report.best_label == "alpha" and report.best is report.per_strategy["alpha"]
+    assert report.per_strategy["const1"].mean == report.per_strategy["twin"].mean
+    assert report.best_label == "const1" and report.best is report.per_strategy["const1"]
 
 
 def test_repeated_strategy_labels_are_refused(pennies_problem):
     # one label on two rows would let per_strategy and best name different rows
     spec = pennies_problem.spec
-    down = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
-    up = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    down = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon, label="x")
+    up = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon, label="x")
     with pytest.raises(ConfigError, match="'x' appears more than once"):
-        value_experiment(spec, 0.0, np.array([0.0]), [("x", down), ("x", up)],
+        value_experiment(spec, 0.0, np.array([0.0]), [down, up],
                          AdversaryFamily((const_adv(0, "c"),)), n_paths=8,
                          master_seed=0, engine=EngineConfig(n_steps=8))
 
@@ -668,14 +687,12 @@ def test_extending_the_family_never_raises_the_value(pennies_problem):
     spec = pennies_problem.spec
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     base_members = (const_adv(0, "c0"), const_adv(1, "c1"))
-    extra = (Adversary(id="sgn", kind="open_loop",
-                       control=SignControl(pos_index=1, neg_index=0)),
-             Adversary(id="pw", kind="open_loop",
-                       control=PiecewiseRandomControl(2, 4, salt=1)))
+    extra = (Adversary("sgn", SignControl(pos_index=1, neg_index=0)),
+             Adversary("pw", PiecewiseRandomControl(2, 4, salt=1)))
     kw = dict(n_paths=64, master_seed=13, engine=EngineConfig(n_steps=16))
-    small = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)],
+    small = value_experiment(spec, 0.0, np.array([0.0]), [alpha],
                              AdversaryFamily(base_members), **kw).best
-    big = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)],
+    big = value_experiment(spec, 0.0, np.array([0.0]), [alpha],
                            AdversaryFamily(base_members + extra), **kw).best
     assert big.mean <= small.mean
     for aid in ("c0", "c1"):  # shared members see identical noise
@@ -688,20 +705,17 @@ def test_value_experiment_rows_match_standalone_runs(pennies_problem, pennies_fi
     engine = EngineConfig(n_steps=32)
     times = np.linspace(0.0, spec.horizon, 33)
     strategies = [
-        ("const1", constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)),
-        ("grid4", make_grid_strategy(lower.feedback_u, times[[0, 8, 16, 24, 32]],
-                                     label="grid4")),
+        constant_strategy(spec.controls_u, 1, 0.0, spec.horizon),
+        make_grid_strategy(lower.feedback_u, times[[0, 8, 16, 24, 32]], label="grid4"),
     ]
     family = AdversaryFamily((const_adv(0, "c0"), const_adv(1, "c1"),
-                              Adversary(id="sgn", kind="open_loop",
-                                        control=SignControl(pos_index=1,
-                                                            neg_index=0))))
+                              Adversary("sgn", SignControl(pos_index=1, neg_index=0))))
     report = value_experiment(spec, 0.0, np.array([0.0]), strategies, family,
                               n_paths=64, master_seed=17, engine=engine)
-    for label, strat in strategies:
-        alone = value_experiment(spec, 0.0, np.array([0.0]), [(label, strat)], family,
+    for strat in strategies:
+        alone = value_experiment(spec, 0.0, np.array([0.0]), [strat], family,
                                  n_paths=64, master_seed=17, engine=engine).best
-        got = report.per_strategy[label]
+        got = report.per_strategy[strat.label]
         assert got.worst_id == alone.worst_id
         for aid in family.ids:
             assert got.members[aid].mean == alone.members[aid].mean
@@ -716,6 +730,11 @@ def test_value_experiment_validates_inputs(pennies_problem):
     family = AdversaryFamily((const_adv(0, "c0"),))
     with pytest.raises(ConfigError, match="at least one strategy"):
         value_experiment(spec, 0.0, np.array([0.0]), [], family, n_paths=4,
+                         master_seed=0, engine=EngineConfig(n_steps=8))
+    # rows are strategies keyed by their own labels, not (label, strategy) pairs
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    with pytest.raises(ConfigError, match="a table row is a tuple, not a strategy"):
+        value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)], family, n_paths=4,
                          master_seed=0, engine=EngineConfig(n_steps=8))
 
 
@@ -740,8 +759,8 @@ def test_default_strategy_family_builds_grid_ladders(pennies_problem, pennies_fi
     lower, _ = pennies_fields
     engine = EngineConfig(n_steps=32)
     family = default_strategy_family(pennies_problem, lower, [2, 4, 8], 0.0, engine)
-    assert [label for label, _ in family] == ["grid2", "grid4", "grid8"]
-    for _, strat in family:
+    assert [strat.label for strat in family] == ["grid2", "grid4", "grid8"]
+    for strat in family:
         assert strat.control_set is lower.feedback_u.control_set
     with pytest.raises(ConfigError, match="decision count"):
         default_strategy_family(pennies_problem, lower, [0], 0.0, engine)
@@ -752,10 +771,12 @@ def test_builtin_pairs_cover_the_three_by_three_grid(pennies_problem, pennies_fi
     pairs = builtin_pairs(pennies_problem, lower, upper, 0.0,
                           EngineConfig(n_steps=32))
     assert len(pairs) == 9
-    assert sorted({aid for aid, _, _, _ in pairs}) == [
+    assert [alpha.label for alpha, _ in pairs[::3]] == [
         "alpha:const0", "alpha:grid4", "alpha:grid8"]
-    assert sorted({bid for _, _, bid, _ in pairs}) == [
+    assert [beta.label for _, beta in pairs[:3]] == [
         "beta:const_last", "beta:grid4", "beta:hitswitch"]
+    assert all(alpha.control_set is pennies_problem.spec.controls_u
+               and beta.control_set is pennies_problem.spec.controls_v for alpha, beta in pairs)
 
 
 # ------------------------------------------------------------- filtration ---- #
@@ -789,7 +810,7 @@ def test_filtration_delta_is_structurally_nonnegative(pennies_problem, pennies_f
                         + rep.enlarged.estimate.std_error ** 2)
     assert rep.se_combined == pytest.approx(expect_se, rel=1e-12)
     # base rows are shared with the enlarged run, so standalone values match
-    alone = value_experiment(spec, 0.0, np.array([0.0]), [("alpha", alpha)], base,
+    alone = value_experiment(spec, 0.0, np.array([0.0]), [alpha], base,
                              n_paths=40, master_seed=19, engine=engine).best
     for aid in base.ids:
         assert rep.base.members[aid].mean == alone.members[aid].mean
@@ -823,15 +844,13 @@ def test_filtration_report_from_a_table_row_matches_the_experiment(pennies_probl
     # one 2 x 5 table against the enlarged family: each row, folded over the
     # base members, is the base-family table and the standalone experiment
     spec = pennies_problem.spec
-    strategies = [(f"const{k}", constant_strategy(spec.controls_u, k, 0.0, spec.horizon))
-                  for k in (0, 1)]
+    strategies = [constant_strategy(spec.controls_u, k, 0.0, spec.horizon) for k in (0, 1)]
     # c0 and c0b tie under common noise, so the base fold must keep c0
     base = AdversaryFamily((const_adv(1, "c1"), const_adv(0, "c0"), const_adv(0, "c0b")),
                            label="base")
     enlarged = AdversaryFamily(base.members + (
-        Adversary(id="sgnE", kind="open_loop",
-                  control=SignControl(pos_index=1, neg_index=0, source="extra")),
-        Adversary(id="pw", kind="open_loop", control=PiecewiseRandomControl(2, 4, salt=1))),
+        Adversary("sgnE", SignControl(pos_index=1, neg_index=0, source="extra")),
+        Adversary("pw", PiecewiseRandomControl(2, 4, salt=1))),
         label="enlarged")
     kw = dict(n_paths=64, master_seed=19, engine=EngineConfig(n_steps=16))
     x0 = np.array([0.0])
@@ -840,7 +859,8 @@ def test_filtration_report_from_a_table_row_matches_the_experiment(pennies_probl
     restricted = table.restricted(base)
     assert restricted.best_label == on_base.best_label
     assert restricted.per_strategy["const1"].worst_id == "c0"
-    for label, strat in strategies:
+    for strat in strategies:
+        label = strat.label
         assert_same_robust(restricted.per_strategy[label], on_base.per_strategy[label])
         got = table.filtration(label, base)
         want = filtration_experiment(spec, 0.0, x0, strat, base, enlarged, **kw)
@@ -848,7 +868,7 @@ def test_filtration_report_from_a_table_row_matches_the_experiment(pennies_probl
         assert (got.delta, got.se_combined) == (want.delta, want.se_combined)
         assert_same_robust(got.base, want.base)
         assert_same_robust(got.enlarged, want.enlarged)
-        alone = value_experiment(spec, 0.0, x0, [(label, strat)], base, **kw).best
+        alone = value_experiment(spec, 0.0, x0, [strat], base, **kw).best
         assert_same_robust(got.base, alone)
     with pytest.raises(ConfigError, match="missing"):
         on_base.restricted(enlarged)
@@ -864,7 +884,7 @@ def test_dpp_at_the_start_time_is_exact(pennies_problem, pennies_fields):
     spec = pennies_problem.spec
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     family = AdversaryFamily((const_adv(0, "c0"), const_adv(1, "c1")))
-    rep = dpp_check(spec, lower, 0.0, np.array([0.0]), [("const1", alpha)],
+    rep = dpp_check(spec, lower, 0.0, np.array([0.0]), [alpha],
                     family, GridIndexRule(0), n_paths=32, master_seed=29,
                     engine=EngineConfig(n_steps=16), rho_label="start")
     assert rep.residual == 0.0
@@ -883,9 +903,8 @@ def test_dpp_at_the_horizon_matches_the_direct_estimate(pennies_problem,
     engine = EngineConfig(n_steps=32)
     times = np.linspace(0.0, spec.horizon, 33)
     strategies = [
-        ("const1", constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)),
-        ("grid4", make_grid_strategy(lower.feedback_u, times[[0, 8, 16, 24, 32]],
-                                     label="grid4")),
+        constant_strategy(spec.controls_u, 1, 0.0, spec.horizon),
+        make_grid_strategy(lower.feedback_u, times[[0, 8, 16, 24, 32]], label="grid4"),
     ]
     family = AdversaryFamily((const_adv(0, "c0"), const_adv(1, "c1")))
     rep = dpp_check(spec, lower, 0.0, np.array([0.0]), strategies, family,
@@ -904,7 +923,7 @@ def test_dpp_runs_a_capped_first_exit_rule(drift_problem, drift_fields):
     alpha = make_grid_strategy(lower.feedback_u, times[[0, 16, 32]], label="grid2")
     family = AdversaryFamily((const_adv(0, "v-"), const_adv(2, "v+")))
     rho = CappedRule(HittingRule(AbsRegion(1.0)), FixedTimeRule(spec.horizon))
-    rep = dpp_check(spec, lower, 0.0, np.array([0.0]), [("grid2", alpha)],
+    rep = dpp_check(spec, lower, 0.0, np.array([0.0]), [alpha],
                     family, rho, n_paths=64, master_seed=11, engine=engine)
     assert np.isfinite(rep.residual) and rep.residual < 0.5
     assert rep.std_error > 0.0
@@ -926,7 +945,7 @@ def test_dpp_screens_rules_at_the_state_dimension():
     family = AdversaryFamily((const_adv(0, "c0"),))
     kw = dict(n_paths=256, master_seed=3, engine=EngineConfig(n_steps=32))
     x0 = np.array([0.0, 0.2])
-    exit1, at_t = dpp_checks(spec, field, 0.0, x0, [("c", alpha)], family,
+    exit1, at_t = dpp_checks(spec, field, 0.0, x0, [alpha], family,
                              [("exit1", HittingRule(AbsRegion(0.5, coord=1))),
                               ("T", FixedTimeRule(spec.horizon))], **kw)
     # no control: the restart identity is the heat martingale, at any rule
@@ -940,7 +959,7 @@ def test_dpp_refuses_an_anticipating_rule(pennies_problem, pennies_fields):
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     family = AdversaryFamily((const_adv(0, "c0"),))
     with pytest.raises(StrategyStructureError, match="non-anticipativity"):
-        dpp_check(spec, lower, 0.0, np.array([0.0]), [("const1", alpha)],
+        dpp_check(spec, lower, 0.0, np.array([0.0]), [alpha],
                   family, LookaheadRule(), n_paths=4, master_seed=0,
                   engine=EngineConfig(n_steps=8))
 
@@ -953,13 +972,11 @@ def test_dpp_checks_fold_every_rule_of_one_table(pennies_problem, pennies_fields
     engine = EngineConfig(n_steps=32)
     times = np.linspace(0.0, spec.horizon, 33)
     strategies = [
-        ("const1", constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)),
-        ("grid4", make_grid_strategy(lower.feedback_u, times[[0, 8, 16, 24, 32]],
-                                     label="grid4")),
+        constant_strategy(spec.controls_u, 1, 0.0, spec.horizon),
+        make_grid_strategy(lower.feedback_u, times[[0, 8, 16, 24, 32]], label="grid4"),
     ]
     family = AdversaryFamily((const_adv(0, "c0"), const_adv(1, "c1"),
-                              Adversary(id="sgn", kind="open_loop",
-                                        control=SignControl(pos_index=1, neg_index=0))))
+                              Adversary("sgn", SignControl(pos_index=1, neg_index=0))))
     half = FixedTimeRule(spec.horizon / 2)
     exit_ = CappedRule(HittingRule(AbsRegion(0.5)), FixedTimeRule(spec.horizon))
     rules = [("half", half), ("exit", exit_), ("exit", HittingRule(AbsRegion(0.5)))]
@@ -1049,11 +1066,11 @@ def test_embedded_replies_are_non_anticipating_maps_of_the_noise(
     for problem, (lower, upper) in ((pennies_problem, pennies_fields),
                                     (drift_problem, drift_fields)):
         spec = problem.spec
-        for aid, alpha, bid, beta in builtin_pairs(problem, lower, upper, 0.0, engine):
+        for alpha, beta in builtin_pairs(problem, lower, upper, 0.0, engine):
             rep = check_nonanticipative(EmbeddedReply(spec, alpha, beta), n_trials=1000,
                                         seed=5, n_steps=engine.n_steps,
                                         horizon=spec.horizon, noise_dim=spec.noise_dim)
-            assert rep.failures == 0, (problem.id, aid, bid, rep.first_failure)
+            assert rep.failures == 0, (problem.id, alpha.label, beta.label, rep.first_failure)
 
 
 def test_doctored_replay_is_caught_at_the_first_state_it_moves(pennies_problem,

@@ -184,6 +184,24 @@ def test_structure_validation():
                            rules=(FixedTimeRule(1.0),),
                            actions=(ConstantAction(0), ConstantAction(1)))
 
+    # a lookup table's indices mean controls of its own set; on a strategy
+    # declared on another set, of any size, they would decode as other controls
+    def reading(control_set):
+        table = FeedbackMap.constant(control_set, 0, [0.0, 1.0], [np.zeros(1)], label="t")
+        return ElementaryStrategy(control_set=PM, start_rule=FixedTimeRule(0.0),
+                                  rules=(FixedTimeRule(0.5), FixedTimeRule(1.0)),
+                                  actions=(ConstantAction(0), FeedbackLookupAction(table)),
+                                  label="mixed")
+
+    for points, shown in (([0.0], "0"), ([-2.0, 2.0], "-2, 2"), ([-1.0, 0.0, 1.0], "-1, 0, 1")):
+        with pytest.raises(StrategyStructureError,
+                           match=rf"^strategy 'mixed' reads table 't' on \{{{shown}\}}, "
+                                 r"not on its own set \{-1, 1\}$"):
+            reading(ControlSet(np.array(points)))
+    checked = reading(ControlSet(PM.points.copy()))  # the same points built apart: one set
+    with pytest.raises(dataclasses.FrozenInstanceError):  # so the check holds for good
+        checked.actions = (ConstantAction(5),)
+
 
 def test_out_of_order_rules_are_clamped_and_counted():
     strat = ElementaryStrategy(
