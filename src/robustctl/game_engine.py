@@ -83,7 +83,10 @@ class Paths:
     """One marched chunk, one row per path: states (c, N+1, dim), the u and v
     index paths (c, N) as played, payoffs (c,), path seeds (c,) and the clamp
     count summed over rows.  States and index paths are None when the march
-    did not record them."""
+    did not record them.  They are recorded time-major, one contiguous row
+    per step, and handed out as transposed views without a copy; a reader
+    that walks the paths step by step (``states[:, j]``) reads contiguous
+    memory."""
 
     states: np.ndarray | None
     u_indices: np.ndarray | None
@@ -168,10 +171,6 @@ class AdversaryFamily:
     @property
     def ids(self) -> tuple:
         return tuple(m.id for m in self.members)
-
-    @property
-    def max_extra_dim(self) -> int:
-        return max(m.extra_dim for m in self.members)
 
 
 # ------------------------------------------------------ recorded entry points ---- #
@@ -315,6 +314,19 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
     return factory
 
 
+def _noise_term(sig: np.ndarray, dWi: np.ndarray) -> np.ndarray:
+    """sigma dW per row, bitwise as :func:`~robustctl.sde_core.euler_step`'s sum.
+
+    With one noise coordinate the sum is a single product; numpy's sum over
+    a length-1 axis turns -0.0 into +0.0, and ``+ 0.0`` does the same.
+    """
+    if dWi.shape[-1] == 1:
+        term = sig[..., 0] * dWi
+        term += 0.0
+        return term
+    return (sig * dWi[..., None, :]).sum(axis=-1)
+
+
 def _step_uniform(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
                   iu: int, jv: int, dWi: np.ndarray) -> tuple:
     # in-place x += b dt; x += sig dW keeps euler_step's association exactly
@@ -322,7 +334,7 @@ def _step_uniform(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
     b = np.asarray(spec.drift(t, X, u, v), dtype=float)
     sig = np.asarray(spec.diffusion(t, X, u, v), dtype=float)
     X += b * dt
-    X += (sig * dWi[..., None, :]).sum(axis=-1)
+    X += _noise_term(sig, dWi)
     return b, sig, None
 
 
@@ -335,10 +347,18 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
     max, which every one-path march has) take the uniform path before any
     grouping.  Mixed steps are about as common (in a full run of the test
     suite, about half of the batched steps had paths on more than one pair);
-    they evaluate each live pair on the full state block and gather per row.
+    they evaluate each live pair on the full state block and select per row.
     The coefficient contract (vectorized, row i depends on x[i] alone) makes
     that the same floats as a per-group evaluation, without mask extraction
     and scatter; ``rows`` is ``arange(len(X))``, built once per march.
+
+    The live pairs and each row's slot among them come from the pair code:
+    two adjacent codes are the pairs ``(lo, lo + 1)`` with slot ``code -
+    lo``; any other mix is read off a ``bincount``.  Each row's drift and
+    diffusion are one flat ``take`` at ``slot * len(X) + row`` on the
+    stacked blocks.  Signed zeros come out as in ``euler_step``: the noise
+    term follows :func:`_noise_term`.
+
     Returns the coefficient blocks it evaluated, for the blow-up report:
     (drift, diffusion, None) on a uniform step, else (drift per live pair,
     diffusion per live pair, each row's pair slot).
@@ -346,24 +366,32 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
     n_u, n_v = spec.controls_u.size, spec.controls_v.size
     if n_u == 1 and n_v == 1:
         return _step_uniform(spec, t, dt, X, 0, 0, dWi)
-    code = u_idx * n_v + v_idx
-    lo = int(code.min())
-    if lo == int(code.max()):
+    code = u_idx * n_v
+    code += v_idx
+    lo, hi = int(code.min()), int(code.max())
+    if lo == hi:
         iu, jv = divmod(lo, n_v)
         return _step_uniform(spec, t, dt, X, iu, jv, dWi)
-    codes = np.flatnonzero(np.bincount(code, minlength=n_u * n_v))
-    slot = np.empty(n_u * n_v, dtype=np.intp)
-    B = np.empty((codes.size,) + X.shape)
-    S = np.empty((codes.size,) + X.shape + (dWi.shape[-1],))
-    for k, c in enumerate(codes):
-        slot[c] = k
+    if hi == lo + 1:
+        codes = (lo, hi)
+        sel = code - lo
+    else:
+        codes = np.flatnonzero(np.bincount(code, minlength=n_u * n_v))
+        slot = np.empty(n_u * n_v, dtype=np.intp)
+        slot[codes] = np.arange(codes.size)
+        sel = slot[code]
+    n, k = X.shape[0], len(codes)
+    B = np.empty((k,) + X.shape)
+    S = np.empty((k,) + X.shape + (dWi.shape[-1],))
+    for j, c in enumerate(codes):
         iu, jv = divmod(int(c), n_v)
         u, v = spec.controls_u.point(iu), spec.controls_v.point(jv)
-        B[k] = spec.drift(t, X, u, v)
-        S[k] = spec.diffusion(t, X, u, v)
-    sel = slot[code]
-    X += B[sel, rows] * dt
-    X += (S[sel, rows] * dWi[..., None, :]).sum(axis=-1)
+        B[j] = spec.drift(t, X, u, v)
+        S[j] = spec.diffusion(t, X, u, v)
+    flat = sel * n
+    flat += rows
+    X += B.reshape((k * n,) + X.shape[1:]).take(flat, axis=0) * dt
+    X += _noise_term(S.reshape((k * n,) + S.shape[2:]).take(flat, axis=0), dWi)
     return B, S, sel
 
 
@@ -424,10 +452,11 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
     eval_pairs(spec, float(times[0]), X)
     states = u_paths = v_paths = None
     if record_states:
-        states = np.empty((c, n + 1, spec.dim))
-        states[:, 0] = X
-        u_paths = np.empty((c, n), dtype=np.int32)
-        v_paths = np.empty((c, n), dtype=np.int32)
+        # time-major, so each step writes one contiguous row
+        states = np.empty((n + 1, c, spec.dim))
+        states[0] = X
+        u_paths = np.empty((n, c), dtype=np.int32)
+        v_paths = np.empty((n, c), dtype=np.int32)
     dts = np.diff(times)
     rows = np.arange(c)
     for i in range(n):
@@ -444,10 +473,12 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
             _blow_up(spec, float(times[i]), float(times[i + 1]), X, seeds, u_idx, v_idx,
                      blocks)
         if record_states:
-            states[:, i + 1] = X
-            u_paths[:, i] = u_idx
-            v_paths[:, i] = v_idx
+            states[i + 1] = X
+            u_paths[i] = u_idx
+            v_paths[i] = v_idx
     clamps = sum(tracker.clamp_count for _, tracker in trackers)
+    if record_states:
+        states, u_paths, v_paths = states.transpose(1, 0, 2), u_paths.T, v_paths.T
     return Paths(states=states, u_indices=u_paths, v_indices=v_paths,
                  payoffs=eval_payoff(spec, X), seeds=seeds, clamp_count=clamps)
 

@@ -18,7 +18,7 @@ import pytest
 from robustctl.errors import EmbeddingMismatchError
 from robustctl.game_engine import (Adversary, AdversaryFamily, EngineConfig,
                                    builtin_pairs, default_adversary_families,
-                                   default_strategy_family, dpp_check,
+                                   default_strategy_family, dpp_checks,
                                    embed_feedback_as_openloop, estimate_payoff,
                                    filtration_experiment, value_experiment)
 from robustctl.hamiltonian import (HamiltonianQuery, hamiltonian_lower,
@@ -250,11 +250,10 @@ def test_criterion_07_restart_identity_at_stopping_rules(heat_problem,
                  ("first_exit(|x|>=1)",
                   CappedRule(HittingRule(AbsRegion(1.0)),
                              FixedTimeRule(spec.horizon))))
-        for rho_label, rho in rules:
-            rep = dpp_check(spec, field, 0.0, np.array([0.0]), strategies,
-                            family, rho, n_paths=N_PATHS,
-                            master_seed=MASTER_SEED, engine=engine,
-                            rho_label=rho_label)
+        reports = dpp_checks(spec, field, 0.0, np.array([0.0]), strategies,
+                             family, rules, n_paths=N_PATHS,
+                             master_seed=MASTER_SEED, engine=engine)
+        for (rho_label, _), rep in zip(rules, reports):
             tol = max(3.0 * rep.std_error, 2e-2)
             all_ok = all_ok and rep.residual <= tol
             lines.append(f"{problem.id}/{rho_label}: residual "

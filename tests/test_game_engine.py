@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import strategy_oracle as oracle
+from robustctl import game_engine
 from robustctl.errors import (ConfigError, EmbeddingMismatchError,
                               ModelEvaluationError, SimulationBlowUpError,
                               StrategyIntervalError, StrategyStructureError)
@@ -553,6 +554,110 @@ def test_batch_engine_matches_per_path_reference(pennies_problem, pennies_fields
         assert np.array_equal(est.payoffs, ref), (strategy.label, adv.id)
 
 
+def _coupled_game() -> ProblemSpec:
+    """dim 2, noise_dim 2, three u and two v controls; both coefficients read
+    (u, v, x)."""
+
+    def drift(t, x, u, v):
+        return np.stack([u[0] * v[0] - 0.5 * x[..., 1],
+                         v[0] + u[0] * np.sin(x[..., 0])], axis=-1)
+
+    def diffusion(t, x, u, v):
+        sig = np.empty(x.shape + (2,))
+        sig[..., 0, 0] = 1.0 + 0.25 * u[0]
+        sig[..., 0, 1] = 0.1 * v[0] * x[..., 1]
+        sig[..., 1, 0] = 0.2 * np.sin(x[..., 0])
+        sig[..., 1, 1] = 0.5 + u[0] * v[0] ** 2 + 0.3 * v[0]
+        return sig
+
+    return ProblemSpec(label="coupled", dim=2, noise_dim=2, horizon=1.0, drift=drift,
+                       diffusion=diffusion,
+                       payoff=lambda x: np.tanh(x[..., 0] + 0.5 * x[..., 1]),
+                       controls_u=ControlSet([[-1.0], [0.0], [1.0]], label="U3"),
+                       controls_v=ControlSet([[-0.5], [0.5]], label="V2"),
+                       payoff_bound=1.0)
+
+
+def _spy_mixed_steps(monkeypatch) -> list:
+    """Record each mixed step's form: (live pairs, two adjacent codes)."""
+    steps, step = [], game_engine._step_batch
+
+    def spy_step(spec, t, dt, X, u_idx, v_idx, dWi, rows):
+        B, S, sel = step(spec, t, dt, X, u_idx, v_idx, dWi, rows)
+        if sel is not None:
+            live = np.unique(u_idx * spec.controls_v.size + v_idx)
+            steps.append((live.size, live.size == 2 and live[1] == live[0] + 1))
+        return B, S, sel
+
+    monkeypatch.setattr(game_engine, "_step_batch", spy_step)
+    return steps
+
+
+def _three_way(control_set, end: float) -> ElementaryStrategy:
+    first = HittingRule(AbsRegion(0.3, coord=0))
+    return ElementaryStrategy(control_set=control_set, start_rule=FixedTimeRule(0.0),
+                              rules=(first, HittingRule(AbsRegion(0.5, coord=1), from_rule=first),
+                                     FixedTimeRule(end)),
+                              actions=(ConstantAction(0), ConstantAction(1), ConstantAction(2)),
+                              label="threeway")
+
+
+def test_every_mixed_step_form_matches_the_reference_bitwise(monkeypatch):
+    spec = _coupled_game()
+    engine = EngineConfig(n_steps=24, chunk_size=16)
+    x0 = np.array([0.1, -0.2])
+    swap = ElementaryStrategy(control_set=spec.controls_u, start_rule=FixedTimeRule(0.0),
+                              rules=(HittingRule(AbsRegion(0.3, coord=0)), FixedTimeRule(1.0)),
+                              actions=(ConstantAction(0), ConstantAction(2)), label="swap")
+    middle = constant_strategy(spec.controls_u, 1, 0.0, 1.0)
+    sign = Adversary("sgn", SignControl(pos_index=1, neg_index=0))
+    cases = {
+        # codes spread over three or more pairs: bincount
+        "bincount, three pairs": (_three_way(spec.controls_u, 1.0), sign,
+                                  lambda live, adjacent: live >= 3),
+        # u = -1 and u = +1 against one v: codes 1 and 5, bincount
+        "bincount, a gap": (swap, const_adv(1, "c1"), lambda live, adjacent: not adjacent),
+        # u = 0 against either v: codes 2 and 3
+        "adjacent": (middle, sign, lambda live, adjacent: adjacent),
+    }
+    steps = _spy_mixed_steps(monkeypatch)
+    for name, (strategy, adv, form) in cases.items():
+        steps.clear()
+        est = estimate_payoff(spec, 0.0, x0, strategy, adv, n_paths=40, master_seed=17,
+                              engine=engine, keep_payoffs=True)
+        assert any(form(*s) for s in steps), (name, steps)
+        ref = _reference_payoffs(spec, 0.0, x0, strategy, adv, 40, 17, engine)
+        assert np.array_equal(est.payoffs, ref), name
+
+
+def test_signed_zeros_step_as_euler_step():
+    # drift, diffusion and start state are -0.0.  euler_step's sum over the
+    # one noise coordinate turns sigma dW = -0.0 into +0.0, so the state is
+    # +0.0 after one step; the engine's single product must do the same
+    spec = ProblemSpec(label="signed", dim=1, noise_dim=1, horizon=1.0,
+                       drift=lambda t, x, u, v: np.full_like(x, -0.0),
+                       diffusion=lambda t, x, u, v: np.full(x.shape + (1,), -0.0),
+                       payoff=lambda x: np.zeros(x.shape[:-1]),
+                       controls_u=ControlSet([[0.0]]), controls_v=ControlSet([[1.0], [-1.0]]),
+                       payoff_bound=0.0)
+    times = np.linspace(0.0, 1.0, 9)
+    noises = [sample_noise(times, seed, 1) for seed in range(16)]
+    alpha = constant_strategy(spec.controls_u, 0, 0.0, 1.0)
+    x0 = np.array([-0.0])
+    for control in (ConstantControl(0), SignControl(pos_index=1, neg_index=0)):
+        paths = simulate_strong(spec, alpha, control, noises, x0)
+        if isinstance(control, SignControl):
+            assert any(np.unique(paths.v_indices[:, i]).size == 2 for i in range(8))
+        for p, noise in enumerate(noises):
+            v_path, x = oracle.realize(control, noise), x0
+            for i in range(8):
+                x = euler_step(spec, float(times[i]), float(times[i + 1] - times[i]), x,
+                               spec.controls_u.point(0), spec.controls_v.point(v_path[i]),
+                               noise.dW[i])
+                assert paths.states[p, i + 1].view(np.uint64) == x.view(np.uint64), \
+                    (type(control).__name__, p, i)
+
+
 def test_fire_batch_matches_scalar_scan():
     rng = np.random.default_rng(8)
     times = np.linspace(0.0, 1.0, 33)
@@ -745,8 +850,8 @@ def test_default_families_have_documented_structure(pennies_problem, pennies_fie
     assert base.ids == ("const:-1", "const:1", "signW", "antisignW",
                         "worstfb", "bestresp")
     assert enlarged.ids == base.ids + ("signE", "antisignE", "rand:0", "rand:1")
-    assert base.max_extra_dim == 0
-    assert enlarged.max_extra_dim == 1
+    assert max(m.extra_dim for m in base.members) == 0
+    assert max(m.extra_dim for m in enlarged.members) == 1
     lean_base, _ = default_adversary_families(pennies_problem, None, n_random=0)
     assert lean_base.ids == ("const:-1", "const:1", "signW", "antisignW")
     no_fb, _ = default_adversary_families(pennies_problem, lower,
@@ -1122,6 +1227,31 @@ def test_quadratic_drift_blows_up_on_every_entry_point(violator_problem):
             errs.append(err_chunked.value)
         one, two = errs
         assert type(two) is ModelEvaluationError and str(two) == str(one)
+
+
+def test_a_mixed_step_names_the_pair_whose_drift_failed():
+    # from t = 0.5 on, the drift at (u = +1, v = +0.5) is non-finite; the
+    # first row on that pair is named through its slot among the live pairs
+    healthy = _coupled_game()
+
+    def drift(t, x, u, v):
+        out = healthy.drift(t, x, u, v)
+        return np.full_like(out, np.inf) if t >= 0.5 and u[0] == 1.0 and v[0] == 0.5 else out
+
+    spec = dataclasses.replace(healthy, drift=drift)
+    times = np.linspace(0.0, 1.0, 17)
+    noises = [sample_noise(times, 100 + p, spec.noise_dim) for p in range(32)]
+    alpha = _three_way(spec.controls_u, 1.0)
+    sign = SignControl(pos_index=1, neg_index=0)
+    ok = simulate_strong(healthy, alpha, sign, noises, np.array([0.1, -0.2]))
+    code = ok.u_indices * 2 + ok.v_indices
+    i = next(i for i in range(16) if times[i] >= 0.5 and (code[:, i] == 5).any())
+    assert np.unique(code[:, i]).size >= 3
+    seed = noises[int(np.argmax(code[:, i] == 5))].seed
+    named = (rf"^coupled\.drift\(t={times[i]}, u=\[1\.\], v=\[0\.5\]\) returned "
+             rf"non-finite values on path seed {seed}$")
+    with pytest.raises(ModelEvaluationError, match=named):
+        simulate_strong(spec, alpha, sign, noises, np.array([0.1, -0.2]))
 
 
 def test_state_overflow_raises_with_location(violator_problem):
