@@ -201,7 +201,7 @@ def _record(spec: ProblemSpec, strategy: ElementaryStrategy, adversary: Adversar
     seeds = np.array([n.seed for n in noises], dtype=np.uint64)
     return _march_chunk(spec, noises[0].times, seeds, _as_state(spec, x0), strategy,
                         adversary, np.stack([n.dW for n in noises]),
-                        np.stack([n.extra for n in noises]), record_states=True)
+                        np.stack([n.extra for n in noises]), record="paths")
 
 
 def simulate_strong(spec: ProblemSpec, strategy: ElementaryStrategy,
@@ -426,10 +426,10 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
                  x0: np.ndarray, strategy: ElementaryStrategy,
                  adversary: Adversary, dW: np.ndarray, extra: np.ndarray,
                  dW_tm: np.ndarray | None = None, v_factory=None,
-                 record_states: bool = False) -> Paths:
-    """One chunk marched: its :class:`Paths`, with states and index paths
-    recorded when ``record_states`` (the indices as int32, to keep recorded
-    chunks small).
+                 record: str | None = None) -> Paths:
+    """One chunk marched: its :class:`Paths`, with the states recorded when
+    ``record`` is "states", and the u and v index paths too when it is
+    "paths" (the indices as int32, to keep recorded chunks small).
 
     ``dW`` is path-major (c, N, noise_dim); ``dW_tm`` is the same increments
     time-major (N, c, noise_dim) so step slices are contiguous, built here
@@ -451,10 +451,11 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
     # callbacks; a shape bug is structural and shows on any state
     eval_pairs(spec, float(times[0]), X)
     states = u_paths = v_paths = None
-    if record_states:
+    if record:
         # time-major, so each step writes one contiguous row
         states = np.empty((n + 1, c, spec.dim))
         states[0] = X
+    if record == "paths":
         u_paths = np.empty((n, c), dtype=np.int32)
         v_paths = np.empty((n, c), dtype=np.int32)
     dts = np.diff(times)
@@ -472,13 +473,16 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
         if not np.isfinite(float(X.sum())):
             _blow_up(spec, float(times[i]), float(times[i + 1]), X, seeds, u_idx, v_idx,
                      blocks)
-        if record_states:
+        if record:
             states[i + 1] = X
+        if record == "paths":
             u_paths[i] = u_idx
             v_paths[i] = v_idx
     clamps = sum(tracker.clamp_count for _, tracker in trackers)
-    if record_states:
-        states, u_paths, v_paths = states.transpose(1, 0, 2), u_paths.T, v_paths.T
+    if record:
+        states = states.transpose(1, 0, 2)
+    if record == "paths":
+        u_paths, v_paths = u_paths.T, v_paths.T
     return Paths(states=states, u_indices=u_paths, v_indices=v_paths,
                  payoffs=eval_payoff(spec, X), seeds=seeds, clamp_count=clamps)
 
@@ -584,7 +588,8 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     _refuse_anticipating(cells)
     extra_dim = max(adv.extra_dim for _, adv in cells)
     n_paths = seeds.size
-    record = bool(postprocess)
+    # the postprocesses read states only, so the index paths are not kept
+    record = "states" if postprocess else None
     values = _shared_zeros((max(len(postprocess), 1), len(cells), n_paths), np.float64)
     clamp_store = _shared_zeros((_n_chunks(n_paths, engine.chunk_size), len(cells)),
                                 np.int64)
@@ -601,7 +606,7 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
         for ci, (strategy, adversary) in enumerate(cells):
             paths = _march_chunk(spec, times, chunk_seeds, x0, strategy, adversary, dW,
                                  extra, dW_tm=dW_tm, v_factory=factories[adversary],
-                                 record_states=record)
+                                 record=record)
             if record:
                 for k, post in enumerate(postprocess):
                     values[k, ci, start:stop] = post(times, paths.states)

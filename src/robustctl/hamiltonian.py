@@ -14,7 +14,8 @@ is the package's one pure reduction; the PDE solver applies it to whole
 
 The matrix-game solver tries, in order: a pure saddle point (exact), the
 2x2 closed form (exact for completely mixed games), and a pair of linear
-programs whose duality gap doubles as the accuracy certificate.
+programs whose duality gap doubles as the accuracy certificate.  Only
+the last needs scipy, so ``scipy.optimize`` is imported when an LP runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ConfigError, ModelEvaluationError, NumericalSolveError
 from .sde_core import ProblemSpec, eval_pairs
@@ -231,6 +231,10 @@ def solve_matrix_game(A: np.ndarray, tol: float = 1e-8) -> MixedSolution:
 
 def _lp_value(A: np.ndarray) -> tuple[float, np.ndarray]:
     """max over weights mu of min_j (mu^T A)_j via one LP (HiGHS)."""
+    # imported here: it is most of the package's import time, and saddles and
+    # 2x2 games never need it
+    from scipy.optimize import linprog
+
     n, m = A.shape
     # variables (w, mu): maximize w  s.t.  w <= (mu^T A)_j, sum mu = 1, mu >= 0
     c = np.zeros(n + 1)

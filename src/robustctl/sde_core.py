@@ -198,15 +198,23 @@ class ProblemSpec:
             raise ConfigError([f"problem {self.label!r}: {p}" for p in problems])
 
 
+def _shape_error(name: str, got: tuple, want: tuple, t: float, u: np.ndarray,
+                 v: np.ndarray) -> ModelEvaluationError:
+    return ModelEvaluationError(
+        f"{name}(t={t}, u={u}, v={v}) returned shape {got}, expected {want}")
+
+
+def _nonfinite_error(name: str, t: float, u: np.ndarray, v: np.ndarray) -> ModelEvaluationError:
+    return ModelEvaluationError(f"{name}(t={t}, u={u}, v={v}) returned non-finite values")
+
+
 def _check_finite_shape(name: str, out: np.ndarray, want_shape: tuple,
                         t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.asarray(out, dtype=float)
     if out.shape != want_shape:
-        raise ModelEvaluationError(
-            f"{name}(t={t}, u={u}, v={v}) returned shape {out.shape}, expected {want_shape}")
+        raise _shape_error(name, out.shape, want_shape, t, u, v)
     if not np.all(np.isfinite(out)):
-        raise ModelEvaluationError(
-            f"{name}(t={t}, u={u}, v={v}) returned non-finite values")
+        raise _nonfinite_error(name, t, u, v)
     return out
 
 
@@ -236,16 +244,41 @@ def eval_pairs(spec: ProblemSpec, t: float, x: np.ndarray) -> tuple[np.ndarray, 
     Returns ``b`` of shape (n_u, n_v, *x.shape) and ``sigma`` of shape
     (n_u, n_v, *x.shape, noise_dim); entry [i, j] belongs to
     (controls_u.point(i), controls_v.point(j)).
+
+    Raises the error that :func:`eval_drift` and :func:`eval_diffusion`
+    would raise first, called pair by pair with the drift first, but checks
+    each output's shape as it returns and each stacked block's finiteness
+    once; the culprit of a non-finite block is looked up only on failure.
     """
     x = np.asarray(x, dtype=float)
     U, V = spec.controls_u, spec.controls_v
     b = np.empty((U.size, V.size) + x.shape)
     sigma = np.empty((U.size, V.size) + x.shape + (spec.noise_dim,))
-    for i in range(U.size):
-        for j in range(V.size):
-            b[i, j] = eval_drift(spec, t, x, U.point(i), V.point(j))
-            sigma[i, j] = eval_diffusion(spec, t, x, U.point(i), V.point(j))
+    coefficients = ((f"{spec.label}.drift", spec.drift, b),
+                    (f"{spec.label}.diffusion", spec.diffusion, sigma))
+    order = [(i, j, name, fn, out) for i in range(U.size) for j in range(V.size)
+             for name, fn, out in coefficients]
+    filled = 0
+    try:
+        for i, j, name, fn, out in order:
+            got = np.asarray(fn(t, x, U.point(i), V.point(j)), dtype=float)
+            if got.shape != out.shape[2:]:
+                raise _shape_error(name, got.shape, out.shape[2:], t, U.point(i), V.point(j))
+            out[i, j] = got
+            filled += 1
+    except Exception:
+        # an output validated before the failure may be non-finite: that came first
+        _raise_first_nonfinite(order[:filled], t, U, V)
+        raise
+    if not (np.isfinite(b).all() and np.isfinite(sigma).all()):
+        _raise_first_nonfinite(order, t, U, V)
     return b, sigma
+
+
+def _raise_first_nonfinite(order: list, t: float, U: ControlSet, V: ControlSet) -> None:
+    for i, j, name, _, out in order:
+        if not np.isfinite(out[i, j]).all():
+            raise _nonfinite_error(name, t, U.point(i), V.point(j)) from None
 
 
 def eval_payoff(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:

@@ -1102,6 +1102,38 @@ def test_dpp_checks_fold_every_rule_of_one_table(pennies_problem, pennies_fields
         dpp_checks(spec, lower, 0.0, x0, strategies, family, [], **kw)
 
 
+def test_dpp_marches_record_states_only(pennies_problem, pennies_fields, monkeypatch):
+    # the restart values read states only: a march that also records the
+    # index paths must give the same reports bit for bit
+    lower, _ = pennies_fields
+    spec = pennies_problem.spec
+    times = np.linspace(0.0, spec.horizon, 33)
+    strategies = [constant_strategy(spec.controls_u, 1, 0.0, spec.horizon),
+                  make_grid_strategy(lower.feedback_u, times[[0, 16, 32]], label="grid2")]
+    family = AdversaryFamily((const_adv(0, "c0"),
+                              Adversary("sgn", SignControl(pos_index=1, neg_index=0))))
+    rules = [("half", FixedTimeRule(spec.horizon / 2)),
+             ("exit", CappedRule(HittingRule(AbsRegion(0.5)), FixedTimeRule(spec.horizon)))]
+    kw = dict(n_paths=96, master_seed=5, engine=EngineConfig(n_steps=32, chunk_size=40))
+    march = game_engine._march_chunk
+    seen = []
+
+    def spy(*args, record=None, force=None, **kwargs):
+        paths = march(*args, record=force or record, **kwargs)
+        seen.append((record, paths.u_indices is None, paths.v_indices is None))
+        return paths
+
+    monkeypatch.setattr(game_engine, "_march_chunk", spy)
+    lean = dpp_checks(spec, lower, 0.0, np.array([0.2]), strategies, family, rules, **kw)
+    assert set(seen) == {("states", True, True)} and len(seen) == 3 * 4
+    monkeypatch.setattr(game_engine, "_march_chunk",
+                        lambda *a, **k: spy(*a, force="paths", **k))
+    full = dpp_checks(spec, lower, 0.0, np.array([0.2]), strategies, family, rules, **kw)
+    assert set(seen[12:]) == {("states", False, False)}
+    # repr tells -0.0 from 0.0, so this is bitwise
+    assert repr(list(map(dataclasses.asdict, lean))) == repr(list(map(dataclasses.asdict, full)))
+
+
 # --------------------------------------------------------------- embedding ---- #
 
 

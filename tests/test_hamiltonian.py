@@ -8,6 +8,12 @@ itself out of the comparison.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +212,28 @@ def test_bad_lp_certificate_trips_the_residual_check(monkeypatch):
     with pytest.raises(NumericalSolveError, match="LP residual") as err:
         solve_matrix_game(A)
     assert err.value.residual == 2.0
+
+
+def test_scipy_is_imported_only_when_an_lp_runs():
+    # a fresh interpreter: this one may have loaded scipy.optimize already
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import robustctl, robustctl.cli, robustctl.config
+        from robustctl.hamiltonian import solve_matrix_game
+        assert "scipy.optimize" not in sys.modules, "loaded on import"
+        for A in ([[1.0, 2.0], [0.0, 3.0]], [[1.0, -1.0], [-1.0, 1.0]]):
+            solve_matrix_game(np.array(A))          # a saddle, then a 2x2
+        assert "scipy.optimize" not in sys.modules, "loaded without an LP"
+        sol = solve_matrix_game(np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0],
+                                          [-1.0, 1.0, 0.0]]))
+        assert sol.method == "lp" and abs(sol.value) < 1e-9, sol
+        assert "scipy.optimize" in sys.modules
+    """)
+    src = str(Path(hamiltonian.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 @given(a=hs.lists(hs.floats(-5, 5), min_size=4, max_size=4))

@@ -13,8 +13,10 @@ from robustctl.errors import ConfigError, ModelEvaluationError
 from robustctl.sde_core import (STREAM_BROWNIAN, STREAM_EXTRA, ControlSet,
                                 ProblemSpec, derive_seed, derive_seed_array,
                                 euler_step, eval_diffusion, eval_drift,
-                                eval_payoff, sample_noise, sample_noise_batch,
-                                stream_generator, validate_assumptions)
+                                eval_pairs, eval_payoff, sample_noise,
+                                sample_noise_batch, stream_generator,
+                                validate_assumptions)
+from robustctl.problems import available_problems, build_problem
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -172,6 +174,105 @@ def test_eval_shapes_are_enforced(pennies_problem):
     nan = dataclasses.replace(spec, diffusion=lambda t, x, u, v: np.full((1, 1), np.nan))
     with pytest.raises(ModelEvaluationError):
         eval_diffusion(nan, 0.0, np.zeros(1), spec.controls_u.point(0), spec.controls_v.point(0))
+
+
+def pairs_oracle(spec, t, x):
+    """eval_pairs the slow way: eval_drift then eval_diffusion, pair by pair."""
+    U, V = spec.controls_u, spec.controls_v
+    b, sig = [], []
+    for i in range(U.size):
+        for j in range(V.size):
+            b.append(eval_drift(spec, t, x, U.point(i), V.point(j)))
+            sig.append(eval_diffusion(spec, t, x, U.point(i), V.point(j)))
+    x = np.asarray(x, dtype=float)
+    return (np.array(b).reshape((U.size, V.size) + x.shape),
+            np.array(sig).reshape((U.size, V.size) + x.shape + (spec.noise_dim,)))
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("problem_id", available_problems())
+def test_eval_pairs_matches_the_per_pair_oracle_bitwise(problem_id):
+    spec = build_problem(problem_id).spec
+    for x in (np.array([0.3]), np.linspace(-3.0, 3.0, 41)[:, None],
+              np.full((2, 3, 1), -0.0)):
+        got, want = eval_pairs(spec, 0.2, x), pairs_oracle(spec, 0.2, x)
+        for a, w in zip(got, want):
+            assert a.shape == w.shape and a.dtype == w.dtype
+            assert a.tobytes() == w.tobytes()
+
+
+def faulty_spec(faults, noise_dim=1):
+    """A 2 x 2 game whose (i, j) drift/diffusion returns the fault named in
+    ``faults[(i, j, "drift" | "diffusion")]`` (default: a correct output)."""
+    def callback(coef):
+        def fn(t, x, u, v):
+            key = (int(u[0] > 0), int(v[0] > 0), coef)
+            shape = x.shape + ((noise_dim,) if coef == "diffusion" else ())
+            kind = faults.get(key, "ok")
+            if kind == "raise":
+                raise ValueError(f"callback failed at {key}")
+            if kind == "scalar":
+                return np.float64(0.5)     # would broadcast into the stacked block
+            if kind == "shape":
+                return np.zeros(shape[:-1])
+            out = np.full(shape, u[0] + 2.0 * v[0])
+            if kind in ("nan", "inf"):
+                out.flat[-1] = np.nan if kind == "nan" else -np.inf
+            return out
+        return fn
+
+    pm = ControlSet(np.array([[-1.0], [1.0]]))
+    return ProblemSpec(label="faulty", dim=1, noise_dim=noise_dim, horizon=1.0,
+                       drift=callback("drift"), diffusion=callback("diffusion"),
+                       payoff=lambda x: np.zeros(x.shape[:-1]),
+                       controls_u=pm, controls_v=pm, payoff_bound=1.0)
+
+
+@pytest.mark.parametrize("faults, message", [
+    # an earlier non-finite output wins over a later shape fault
+    ({(0, 1, "diffusion"): "nan", (1, 0, "drift"): "shape"},
+     "faulty.diffusion(t=0.25, u=[-1.], v=[1.]) returned non-finite values"),
+    # on one pair the drift is checked before the diffusion
+    ({(1, 1, "drift"): "inf", (1, 1, "diffusion"): "shape"},
+     "faulty.drift(t=0.25, u=[1.], v=[1.]) returned non-finite values"),
+    # a scalar is a shape fault, not a value spread over the block
+    ({(0, 1, "drift"): "scalar"},
+     "faulty.drift(t=0.25, u=[-1.], v=[1.]) returned shape (), expected (5, 1)"),
+    # a callback that raises after an earlier non-finite output is never reached
+    ({(0, 0, "diffusion"): "nan", (0, 1, "drift"): "raise"},
+     "faulty.diffusion(t=0.25, u=[-1.], v=[-1.]) returned non-finite values"),
+])
+def test_eval_pairs_raises_the_per_pair_oracles_first_error(faults, message):
+    spec = faulty_spec(faults)
+    x = np.linspace(-1.0, 1.0, 5)[:, None]
+    want = outcome(pairs_oracle, spec, 0.25, x)
+    assert want == (ModelEvaluationError, message)
+    assert outcome(eval_pairs, spec, 0.25, x) == want
+
+
+FAULT_KEYS = [(i, j, coef) for i in range(2) for j in range(2)
+              for coef in ("drift", "diffusion")]
+
+
+@given(kinds=hs.lists(hs.sampled_from(["ok", "ok", "nan", "inf", "shape", "scalar", "raise"]),
+                      min_size=len(FAULT_KEYS), max_size=len(FAULT_KEYS)),
+       noise_dim=hs.integers(1, 2))
+@settings(max_examples=200, deadline=None)
+def test_eval_pairs_errors_agree_with_the_oracle_on_any_fault_mix(kinds, noise_dim):
+    spec = faulty_spec(dict(zip(FAULT_KEYS, kinds)), noise_dim)
+    x = np.linspace(-1.0, 1.0, 4)[:, None]
+    got, want = outcome(eval_pairs, spec, 0.5, x), outcome(pairs_oracle, spec, 0.5, x)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert all(a.tobytes() == w.tobytes() for a, w in zip(got, want))
 
 
 def test_payoff_bound_is_enforced(pennies_problem):
