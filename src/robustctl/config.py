@@ -12,8 +12,6 @@ import copy
 import json
 import os
 
-import jsonschema
-
 from .errors import ConfigError
 from .problems import available_problems
 
@@ -213,6 +211,7 @@ def load_config(path: str) -> dict:
 
 def describe_errors(data: dict) -> list[str]:
     """All schema violations as readable strings with JSON paths."""
+    import jsonschema  # imported here: only validation needs it, and it is slow to import
     validator = jsonschema.Draft202012Validator(SCHEMA)
     out = []
     for err in sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path)):

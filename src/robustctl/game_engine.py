@@ -32,12 +32,14 @@ chunk: :func:`simulate_strong` (feedback alpha against an open-loop control)
 and :func:`simulate_feedback_pair` (alpha against a feedback beta); the
 embedding is the second replayed through the first.  A strategy checks its
 actions against its own control set when built, so the engine makes one
-set comparison per side (:func:`_check_set`).  With ``EngineConfig.threads
-> 1`` the chunks are marched in worker processes started by fork, which
-write their results into arrays shared with the parent.  Results are
-bitwise invariant to chunk size and worker count: path seeds are derived
-per path index, chunks only group work, and all reductions run over fully
-assembled arrays.
+set comparison per side (:func:`_check_set`).  Non-anticipation is judged
+by behaviour alone: every table screens its open-loop members, and
+:func:`dpp_checks` its rules, through :func:`_screen`; the recorded entry
+points screen nothing.  With ``EngineConfig.threads > 1`` the chunks are
+marched in worker processes started by fork, which write their results
+into arrays shared with the parent.  Results are bitwise invariant to chunk
+size and worker count: path seeds are derived per path index, chunks only
+group work, and all reductions run over fully assembled arrays.
 """
 
 from __future__ import annotations
@@ -148,10 +150,6 @@ class Adversary:
     def extra_dim(self) -> int:
         return self.plays.extra_dim if isinstance(self.plays, OpenLoopControl) else 0
 
-    @property
-    def anticipating(self) -> bool:
-        return bool(getattr(self.plays, "anticipating", False))
-
 
 @dataclass(eq=False)
 class AdversaryFamily:
@@ -176,13 +174,6 @@ class AdversaryFamily:
 # ------------------------------------------------------ recorded entry points ---- #
 
 
-def _refuse_anticipating(cells) -> None:
-    for strategy, adversary in cells:
-        if strategy.anticipating or adversary.anticipating:
-            raise StrategyStructureError(
-                "anticipating strategies/controls are test fixtures; refusing to simulate")
-
-
 def _record(spec: ProblemSpec, strategy: ElementaryStrategy, adversary: Adversary,
             noise, x0) -> Paths:
     """The game on one :class:`NoisePath` or a sequence of them on one time grid,
@@ -197,7 +188,6 @@ def _record(spec: ProblemSpec, strategy: ElementaryStrategy, adversary: Adversar
     if len({n.extra.shape[-1] for n in noises}) > 1:
         raise ConfigError(f"noise paths carry extra widths "
                           f"{sorted({n.extra.shape[-1] for n in noises})}; a batch needs one")
-    _refuse_anticipating([(strategy, adversary)])
     seeds = np.array([n.seed for n in noises], dtype=np.uint64)
     return _march_chunk(spec, noises[0].times, seeds, _as_state(spec, x0), strategy,
                         adversary, np.stack([n.dW for n in noises]),
@@ -585,7 +575,6 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     (k = 0) of terminal payoffs.  Chunks write into shared arrays, so worker
     processes need not return anything.
     """
-    _refuse_anticipating(cells)
     extra_dim = max(adv.extra_dim for _, adv in cells)
     n_paths = seeds.size
     # the postprocesses read states only, so the index paths are not kept
@@ -631,6 +620,20 @@ def _sim_times(spec: ProblemSpec, s: float, engine: EngineConfig) -> np.ndarray:
     return np.linspace(s, spec.horizon, engine.n_steps + 1)
 
 
+def _screen(what: str, obj, spec: ProblemSpec, engine: EngineConfig,
+            master_seed: int) -> None:
+    """The one non-anticipation gate: refuse ``obj`` unless it passes
+    :func:`check_nonanticipative` (200 trials on the game's horizon and
+    dimensions, over the run's step count capped at 64, and at least 2)."""
+    report = check_nonanticipative(obj, n_trials=200, seed=derive_seed(master_seed, 23),
+                                   n_steps=max(2, min(64, engine.n_steps)),
+                                   horizon=spec.horizon, state_dim=spec.dim,
+                                   noise_dim=spec.noise_dim)
+    if not report.passed:
+        raise StrategyStructureError(f"{what} failed the non-anticipativity screen "
+                                     f"({report.failures}/{report.trials} trials)")
+
+
 def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
                  family: AdversaryFamily, n_paths: int, master_seed: int,
                  engine: EngineConfig, postprocess=()) -> tuple[np.ndarray, np.ndarray]:
@@ -639,7 +642,9 @@ def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
     Rows are strategy-major: cell ``si * len(family.members) + mi``.  Path p
     uses the seed derived from (master_seed, p), so two runs with the same
     arguments agree bitwise regardless of chunking or worker count, and
-    every cell shares the noise (common random numbers).
+    every cell shares the noise (common random numbers).  Open-loop members
+    are screened first, in this process; feedback players' trackers see
+    only the states up to the current index, so they need no screen.
     """
     if n_paths < 2:
         raise ConfigError(f"n_paths must be >= 2, got {n_paths}")
@@ -652,6 +657,9 @@ def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
             raise ConfigError(f"strategy label {strategy.label!r} appears more than once")
     x0 = _as_state(spec, x0)
     times = _sim_times(spec, s, engine)
+    for adversary in family.members:
+        if isinstance(adversary.plays, OpenLoopControl):
+            _screen(f"adversary {adversary.id!r}", adversary.plays, spec, engine, master_seed)
     seeds = derive_seed_array(master_seed, np.arange(n_paths))
     cells = [(strat, adv) for strat in strategies for adv in family.members]
     return _run_cells(spec, times, x0, cells, seeds, engine, postprocess)
@@ -829,13 +837,12 @@ def _restart_value(field: ValueField, rho: StoppingRule):
 
 def dpp_checks(spec: ProblemSpec, field: ValueField, s: float, x0, strategies,
                family: AdversaryFamily, rules, n_paths: int, master_seed: int,
-               engine: EngineConfig, gate_trials: int = 200) -> list:
+               engine: EngineConfig) -> list:
     """Verify v(s, x) = sup inf E[v(rho, X_rho)] at each rule against a solved field.
 
     ``rules`` is a list of (label, rule) pairs; one :class:`DppReport` comes
-    back per pair, in order.  Every rule is screened by
-    :func:`check_nonanticipative` first; an anticipating rule is refused
-    outright.  The table is marched once with recorded paths, and each rule's
+    back per pair, in order.  Every rule is screened by :func:`_screen`
+    first.  The table is marched once with recorded paths, and each rule's
     restart values (the field interpolated at each path's (rho, X_rho),
     capped at the horizon) are folded like :func:`value_experiment`'s payoffs.
     """
@@ -843,13 +850,7 @@ def dpp_checks(spec: ProblemSpec, field: ValueField, s: float, x0, strategies,
     if not rules:
         raise ConfigError("dynamic-programming check needs at least one rule")
     for label, rho in rules:
-        gate = check_nonanticipative(rho, n_trials=gate_trials, seed=derive_seed(master_seed, 23),
-                                     n_steps=min(64, engine.n_steps), horizon=spec.horizon,
-                                     state_dim=spec.dim)
-        if not gate.passed:
-            raise StrategyStructureError(
-                f"stopping rule {label!r} failed the non-anticipativity screen "
-                f"({gate.failures}/{gate.trials} trials)")
+        _screen(f"stopping rule {label!r}", rho, spec, engine, master_seed)
     strategies = list(strategies)
     values, clamps = _march_table(spec, s, x0, strategies, family, n_paths, master_seed,
                                   engine, [_restart_value(field, rho) for _, rho in rules])
@@ -871,10 +872,10 @@ def dpp_checks(spec: ProblemSpec, field: ValueField, s: float, x0, strategies,
 def dpp_check(spec: ProblemSpec, field: ValueField, s: float, x0,
               strategies, family: AdversaryFamily, rho: StoppingRule,
               n_paths: int, master_seed: int, engine: EngineConfig,
-              rho_label: str = "rho", gate_trials: int = 200) -> DppReport:
+              rho_label: str = "rho") -> DppReport:
     """The one-rule form of :func:`dpp_checks`."""
     return dpp_checks(spec, field, s, x0, strategies, family, [(rho_label, rho)],
-                      n_paths, master_seed, engine, gate_trials)[0]
+                      n_paths, master_seed, engine)[0]
 
 
 # ------------------------------------------------------- default families ---- #

@@ -11,18 +11,19 @@ current one.
 
 The adversary plays either another elementary strategy or an *open-loop
 control*: a process that reads past noise increments, never the state.
-Open-loop controls carry an ``info_level`` tag: ``"brownian_only"`` controls
-read only the state-driving increments, ``"enlarged"`` ones may read the
-auxiliary stream or private randomness derived from the path seed.
+Some controls also read the auxiliary stream (``extra_dim`` > 0) or private
+randomness derived from the path seed; they are the members that enlarge
+nature's information beyond the Brownian filtration.
 
 Every player has one semantics, the batch form the Monte Carlo engine runs:
 :class:`StrategyTracker` with the rule monitors for strategies, and
 ``realize_batch`` through :func:`realize_checked` for open-loop controls.
 Classes without a batch form are refused by name.  The tests check the
-batch forms against a per-path oracle of their own.  Deliberately
-anticipating rules, actions and controls are provided as test fixtures
-(marked ``anticipating = True``); :func:`check_nonanticipative` runs the
-same batch forms and must reject them and accept everything else.
+batch forms against a per-path oracle of their own.  Objects declare
+nothing about what they read: :func:`check_nonanticipative` runs the same
+batch forms on input pairs that agree up to a random cut, and it is the
+only judge of non-anticipation (the engine screens rules and open-loop
+controls with it).
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ from .sde_core import ControlSet, derive_seed, derive_seed_array, stream_generat
 __all__ = [
     "AbsRegion", "ThresholdRegion", "OutsideBoxRegion",
     "StoppingRule", "FixedTimeRule", "GridIndexRule", "HittingRule",
-    "CappedRule", "LookaheadRule", "fire_batch",
-    "Action", "ConstantAction", "FeedbackLookupAction", "LookaheadAction",
+    "CappedRule", "fire_batch",
+    "Action", "ConstantAction", "FeedbackLookupAction",
     "ElementaryStrategy", "StrategyTracker",
     "make_grid_strategy", "concatenate",
     "FeedbackMap",
     "OpenLoopControl", "ConstantControl", "SignControl", "ReplayControl",
-    "PiecewiseRandomControl", "LookaheadControl", "realize_checked",
+    "PiecewiseRandomControl", "realize_checked",
     "NonAnticipativityReport", "check_nonanticipative",
     "UNDEFINED",
 ]
@@ -113,8 +114,6 @@ class StoppingRule:
     alone.  The built-in rules below have monitors; others are refused by name.
     """
 
-    anticipating = False
-
     def fixed_fire_index(self, times: np.ndarray) -> int | None:
         """Fire index when it is path-independent, else None."""
         return None
@@ -165,17 +164,6 @@ class CappedRule(StoppingRule):
         return None if None in fires else min(fires)
 
 
-@dataclass(frozen=True)
-class LookaheadRule(StoppingRule):
-    """Test fixture: a rule that would fire at once when the final state is >= 0.
-
-    Deciding from the final state needs the whole path, so the rule has no
-    batch form; the engine and :func:`check_nonanticipative` refuse it.
-    """
-
-    anticipating = True
-
-
 # ---------------------------------------------------------------- actions ---- #
 
 
@@ -188,8 +176,6 @@ class Action:
     and refuses any other class by name.
     """
 
-    anticipating = False
-
 
 @dataclass(frozen=True)
 class ConstantAction(Action):
@@ -201,20 +187,6 @@ class FeedbackLookupAction(Action):
     """Reads the current (t, x) through a feedback table."""
 
     feedback: "FeedbackMap"
-
-
-@dataclass(frozen=True)
-class LookaheadAction(Action):
-    """Test fixture: would play ``pos_index`` when the final state is >= 0.
-
-    Like :class:`LookaheadRule` it has no batch form, so a strategy holding
-    it is refused by the engine and by :func:`check_nonanticipative`.
-    """
-
-    pos_index: int
-    neg_index: int
-
-    anticipating = True
 
 
 # ---------------------------------------------------------- feedback map ---- #
@@ -329,11 +301,6 @@ class ElementaryStrategy:
                 raise StrategyStructureError(
                     f"strategy {self.label!r} reads table {table.label!r} on "
                     f"{table.control_set}, not on its own set {self.control_set}")
-
-    @property
-    def anticipating(self) -> bool:
-        parts = (self.start_rule,) + self.rules + self.actions
-        return any(getattr(p, "anticipating", False) for p in parts)
 
 
 # ------------------------------------------------- incremental tracking ---- #
@@ -602,9 +569,7 @@ class OpenLoopControl:
     screen call it through :func:`realize_checked`.
     """
 
-    info_level = "brownian_only"
     extra_dim = 0
-    anticipating = False
     label = ""
 
     def realize_batch(self, times: np.ndarray, dW: np.ndarray,
@@ -627,7 +592,7 @@ class SignControl(OpenLoopControl):
 
     The sum at step i is over increments 0..i-1, so the value for step 0 is
     always pos_index.  ``source`` picks the stream: "brownian" reads dW,
-    "extra" reads the auxiliary stream and marks the control as enlarged.
+    "extra" reads coordinate ``coord`` of the auxiliary stream.
     """
 
     def __init__(self, pos_index: int, neg_index: int, source: str = "brownian",
@@ -640,7 +605,6 @@ class SignControl(OpenLoopControl):
         self.coord = int(coord)
         self.label = label or f"sign_{source}"
         if source == "extra":
-            self.info_level = "enlarged"
             self.extra_dim = coord + 1
 
     def realize_batch(self, times, dW, extra, seeds):
@@ -673,10 +637,8 @@ class PiecewiseRandomControl(OpenLoopControl):
 
     The values come from the path seed and ``salt`` through the seed
     derivation chain, independent of both noise streams.  Private randomness
-    is information the Brownian filtration does not carry, hence enlarged.
+    is information the Brownian filtration does not carry.
     """
-
-    info_level = "enlarged"
 
     def __init__(self, n_choices: int, n_segments: int = 8, salt: int = 0, label: str = ""):
         if n_choices < 1 or n_segments < 1:
@@ -695,23 +657,6 @@ class PiecewiseRandomControl(OpenLoopControl):
             values[:, j] = (derive_seed_array(salted, j) % np.uint64(self.n_choices)).astype(np.int64)
         seg_of_step = np.searchsorted(starts, np.arange(n), side="right") - 1
         return values[:, seg_of_step]
-
-
-@dataclass(frozen=True)
-class LookaheadControl(OpenLoopControl):
-    """Test fixture that reads the upcoming increment. Never use in estimation."""
-
-    pos_index: int
-    neg_index: int
-    coord: int = 0
-    label: str = "lookahead"
-
-    anticipating = True
-
-    def realize_batch(self, times, dW, extra, seeds):
-        # step i reads increment i, the one that step drives: one step too early
-        return np.where(dW[..., self.coord] >= 0.0,
-                        self.pos_index, self.neg_index).astype(np.int64)
 
 
 def realize_checked(control: OpenLoopControl, times: np.ndarray, dW: np.ndarray,
@@ -762,8 +707,11 @@ def check_nonanticipative(obj, n_trials: int = 200, seed: int = 0,
     :class:`StrategyTracker` or :func:`fire_batch`.  Decisions at or before
     the cut must coincide in both rows.  Both rows share the path seed, so
     private randomness is shared too.  An object without a batch form fails
-    every trial, and ``first_failure`` names its class.
+    every trial, and ``first_failure`` names its class.  A cut needs a step
+    on each side, so ``n_steps`` must be at least 2.
     """
+    if n_steps < 2:
+        raise ConfigError(f"check_nonanticipative needs n_steps >= 2, got {n_steps}")
     times = np.linspace(0.0, horizon, n_steps + 1)
     rng = stream_generator(derive_seed(seed, 13), 0)
     cuts = rng.integers(1, n_steps, size=n_trials)

@@ -5,17 +5,62 @@ only.  This module recomputes their semantics one path at a time, straight
 from the definitions: where a built-in rule fires on a path prefix, the
 control in force on each step from that step's own prefix (with clamps),
 and one path's realization of the built-in open-loop controls.
+
+It also holds three lookahead fixtures that declare nothing about what they
+read; the anticipation screen and the strategy tracker must catch each one
+by its behaviour alone.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from robustctl.sde_core import NoisePath, derive_seed
-from robustctl.strategies import (UNDEFINED, CappedRule, ConstantAction,
+from robustctl.strategies import (UNDEFINED, Action, CappedRule, ConstantAction,
                                   ConstantControl, ElementaryStrategy,
                                   FixedTimeRule, GridIndexRule, HittingRule,
-                                  PiecewiseRandomControl, SignControl)
+                                  OpenLoopControl, PiecewiseRandomControl,
+                                  SignControl, StoppingRule)
+
+
+@dataclass(frozen=True)
+class LookaheadRule(StoppingRule):
+    """A rule that would fire at once when the final state is >= 0.
+
+    Deciding from the final state needs the whole path, so the rule has no
+    batch form, and the screen and the tracker refuse it by name.
+    """
+
+
+@dataclass(frozen=True)
+class LookaheadAction(Action):
+    """An action that would play ``pos_index`` when the final state is >= 0.
+
+    Like :class:`LookaheadRule` it has no batch form, so a strategy holding
+    it is refused by the tracker.
+    """
+
+    pos_index: int
+    neg_index: int
+
+
+@dataclass(frozen=True)
+class LookaheadControl(OpenLoopControl):
+    """An open-loop control whose step i reads increment i, the one that step drives.
+
+    It has a batch form, so only the screen's trials can catch it.
+    """
+
+    pos_index: int
+    neg_index: int
+    coord: int = 0
+    label: str = "lookahead"
+
+    def realize_batch(self, times, dW, extra, seeds):
+        return np.where(dW[..., self.coord] >= 0.0,
+                        self.pos_index, self.neg_index).astype(np.int64)
 
 
 def snap_lookup(times, axes, table, t, x, *lead) -> int:

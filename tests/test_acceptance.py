@@ -31,10 +31,10 @@ from robustctl.sde_core import derive_seed, eval_payoff, sample_noise
 from robustctl.strategies import (AbsRegion, CappedRule, ConstantAction,
                                   ConstantControl, ElementaryStrategy,
                                   FixedTimeRule, GridIndexRule, HittingRule,
-                                  LookaheadAction, LookaheadControl,
-                                  LookaheadRule, PiecewiseRandomControl,
+                                  PiecewiseRandomControl,
                                   ReplayControl, SignControl,
                                   check_nonanticipative, make_grid_strategy)
+from strategy_oracle import LookaheadAction, LookaheadControl, LookaheadRule
 
 MASTER_SEED = 2026
 N_PATHS = 100_000

@@ -9,6 +9,11 @@ which is what makes reruns and thread sweeps byte-comparable.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +57,22 @@ def test_resolution_is_idempotent():
     assert resolved["simulate"]["n_paths"] == 4000
     assert resolved["tolerances"]["value_abs"] == 0.03
     assert resolve_config(resolved) == resolved
+
+
+def test_jsonschema_is_imported_only_when_a_config_is_validated():
+    # a fresh interpreter: this one has validated configs already
+    script = textwrap.dedent("""
+        import sys
+        import robustctl, robustctl.cli
+        assert "jsonschema" not in sys.modules, "loaded on import"
+        from robustctl.config import resolve_config
+        resolve_config({"problem": {"id": "constant"}})
+        assert "jsonschema" in sys.modules
+    """)
+    src = str(Path(ge.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_unknown_top_level_key_is_named():

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -32,14 +33,12 @@ from robustctl.game_engine import (Adversary, AdversaryFamily, EngineConfig,
                                    simulate_strong, value_experiment)
 from robustctl.pde_solver import ValueField, make_grid, solve_isaacs
 from robustctl.sde_core import (ControlSet, NoisePath, ProblemSpec,
-                                derive_seed_array, eval_payoff, euler_step,
+                                derive_seed, derive_seed_array, eval_payoff, euler_step,
                                 sample_noise)
 from robustctl.strategies import (_NOT_YET, UNDEFINED, AbsRegion, CappedRule,
                                   ConstantAction, ConstantControl,
                                   ElementaryStrategy, FeedbackMap, FixedTimeRule,
-                                  GridIndexRule, HittingRule, LookaheadAction,
-                                  LookaheadControl, LookaheadRule,
-                                  OpenLoopControl, PiecewiseRandomControl,
+                                  GridIndexRule, HittingRule, OpenLoopControl, PiecewiseRandomControl,
                                   ReplayControl, SignControl, StoppingRule,
                                   _track, check_nonanticipative, fire_batch,
                                   make_grid_strategy)
@@ -458,21 +457,79 @@ def test_estimator_validates_inputs(pennies_problem):
 
 
 def test_anticipating_objects_are_refused(pennies_problem):
+    # nothing declares itself: the tracker has no batch form for a lookahead
+    # action (the screen's refusal of a peeking control is tested below)
     spec = pennies_problem.spec
     honest = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     engine = EngineConfig(n_steps=8)
-    peeking_adv = Adversary("peek", LookaheadControl(1, 0))
-    with pytest.raises(StrategyStructureError, match="anticipating"):
-        estimate_payoff(spec, 0.0, np.array([0.0]), honest, peeking_adv,
-                        n_paths=4, master_seed=0, engine=engine)
     peeking_alpha = ElementaryStrategy(control_set=spec.controls_u,
                                        start_rule=FixedTimeRule(0.0),
                                        rules=(FixedTimeRule(spec.horizon),),
-                                       actions=(LookaheadAction(1, 0),),
+                                       actions=(oracle.LookaheadAction(1, 0),),
                                        label="peek")
-    with pytest.raises(StrategyStructureError, match="anticipating"):
+    with pytest.raises(StrategyStructureError, match="LookaheadAction has no batch form"):
         estimate_payoff(spec, 0.0, np.array([0.0]), peeking_alpha,
                         const_adv(0, "c"), n_paths=4, master_seed=0, engine=engine)
+    # the recording primitives screen nothing: the tracker still refuses the
+    # action, while the peeking control is recorded as it plays
+    noise = sample_noise(np.linspace(0.0, spec.horizon, 9), 3, spec.noise_dim)
+    with pytest.raises(StrategyStructureError, match="LookaheadAction has no batch form"):
+        simulate_strong(spec, peeking_alpha, ConstantControl(0), noise, np.array([0.0]))
+    paths = simulate_strong(spec, honest, oracle.LookaheadControl(1, 0), noise,
+                            np.array([0.0]))
+    assert np.array_equal(paths.v_indices[0], np.where(noise.dW[:, 0] >= 0.0, 1, 0))
+
+
+def test_an_unflagged_peeking_control_is_refused_by_every_table(pennies_problem,
+                                                                 pennies_fields):
+    # a control that reads dW[:, i] on step i and declares nothing is refused
+    # by behaviour alone, with its id and the screen's failure count
+    lower, _ = pennies_fields
+    spec = pennies_problem.spec
+    engine = EngineConfig(n_steps=16)
+    x0 = np.array([0.0])
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    peek = Adversary("peek", oracle.LookaheadControl(1, 0))
+    family = AdversaryFamily((const_adv(0, "c0"), peek))
+    seed = 11
+    screened = check_nonanticipative(peek.plays, n_trials=200,
+                                     seed=derive_seed(seed, 23), n_steps=16,
+                                     horizon=spec.horizon, noise_dim=spec.noise_dim)
+    assert 0 < screened.failures < screened.trials
+    message = re.escape(f"adversary 'peek' failed the non-anticipativity screen "
+                        f"({screened.failures}/200 trials)")
+    kw = dict(n_paths=8, master_seed=seed, engine=engine)
+    with pytest.raises(StrategyStructureError, match=message):
+        value_experiment(spec, 0.0, x0, [alpha], family, **kw)
+    with pytest.raises(StrategyStructureError, match=message):
+        estimate_payoff(spec, 0.0, x0, alpha, peek, **kw)
+    with pytest.raises(StrategyStructureError, match=message):
+        filtration_experiment(spec, 0.0, x0, alpha, AdversaryFamily(family.members[:1]),
+                              family, **kw)
+    with pytest.raises(StrategyStructureError, match=message):
+        dpp_checks(spec, lower, 0.0, x0, [alpha], family,
+                   [("half", FixedTimeRule(spec.horizon / 2))], **kw)
+
+
+def test_a_one_step_engine_runs_every_table(pennies_problem, pennies_fields):
+    # the screen probes on at least two steps, so a one-step grid still runs
+    lower, _ = pennies_fields
+    spec = pennies_problem.spec
+    engine = EngineConfig(n_steps=1)
+    x0 = np.array([0.0])
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    family = AdversaryFamily((const_adv(0, "c0"),
+                              Adversary("sgn", SignControl(pos_index=1, neg_index=0))))
+    kw = dict(n_paths=16, master_seed=3, engine=engine)
+    report = value_experiment(spec, 0.0, x0, [alpha], family, **kw)
+    assert np.isfinite(report.best.mean) and report.best.estimate.n_paths == 16
+    (rep,) = dpp_checks(spec, lower, 0.0, x0, [alpha], family,
+                        [("T", FixedTimeRule(spec.horizon))], **kw)
+    assert np.isfinite(rep.game_value)
+    with pytest.raises(StrategyStructureError, match="adversary 'peek'"):
+        value_experiment(spec, 0.0, x0, [alpha],
+                         AdversaryFamily((Adversary("peek", oracle.LookaheadControl(1, 0)),)),
+                         **kw)
 
 
 # -------------------------------------------- batch engine vs. reference ---- #
@@ -1065,7 +1122,7 @@ def test_dpp_refuses_an_anticipating_rule(pennies_problem, pennies_fields):
     family = AdversaryFamily((const_adv(0, "c0"),))
     with pytest.raises(StrategyStructureError, match="non-anticipativity"):
         dpp_check(spec, lower, 0.0, np.array([0.0]), [alpha],
-                  family, LookaheadRule(), n_paths=4, master_seed=0,
+                  family, oracle.LookaheadRule(), n_paths=4, master_seed=0,
                   engine=EngineConfig(n_steps=8))
 
 
@@ -1097,7 +1154,7 @@ def test_dpp_checks_fold_every_rule_of_one_table(pennies_problem, pennies_fields
     assert dataclasses.asdict(reports[1]) == dataclasses.asdict(reports[2])
     with pytest.raises(StrategyStructureError, match="'peek'"):
         dpp_checks(spec, lower, 0.0, x0, strategies, family,
-                   [("half", half), ("peek", LookaheadRule())], **kw)
+                   [("half", half), ("peek", oracle.LookaheadRule())], **kw)
     with pytest.raises(ConfigError, match="at least one rule"):
         dpp_checks(spec, lower, 0.0, x0, strategies, family, [], **kw)
 

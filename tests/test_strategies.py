@@ -24,8 +24,7 @@ from robustctl.strategies import (_NOT_YET, UNDEFINED, _track, AbsRegion, Capped
                                   ConstantAction, ConstantControl,
                                   ElementaryStrategy, FeedbackLookupAction,
                                   FeedbackMap, FixedTimeRule, GridIndexRule,
-                                  HittingRule, LookaheadAction, LookaheadControl,
-                                  LookaheadRule, OpenLoopControl,
+                                  HittingRule, OpenLoopControl,
                                   OutsideBoxRegion, PiecewiseRandomControl,
                                   ReplayControl, SignControl,
                                   ThresholdRegion, check_nonanticipative,
@@ -466,7 +465,6 @@ def test_sign_control_batch_matches_scalar():
 def test_sign_control_extra_source_ignores_brownian():
     # reads only the auxiliary stream, so perturbing dW changes nothing
     ctrl = SignControl(pos_index=1, neg_index=0, source="extra")
-    assert ctrl.info_level == "enlarged"
     assert ctrl.extra_dim == 1
     noise = sample_noise(TIMES, 13, 1, extra_dim=1)
     base = realize(ctrl, noise)
@@ -509,7 +507,7 @@ def test_replay_control_plays_one_recorded_path_per_row():
 
 def test_piecewise_random_control_draws_from_the_path_seed():
     ctrl = PiecewiseRandomControl(n_choices=2, n_segments=4, salt=1)
-    assert ctrl.info_level == "enlarged"
+    assert ctrl.extra_dim == 0
     noise = sample_noise(TIMES, 16, 1, extra_dim=1)
     base = realize(ctrl, noise)
     # piecewise constant on 4 blocks
@@ -578,24 +576,30 @@ def test_strategies_pass_the_screen(pennies_fields):
 
 
 def test_lookahead_fixtures_fail_the_screen():
-    # the rule and the action have no batch form: refused by name, every trial failed
-    assert LookaheadRule().anticipating
-    rep_rule = check_nonanticipative(LookaheadRule(), n_trials=200, seed=0)
+    # the fixtures declare nothing; the rule and the action have no batch
+    # form: refused by name, every trial failed
+    rep_rule = check_nonanticipative(oracle.LookaheadRule(), n_trials=200, seed=0)
     assert not rep_rule.passed and rep_rule.failures == rep_rule.trials == 200
-    assert "LookaheadRule" in rep_rule.first_failure["refused"]
+    assert "LookaheadRule has no batch form" in rep_rule.first_failure["refused"]
     peeker = ElementaryStrategy(
         control_set=PM, start_rule=FixedTimeRule(0.0),
-        rules=(FixedTimeRule(1.0),), actions=(LookaheadAction(1, 0),),
+        rules=(FixedTimeRule(1.0),), actions=(oracle.LookaheadAction(1, 0),),
         label="peeker")
-    assert peeker.anticipating
     rep_strat = check_nonanticipative(peeker, n_trials=200, seed=0)
     assert not rep_strat.passed and rep_strat.failures == 200
-    assert "LookaheadAction" in rep_strat.first_failure["refused"]
+    assert "LookaheadAction has no batch form" in rep_strat.first_failure["refused"]
     # the control has a batch form, so the trials themselves catch it
-    rep_ctrl = check_nonanticipative(LookaheadControl(1, 0), n_trials=200, seed=0)
+    rep_ctrl = check_nonanticipative(oracle.LookaheadControl(1, 0), n_trials=200, seed=0)
     assert 0 < rep_ctrl.failures < rep_ctrl.trials
     failure = rep_ctrl.first_failure
     assert failure["step"] == failure["cut"] and failure["a"] != failure["b"]
+
+
+def test_the_screen_needs_two_steps():
+    # a cut needs a step on each side of it
+    with pytest.raises(ConfigError, match="n_steps >= 2, got 1"):
+        check_nonanticipative(SignControl(1, 0), n_steps=1)
+    assert check_nonanticipative(SignControl(1, 0), n_steps=2).passed
 
 
 class UnshiftedSignControl(SignControl):
