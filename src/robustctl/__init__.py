@@ -22,15 +22,14 @@ from .strategies import (ConstantControl, ElementaryStrategy, FeedbackMap,
                          PiecewiseRandomControl, ReplayControl, SignControl,
                          check_nonanticipative, concatenate, make_grid_strategy)
 from .hamiltonian import (HamiltonianQuery, hamiltonian_lower, hamiltonian_mixed,
-                          hamiltonian_upper, isaacs_gap, solve_matrix_game)
+                          hamiltonian_upper, solve_matrix_game)
 from .pde_solver import (SpaceTimeGrid, ValueField, cfl_max_dt,
                          compare_to_reference, make_grid, solve_isaacs)
 from .game_engine import (Adversary, AdversaryFamily, EngineConfig, Paths,
                           ValueEstimate, default_adversary_families,
                           default_strategy_family, dpp_check, dpp_checks,
-                          embed_feedback_as_openloop, estimate_payoff,
-                          filtration_experiment, simulate_feedback_pair,
-                          simulate_strong, value_experiment)
+                          embed_feedback_as_openloop, filtration_experiment,
+                          simulate_feedback_pair, simulate_strong, value_experiment)
 from .runner import run_experiment, write_result
 
 __version__ = "0.1.0"

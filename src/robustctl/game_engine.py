@@ -24,11 +24,11 @@ One chunked batch engine computes every trajectory.  Every estimate is a
 cell of one strategies x adversaries table (strategies in a plain list,
 keyed by label) marched on one noise panel and reduced by one sup-inf fold
 (:func:`_fold`).  :func:`value_experiment` is the only entry point for
-payoff tables; :func:`estimate_payoff` and :func:`filtration_experiment`
-are thin calls into it, and :func:`dpp_checks` folds every rule's restart
-values from one recorded table.  The two games have one recorded entry
-point each, returning a :class:`Paths` record of noise paths marched as one
-chunk: :func:`simulate_strong` (feedback alpha against an open-loop control)
+payoff tables (:func:`filtration_experiment` is its 1 x m call), and
+:func:`dpp_checks` folds every rule's restart values from one recorded
+table.  The two games have one recorded entry point each, returning a
+:class:`Paths` record of noise paths marched as one chunk:
+:func:`simulate_strong` (feedback alpha against an open-loop control)
 and :func:`simulate_feedback_pair` (alpha against a feedback beta); the
 embedding is the second replayed through the first.  A strategy checks its
 actions against its own control set when built, so the engine makes one
@@ -69,7 +69,7 @@ __all__ = [
     "Paths", "ValueEstimate", "EngineConfig",
     "Adversary", "AdversaryFamily",
     "simulate_strong", "simulate_feedback_pair", "embed_feedback_as_openloop",
-    "estimate_payoff", "RobustValue",
+    "RobustValue",
     "ValueExperimentReport", "value_experiment",
     "FiltrationReport", "filtration_experiment",
     "DppReport", "dpp_check", "dpp_checks",
@@ -188,10 +188,13 @@ def _record(spec: ProblemSpec, strategy: ElementaryStrategy, adversary: Adversar
     if len({n.extra.shape[-1] for n in noises}) > 1:
         raise ConfigError(f"noise paths carry extra widths "
                           f"{sorted({n.extra.shape[-1] for n in noises})}; a batch needs one")
+    times = noises[0].times
     seeds = np.array([n.seed for n in noises], dtype=np.uint64)
-    return _march_chunk(spec, noises[0].times, seeds, _as_state(spec, x0), strategy,
-                        adversary, np.stack([n.dW for n in noises]),
-                        np.stack([n.extra for n in noises]), record="paths")
+    dW = np.stack([n.dW for n in noises])
+    v_factory = _adversary_realization(adversary, spec, times, dW,
+                                       np.stack([n.extra for n in noises]), seeds)
+    return _march_chunk(spec, times, seeds, _as_state(spec, x0), strategy, v_factory,
+                        np.ascontiguousarray(dW.transpose(1, 0, 2)), record="paths")
 
 
 def simulate_strong(spec: ProblemSpec, strategy: ElementaryStrategy,
@@ -292,7 +295,7 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
         _check_set(f"{owner} rows {plays.feedback_u.label!r}", plays.feedback_u.control_set,
                    "controller", spec.controls_u)
         step = lambda i, X, u_idx: table[(grid.layer_of(float(times[i])), u_idx)
-                                         + grid._cells_of(X)]
+                                         + grid.cells_of(X)]
         return lambda: (step, None)
     strategy = plays if isinstance(plays, ElementaryStrategy) \
         else make_grid_strategy(plays, times, label=adversary.id)
@@ -305,7 +308,8 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
 
 
 def _noise_term(sig: np.ndarray, dWi: np.ndarray) -> np.ndarray:
-    """sigma dW per row, bitwise as :func:`~robustctl.sde_core.euler_step`'s sum.
+    """sigma dW per row, bitwise as the sum ``(sig * dW[..., None, :]).sum(axis=-1)``
+    of the reference Euler step in ``tests/sde_oracle.py``.
 
     With one noise coordinate the sum is a single product; numpy's sum over
     a length-1 axis turns -0.0 into +0.0, and ``+ 0.0`` does the same.
@@ -319,7 +323,7 @@ def _noise_term(sig: np.ndarray, dWi: np.ndarray) -> np.ndarray:
 
 def _step_uniform(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
                   iu: int, jv: int, dWi: np.ndarray) -> tuple:
-    # in-place x += b dt; x += sig dW keeps euler_step's association exactly
+    # in-place x += b dt; x += sig dW keeps the reference step's association exactly
     u, v = spec.controls_u.point(iu), spec.controls_v.point(jv)
     b = np.asarray(spec.drift(t, X, u, v), dtype=float)
     sig = np.asarray(spec.diffusion(t, X, u, v), dtype=float)
@@ -346,16 +350,14 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
     two adjacent codes are the pairs ``(lo, lo + 1)`` with slot ``code -
     lo``; any other mix is read off a ``bincount``.  Each row's drift and
     diffusion are one flat ``take`` at ``slot * len(X) + row`` on the
-    stacked blocks.  Signed zeros come out as in ``euler_step``: the noise
-    term follows :func:`_noise_term`.
+    stacked blocks.  Signed zeros come out as in the reference step: the
+    noise term follows :func:`_noise_term`.
 
     Returns the coefficient blocks it evaluated, for the blow-up report:
     (drift, diffusion, None) on a uniform step, else (drift per live pair,
     diffusion per live pair, each row's pair slot).
     """
     n_u, n_v = spec.controls_u.size, spec.controls_v.size
-    if n_u == 1 and n_v == 1:
-        return _step_uniform(spec, t, dt, X, 0, 0, dWi)
     code = u_idx * n_v
     code += v_idx
     lo, hi = int(code.min()), int(code.max())
@@ -413,29 +415,21 @@ def _blow_up(spec: ProblemSpec, t: float, t_next: float, X: np.ndarray, seeds: n
 
 
 def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
-                 x0: np.ndarray, strategy: ElementaryStrategy,
-                 adversary: Adversary, dW: np.ndarray, extra: np.ndarray,
-                 dW_tm: np.ndarray | None = None, v_factory=None,
-                 record: str | None = None) -> Paths:
+                 x0: np.ndarray, strategy: ElementaryStrategy, v_factory,
+                 dW_tm: np.ndarray, record: str | None = None) -> Paths:
     """One chunk marched: its :class:`Paths`, with the states recorded when
     ``record`` is "states", and the u and v index paths too when it is
     "paths" (the indices as int32, to keep recorded chunks small).
 
-    ``dW`` is path-major (c, N, noise_dim); ``dW_tm`` is the same increments
-    time-major (N, c, noise_dim) so step slices are contiguous, built here
-    when the caller did not share one.  ``v_factory`` is a prebuilt
-    adversary realization for this chunk (see :func:`_adversary_realization`),
-    also built here when not shared.
+    ``v_factory`` is the adversary's realization on this chunk (see
+    :func:`_adversary_realization`); ``dW_tm`` is the chunk's increments
+    time-major (N, c, noise_dim), so step slices are contiguous.
     """
     n = times.size - 1
     c = seeds.size
     u_tracker = _tracker(strategy, spec.controls_u, "controller", times, c)
-    if v_factory is None:
-        v_factory = _adversary_realization(adversary, spec, times, dW, extra, seeds)
     v_source, v_tracker = v_factory()
     trackers = [("controller", u_tracker)] + ([("adversary", v_tracker)] if v_tracker else [])
-    if dW_tm is None:
-        dW_tm = np.ascontiguousarray(dW.transpose(1, 0, 2))
     X = np.broadcast_to(x0, (c, spec.dim)).copy()
     # validated once at the start so the step loop can call the raw
     # callbacks; a shape bug is structural and shows on any state
@@ -593,9 +587,8 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
                 factories[adversary] = _adversary_realization(
                     adversary, spec, times, dW, extra, chunk_seeds)
         for ci, (strategy, adversary) in enumerate(cells):
-            paths = _march_chunk(spec, times, chunk_seeds, x0, strategy, adversary, dW,
-                                 extra, dW_tm=dW_tm, v_factory=factories[adversary],
-                                 record=record)
+            paths = _march_chunk(spec, times, chunk_seeds, x0, strategy, factories[adversary],
+                                 dW_tm, record=record)
             if record:
                 for k, post in enumerate(postprocess):
                     values[k, ci, start:stop] = post(times, paths.states)
@@ -624,9 +617,10 @@ def _screen(what: str, obj, spec: ProblemSpec, engine: EngineConfig,
             master_seed: int) -> None:
     """The one non-anticipation gate: refuse ``obj`` unless it passes
     :func:`check_nonanticipative` (200 trials on the game's horizon and
-    dimensions, over the run's step count capped at 64, and at least 2)."""
+    dimensions, over the run's own step count, and at least 2, so that a
+    control whose realization fixes its length is probed at that length)."""
     report = check_nonanticipative(obj, n_trials=200, seed=derive_seed(master_seed, 23),
-                                   n_steps=max(2, min(64, engine.n_steps)),
+                                   n_steps=max(2, engine.n_steps),
                                    horizon=spec.horizon, state_dim=spec.dim,
                                    noise_dim=spec.noise_dim)
     if not report.passed:
@@ -784,18 +778,6 @@ def value_experiment(spec: ProblemSpec, s: float, x0, strategies,
     return _fold_table(strategies, family, values[0], clamps, master_seed, keep_payoffs)
 
 
-def estimate_payoff(spec: ProblemSpec, s: float, x0, strategy: ElementaryStrategy,
-                    adversary: Adversary, n_paths: int, master_seed: int,
-                    engine: EngineConfig, keep_payoffs: bool = False) -> ValueEstimate:
-    """Mean payoff over n_paths independent paths, with its standard error.
-
-    The 1 x 1 table of :func:`value_experiment`, so it shares the noise of
-    any other estimate with the same master seed.
-    """
-    return value_experiment(spec, s, x0, [strategy], AdversaryFamily((adversary,)), n_paths,
-                            master_seed, engine, keep_payoffs).best.estimate
-
-
 def filtration_experiment(spec: ProblemSpec, s: float, x0,
                           strategy: ElementaryStrategy, base: AdversaryFamily,
                           enlarged: AdversaryFamily, n_paths: int,
@@ -928,21 +910,20 @@ def default_adversary_families(problem, lower_field: ValueField | None = None,
     return base, enlarged
 
 
-def _ladder(feedback: FeedbackMap, k: int, s: float, horizon: float,
+def _ladder(feedback: FeedbackMap, k: int, spec: ProblemSpec, s: float,
             engine: EngineConfig, label: str) -> ElementaryStrategy:
     """Grid feedback read at the simulation grid points nearest to k even splits of [s, T]."""
     if k < 1:
         raise ConfigError(f"decision count must be >= 1, got {k}")
     idx = np.unique(np.round(np.linspace(0, engine.n_steps, int(k) + 1)).astype(int))
-    times = np.linspace(s, horizon, engine.n_steps + 1)
-    return make_grid_strategy(feedback, times[idx], label=label)
+    return make_grid_strategy(feedback, _sim_times(spec, s, engine)[idx], label=label)
 
 
 def default_strategy_family(problem, lower_field: ValueField, decision_counts,
                             s: float, engine: EngineConfig) -> list:
     """Grid-feedback strategies reading the lower field at k decision times
     (see :func:`_ladder`), in the given order for monotonicity reporting."""
-    return [_ladder(lower_field.feedback_u, k, s, problem.spec.horizon, engine, f"grid{k}")
+    return [_ladder(lower_field.feedback_u, k, problem.spec, s, engine, f"grid{k}")
             for k in decision_counts]
 
 
@@ -958,7 +939,7 @@ def builtin_pairs(problem, lower_field: ValueField, upper_field: ValueField,
     """The built-in (alpha, beta) strategy pairs for the embedding suite, alpha-major."""
     spec = problem.spec
     T = spec.horizon
-    ladder = lambda feedback, k, label: _ladder(feedback, k, s, T, engine, label)
+    ladder = lambda feedback, k, label: _ladder(feedback, k, spec, s, engine, label)
     alphas = [_constant_strategy(spec.controls_u, 0, s, T, "alpha:const0"),
               ladder(lower_field.feedback_u, 4, "alpha:grid4"),
               ladder(lower_field.feedback_u, 8, "alpha:grid8")]

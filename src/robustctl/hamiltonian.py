@@ -36,7 +36,6 @@ __all__ = [
     "hamiltonian_lower",
     "hamiltonian_upper",
     "hamiltonian_mixed",
-    "isaacs_gap",
     "solve_matrix_game",
 ]
 
@@ -139,19 +138,6 @@ def hamiltonian_lower(spec: ProblemSpec, q: HamiltonianQuery) -> HamiltonianResu
 def hamiltonian_upper(spec: ProblemSpec, q: HamiltonianQuery) -> HamiltonianResult:
     """min_v max_u of the running term. Ties break to the lowest index."""
     return _pure_result("upper", lagrangian_matrix(spec, q))
-
-
-def isaacs_gap(spec: ProblemSpec, q: HamiltonianQuery) -> float:
-    """upper - lower, which is never negative.
-
-    Both values come from :func:`minimax` on one finite L, and that
-    reduction only compares and negates.  For every (u, v), min_v' L[u, v']
-    <= L[u, v] <= max_u' L[u', v], so max-min <= min-max; comparisons and
-    negation round nothing, so this holds exactly in floating point, and
-    the rounded difference of two ordered floats is >= 0.
-    """
-    L = lagrangian_matrix(spec, q)
-    return float(minimax(L, "upper")[0]) - float(minimax(L, "lower")[0])
 
 
 # ----------------------------------------------------------- matrix games ---- #

@@ -104,21 +104,18 @@ def _diffusion_diag(spec: ProblemSpec, sig: np.ndarray) -> np.ndarray:
     return np.einsum("...ii->...i", aa)
 
 
-def cfl_max_dt(spec: ProblemSpec, axes: tuple, sample_times=None) -> float:
+def cfl_max_dt(spec: ProblemSpec, axes: tuple) -> float:
     """Largest stable explicit time step on these axes.
 
     The bound is 1 / max_nodes max_pairs (sum_a |b_a|/h_a + sum_a aa_a/h_a^2),
-    sampled at a few times (default {0, T/2, T}); infinite when all
-    coefficients vanish.  For time-independent coefficients the sampling is
-    exact.
+    sampled at the times {0, T/2, T}; infinite when all coefficients vanish.
+    For time-independent coefficients the sampling is exact.
     """
-    if sample_times is None:
-        sample_times = (0.0, 0.5 * spec.horizon, spec.horizon)
     h = np.array([a[1] - a[0] if a.size > 1 else 1.0 for a in axes])
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack(mesh, axis=-1)
     worst = 0.0
-    for t in sample_times:
+    for t in (0.0, 0.5 * spec.horizon, spec.horizon):
         b, sig = eval_pairs(spec, t, nodes)
         aa = _diffusion_diag(spec, sig)
         rate = (np.abs(b) / h).sum(axis=-1) + (aa / h ** 2).sum(axis=-1)

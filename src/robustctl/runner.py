@@ -20,7 +20,7 @@ from .problems import build_problem
 from .reports import SUMMARY_VERSION, emit_report
 from .sde_core import (derive_seed, derive_seed_array, sample_noise,
                        stream_generator, validate_assumptions)
-from .strategies import AbsRegion, CappedRule, FixedTimeRule, HittingRule
+from .strategies import AbsRegion, FixedTimeRule, HittingRule
 
 __all__ = ["RunResult", "run_experiment", "write_result", "COMMANDS"]
 
@@ -335,7 +335,7 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
         lower = need("lower", "embedding")
         upper = need("upper", "embedding")
         pairs = ge.builtin_pairs(problem, lower, upper, s0, engine)
-        times = np.linspace(s0, spec.horizon, engine.n_steps + 1)
+        times = ge._sim_times(spec, s0, engine)
         n_seeds = cfg["embedding"]["n_seeds"]
         failed = {}  # (pair, seed index) -> the error of that row
         for alpha, beta in pairs:
@@ -389,8 +389,7 @@ def _build_rho(rule_cfg: dict, horizon: float):
             raise ConfigError(f"dpp rule fixed_time t={t} outside [0, {horizon}]")
         return f"fixed_time_{t:g}", FixedTimeRule(t)
     level = float(rule_cfg["level"])
-    return f"first_exit_{level:g}", CappedRule(HittingRule(AbsRegion(level)),
-                                                FixedTimeRule(horizon))
+    return f"first_exit_{level:g}", HittingRule(AbsRegion(level))
 
 
 def _monotone(report, ladder, se_mult: float):

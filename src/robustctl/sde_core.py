@@ -1,4 +1,4 @@
-"""Controlled SDE primitives: problem descriptions, noise, Euler stepping.
+"""Controlled SDE primitives: problem descriptions, coefficients, seeds and noise.
 
 The dynamics handled throughout the package are
 
@@ -34,7 +34,6 @@ __all__ = [
     "eval_diffusion",
     "eval_pairs",
     "eval_payoff",
-    "euler_step",
     "sample_noise",
     "sample_noise_batch",
     "validate_assumptions",
@@ -54,28 +53,21 @@ STREAM_BROWNIAN = 0
 STREAM_EXTRA = 1
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer on a python int, result in [0, 2^64)."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 def derive_seed(master: int, *indices: int) -> int:
     """Derive a child seed from a master seed and an index tuple.
 
     Children of distinct index tuples are statistically independent; the
     derivation is pure, so the same inputs always give the same child.
+    Every argument is taken mod 2^64, so negative and wide ints are accepted.
     """
     z = int(master) & _MASK64
     for idx in indices:
-        z = _mix64((z + (int(idx) + 1) * _GOLDEN) & _MASK64)
+        z = int(derive_seed_array(z, int(idx) & _MASK64))
     return z
 
 
 def derive_seed_array(master, indices) -> np.ndarray:
-    """Vectorized single step of :func:`derive_seed`.
+    """One splitmix64 step of :func:`derive_seed`, vectorized.
 
     ``master`` and ``indices`` broadcast against each other (scalars or
     uint64 arrays).  Chaining calls reproduces derive_seed(m, i, j, ...)
@@ -296,21 +288,6 @@ def eval_payoff(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
             f"{spec.label}.payoff exceeds declared bound {spec.payoff_bound}: "
             f"max |g| = {float(np.max(np.abs(out)))}")
     return out
-
-
-def euler_step(spec: ProblemSpec, t: float, dt: float, x: np.ndarray,
-               u: np.ndarray, v: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """One explicit Euler step: x + b dt + sigma dW.
-
-    Batched like the coefficient callbacks; ``dW`` has shape (..., noise_dim).
-    The update is affine in (x-independent coefficients, dW), which the tests
-    exploit.
-    """
-    x = np.asarray(x, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    b = eval_drift(spec, t, x, u, v)
-    sig = eval_diffusion(spec, t, x, u, v)
-    return x + b * dt + (sig * dW[..., None, :]).sum(axis=-1)
 
 
 # ---------------------------------------------------------------- noise ---- #

@@ -246,7 +246,13 @@ class FeedbackMap:
         j = int(round((t - self.times[0]) / self._dt))
         return int(np.clip(j, 0, self.times.size - 1))
 
-    def _cells_of(self, x: np.ndarray) -> tuple:
+    def cells_of(self, x: np.ndarray) -> tuple:
+        """The grid snap: per axis, the index of the node nearest to each state.
+
+        States of shape (..., dim) map to one index array per axis, each of
+        shape (...) and clipped to the axis, so a state off the grid reads
+        the nearest edge node.  Ties round half to even.
+        """
         x = np.asarray(x, dtype=float)
         cells = []
         for a, (axis, step) in enumerate(zip(self.axes, self._steps)):
@@ -256,8 +262,7 @@ class FeedbackMap:
 
     def lookup_index_batch(self, t: float, x: np.ndarray) -> np.ndarray:
         """Indices for a batch of states, shape (..., dim) -> (...,)."""
-        cells = self._cells_of(x)
-        return self.indices[(self.layer_of(t),) + cells]
+        return self.indices[(self.layer_of(t),) + self.cells_of(x)]
 
 
 # ----------------------------------------------------------- strategies ---- #

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from robustctl.game_engine import EngineConfig
+from robustctl.game_engine import AdversaryFamily, EngineConfig, value_experiment
 from robustctl.pde_solver import make_grid, solve_isaacs
 from robustctl.problems import build_problem
 
@@ -85,3 +85,10 @@ def announce(capsys):
 
 def times_grid(s: float, horizon: float, n_steps: int) -> np.ndarray:
     return np.linspace(s, horizon, n_steps + 1)
+
+
+def estimate_cell(spec, s, x0, strategy, adversary, n_paths, master_seed, engine,
+                  keep_payoffs=False):
+    """The 1 x 1 table of ``value_experiment``: one strategy's estimate against one member."""
+    return value_experiment(spec, s, x0, [strategy], AdversaryFamily((adversary,)), n_paths,
+                            master_seed, engine, keep_payoffs).best.estimate

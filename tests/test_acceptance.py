@@ -19,7 +19,7 @@ from robustctl.errors import EmbeddingMismatchError
 from robustctl.game_engine import (Adversary, AdversaryFamily, EngineConfig,
                                    builtin_pairs, default_adversary_families,
                                    default_strategy_family, dpp_checks,
-                                   embed_feedback_as_openloop, estimate_payoff,
+                                   embed_feedback_as_openloop,
                                    filtration_experiment, value_experiment)
 from robustctl.hamiltonian import (HamiltonianQuery, hamiltonian_lower,
                                    hamiltonian_mixed, hamiltonian_upper)
@@ -110,9 +110,9 @@ def test_criterion_02_heat_monte_carlo_hits_the_closed_form(heat_problem,
     alpha = _constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
     adv = Adversary("const:0", ConstantControl(0))
     t0 = time.perf_counter()
-    est = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv,
-                          n_paths=N_PATHS, master_seed=MASTER_SEED,
-                          engine=EngineConfig(n_steps=500))
+    est = value_experiment(spec, 0.0, np.array([0.0]), [alpha], AdversaryFamily((adv,)),
+                           n_paths=N_PATHS, master_seed=MASTER_SEED,
+                           engine=EngineConfig(n_steps=500)).best.estimate
     elapsed = time.perf_counter() - t0
     target = 1.0 / np.sqrt(3.0)
     tol = 3.0 * est.std_error + 5e-3

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import estimate_cell
 import robustctl.game_engine as ge
 from robustctl.cli import main
 from robustctl.config import (DEFAULTS, describe_errors, load_config,
@@ -327,8 +328,8 @@ def test_every_stage_equals_the_direct_calls():
 
     worst = next(m for m in enlarged.members
                  if m.id == summary["value"]["per_strategy"][best]["worst_adversary"])
-    est = ge.estimate_payoff(spec, 0.0, x0, strat, worst, n, seed, engine,
-                             keep_payoffs=True)
+    est = estimate_cell(spec, 0.0, x0, strat, worst, n, seed, engine,
+                        keep_payoffs=True)
     seeds = derive_seed_array(seed, np.arange(n))
     assert tables["paths"][1] == [[i, int(seeds[i]), est.payoffs[i]] for i in range(n)]
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import strategy_oracle as oracle
+from conftest import estimate_cell
 from robustctl import game_engine
 from robustctl.errors import (ConfigError, EmbeddingMismatchError,
                               ModelEvaluationError, SimulationBlowUpError,
@@ -28,12 +29,12 @@ from robustctl.game_engine import (Adversary, AdversaryFamily, EngineConfig,
                                    builtin_pairs,
                                    default_adversary_families,
                                    default_strategy_family, dpp_check,
-                                   dpp_checks, embed_feedback_as_openloop, estimate_payoff,
+                                   dpp_checks, embed_feedback_as_openloop,
                                    filtration_experiment, simulate_feedback_pair,
                                    simulate_strong, value_experiment)
 from robustctl.pde_solver import ValueField, make_grid, solve_isaacs
 from robustctl.sde_core import (ControlSet, NoisePath, ProblemSpec,
-                                derive_seed, derive_seed_array, eval_payoff, euler_step,
+                                derive_seed, derive_seed_array, eval_payoff,
                                 sample_noise)
 from robustctl.strategies import (_NOT_YET, UNDEFINED, AbsRegion, CappedRule,
                                   ConstantAction, ConstantControl,
@@ -42,6 +43,7 @@ from robustctl.strategies import (_NOT_YET, UNDEFINED, AbsRegion, CappedRule,
                                   ReplayControl, SignControl, StoppingRule,
                                   _track, check_nonanticipative, fire_batch,
                                   make_grid_strategy)
+from sde_oracle import euler_step
 
 
 def constant_strategy(control_set, index: int, start: float, end: float,
@@ -188,16 +190,16 @@ def test_nature_tables_on_another_game_are_refused(pennies_problem, drift_fields
     ]
     for adv, named in cases:
         with pytest.raises(ModelEvaluationError, match=named):
-            estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, n_paths=4,
-                            master_seed=0, engine=engine)
+            estimate_cell(spec, 0.0, np.array([0.0]), alpha, adv, n_paths=4,
+                          master_seed=0, engine=engine)
     # heat's reply on a game with heat's v set but pennies' u set: its one
     # u row would be read for both of pennies' actions
     hybrid = dataclasses.replace(spec, controls_v=heat_field.feedback_v.control_set)
     with pytest.raises(ModelEvaluationError,
                        match=rf"^adversary 'brrows' reply rows 'heat/lower/u' uses control "
                              rf"set \{{0\}}, the game's controller set is {pm}$"):
-        estimate_payoff(hybrid, 0.0, np.array([0.0]), alpha, Adversary("brrows", heat_field),
-                        n_paths=4, master_seed=0, engine=engine)
+        estimate_cell(hybrid, 0.0, np.array([0.0]), alpha, Adversary("brrows", heat_field),
+                      n_paths=4, master_seed=0, engine=engine)
 
 
 def test_noise_of_another_width_is_refused(pennies_problem):
@@ -274,15 +276,15 @@ def test_recorded_index_paths_match_the_oracle(pennies_problem):
     assert switches > 0
 
 
-# ------------------------------------------------------- estimate_payoff ---- #
+# ---------------------------------------------------------- one-cell tables ---- #
 
 
 def test_constant_payoff_estimates_one_with_zero_error(constant_problem):
     spec = constant_problem.spec
     alpha = constant_strategy(spec.controls_u, 0, 0.0, spec.horizon)
-    est = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, const_adv(0, "c"),
-                          n_paths=16, master_seed=1,
-                          engine=EngineConfig(n_steps=8))
+    est = estimate_cell(spec, 0.0, np.array([0.0]), alpha, const_adv(0, "c"),
+                        n_paths=16, master_seed=1,
+                        engine=EngineConfig(n_steps=8))
     assert est.mean == 1.0
     assert est.std_error == 0.0
     assert est.n_paths == 16
@@ -293,9 +295,9 @@ def test_deterministic_dynamics_have_zero_standard_error(drift_problem):
     spec = dataclasses.replace(drift_problem.spec,
                                diffusion=lambda t, x, u, v: np.zeros(x.shape + (1,)))
     alpha = constant_strategy(spec.controls_u, 2, 0.0, spec.horizon)
-    est = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, const_adv(0, "c"),
-                          n_paths=8, master_seed=4,
-                          engine=EngineConfig(n_steps=64), keep_payoffs=True)
+    est = estimate_cell(spec, 0.0, np.array([0.0]), alpha, const_adv(0, "c"),
+                        n_paths=8, master_seed=4,
+                        engine=EngineConfig(n_steps=64), keep_payoffs=True)
     assert est.std_error == 0.0
     assert est.mean == float(eval_payoff(spec, np.array([0.25])))
     assert np.all(est.payoffs == est.mean)
@@ -307,8 +309,8 @@ def test_same_arguments_reproduce_bitwise(pennies_problem):
     adv = Adversary("sgn", SignControl(pos_index=1, neg_index=0))
     kw = dict(n_paths=64, master_seed=12, engine=EngineConfig(n_steps=32),
               keep_payoffs=True)
-    a = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, **kw)
-    b = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, **kw)
+    a = estimate_cell(spec, 0.0, np.array([0.0]), alpha, adv, **kw)
+    b = estimate_cell(spec, 0.0, np.array([0.0]), alpha, adv, **kw)
     assert np.array_equal(a.payoffs, b.payoffs)
     assert a.mean == b.mean and a.std_error == b.std_error
 
@@ -323,9 +325,9 @@ def test_chunk_and_thread_layout_is_invisible(pennies_problem, pennies_fields):
     runs = []
     for chunk, threads in ((7, 1), (64, 3), (17, 2), (1000, 1)):
         engine = EngineConfig(n_steps=32, chunk_size=chunk, threads=threads)
-        runs.append(estimate_payoff(spec, 0.0, np.array([0.0]), ladder, adv,
-                                    n_paths=50, master_seed=9, engine=engine,
-                                    keep_payoffs=True))
+        runs.append(estimate_cell(spec, 0.0, np.array([0.0]), ladder, adv,
+                                  n_paths=50, master_seed=9, engine=engine,
+                                  keep_payoffs=True))
     for other in runs[1:]:
         assert np.array_equal(runs[0].payoffs, other.payoffs)
         assert runs[0].mean == other.mean
@@ -435,9 +437,9 @@ def test_clamped_rules_are_counted_per_path(pennies_problem):
                                         ConstantAction(1)),
                                label="clamped")
     for chunk in (5, 64):
-        est = estimate_payoff(spec, 0.0, np.array([0.0]), alpha,
-                              const_adv(0, "c"), n_paths=30, master_seed=3,
-                              engine=EngineConfig(n_steps=32, chunk_size=chunk))
+        est = estimate_cell(spec, 0.0, np.array([0.0]), alpha,
+                            const_adv(0, "c"), n_paths=30, master_seed=3,
+                            engine=EngineConfig(n_steps=32, chunk_size=chunk))
         assert est.clamp_count == 30
 
 
@@ -446,14 +448,14 @@ def test_estimator_validates_inputs(pennies_problem):
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     engine = EngineConfig(n_steps=8)
     with pytest.raises(ConfigError, match="n_paths"):
-        estimate_payoff(spec, 0.0, np.array([0.0]), alpha, const_adv(0, "c"),
-                        n_paths=1, master_seed=0, engine=engine)
+        estimate_cell(spec, 0.0, np.array([0.0]), alpha, const_adv(0, "c"),
+                      n_paths=1, master_seed=0, engine=engine)
     with pytest.raises(ConfigError, match="start time"):
-        estimate_payoff(spec, spec.horizon, np.array([0.0]), alpha,
-                        const_adv(0, "c"), n_paths=4, master_seed=0, engine=engine)
+        estimate_cell(spec, spec.horizon, np.array([0.0]), alpha,
+                      const_adv(0, "c"), n_paths=4, master_seed=0, engine=engine)
     with pytest.raises(ConfigError):
-        estimate_payoff(spec, 0.0, np.zeros(2), alpha, const_adv(0, "c"),
-                        n_paths=4, master_seed=0, engine=engine)
+        estimate_cell(spec, 0.0, np.zeros(2), alpha, const_adv(0, "c"),
+                      n_paths=4, master_seed=0, engine=engine)
 
 
 def test_anticipating_objects_are_refused(pennies_problem):
@@ -468,8 +470,8 @@ def test_anticipating_objects_are_refused(pennies_problem):
                                        actions=(oracle.LookaheadAction(1, 0),),
                                        label="peek")
     with pytest.raises(StrategyStructureError, match="LookaheadAction has no batch form"):
-        estimate_payoff(spec, 0.0, np.array([0.0]), peeking_alpha,
-                        const_adv(0, "c"), n_paths=4, master_seed=0, engine=engine)
+        estimate_cell(spec, 0.0, np.array([0.0]), peeking_alpha,
+                      const_adv(0, "c"), n_paths=4, master_seed=0, engine=engine)
     # the recording primitives screen nothing: the tracker still refuses the
     # action, while the peeking control is recorded as it plays
     noise = sample_noise(np.linspace(0.0, spec.horizon, 9), 3, spec.noise_dim)
@@ -502,7 +504,7 @@ def test_an_unflagged_peeking_control_is_refused_by_every_table(pennies_problem,
     with pytest.raises(StrategyStructureError, match=message):
         value_experiment(spec, 0.0, x0, [alpha], family, **kw)
     with pytest.raises(StrategyStructureError, match=message):
-        estimate_payoff(spec, 0.0, x0, alpha, peek, **kw)
+        estimate_cell(spec, 0.0, x0, alpha, peek, **kw)
     with pytest.raises(StrategyStructureError, match=message):
         filtration_experiment(spec, 0.0, x0, alpha, AdversaryFamily(family.members[:1]),
                               family, **kw)
@@ -526,6 +528,28 @@ def test_a_one_step_engine_runs_every_table(pennies_problem, pennies_fields):
     (rep,) = dpp_checks(spec, lower, 0.0, x0, [alpha], family,
                         [("T", FixedTimeRule(spec.horizon))], **kw)
     assert np.isfinite(rep.game_value)
+    with pytest.raises(StrategyStructureError, match="adversary 'peek'"):
+        value_experiment(spec, 0.0, x0, [alpha],
+                         AdversaryFamily((Adversary("peek", oracle.LookaheadControl(1, 0)),)),
+                         **kw)
+
+
+def test_the_screen_probes_at_the_table_step_count(pennies_problem):
+    # a one-path replay fixes its length, so it must be probed on the table's
+    # own 100 steps; it then plays in the table as it does when recorded, and
+    # a lookahead control is still refused at that length
+    spec = pennies_problem.spec
+    engine = EngineConfig(n_steps=100)
+    x0 = np.array([0.0])
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    replay = ReplayControl(np.arange(100) % 2)
+    kw = dict(n_paths=16, master_seed=3, engine=engine)
+    est = value_experiment(spec, 0.0, x0, [alpha], AdversaryFamily((Adversary("r", replay),)),
+                           keep_payoffs=True, **kw).best.estimate
+    times = np.linspace(0.0, spec.horizon, 101)
+    noises = [sample_noise(times, int(seed), spec.noise_dim)
+              for seed in derive_seed_array(3, np.arange(16))]
+    assert np.array_equal(est.payoffs, simulate_strong(spec, alpha, replay, noises, x0).payoffs)
     with pytest.raises(StrategyStructureError, match="adversary 'peek'"):
         value_experiment(spec, 0.0, x0, [alpha],
                          AdversaryFamily((Adversary("peek", oracle.LookaheadControl(1, 0)),)),
@@ -605,8 +629,8 @@ def test_batch_engine_matches_per_path_reference(pennies_problem, pennies_fields
         (ladder, Adversary("beta", beta)),
     ]
     for strategy, adv in cases:
-        est = estimate_payoff(spec, s, x0, strategy, adv, n_paths=24,
-                              master_seed=21, engine=engine, keep_payoffs=True)
+        est = estimate_cell(spec, s, x0, strategy, adv, n_paths=24,
+                            master_seed=21, engine=engine, keep_payoffs=True)
         ref = _reference_payoffs(spec, s, x0, strategy, adv, 24, 21, engine)
         assert np.array_equal(est.payoffs, ref), (strategy.label, adv.id)
 
@@ -680,8 +704,8 @@ def test_every_mixed_step_form_matches_the_reference_bitwise(monkeypatch):
     steps = _spy_mixed_steps(monkeypatch)
     for name, (strategy, adv, form) in cases.items():
         steps.clear()
-        est = estimate_payoff(spec, 0.0, x0, strategy, adv, n_paths=40, master_seed=17,
-                              engine=engine, keep_payoffs=True)
+        est = estimate_cell(spec, 0.0, x0, strategy, adv, n_paths=40, master_seed=17,
+                            engine=engine, keep_payoffs=True)
         assert any(form(*s) for s in steps), (name, steps)
         ref = _reference_payoffs(spec, 0.0, x0, strategy, adv, 40, 17, engine)
         assert np.array_equal(est.payoffs, ref), name
@@ -767,8 +791,8 @@ def test_rule_without_batch_form_is_refused_by_name(pennies_problem):
                                rules=(ScanOnlyRule(),),
                                actions=(ConstantAction(1),), label="scan")
     with pytest.raises(StrategyStructureError, match="ScanOnlyRule"):
-        estimate_payoff(spec, 0.0, np.array([0.0]), alpha, const_adv(0, "c"),
-                        n_paths=4, master_seed=0, engine=EngineConfig(n_steps=8))
+        estimate_cell(spec, 0.0, np.array([0.0]), alpha, const_adv(0, "c"),
+                      n_paths=4, master_seed=0, engine=EngineConfig(n_steps=8))
     noise = sample_noise(np.linspace(0.0, spec.horizon, 9), 3, spec.noise_dim)
     with pytest.raises(StrategyStructureError, match="ScanOnlyRule"):
         simulate_strong(spec, alpha, ConstantControl(0), noise, np.array([0.0]))
@@ -794,13 +818,17 @@ def test_singleton_family_matches_plain_estimate(pennies_problem):
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     adv = const_adv(0, "only")
     engine = EngineConfig(n_steps=16)
-    est = estimate_payoff(spec, 0.0, np.array([0.0]), alpha, adv, n_paths=32,
-                          master_seed=5, engine=engine)
+    # the plain estimate: the same 32 noise paths recorded, then averaged
+    noises = [sample_noise(np.linspace(0.0, spec.horizon, 17), int(seed), spec.noise_dim)
+              for seed in derive_seed_array(5, np.arange(32))]
+    payoffs = simulate_strong(spec, alpha, adv.plays, noises, np.array([0.0])).payoffs
+    mean = float(np.sum(payoffs) / 32)
     rv = value_experiment(spec, 0.0, np.array([0.0]), [alpha],
                           AdversaryFamily((adv,)), n_paths=32, master_seed=5,
                           engine=engine).best
-    assert rv.mean == est.mean
-    assert rv.estimate.std_error == est.std_error
+    assert rv.mean == mean
+    assert rv.estimate.std_error == float(np.sqrt(np.sum((payoffs - mean) ** 2) / 31)) \
+        / float(np.sqrt(32))
     assert rv.worst_id == "only"
 
 
@@ -1309,10 +1337,10 @@ def test_quadratic_drift_blows_up_on_every_entry_point(violator_problem):
         errs = []
         for threads in (1, 2):
             with pytest.raises(ModelEvaluationError, match=named) as err_chunked:
-                estimate_payoff(spec, 0.0, np.array([8.0]), alpha, const_adv(0, "c"),
-                                n_paths=4, master_seed=0,
-                                engine=EngineConfig(n_steps=50, chunk_size=2,
-                                                    threads=threads))
+                estimate_cell(spec, 0.0, np.array([8.0]), alpha, const_adv(0, "c"),
+                              n_paths=4, master_seed=0,
+                              engine=EngineConfig(n_steps=50, chunk_size=2,
+                                                  threads=threads))
             errs.append(err_chunked.value)
         one, two = errs
         assert type(two) is ModelEvaluationError and str(two) == str(one)
@@ -1353,8 +1381,8 @@ def test_state_overflow_raises_with_location(violator_problem):
     x0 = np.array([1.5e308])
     with np.errstate(over="ignore"):
         with pytest.raises(SimulationBlowUpError) as err:
-            estimate_payoff(spec, 0.0, x0, alpha, const_adv(0, "c"), n_paths=4,
-                            master_seed=0, engine=EngineConfig(n_steps=2))
+            estimate_cell(spec, 0.0, x0, alpha, const_adv(0, "c"), n_paths=4,
+                          master_seed=0, engine=EngineConfig(n_steps=2))
         assert err.value.t == pytest.approx(0.25)
         assert not np.all(np.isfinite(err.value.state))
         assert err.value.seed is not None

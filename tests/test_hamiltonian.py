@@ -24,8 +24,7 @@ import robustctl.hamiltonian as hamiltonian
 from robustctl.errors import ModelEvaluationError, NumericalSolveError
 from robustctl.hamiltonian import (HamiltonianQuery, hamiltonian_lower,
                                    hamiltonian_mixed, hamiltonian_upper,
-                                   isaacs_gap, lagrangian_matrix, minimax,
-                                   solve_matrix_game)
+                                   lagrangian_matrix, minimax, solve_matrix_game)
 from robustctl.problems import available_problems, build_problem
 from robustctl.sde_core import ControlSet, ProblemSpec, derive_seed, stream_generator
 
@@ -153,10 +152,14 @@ def test_singleton_sets_bypass_optimization(heat_problem):
 
 
 def test_isaacs_gap_pinned(pennies_problem, drift_problem):
-    x = np.array([0.0])
-    assert isaacs_gap(pennies_problem.spec, query(pennies_problem.spec, 0.0, x, 1.0, 0.0)) == 2.0
-    assert isaacs_gap(pennies_problem.spec, query(pennies_problem.spec, 0.0, x, 0.0, 0.0)) == 0.0
-    assert isaacs_gap(drift_problem.spec, query(drift_problem.spec, 0.0, x, 1.3, -0.4)) == 0.0
+    # the gap upper - lower of the pure values of one running-term matrix
+    def gap(spec, p, M):
+        L = lagrangian_matrix(spec, query(spec, 0.0, np.array([0.0]), p, M))
+        return float(minimax(L, "upper")[0]) - float(minimax(L, "lower")[0])
+
+    assert gap(pennies_problem.spec, 1.0, 0.0) == 2.0
+    assert gap(pennies_problem.spec, 0.0, 0.0) == 0.0
+    assert gap(drift_problem.spec, 1.3, -0.4) == 0.0
 
 
 def test_matching_pennies_mixed_game(pennies_problem):

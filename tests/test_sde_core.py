@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import sde_oracle as oracle
 from robustctl.errors import ConfigError, ModelEvaluationError
 from robustctl.sde_core import (STREAM_BROWNIAN, STREAM_EXTRA, ControlSet,
                                 ProblemSpec, derive_seed, derive_seed_array,
-                                euler_step, eval_diffusion, eval_drift,
-                                eval_pairs, eval_payoff, sample_noise,
-                                sample_noise_batch, stream_generator,
-                                validate_assumptions)
+                                eval_diffusion, eval_drift, eval_pairs,
+                                eval_payoff, sample_noise, sample_noise_batch,
+                                stream_generator, validate_assumptions)
 from robustctl.problems import available_problems, build_problem
+from sde_oracle import euler_step
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -34,14 +35,30 @@ def test_derive_seed_is_pure_and_spread():
     assert derive_seed(0, 1, 2) != derive_seed(0, 2, 1)
 
 
-@given(master=hs.integers(min_value=0, max_value=2**64 - 1),
-       idx=hs.lists(hs.integers(min_value=0, max_value=2**32), min_size=1, max_size=4))
+# negative and >= 2^64 ints too: every argument is taken mod 2^64
+WIDE_INTS = hs.integers(min_value=-2**66, max_value=2**66)
+
+
+@given(master=WIDE_INTS, idx=hs.lists(WIDE_INTS, min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
 def test_derive_seed_array_matches_scalar_chain(master, idx):
-    chained = np.uint64(master)
+    want = oracle.derive_seed(master, *idx)
+    assert derive_seed(master, *idx) == want
+    chained = np.uint64(master & oracle.MASK64)
     for i in idx:
-        chained = derive_seed_array(chained, np.uint64(i))
-    assert int(chained) == derive_seed(master, *idx)
+        chained = derive_seed_array(chained, np.uint64(i & oracle.MASK64))
+    assert int(chained) == want
+
+
+def test_derive_seed_pinned():
+    # summaries and every Monte Carlo table hang off these values
+    assert derive_seed(0) == 0
+    assert derive_seed(0, 37) == 4340416312237048737
+    assert derive_seed(7, 29, 3, 1234) == 12209946944707921864
+    assert derive_seed(-1, 5) == 15212506146343009075
+    assert derive_seed(2**64 + 5, -3, 2**70) == 14836330394352925190
+    assert derive_seed(123456789, 0, 1, 2, 3) == 12274957022287804460
+    assert derive_seed(2**64 - 1, 2**64 - 1) == 13029008266876403067
 
 
 def test_derive_seed_array_broadcasts():
