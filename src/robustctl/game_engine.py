@@ -9,7 +9,7 @@ plays)``, and the type of ``plays`` says how it plays:
 :class:`~robustctl.strategies.ElementaryStrategy`
     Another elementary strategy, for strategy-vs-strategy games.
 :class:`~robustctl.strategies.FeedbackMap`
-    A table v(t, x), played as the strategy that re-reads it at every grid time.
+    A table v(t, x), read at each step's time and state.
 :class:`~robustctl.pde_solver.ValueField`
     A solved lower field: its per-u reply table ``response_v`` answers the
     controller's current action at (t, x).
@@ -277,8 +277,8 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
     Returns a factory() -> (step_fn, tracker_or_None) with step_fn(i, X,
     u_idx) -> (n,) v indices.  Open-loop controls are realized here, once
     per chunk, so every strategy cell marched on this chunk shares the
-    realization; strategies, a feedback table's included, are stateful and
-    get a fresh tracker per cell.
+    realization; a feedback table or a reply table is read at each step's
+    (t, x), and a strategy is stateful and gets a fresh tracker per cell.
     """
     plays = adversary.plays
     if isinstance(plays, OpenLoopControl):
@@ -297,11 +297,14 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
         step = lambda i, X, u_idx: table[(grid.layer_of(float(times[i])), u_idx)
                                          + grid.cells_of(X)]
         return lambda: (step, None)
-    strategy = plays if isinstance(plays, ElementaryStrategy) \
-        else make_grid_strategy(plays, times, label=adversary.id)
+    if isinstance(plays, FeedbackMap):
+        _check_set(f"adversary strategy {adversary.id!r}", plays.control_set, "adversary",
+                   spec.controls_v)
+        step = lambda i, X, u_idx: plays.lookup_index_batch(float(times[i]), X)
+        return lambda: (step, None)
 
     def factory():
-        tracker = _tracker(strategy, spec.controls_v, "adversary", times, seeds.size)
+        tracker = _tracker(plays, spec.controls_v, "adversary", times, seeds.size)
         return (lambda i, X, u_idx: tracker.on_state(i, X)), tracker
 
     return factory

@@ -117,6 +117,14 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
     problem = build_problem(cfg["problem"]["id"], cfg["problem"].get("parameters") or None)
     spec = problem.spec
     cfg = _fill_problem_defaults(cfg, problem)
+    # checked before the assumption gate and the solves, so a bad start fails at once
+    sim = cfg["simulate"]
+    s0 = float(sim["start_time"])
+    x0 = np.asarray(sim["start_state"], dtype=float)
+    if not 0.0 <= s0 < spec.horizon:
+        raise ConfigError(f"simulate.start_time {s0} outside [0, {spec.horizon})")
+    if x0.shape != (spec.dim,):
+        raise ConfigError(f"simulate.start_state needs {spec.dim} coordinates")
 
     stages = _stages_for(command, cfg["experiments"])
     run_assumptions = cfg["assumptions"]["enabled"] or command == "validate"
@@ -219,15 +227,8 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
                 f"stage {stage!r} needs the {eq} equation; add it to 'equations'")
         return fields[eq]
 
-    sim = cfg["simulate"]
     engine = ge.EngineConfig(n_steps=sim["n_steps"], chunk_size=sim["chunk_size"],
                              threads=cfg["threads"])
-    s0 = float(sim["start_time"])
-    x0 = np.asarray(sim["start_state"], dtype=float)
-    if not 0.0 <= s0 < spec.horizon:
-        raise ConfigError(f"simulate.start_time {s0} outside [0, {spec.horizon})")
-    if x0.shape != (spec.dim,):
-        raise ConfigError(f"simulate.start_state needs {spec.dim} coordinates")
 
     experiment_seed = derive_seed(master_seed, 37)
     base_family = enlarged_family = strategy_family = None

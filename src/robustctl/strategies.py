@@ -28,6 +28,7 @@ controls with it).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -318,13 +319,14 @@ class _FixedMonitor:
     """A rule that fires at the same index on every path."""
 
     def __init__(self, index: int, n: int):
-        self.fire = np.full(n, index, dtype=np.int64)
+        self.index = index
+        self.n = n
 
     def observe(self, j, X):
         pass
 
     def fired_by(self, j):
-        return np.where(self.fire <= j, self.fire, _NOT_YET)
+        return np.full(self.n, self.index if self.index <= j else _NOT_YET, dtype=np.int64)
 
 
 class _HittingMonitor:
@@ -409,10 +411,11 @@ class StrategyTracker:
     recomputation from path p's prefix, clamps included, and
     ``clamp_count`` sums the clamps over the rows.
 
-    Strategies whose rules all fire at path-independent indices (grid
-    ladders, constant strategies) take a precomputed schedule: segments
-    change simultaneously on every path, so per-step work is a dictionary
-    probe.  Everything else runs one monitor per rule.  A rule or action
+    Every strategy runs one monitor per rule.  When every rule, the start
+    rule included, fires at a path-independent index (grid ladders, constant
+    strategies), segments change only at those indices, since a clamp moves
+    a fire onto the previous rule's index; the steps in between return at
+    once, so a ladder does array work on its decision steps alone.  A rule or action
     class without a batch form raises :class:`StrategyStructureError` here,
     before any step is tracked.
     """
@@ -424,39 +427,21 @@ class StrategyTracker:
                     f"action {type(action).__name__} has no batch form")
         self.strategy = strategy
         self.times = times
-        self.n = n
         self.u_idx = np.full(n, UNDEFINED, dtype=np.int64)
         self.clamp_count = 0
         self.all_defined = False
-        self.events = self._fixed_schedule(strategy, times)
-        if self.events is not None:
-            return
         self.start_monitor = _rule_monitor(strategy.start_rule, times, n)
         self.monitors = [_rule_monitor(r, times, n) for r in strategy.rules]
         self.seg = np.full(n, -1, dtype=np.int64)
         self.fire_prev = np.full(n, -1, dtype=np.int64)
+        # read from the rules, not the monitors, so an empty batch needs no row
+        fires = [r.fixed_fire_index(times) for r in (strategy.start_rule,) + strategy.rules]
+        self.decisions = None if None in fires else sorted(set(fires)) + [times.size]
+        self.wake = 0 if self.decisions is None else self.decisions[0]
 
-    def _fixed_schedule(self, strategy, times):
-        """events[j] = (segment, clamped) pairs entered at step j, for fixed rules."""
-        f0 = strategy.start_rule.fixed_fire_index(times)
-        if f0 is None:
-            return None
-        fires = []
-        for rule in strategy.rules:
-            f = rule.fixed_fire_index(times)
-            if f is None:
-                return None
-            fires.append(f)
-        events: dict = {f0: [(0, False)]}
-        prev = f0
-        for k, f in enumerate(fires):
-            clamped = f < prev
-            f = max(f, prev)
-            events.setdefault(f, []).append((k + 1, clamped))
-            prev = f
-        return events
-
-    def _apply_action(self, k: int, mask, j: int, X: np.ndarray):
+    def _apply_action(self, k: int, mask: np.ndarray, j: int, X: np.ndarray):
+        if mask.all():  # a ladder's decision moves every path: no row gathers
+            mask = slice(None)
         action = self.strategy.actions[k]
         if isinstance(action, ConstantAction):
             self.u_idx[mask] = action.index
@@ -464,19 +449,10 @@ class StrategyTracker:
             self.u_idx[mask] = action.feedback.lookup_index_batch(float(self.times[j]), X[mask])
 
     def on_state(self, j: int, X: np.ndarray) -> np.ndarray:
-        if self.events is not None:
-            hits = self.events.get(j)
-            if hits is not None:
-                for seg, clamped in hits:
-                    if clamped:
-                        self.clamp_count += self.n
-                    if seg < len(self.strategy.actions):
-                        self._apply_action(seg, slice(None), j, X)
-                    else:
-                        self.u_idx[:] = UNDEFINED
-                # schedule events hit every path at once, so the last one decides
-                self.all_defined = hits[-1][0] < len(self.strategy.actions)
+        if j < self.wake:
             return self.u_idx
+        if self.decisions is not None:
+            self.wake = self.decisions[bisect.bisect_right(self.decisions, j)]
         self.start_monitor.observe(j, X)
         for m in self.monitors:
             m.observe(j, X)
@@ -489,18 +465,24 @@ class StrategyTracker:
                 self._apply_action(0, starting, j, X)
         n_seg = len(self.monitors)
         expired = False
-        for k in range(n_seg):
+        # only segments lowest..highest occupied can advance; an advance
+        # from k occupies k + 1, so the bound rises with it
+        top = int(self.seg.max(initial=-1))
+        for k in range(max(int(self.seg.min(initial=n_seg)), 0), n_seg):
+            if k > top:
+                break
             at_k = self.seg == k
             if not np.any(at_k):
                 continue
             f = self.monitors[k].fired_by(j)
-            clamped = np.maximum(f, self.fire_prev)
-            advancing = at_k & (f != _NOT_YET) & (clamped <= j)
+            clamped = np.maximum(f, self.fire_prev)  # _NOT_YET stays above every j
+            advancing = at_k & (clamped <= j)
             if not np.any(advancing):
                 continue
             self.clamp_count += int(np.count_nonzero(advancing & (f < self.fire_prev)))
             self.fire_prev[advancing] = clamped[advancing]
             self.seg[advancing] = k + 1
+            top = max(top, k + 1)
             if k + 1 < n_seg:
                 self._apply_action(k + 1, advancing, j, X)
             else:

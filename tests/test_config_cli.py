@@ -20,6 +20,7 @@ import pytest
 
 from conftest import estimate_cell
 import robustctl.game_engine as ge
+import robustctl.runner as runner
 from robustctl.cli import main
 from robustctl.config import (DEFAULTS, describe_errors, load_config,
                               resolve_config, validate_config)
@@ -204,6 +205,19 @@ def test_oversized_grid_dt_is_a_config_error():
            "equations": ["lower"]}
     with pytest.raises(ConfigError, match="grid.dt rejected"):
         run_experiment(cfg, command="solve-pde")
+
+
+def test_a_bad_start_is_refused_before_the_gate_and_the_solves(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the start checks")
+
+    monkeypatch.setattr(runner, "validate_assumptions", never)
+    monkeypatch.setattr(runner, "solve_isaacs", never)
+    for simulate, named in (({"start_state": [0.0, 0.0]}, "simulate.start_state"),
+                            ({"start_time": 1.0}, "simulate.start_time")):
+        cfg = {"problem": {"id": "drift_control"}, "simulate": simulate}
+        with pytest.raises(ConfigError, match=named):
+            run_experiment(cfg, command="run")
 
 
 def test_strict_mode_promotes_warnings_to_failure():

@@ -1252,6 +1252,38 @@ def test_feedback_adversaries_embed_as_replayed_open_loop(pennies_problem,
             assert np.array_equal(alone.states[0], res.states[k])
 
 
+def test_a_feedback_table_nature_plays_its_grid_strategy(pennies_problem):
+    # nature's table is read at each step's (t, x); the strategy that
+    # re-reads it at every grid time must give the same bits.  The index
+    # switches with the sign of x and flips halfway in time, and the table's
+    # time grid is coarser than the march's, so a read at the wrong time,
+    # state or layer moves the v path
+    spec = pennies_problem.spec
+    times = np.linspace(0.0, spec.horizon, 33)
+    axis = np.linspace(-1.0, 1.0, 21)
+    layers = np.linspace(0.0, spec.horizon, 9)
+    signs = (axis >= 0.0)[None, :] ^ (np.arange(layers.size) >= 4)[:, None]
+    fb = FeedbackMap(times=layers, axes=(axis,), indices=signs.astype(np.int16),
+                     control_set=spec.controls_v, label="signs")
+    alpha = ElementaryStrategy(  # its rule at 0.25 is clamped on rows that hit later
+        control_set=spec.controls_u, start_rule=FixedTimeRule(0.0),
+        rules=(HittingRule(AbsRegion(0.3)), FixedTimeRule(0.25 * spec.horizon),
+               FixedTimeRule(spec.horizon)),
+        actions=(ConstantAction(0), ConstantAction(1), ConstantAction(0)), label="clamped")
+    noises = [sample_noise(times, seed, spec.noise_dim) for seed in range(16)]
+    x0 = np.array([0.05])
+    table = game_engine._record(spec, alpha, Adversary("fb", fb), noises, x0)
+    ladder = game_engine._record(spec, alpha, Adversary("fb", make_grid_strategy(fb, times)),
+                                 noises, x0)
+    switching = np.count_nonzero(np.diff(table.v_indices, axis=1), axis=1)
+    assert np.all(switching > 0) and np.any(switching > 1)
+    assert table.clamp_count > 0
+    assert np.array_equal(table.states, ladder.states)
+    assert np.array_equal(table.u_indices, ladder.u_indices)
+    assert np.array_equal(table.v_indices, ladder.v_indices)
+    assert table.clamp_count == ladder.clamp_count
+
+
 def test_embedding_refuses_noise_on_different_grids(pennies_problem):
     spec = pennies_problem.spec
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)

@@ -227,7 +227,8 @@ def test_sequence_marks_inactive_steps_undefined():
 
 def tracker_cases(feedback: FeedbackMap) -> list:
     """A grid ladder, a hitting switch, a chained hit, a hitting junction,
-    and clamps both path-dependent and fixed."""
+    clamps both path-dependent and fixed, a zero-length segment and a late
+    start."""
     two = ConstantAction(0), ConstantAction(1)
     hit = ElementaryStrategy(
         control_set=PM, start_rule=FixedTimeRule(0.0),
@@ -255,7 +256,18 @@ def tracker_cases(feedback: FeedbackMap) -> list:
         control_set=PM, start_rule=FixedTimeRule(0.0),
         rules=(FixedTimeRule(0.75), FixedTimeRule(0.25), FixedTimeRule(1.0)),
         actions=two + (ConstantAction(0),), label="folded")
-    return [make_grid_strategy(feedback, TIMES[::8]), hit, chained, glued, clamped, folded]
+    # two rules fire at 0.5, so action 1 is in force on (0.5, 0.5] only: never
+    empty = ElementaryStrategy(
+        control_set=PM, start_rule=FixedTimeRule(0.0),
+        rules=(FixedTimeRule(0.5), FixedTimeRule(0.5), FixedTimeRule(1.0)),
+        actions=two + (FeedbackLookupAction(feedback),), label="empty")
+    # UNDEFINED on the steps before 0.25, where the start rule fires
+    late = ElementaryStrategy(
+        control_set=PM, start_rule=FixedTimeRule(0.25),
+        rules=(FixedTimeRule(0.5), FixedTimeRule(1.0)),
+        actions=(ConstantAction(1), FeedbackLookupAction(feedback)), label="late")
+    return [make_grid_strategy(feedback, TIMES[::8]), hit, chained, glued, clamped, folded,
+            empty, late]
 
 
 @pytest.mark.parametrize("seed", range(6))
