@@ -33,9 +33,10 @@ and :func:`simulate_feedback_pair` (alpha against a feedback beta); the
 embedding is the second replayed through the first.  A strategy checks its
 actions against its own control set when built, so the engine makes one
 set comparison per side (:func:`_check_set`).  Non-anticipation is judged
-by behaviour alone: every table screens its open-loop members, and
-:func:`dpp_checks` its rules, through :func:`_screen`; the recorded entry
-points screen nothing.  With ``EngineConfig.threads > 1`` the chunks are
+by behaviour alone, through :func:`_screen`: an open-loop member is
+screened by the first table it plays in on each game grid, and
+:func:`dpp_checks` screens its rules; the recorded entry points screen
+nothing.  With ``EngineConfig.threads > 1`` the chunks are
 marched in worker processes started by fork, which write their results
 into arrays shared with the parent.  Results are bitwise invariant to chunk
 size and worker count: path seeds are derived per path index, chunks only
@@ -134,12 +135,14 @@ class EngineConfig:
                               "started by 'fork', which this platform does not offer")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Adversary:
-    """An adversary of the inner infimum: a stable id and what it plays (see the module)."""
+    """An adversary of the inner infimum: a stable id, what it plays (see the module), and
+    the game grids on which an open-loop ``plays`` passed the screen (:func:`_march_table`)."""
 
     id: str
     plays: OpenLoopControl | ElementaryStrategy | FeedbackMap | ValueField
+    passed: set = dc_field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.plays, (OpenLoopControl, ElementaryStrategy, FeedbackMap,
@@ -554,10 +557,6 @@ def _shared_zeros(shape: tuple, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
-def _n_chunks(n_paths: int, chunk_size: int) -> int:
-    return (n_paths + chunk_size - 1) // chunk_size
-
-
 def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
                seeds: np.ndarray, engine: EngineConfig,
                postprocess=()) -> tuple[np.ndarray, np.ndarray]:
@@ -577,7 +576,7 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     # the postprocesses read states only, so the index paths are not kept
     record = "states" if postprocess else None
     values = _shared_zeros((max(len(postprocess), 1), len(cells), n_paths), np.float64)
-    clamp_store = _shared_zeros((_n_chunks(n_paths, engine.chunk_size), len(cells)),
+    clamp_store = _shared_zeros((len(range(0, n_paths, engine.chunk_size)), len(cells)),
                                 np.int64)
 
     def worker(chunk_id, start, stop):
@@ -640,8 +639,9 @@ def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
     uses the seed derived from (master_seed, p), so two runs with the same
     arguments agree bitwise regardless of chunking or worker count, and
     every cell shares the noise (common random numbers).  Open-loop members
-    are screened first, in this process; feedback players' trackers see
-    only the states up to the current index, so they need no screen.
+    are screened first, in this process, unless they passed on this grid
+    before; feedback players' trackers see only the states up to the
+    current index, so they need no screen.
     """
     if n_paths < 2:
         raise ConfigError(f"n_paths must be >= 2, got {n_paths}")
@@ -654,9 +654,11 @@ def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
             raise ConfigError(f"strategy label {strategy.label!r} appears more than once")
     x0 = _as_state(spec, x0)
     times = _sim_times(spec, s, engine)
+    grid = (spec.horizon, spec.dim, spec.noise_dim, engine.n_steps)
     for adversary in family.members:
-        if isinstance(adversary.plays, OpenLoopControl):
+        if isinstance(adversary.plays, OpenLoopControl) and grid not in adversary.passed:
             _screen(f"adversary {adversary.id!r}", adversary.plays, spec, engine, master_seed)
+            adversary.passed.add(grid)
     seeds = derive_seed_array(master_seed, np.arange(n_paths))
     cells = [(strat, adv) for strat in strategies for adv in family.members]
     return _run_cells(spec, times, x0, cells, seeds, engine, postprocess)

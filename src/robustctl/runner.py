@@ -129,6 +129,13 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
     stages = _stages_for(command, cfg["experiments"])
     run_assumptions = cfg["assumptions"]["enabled"] or command == "validate"
 
+    # ---- the run plan: each piece built once, and shared by every stage ---- #
+    # the dpp rules are checked against the horizon here, whatever the stages,
+    # so a bad rule fails before the gate and the solves, as a bad start does
+    engine = ge.EngineConfig(n_steps=sim["n_steps"], chunk_size=sim["chunk_size"],
+                             threads=cfg["threads"])
+    rules = [_build_rho(rule_cfg, spec.horizon) for rule_cfg in cfg["dpp"]["rules"]]
+
     tol = cfg["tolerances"]
     checks = Checks()
     warnings: list = []
@@ -227,32 +234,26 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
                 f"stage {stage!r} needs the {eq} equation; add it to 'equations'")
         return fields[eq]
 
-    engine = ge.EngineConfig(n_steps=sim["n_steps"], chunk_size=sim["chunk_size"],
-                             threads=cfg["threads"])
+    # the plan's ladder and both families, once the lower field exists
+    table_stages = [name for name in ("value", "filtration", "dpp") if name in stages]
+    if table_stages:
+        lower = need("lower", table_stages[0])
+        adv = cfg["adversaries"]
+        base, enlarged = ge.default_adversary_families(
+            problem, lower, n_random=adv["n_random"],
+            random_segments=adv["random_segments"],
+            include_feedback=adv["include_feedback"],
+            include_best_response=adv["include_best_response"])
+        ladder = ge.default_strategy_family(
+            problem, lower, cfg["strategies"]["decision_counts"], s0, engine)
 
     experiment_seed = derive_seed(master_seed, 37)
-    base_family = enlarged_family = strategy_family = None
-
-    def families(lower_field):
-        nonlocal base_family, enlarged_family, strategy_family
-        if base_family is None:
-            adv = cfg["adversaries"]
-            base_family, enlarged_family = ge.default_adversary_families(
-                problem, lower_field, n_random=adv["n_random"],
-                random_segments=adv["random_segments"],
-                include_feedback=adv["include_feedback"],
-                include_best_response=adv["include_best_response"])
-            strategy_family = ge.default_strategy_family(
-                problem, lower_field, cfg["strategies"]["decision_counts"], s0, engine)
-        return base_family, enlarged_family, strategy_family
 
     # ---- one table: the ladder against the enlarged family ----------------- #
     # The value stage reports the whole table; the filtration stage reads one
     # row of it, folded over both families.
     table = value_report = None
     if "value" in stages or "filtration" in stages:
-        lower = need("lower", "value" if "value" in stages else "filtration")
-        base, enlarged, ladder = families(lower)
         table = ge.value_experiment(spec, s0, x0, ladder, enlarged, sim["n_paths"],
                                     experiment_seed, engine,
                                     keep_payoffs=sim["dump_paths"])
@@ -309,11 +310,8 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
 
     # ---- dynamic programming principle -------------------------------------- #
     if "dpp" in stages:
-        lower = need("lower", "dpp")
-        _, enlarged, ladder = families(lower)
         summary["dpp"] = {}
         rows = []
-        rules = [_build_rho(rule_cfg, spec.horizon) for rule_cfg in cfg["dpp"]["rules"]]
         for rep in ge.dpp_checks(spec, lower, s0, x0, ladder, enlarged, rules,
                                  sim["n_paths"], derive_seed(master_seed, 41), engine):
             label = rep.rho_label

@@ -245,7 +245,7 @@ class FeedbackMap:
 
     def layer_of(self, t: float) -> int:
         j = int(round((t - self.times[0]) / self._dt))
-        return int(np.clip(j, 0, self.times.size - 1))
+        return min(max(j, 0), self.times.size - 1)
 
     def cells_of(self, x: np.ndarray) -> tuple:
         """The grid snap: per axis, the index of the node nearest to each state.

@@ -220,6 +220,19 @@ def test_a_bad_start_is_refused_before_the_gate_and_the_solves(monkeypatch):
             run_experiment(cfg, command="run")
 
 
+def test_a_bad_dpp_rule_is_refused_before_the_gate_and_the_solves(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the run plan")
+
+    monkeypatch.setattr(runner, "validate_assumptions", never)
+    monkeypatch.setattr(runner, "solve_isaacs", never)
+    cfg = {**CHEAP_PENNIES, "experiments": {"value": True, "dpp": True},
+           "dpp": {"rules": [{"kind": "fixed_time", "t": 5.0}]}}
+    for command in ("run", "validate"):
+        with pytest.raises(ConfigError, match="dpp rule fixed_time t=5.0 outside"):
+            run_experiment(cfg, command=command)
+
+
 def test_strict_mode_promotes_warnings_to_failure():
     checks = Checks()
     checks.add("demo", "stage", True, value=0.0, tolerance=1.0, detail="ok")
@@ -409,6 +422,27 @@ def test_a_full_run_marches_one_value_table_and_one_dpp_table(monkeypatch):
     n_cells = sum(len(entry["members"])
                   for entry in result.summary["value"]["per_strategy"].values())
     assert marched == [n_cells, n_cells]
+
+
+def test_a_full_run_screens_each_open_loop_member_once(monkeypatch):
+    # the value and dpp tables share the plan's enlarged family, so its nine
+    # open-loop members are screened by the first table only, plus both rules
+    screened = []
+    screen = ge.check_nonanticipative
+
+    def counting(obj, **kwargs):
+        screened.append(obj)
+        return screen(obj, **kwargs)
+
+    monkeypatch.setattr(ge, "check_nonanticipative", counting)
+    cfg = {**CHEAP_PENNIES, "adversaries": {"n_random": 3, "random_segments": 4},
+           "experiments": {"value": True, "filtration": True, "dpp": True,
+                           "hamiltonian": False}}
+    result = run_experiment(cfg, command="run", seed=2)
+    assert len(screened) == 11
+    assert len({id(obj) for obj in screened}) == 11
+    assert len(result.summary["value"]["per_strategy"]["grid2"]["members"]) == 11
+    assert len(result.summary["dpp"]) == 2
 
 
 def test_summary_keeps_only_the_final_march_update():

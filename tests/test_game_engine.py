@@ -556,6 +556,37 @@ def test_the_screen_probes_at_the_table_step_count(pennies_problem):
                          **kw)
 
 
+def test_a_family_is_screened_once_per_game_grid(pennies_problem, monkeypatch):
+    # a member that passed keeps the grid; a new grid or a fresh member is
+    # screened again, and feedback members never are
+    screened = []
+    screen = game_engine.check_nonanticipative
+
+    def counting(obj, **kwargs):
+        screened.append((obj, kwargs["n_steps"]))
+        return screen(obj, **kwargs)
+
+    monkeypatch.setattr(game_engine, "check_nonanticipative", counting)
+    spec = pennies_problem.spec
+    x0 = np.array([0.0])
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    sgn = SignControl(pos_index=1, neg_index=0)
+    family = AdversaryFamily((const_adv(0, "c0"), Adversary("sgn", sgn),
+                              Adversary("fb", constant_strategy(spec.controls_v, 1, 0.0,
+                                                                spec.horizon))))
+    kw = dict(n_paths=16, master_seed=3)
+    first = value_experiment(spec, 0.0, x0, [alpha], family, engine=EngineConfig(16), **kw)
+    assert screened == [(family.members[0].plays, 16), (sgn, 16)]
+    again = value_experiment(spec, 0.0, x0, [alpha], family, engine=EngineConfig(16), **kw)
+    assert len(screened) == 2
+    assert again.best.mean == first.best.mean
+    value_experiment(spec, 0.0, x0, [alpha], family, engine=EngineConfig(8), **kw)
+    assert [n for _, n in screened[2:]] == [8, 8]
+    fresh = AdversaryFamily((Adversary("sgn", sgn),))
+    value_experiment(spec, 0.0, x0, [alpha], fresh, engine=EngineConfig(16), **kw)
+    assert screened[4:] == [(sgn, 16)]
+
+
 # -------------------------------------------- batch engine vs. reference ---- #
 
 
