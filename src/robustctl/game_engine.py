@@ -23,8 +23,10 @@ adversary families used for inner infima.
 One chunked batch engine computes every trajectory.  Every estimate is a
 cell of one strategies x adversaries table (strategies in a plain list,
 keyed by label) marched on one noise panel and reduced by one sup-inf fold
-(:func:`_fold`).  :func:`value_experiment` is the only entry point for
-payoff tables (:func:`filtration_experiment` is its 1 x m call), and
+(:func:`_fold`).  A chunk marches member-major: each member is realized
+from the time-major noise, one at a time, and marched against every
+strategy (:func:`_run_cells`).  :func:`value_experiment` is the only entry
+point for payoff tables (:func:`filtration_experiment` is its 1 x m call), and
 :func:`dpp_checks` folds every rule's restart values from one recorded
 table.  The two games have one recorded entry point each, returning a
 :class:`Paths` record of noise paths marched as one chunk:
@@ -193,11 +195,11 @@ def _record(spec: ProblemSpec, strategy: ElementaryStrategy, adversary: Adversar
                           f"{sorted({n.extra.shape[-1] for n in noises})}; a batch needs one")
     times = noises[0].times
     seeds = np.array([n.seed for n in noises], dtype=np.uint64)
-    dW = np.stack([n.dW for n in noises])
-    v_factory = _adversary_realization(adversary, spec, times, dW,
+    dW_tm = np.stack([n.dW for n in noises], axis=1)
+    v_factory = _adversary_realization(adversary, spec, times, dW_tm.transpose(1, 0, 2),
                                        np.stack([n.extra for n in noises]), seeds)
     return _march_chunk(spec, times, seeds, _as_state(spec, x0), strategy, v_factory,
-                        np.ascontiguousarray(dW.transpose(1, 0, 2)), record="paths")
+                        dW_tm, record="paths")
 
 
 def simulate_strong(spec: ProblemSpec, strategy: ElementaryStrategy,
@@ -279,15 +281,15 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
 
     Returns a factory() -> (step_fn, tracker_or_None) with step_fn(i, X,
     u_idx) -> (n,) v indices.  Open-loop controls are realized here, once
-    per chunk, so every strategy cell marched on this chunk shares the
-    realization; a feedback table or a reply table is read at each step's
-    (t, x), and a strategy is stateful and gets a fresh tracker per cell.
+    per chunk, from ``dW``, a (c, N, noise_dim) view of the time-major noise;
+    the paths are kept time-major int32, so each step reads one contiguous
+    row.  A feedback table or a reply table is read at each step's (t, x),
+    and a strategy is stateful and gets a fresh tracker per cell.
     """
     plays = adversary.plays
     if isinstance(plays, OpenLoopControl):
         paths = realize_checked(plays, times, dW, extra, seeds, spec.controls_v.size)
-        # time-major so each step reads one contiguous row
-        paths_tm = np.ascontiguousarray(paths.astype(np.int32).T)
+        paths_tm = np.ascontiguousarray(paths.T, dtype=np.int32)
         step = lambda i, X, u_idx: paths_tm[i]
         return lambda: (step, None)
     if isinstance(plays, ValueField):
@@ -564,7 +566,10 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
 
     Noise is generated once per chunk and reused for all cells, which is
     both the common-random-numbers design and the main speedup when an
-    experiment sweeps many strategy/adversary pairings.  Returns (values,
+    experiment sweeps many strategy/adversary pairings.  Members are realized
+    one at a time, in order of first appearance, marched against their
+    strategies and dropped before the next, so a chunk holds one open-loop
+    realization; each cell writes its own slots.  Returns (values,
     clamps): values[k, ci, p] is postprocess[k](times, states) for cell ci
     at path p, where each postprocess receives the chunk's recorded paths
     and returns one value per path; with no postprocess there is one table
@@ -578,25 +583,27 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     values = _shared_zeros((max(len(postprocess), 1), len(cells), n_paths), np.float64)
     clamp_store = _shared_zeros((len(range(0, n_paths, engine.chunk_size)), len(cells)),
                                 np.int64)
+    by_adversary: dict = {}
+    for ci, (strategy, adversary) in enumerate(cells):
+        by_adversary.setdefault(adversary, []).append((ci, strategy))
 
     def worker(chunk_id, start, stop):
         chunk_seeds = seeds[start:stop]
         dW, extra = sample_noise_batch(times, chunk_seeds, spec.noise_dim, extra_dim)
         dW_tm = np.ascontiguousarray(dW.transpose(1, 0, 2))
-        factories: dict = {}
-        for _, adversary in cells:
-            if adversary not in factories:
-                factories[adversary] = _adversary_realization(
-                    adversary, spec, times, dW, extra, chunk_seeds)
-        for ci, (strategy, adversary) in enumerate(cells):
-            paths = _march_chunk(spec, times, chunk_seeds, x0, strategy, factories[adversary],
-                                 dW_tm, record=record)
-            if record:
-                for k, post in enumerate(postprocess):
-                    values[k, ci, start:stop] = post(times, paths.states)
-            else:
-                values[0, ci, start:stop] = paths.payoffs
-            clamp_store[chunk_id, ci] = paths.clamp_count
+        dW = dW_tm.transpose(1, 0, 2)  # frees the sampled (c, N, noise_dim) block
+        for adversary, row in by_adversary.items():
+            v_factory = _adversary_realization(adversary, spec, times, dW, extra, chunk_seeds)
+            for ci, strategy in row:
+                paths = _march_chunk(spec, times, chunk_seeds, x0, strategy, v_factory,
+                                     dW_tm, record=record)
+                if record:
+                    for k, post in enumerate(postprocess):
+                        values[k, ci, start:stop] = post(times, paths.states)
+                else:
+                    values[0, ci, start:stop] = paths.payoffs
+                clamp_store[chunk_id, ci] = paths.clamp_count
+            del v_factory, paths  # before the next member is realized
 
     _map_chunks(n_paths, engine, worker)
     return values.copy(), clamp_store.sum(axis=0)

@@ -257,8 +257,9 @@ class FeedbackMap:
         x = np.asarray(x, dtype=float)
         cells = []
         for a, (axis, step) in enumerate(zip(self.axes, self._steps)):
-            idx = np.rint((x[..., a] - axis[0]) / step).astype(np.intp)
-            cells.append(np.clip(idx, 0, axis.size - 1))
+            idx = np.asarray(np.rint((x[..., a] - axis[0]) / step), dtype=np.intp)
+            np.maximum(idx, 0, out=idx)
+            cells.append(np.minimum(idx, axis.size - 1, out=idx))
         return tuple(cells)
 
     def lookup_index_batch(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -571,7 +572,7 @@ class ConstantControl(OpenLoopControl):
     label: str = "const"
 
     def realize_batch(self, times, dW, extra, seeds):
-        return np.full((dW.shape[0], dW.shape[1]), self.index, dtype=np.int64)
+        return np.broadcast_to(np.int64(self.index), dW.shape[:2])
 
 
 class SignControl(OpenLoopControl):
@@ -596,9 +597,9 @@ class SignControl(OpenLoopControl):
 
     def realize_batch(self, times, dW, extra, seeds):
         src = dW if self.source == "brownian" else extra
-        cum = np.cumsum(src[..., self.coord], axis=1)
-        level = np.concatenate([np.zeros((src.shape[0], 1)), cum[:, :-1]], axis=1)
-        return np.where(level >= 0.0, self.pos_index, self.neg_index).astype(np.int64)
+        level = np.zeros(src.shape[:2])
+        np.cumsum(src[:, :-1, self.coord], axis=1, out=level[:, 1:])
+        return np.where(level >= 0.0, self.pos_index, self.neg_index)
 
 
 class ReplayControl(OpenLoopControl):

@@ -4,7 +4,9 @@ The package runs rules, strategies and open-loop controls in batch form
 only.  This module recomputes their semantics one path at a time, straight
 from the definitions: where a built-in rule fires on a path prefix, the
 control in force on each step from that step's own prefix (with clamps),
-and one path's realization of the built-in open-loop controls.
+and one path's realization of the built-in open-loop controls.  It keeps
+the first batch forms of ``ConstantControl`` and ``SignControl`` too, so
+that leaner forms can be pinned to their bits.
 
 It also holds three lookahead fixtures that declare nothing about what they
 read; the anticipation screen and the strategy tracker must catch each one
@@ -61,6 +63,20 @@ class LookaheadControl(OpenLoopControl):
     def realize_batch(self, times, dW, extra, seeds):
         return np.where(dW[..., self.coord] >= 0.0,
                         self.pos_index, self.neg_index).astype(np.int64)
+
+
+def constant_batch(control: ConstantControl, dW) -> np.ndarray:
+    """ConstantControl's batch form as first written: a fresh, writable (c, N) block."""
+    return np.full((dW.shape[0], dW.shape[1]), control.index, dtype=np.int64)
+
+
+def sign_batch(control: SignControl, dW, extra) -> np.ndarray:
+    """SignControl's batch form as first written: the running sum shifted by one
+    step behind a zero column, then the sign test."""
+    src = dW if control.source == "brownian" else extra
+    cum = np.cumsum(src[..., control.coord], axis=1)
+    level = np.concatenate([np.zeros((src.shape[0], 1)), cum[:, :-1]], axis=1)
+    return np.where(level >= 0.0, control.pos_index, control.neg_index).astype(np.int64)
 
 
 def snap_lookup(times, axes, table, t, x, *lead) -> int:

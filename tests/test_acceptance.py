@@ -76,7 +76,8 @@ def drift_prod_lower(drift_problem):
 def pennies_value(pennies_problem, pennies_prod_lower):
     """The flagship run: grid-feedback ladder against the enlarged family."""
     spec = pennies_problem.spec
-    engine = EngineConfig(n_steps=pennies_problem.sim_steps)
+    # two workers: results are bitwise the same on any worker count (criterion 10)
+    engine = EngineConfig(n_steps=pennies_problem.sim_steps, threads=2)
     ladder = default_strategy_family(pennies_problem, pennies_prod_lower,
                                      [2, 4, 8, 16], 0.0, engine)
     base, enlarged = default_adversary_families(pennies_problem,

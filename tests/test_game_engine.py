@@ -946,6 +946,88 @@ def test_value_experiment_rows_match_standalone_runs(pennies_problem, pennies_fi
     assert report.per_strategy[report.best_label].mean == best.mean
 
 
+def test_a_chunk_marches_member_by_member(pennies_problem, pennies_fields, monkeypatch):
+    # one realization alive at a time: each chunk realizes a member, marches
+    # every strategy against it, and only then realizes the next member;
+    # every cell still lands in its own slot, bitwise its 1 x 1 table
+    spec = pennies_problem.spec
+    lower, _ = pennies_fields
+    times = np.linspace(0.0, spec.horizon, 33)
+    clamped = ElementaryStrategy(control_set=spec.controls_u, start_rule=FixedTimeRule(0.0),
+                                 rules=(FixedTimeRule(0.3), FixedTimeRule(0.1),
+                                        FixedTimeRule(spec.horizon)),
+                                 actions=(ConstantAction(1), ConstantAction(0),
+                                          ConstantAction(1)),
+                                 label="clamped")
+    strategies = [clamped, make_grid_strategy(lower.feedback_u, times[[0, 8, 16, 24, 32]],
+                                              label="grid4")]
+    family = AdversaryFamily((Adversary("sgn", SignControl(pos_index=1, neg_index=0)),
+                              Adversary("fb", lower.feedback_v),
+                              Adversary("rand", PiecewiseRandomControl(2, 4)),
+                              Adversary("br", lower),
+                              const_adv(0, "c0")))
+    x0, kw = np.array([0.1]), dict(n_paths=96, master_seed=21,
+                                   engine=EngineConfig(n_steps=32, chunk_size=40))
+    realize, march = game_engine._adversary_realization, game_engine._march_chunk
+    log, owner = [], {}
+
+    def logged_realize(adversary, *args):
+        log.append(("realize", adversary.id))
+        factory = realize(adversary, *args)
+        owner[factory] = adversary.id
+        return factory
+
+    def logged_march(spec, times, seeds, x0, strategy, v_factory, *args, **kwargs):
+        log.append(("march", owner[v_factory], strategy.label))
+        return march(spec, times, seeds, x0, strategy, v_factory, *args, **kwargs)
+
+    monkeypatch.setattr(game_engine, "_adversary_realization", logged_realize)
+    monkeypatch.setattr(game_engine, "_march_chunk", logged_march)
+    report = value_experiment(spec, 0.0, x0, strategies, family, **kw)
+    member_major = [entry for aid in family.ids
+                    for entry in [("realize", aid)] + [("march", aid, s.label)
+                                                       for s in strategies]]
+    assert log == member_major * 3  # three chunks of 40, 40 and 16 paths
+    monkeypatch.undo()
+    for strat in strategies:
+        for adv in family.members:
+            got = report.per_strategy[strat.label].members[adv.id]
+            alone = estimate_cell(spec, 0.0, x0, strat, adv, **kw)
+            bits = [repr((est.mean, est.std_error, est.clamp_count)) for est in (got, alone)]
+            assert bits[0] == bits[1], (strat.label, adv.id)
+    assert report.per_strategy["clamped"].members["c0"].clamp_count == 96
+
+
+class OutOfRangeControl(OpenLoopControl):
+    """Plays index 5 throughout: non-anticipating, so it passes the screen, but
+    outside a two-point set, which the engine refuses when it realizes it."""
+
+    label = "five"
+
+    def realize_batch(self, times, dW, extra, seeds):
+        return np.full(dW.shape[:2], 5)
+
+
+def test_a_faulty_strategy_is_refused_before_a_faulty_later_member(pennies_problem):
+    # members are realized one at a time, so the first member's cells march,
+    # and a strategy that fails there is refused before the faulty second
+    # member is realized
+    spec = pennies_problem.spec
+    fits = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    late = ElementaryStrategy(control_set=spec.controls_u,
+                              start_rule=FixedTimeRule(0.5 * spec.horizon),
+                              rules=(FixedTimeRule(spec.horizon),),
+                              actions=(ConstantAction(1),), label="late")
+    family = AdversaryFamily((const_adv(0, "c0"), Adversary("five", OutOfRangeControl())))
+    kw = dict(n_paths=8, master_seed=3, engine=EngineConfig(n_steps=16))
+    with pytest.raises(StrategyIntervalError,
+                       match=r"^controller strategy 'late' inactive on step 0 "):
+        value_experiment(spec, 0.0, np.array([0.0]), [fits, late], family, **kw)
+    with pytest.raises(ModelEvaluationError,
+                       match=r"^control 'five' produced indices outside \[0, 2\)$"):
+        value_experiment(spec, 0.0, np.array([0.0]), [fits], family, **kw)
+
+
 def test_value_experiment_validates_inputs(pennies_problem):
     spec = pennies_problem.spec
     family = AdversaryFamily((const_adv(0, "c0"),))

@@ -474,6 +474,33 @@ def test_sign_control_batch_matches_scalar():
             assert np.array_equal(batch[p], oracle.realize(ctrl, noise)), (ctrl.label, p)
 
 
+def test_built_in_batch_forms_keep_their_first_bits():
+    # the running sum is exactly 0.0 (or -0.0) on many steps of these dyadic
+    # increments, where the sign convention decides; the realizations read
+    # the engine's time-major noise through a transposed view
+    rng = np.random.default_rng(4)
+    shape = (24, 32, 2)
+    dyadic = rng.integers(-2, 3, size=shape) * 0.25
+    dyadic[rng.random(shape) < 0.1] = -0.0
+    assert np.count_nonzero(np.cumsum(dyadic, axis=1) == 0.0) > 100
+    for dW, extra in ((dyadic, dyadic[..., ::-1] * -1.0),
+                      (rng.standard_normal(shape), rng.standard_normal(shape))):
+        seeds = np.arange(shape[0], dtype=np.uint64)
+        dW_view = np.ascontiguousarray(dW.transpose(1, 0, 2)).transpose(1, 0, 2)
+        for source in ("brownian", "extra"):
+            for coord in (0, 1):
+                ctrl = SignControl(pos_index=1, neg_index=0, source=source, coord=coord)
+                want = oracle.sign_batch(ctrl, dW, extra)
+                for noise in (dW, dW_view):
+                    got = ctrl.realize_batch(TIMES, noise, extra, seeds)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), source
+        ctrl = ConstantControl(1)
+        got = ctrl.realize_batch(TIMES, dW_view, extra, seeds)
+        want = oracle.constant_batch(ctrl, dW)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
 def test_sign_control_extra_source_ignores_brownian():
     # reads only the auxiliary stream, so perturbing dW changes nothing
     ctrl = SignControl(pos_index=1, neg_index=0, source="extra")
