@@ -24,11 +24,13 @@ One chunked batch engine computes every trajectory.  Every estimate is a
 cell of one strategies x adversaries table (strategies in a plain list,
 keyed by label) marched on one noise panel and reduced by one sup-inf fold
 (:func:`_fold`).  A chunk marches member-major: each member is realized
-from the time-major noise, one at a time, and marched against every
-strategy (:func:`_run_cells`).  :func:`value_experiment` is the only entry
-point for payoff tables (:func:`filtration_experiment` is its 1 x m call), and
-:func:`dpp_checks` folds every rule's restart values from one recorded
-table.  The two games have one recorded entry point each, returning a
+from the time-major noise, one at a time, and marched against its
+strategies a block at a time, each strategy on its own slice of the block's
+rows (:func:`_run_cells`, :func:`_march_chunk`).  :func:`value_experiment`
+is the only entry point for payoff tables (:func:`filtration_experiment` is
+its 1 x m call), and :func:`dpp_checks` folds every rule's restart values
+from one table, the restart states captured by the rules' monitors during
+the march.  The two games have one recorded entry point each, returning a
 :class:`Paths` record of noise paths marched as one chunk:
 :func:`simulate_strong` (feedback alpha against an open-loop control)
 and :func:`simulate_feedback_pair` (alpha against a feedback beta); the
@@ -65,8 +67,8 @@ from .strategies import (AbsRegion, ConstantAction, ConstantControl,
                          ElementaryStrategy, FeedbackMap,
                          FixedTimeRule, HittingRule, OpenLoopControl,
                          PiecewiseRandomControl, ReplayControl, SignControl,
-                         StoppingRule, StrategyTracker, check_nonanticipative,
-                         fire_batch, make_grid_strategy, realize_checked)
+                         StoppingRule, StrategyTracker, _rule_monitor,
+                         check_nonanticipative, make_grid_strategy, realize_checked)
 
 __all__ = [
     "Paths", "ValueEstimate", "EngineConfig",
@@ -119,10 +121,13 @@ class ValueEstimate:
 class EngineConfig:
     """How to discretize and batch a Monte Carlo run.
 
-    ``threads`` is the number of worker processes (started by fork) that
-    march chunks side by side; 1 marches every chunk in this process.
-    Results are bitwise the same for any ``chunk_size`` and ``threads``;
-    they exist for memory and speed only.
+    ``chunk_size`` bounds the rows marched at once, paths x strategies: a
+    chunk holds up to ``chunk_size`` paths, and a chunk of c paths marches
+    each adversary against ``chunk_size // c`` strategies at a time (at
+    least one).  ``threads`` is the number of worker processes (started by
+    fork) that march chunks side by side; 1 marches every chunk in this
+    process.  Results are bitwise the same for any ``chunk_size`` and
+    ``threads``; they exist for memory and speed only.
     """
 
     n_steps: int
@@ -198,8 +203,9 @@ def _record(spec: ProblemSpec, strategy: ElementaryStrategy, adversary: Adversar
     dW_tm = np.stack([n.dW for n in noises], axis=1)
     v_factory = _adversary_realization(adversary, spec, times, dW_tm.transpose(1, 0, 2),
                                        np.stack([n.extra for n in noises]), seeds)
-    return _march_chunk(spec, times, seeds, _as_state(spec, x0), strategy, v_factory,
-                        dW_tm, record="paths")
+    paths, _ = _march_chunk(spec, times, seeds, _as_state(spec, x0), [strategy], v_factory,
+                            dW_tm, record=True)
+    return paths[0]
 
 
 def simulate_strong(spec: ProblemSpec, strategy: ElementaryStrategy,
@@ -279,19 +285,22 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
                            dW: np.ndarray, extra: np.ndarray, seeds: np.ndarray):
     """Strategy-independent batch form of an adversary on one chunk's noise.
 
-    Returns a factory() -> (step_fn, tracker_or_None) with step_fn(i, X,
-    u_idx) -> (n,) v indices.  Open-loop controls are realized here, once
-    per chunk, from ``dW``, a (c, N, noise_dim) view of the time-major noise;
-    the paths are kept time-major int32, so each step reads one contiguous
-    row.  A feedback table or a reply table is read at each step's (t, x),
-    and a strategy is stateful and gets a fresh tracker per cell.
+    Returns a factory(S) -> (step_fn, trackers) for a block of S strategy
+    slices of c rows each (see :func:`_march_chunk`): step_fn(i, X, u) ->
+    v indices reads the block's states X as (S, c, dim) and the controller's
+    indices u as (S, c).  Open-loop controls are realized here, once per
+    chunk, from ``dW``, a (c, N, noise_dim) view of the time-major noise;
+    the paths are kept time-major int32, and each step's (c,) row serves
+    every slice by broadcasting.  A feedback table or a reply table is read
+    at each step's (t, x) for the whole block at once.  A strategy is
+    stateful: ``trackers`` holds a fresh one per slice, else it is empty.
     """
     plays = adversary.plays
     if isinstance(plays, OpenLoopControl):
         paths = realize_checked(plays, times, dW, extra, seeds, spec.controls_v.size)
         paths_tm = np.ascontiguousarray(paths.T, dtype=np.int32)
-        step = lambda i, X, u_idx: paths_tm[i]
-        return lambda: (step, None)
+        step = lambda i, X, u: paths_tm[i]
+        return lambda n_s: (step, [])
     if isinstance(plays, ValueField):
         grid, table = plays.feedback_v, plays.response_v
         owner = f"adversary {adversary.id!r} reply"
@@ -299,18 +308,25 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
                    spec.controls_v)
         _check_set(f"{owner} rows {plays.feedback_u.label!r}", plays.feedback_u.control_set,
                    "controller", spec.controls_u)
-        step = lambda i, X, u_idx: table[(grid.layer_of(float(times[i])), u_idx)
-                                         + grid.cells_of(X)]
-        return lambda: (step, None)
+        step = lambda i, X, u: table[(grid.layer_of(float(times[i])), u) + grid.cells_of(X)]
+        return lambda n_s: (step, [])
     if isinstance(plays, FeedbackMap):
         _check_set(f"adversary strategy {adversary.id!r}", plays.control_set, "adversary",
                    spec.controls_v)
-        step = lambda i, X, u_idx: plays.lookup_index_batch(float(times[i]), X)
-        return lambda: (step, None)
+        step = lambda i, X, u: plays.lookup_index_batch(float(times[i]), X)
+        return lambda n_s: (step, [])
 
-    def factory():
-        tracker = _tracker(plays, spec.controls_v, "adversary", times, seeds.size)
-        return (lambda i, X, u_idx: tracker.on_state(i, X)), tracker
+    def factory(n_s):
+        trackers = [_tracker(plays, spec.controls_v, "adversary", times, seeds.size)
+                    for _ in range(n_s)]
+        v = np.empty((n_s, seeds.size), dtype=np.int64)
+
+        def step(i, X, u):
+            for s, tracker in enumerate(trackers):
+                v[s] = tracker.on_state(i, X[s])
+            return v
+
+        return step, trackers
 
     return factory
 
@@ -319,14 +335,21 @@ def _noise_term(sig: np.ndarray, dWi: np.ndarray) -> np.ndarray:
     """sigma dW per row, bitwise as the sum ``(sig * dW[..., None, :]).sum(axis=-1)``
     of the reference Euler step in ``tests/sde_oracle.py``.
 
-    With one noise coordinate the sum is a single product; numpy's sum over
-    a length-1 axis turns -0.0 into +0.0, and ``+ 0.0`` does the same.
+    ``sig`` holds S * c rows, S slices of the chunk's c paths, and ``dWi``
+    the chunk's (c, noise_dim) increments: each slice reads them by
+    broadcasting, without a tiled copy.  With one noise coordinate the sum
+    is a single product; numpy's sum over a length-1 axis turns -0.0 into
+    +0.0, and ``+ 0.0`` does the same.
     """
+    n, c = sig.shape[0], dWi.shape[0]
+    if n != c:
+        sig = sig.reshape((n // c, c) + sig.shape[1:])
     if dWi.shape[-1] == 1:
         term = sig[..., 0] * dWi
         term += 0.0
-        return term
-    return (sig * dWi[..., None, :]).sum(axis=-1)
+    else:
+        term = (sig * dWi[..., None, :]).sum(axis=-1)
+    return term.reshape(n, -1) if n != c else term
 
 
 def _step_uniform(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
@@ -341,12 +364,13 @@ def _step_uniform(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
 
 
 def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
-                u_idx: np.ndarray, v_idx: np.ndarray, dWi: np.ndarray,
+                code: np.ndarray, lo: int, hi: int, dWi: np.ndarray,
                 rows: np.ndarray) -> tuple:
     """One Euler step in place, with paths grouped by their (u, v) pair.
 
-    Steps where every path shares one pair (the pair code's min equals its
-    max, which every one-path march has) take the uniform path before any
+    ``code`` is each row's pair code ``u * n_v + v`` and [lo, hi] its
+    range.  Steps where every path shares one pair (lo equals hi, which
+    every one-path march has) take the uniform path before any
     grouping.  Mixed steps are about as common (in a full run of the test
     suite, about half of the batched steps had paths on more than one pair);
     they evaluate each live pair on the full state block and select per row.
@@ -366,9 +390,6 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
     diffusion per live pair, each row's pair slot).
     """
     n_u, n_v = spec.controls_u.size, spec.controls_v.size
-    code = u_idx * n_v
-    code += v_idx
-    lo, hi = int(code.min()), int(code.max())
     if lo == hi:
         iu, jv = divmod(lo, n_v)
         return _step_uniform(spec, t, dt, X, iu, jv, dWi)
@@ -396,7 +417,7 @@ def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
 
 
 def _blow_up(spec: ProblemSpec, t: float, t_next: float, X: np.ndarray, seeds: np.ndarray,
-             u_idx: np.ndarray, v_idx: np.ndarray, blocks: tuple) -> None:
+             code: np.ndarray, blocks: tuple) -> None:
     """Raise for a step that left the finite range, naming the cause.
 
     The offending row is the first non-finite one (else the largest).  When
@@ -414,69 +435,161 @@ def _blow_up(spec: ProblemSpec, t: float, t_next: float, X: np.ndarray, seeds: n
         b, sig = b[sel[bad]], sig[sel[bad]]
     for name, block in (("drift", b), ("diffusion", sig)):
         if not np.all(np.isfinite(block[bad])):
-            u = spec.controls_u.point(int(u_idx[bad]))
-            v = spec.controls_v.point(int(v_idx[bad]))
+            iu, jv = divmod(int(code[bad]), spec.controls_v.size)
+            u, v = spec.controls_u.point(iu), spec.controls_v.point(jv)
             raise ModelEvaluationError(f"{spec.label}.{name}(t={t}, u={u}, v={v}) returned "
                                        f"non-finite values on path seed {seed}")
     raise SimulationBlowUpError(f"state left the finite range at t={t_next} (seed {seed})",
                                 t=t_next, state=X[bad].copy(), seed=seed)
 
 
-def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
-                 x0: np.ndarray, strategy: ElementaryStrategy, v_factory,
-                 dW_tm: np.ndarray, record: str | None = None) -> Paths:
-    """One chunk marched: its :class:`Paths`, with the states recorded when
-    ``record`` is "states", and the u and v index paths too when it is
-    "paths" (the indices as int32, to keep recorded chunks small).
+class _RestartCapture:
+    """One dpp rule's restart states on a marched block, taken as it marches.
 
-    ``v_factory`` is the adversary's realization on this chunk (see
+    The rule's monitor observes the block's states at every index, in
+    order.  Each row keeps its state at the index where the monitor first
+    reports its fire, and a row on which the rule has not fired by the last
+    index keeps the last state: rho is capped at the horizon.  A fire is
+    captured only at the index it is reported, so a monitor that reports
+    a fire index below the current one is refused by name.
+    """
+
+    def __init__(self, label: str, rule: StoppingRule, times: np.ndarray, n: int, dim: int):
+        self.label = label
+        self.last = times.size - 1
+        self.monitor = _rule_monitor(rule, times, n)
+        self.fire = np.full(n, self.last, dtype=np.int64)
+        self.open = np.ones(n, dtype=bool)  # rows whose fire has not been reported
+        self.states = np.empty((n, dim))
+
+    def observe(self, j: int, X: np.ndarray) -> None:
+        if not self.open.any():
+            return
+        self.monitor.observe(j, X)
+        fire = self.monitor.fired_by(j)
+        new = fire <= j
+        new &= self.open
+        if new.any():
+            first = int(fire[new].min())
+            if first < j:
+                raise StrategyStructureError(
+                    f"stopping rule {self.label!r} reported fire index {first} at index "
+                    f"{j}; a restart state is captured at the index where the fire is "
+                    f"reported")
+            np.copyto(self.states, X, where=new[:, None])
+            np.copyto(self.fire, j, where=new)
+            self.open &= ~new
+        if j == self.last:
+            np.copyto(self.states, X, where=self.open[:, None])
+
+    def values(self, field: ValueField, times: np.ndarray) -> np.ndarray:
+        """The field at each row's (rho, X_rho)."""
+        return field.value_at(times[self.fire], self.states)
+
+
+class _BlockFault(Exception):
+    """A block of several strategies left the finite range; its cells are
+    marched again one at a time, so the report names the first cell's cause."""
+
+
+def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
+                 x0: np.ndarray, strategies: list, v_factory, dW_tm: np.ndarray,
+                 rules=(), record: bool = False) -> tuple:
+    """A block of S strategies marched against one member on one chunk of c paths.
+
+    The block is S * c rows, strategy s on the contiguous slice ``s * c``
+    to ``(s + 1) * c``; every slice starts at ``x0`` and reads the same
+    noise.  Each strategy's tracker reads its own slice.  ``v_factory`` is
+    the member's realization on this chunk (see
     :func:`_adversary_realization`); ``dW_tm`` is the chunk's increments
-    time-major (N, c, noise_dim), so step slices are contiguous.
+    time-major (N, c, noise_dim), so step slices are contiguous.  A step
+    runs :func:`_step_batch` once on the block when every slice's pair
+    codes span the same [lo, hi], else once per slice: per row, the same
+    floats either way.
+
+    Returns one :class:`Paths` per strategy and one :class:`_RestartCapture`
+    over the block per ``(label, rule)`` in ``rules``.  With ``record`` (one
+    strategy only) the states and both index paths are kept, the indices as
+    int32, to keep recorded chunks small.  A block of several strategies
+    that leaves the finite range raises :class:`_BlockFault`.
     """
     n = times.size - 1
     c = seeds.size
-    u_tracker = _tracker(strategy, spec.controls_u, "controller", times, c)
-    v_source, v_tracker = v_factory()
-    trackers = [("controller", u_tracker)] + ([("adversary", v_tracker)] if v_tracker else [])
-    X = np.broadcast_to(x0, (c, spec.dim)).copy()
+    n_s = len(strategies)
+    n_v = spec.controls_v.size
+    u_trackers = [_tracker(s, spec.controls_u, "controller", times, c) for s in strategies]
+    v_source, v_trackers = v_factory(n_s)
+    # per slice, in the order a one-strategy march checks them
+    sides = [[("controller", u_trackers[s])] + ([("adversary", v_trackers[s])]
+                                                if v_trackers else [])
+             for s in range(n_s)]
+    checked = [side for slice_sides in sides for side in slice_sides]
+    X = np.broadcast_to(x0, (n_s * c, spec.dim)).copy()
+    X_slices = X.reshape(n_s, c, spec.dim)
     # validated once at the start so the step loop can call the raw
     # callbacks; a shape bug is structural and shows on any state
     eval_pairs(spec, float(times[0]), X)
-    states = u_paths = v_paths = None
+    captures = [_RestartCapture(label, rule, times, n_s * c, spec.dim) for label, rule in rules]
+    for capture in captures:
+        capture.observe(0, X)
     if record:
         # time-major, so each step writes one contiguous row
         states = np.empty((n + 1, c, spec.dim))
         states[0] = X
-    if record == "paths":
         u_paths = np.empty((n, c), dtype=np.int32)
         v_paths = np.empty((n, c), dtype=np.int32)
+    u_block = np.empty((n_s, c), dtype=np.int64)
+    code = np.empty((n_s, c), dtype=np.int64)
     dts = np.diff(times)
     rows = np.arange(c)
+    block_rows = np.arange(n_s * c) if n_s > 1 else rows
     for i in range(n):
-        u_idx = u_tracker.on_state(i, X)
-        v_idx = v_source(i, X, u_idx)
-        for side, tracker in trackers:
+        if n_s == 1:  # the tracker's own row, read by broadcasting
+            u = u_trackers[0].on_state(i, X)
+        else:
+            u = u_block
+            for s, tracker in enumerate(u_trackers):
+                u[s] = tracker.on_state(i, X_slices[s])
+        v = v_source(i, X_slices, u)
+        for side, tracker in checked:
             if not tracker.all_defined:
                 raise StrategyIntervalError(f"{side} strategy {tracker.strategy.label!r} "
                                             f"inactive on step {i} (t={times[i]})")
-        blocks = _step_batch(spec, float(times[i]), float(dts[i]), X, u_idx, v_idx,
-                             dW_tm[i], rows)
+        np.multiply(u, n_v, out=code)
+        code += v
+        t, dt = float(times[i]), float(dts[i])
+        if n_s == 1:
+            blocks = _step_batch(spec, t, dt, X, code[0], int(code.min()), int(code.max()),
+                                 dW_tm[i], rows)
+        else:
+            lo, hi = code.min(axis=1).tolist(), code.max(axis=1).tolist()
+            if lo.count(lo[0]) == n_s and hi.count(hi[0]) == n_s:
+                _step_batch(spec, t, dt, X, code.reshape(-1), lo[0], hi[0], dW_tm[i],
+                            block_rows)
+            else:
+                for s in range(n_s):
+                    _step_batch(spec, t, dt, X_slices[s], code[s], lo[s], hi[s], dW_tm[i],
+                                rows)
         # a single reduce; any nan/inf entry forces a non-finite total
         if not np.isfinite(float(X.sum())):
-            _blow_up(spec, float(times[i]), float(times[i + 1]), X, seeds, u_idx, v_idx,
-                     blocks)
+            if n_s > 1:
+                raise _BlockFault
+            _blow_up(spec, t, float(times[i + 1]), X, seeds, code[0], blocks)
+        for capture in captures:
+            capture.observe(i + 1, X)
         if record:
             states[i + 1] = X
-        if record == "paths":
-            u_paths[i] = u_idx
-            v_paths[i] = v_idx
-    clamps = sum(tracker.clamp_count for _, tracker in trackers)
+            u_paths[i] = u
+            v_paths[i] = np.broadcast_to(v, code.shape)[0]
+    payoffs = eval_payoff(spec, X)
+    paths = [Paths(states=None, u_indices=None, v_indices=None,
+                   payoffs=payoffs[s * c:(s + 1) * c], seeds=seeds,
+                   clamp_count=sum(tracker.clamp_count for _, tracker in sides[s]))
+             for s in range(n_s)]
     if record:
-        states = states.transpose(1, 0, 2)
-    if record == "paths":
-        u_paths, v_paths = u_paths.T, v_paths.T
-    return Paths(states=states, u_indices=u_paths, v_indices=v_paths,
-                 payoffs=eval_payoff(spec, X), seeds=seeds, clamp_count=clamps)
+        paths[0].states = states.transpose(1, 0, 2)
+        paths[0].u_indices, paths[0].v_indices = u_paths.T, v_paths.T
+    return paths, captures
 
 
 def _map_chunks(n_paths: int, engine: EngineConfig, worker) -> int:
@@ -560,8 +673,8 @@ def _shared_zeros(shape: tuple, dtype) -> np.ndarray:
 
 
 def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
-               seeds: np.ndarray, engine: EngineConfig,
-               postprocess=()) -> tuple[np.ndarray, np.ndarray]:
+               seeds: np.ndarray, engine: EngineConfig, field: ValueField | None = None,
+               rules=()) -> tuple[np.ndarray, np.ndarray]:
     """March every (strategy, adversary) cell over shared per-chunk noise.
 
     Noise is generated once per chunk and reused for all cells, which is
@@ -569,18 +682,21 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     experiment sweeps many strategy/adversary pairings.  Members are realized
     one at a time, in order of first appearance, marched against their
     strategies and dropped before the next, so a chunk holds one open-loop
-    realization; each cell writes its own slots.  Returns (values,
-    clamps): values[k, ci, p] is postprocess[k](times, states) for cell ci
-    at path p, where each postprocess receives the chunk's recorded paths
-    and returns one value per path; with no postprocess there is one table
-    (k = 0) of terminal payoffs.  Chunks write into shared arrays, so worker
-    processes need not return anything.
+    realization.  A chunk of c paths marches each member against
+    ``max(1, chunk_size // c)`` of its strategies at a time, as one block
+    of at most ``chunk_size`` rows (:func:`_march_chunk`); a block of
+    several that raises is marched again one strategy at a time, so the
+    error raised is the one a cell-by-cell march raises first.  Each cell
+    writes its own slots.  Returns (values, clamps): with no ``rules``,
+    values[0, ci, p] is cell ci's terminal payoff on path p; with ``rules``,
+    a list of (label, rule) pairs, values[k, ci, p] is ``field`` at path p's
+    (rho_k, X_rho_k), the restart state captured during the march.  Chunks
+    write into shared arrays, so worker processes need not return anything.
     """
     extra_dim = max(adv.extra_dim for _, adv in cells)
     n_paths = seeds.size
-    # the postprocesses read states only, so the index paths are not kept
-    record = "states" if postprocess else None
-    values = _shared_zeros((max(len(postprocess), 1), len(cells), n_paths), np.float64)
+    rules = list(rules)
+    values = _shared_zeros((max(len(rules), 1), len(cells), n_paths), np.float64)
     clamp_store = _shared_zeros((len(range(0, n_paths, engine.chunk_size)), len(cells)),
                                 np.int64)
     by_adversary: dict = {}
@@ -589,21 +705,35 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
 
     def worker(chunk_id, start, stop):
         chunk_seeds = seeds[start:stop]
+        c = stop - start
+        per_block = max(1, engine.chunk_size // c)
         dW, extra = sample_noise_batch(times, chunk_seeds, spec.noise_dim, extra_dim)
         dW_tm = np.ascontiguousarray(dW.transpose(1, 0, 2))
         dW = dW_tm.transpose(1, 0, 2)  # frees the sampled (c, N, noise_dim) block
+
+        def march(strategies, v_factory):
+            paths, captures = _march_chunk(spec, times, chunk_seeds, x0, strategies,
+                                           v_factory, dW_tm, rules)
+            if not rules:
+                return [([p.payoffs], p.clamp_count) for p in paths]
+            reads = [capture.values(field, times) for capture in captures]
+            return [([read[s * c:(s + 1) * c] for read in reads], p.clamp_count)
+                    for s, p in enumerate(paths)]
+
         for adversary, row in by_adversary.items():
             v_factory = _adversary_realization(adversary, spec, times, dW, extra, chunk_seeds)
-            for ci, strategy in row:
-                paths = _march_chunk(spec, times, chunk_seeds, x0, strategy, v_factory,
-                                     dW_tm, record=record)
-                if record:
-                    for k, post in enumerate(postprocess):
-                        values[k, ci, start:stop] = post(times, paths.states)
-                else:
-                    values[0, ci, start:stop] = paths.payoffs
-                clamp_store[chunk_id, ci] = paths.clamp_count
-            del v_factory, paths  # before the next member is realized
+            for b in range(0, len(row), per_block):
+                block = row[b:b + per_block]
+                try:
+                    results = march([strategy for _, strategy in block], v_factory)
+                except Exception:
+                    if len(block) == 1:
+                        raise
+                    results = [march([strategy], v_factory)[0] for _, strategy in block]
+                for (ci, _), (cell_values, clamps) in zip(block, results):
+                    values[:, ci, start:stop] = cell_values
+                    clamp_store[chunk_id, ci] = clamps
+            del v_factory, results  # before the next member is realized
 
     _map_chunks(n_paths, engine, worker)
     return values.copy(), clamp_store.sum(axis=0)
@@ -639,7 +769,8 @@ def _screen(what: str, obj, spec: ProblemSpec, engine: EngineConfig,
 
 def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
                  family: AdversaryFamily, n_paths: int, master_seed: int,
-                 engine: EngineConfig, postprocess=()) -> tuple[np.ndarray, np.ndarray]:
+                 engine: EngineConfig, field: ValueField | None = None,
+                 rules=()) -> tuple[np.ndarray, np.ndarray]:
     """The strategies x members table on one noise panel; see :func:`_run_cells`.
 
     Rows are strategy-major: cell ``si * len(family.members) + mi``.  Path p
@@ -668,7 +799,7 @@ def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
             adversary.passed.add(grid)
     seeds = derive_seed_array(master_seed, np.arange(n_paths))
     cells = [(strat, adv) for strat in strategies for adv in family.members]
-    return _run_cells(spec, times, x0, cells, seeds, engine, postprocess)
+    return _run_cells(spec, times, x0, cells, seeds, engine, field, rules)
 
 
 # ----------------------------------------------------------- experiments ---- #
@@ -821,14 +952,6 @@ class DppReport:
     cells: dict
 
 
-def _restart_value(field: ValueField, rho: StoppingRule):
-    """Postprocess for :func:`_run_cells`: the field at each path's (rho, X_rho)."""
-    def value(times, states):
-        fire = np.minimum(fire_batch(rho, times, states), states.shape[1] - 1)
-        return field.value_at(times[fire], states[np.arange(states.shape[0]), fire])
-    return value
-
-
 def dpp_checks(spec: ProblemSpec, field: ValueField, s: float, x0, strategies,
                family: AdversaryFamily, rules, n_paths: int, master_seed: int,
                engine: EngineConfig) -> list:
@@ -836,9 +959,10 @@ def dpp_checks(spec: ProblemSpec, field: ValueField, s: float, x0, strategies,
 
     ``rules`` is a list of (label, rule) pairs; one :class:`DppReport` comes
     back per pair, in order.  Every rule is screened by :func:`_screen`
-    first.  The table is marched once with recorded paths, and each rule's
-    restart values (the field interpolated at each path's (rho, X_rho),
-    capped at the horizon) are folded like :func:`value_experiment`'s payoffs.
+    first.  The table is marched once; each rule's monitor observes the
+    march and keeps every path's state at its fire index, and the restart
+    values (the field interpolated at each path's (rho, X_rho), capped at
+    the horizon) are folded like :func:`value_experiment`'s payoffs.
     """
     rules = list(rules)
     if not rules:
@@ -847,7 +971,7 @@ def dpp_checks(spec: ProblemSpec, field: ValueField, s: float, x0, strategies,
         _screen(f"stopping rule {label!r}", rho, spec, engine, master_seed)
     strategies = list(strategies)
     values, clamps = _march_table(spec, s, x0, strategies, family, n_paths, master_seed,
-                                  engine, [_restart_value(field, rho) for _, rho in rules])
+                                  engine, field, rules)
     field_value = float(field.value_at(np.asarray(s), _as_state(spec, x0)[None])[0])
     reports = []
     for (label, _), table in zip(rules, values):

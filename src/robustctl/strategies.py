@@ -461,8 +461,8 @@ class StrategyTracker:
             f0 = self.start_monitor.fired_by(j)
             starting = (self.seg < 0) & (f0 <= j)
             if np.any(starting):
-                self.seg[starting] = 0
-                self.fire_prev[starting] = f0[starting]
+                np.copyto(self.seg, 0, where=starting)
+                np.copyto(self.fire_prev, f0, where=starting)
                 self._apply_action(0, starting, j, X)
         n_seg = len(self.monitors)
         expired = False
@@ -481,8 +481,8 @@ class StrategyTracker:
             if not np.any(advancing):
                 continue
             self.clamp_count += int(np.count_nonzero(advancing & (f < self.fire_prev)))
-            self.fire_prev[advancing] = clamped[advancing]
-            self.seg[advancing] = k + 1
+            np.copyto(self.fire_prev, clamped, where=advancing)
+            np.copyto(self.seg, k + 1, where=advancing)
             top = max(top, k + 1)
             if k + 1 < n_seg:
                 self._apply_action(k + 1, advancing, j, X)
@@ -581,6 +581,12 @@ class SignControl(OpenLoopControl):
     The sum at step i is over increments 0..i-1, so the value for step 0 is
     always pos_index.  ``source`` picks the stream: "brownian" reads dW,
     "extra" reads coordinate ``coord`` of the auxiliary stream.
+
+    The sums are built one step at a time, each a contiguous row of all the
+    paths: the same additions in the same order as ``np.cumsum`` along each
+    path, so the same floats, signed zeros included.  Only the sign of an
+    exactly-zero sum could tell the two apart, and ``>= 0.0`` reads both
+    signs alike.
     """
 
     def __init__(self, pos_index: int, neg_index: int, source: str = "brownian",
@@ -597,9 +603,19 @@ class SignControl(OpenLoopControl):
 
     def realize_batch(self, times, dW, extra, seeds):
         src = dW if self.source == "brownian" else extra
-        level = np.zeros(src.shape[:2])
-        np.cumsum(src[:, :-1, self.coord], axis=1, out=level[:, 1:])
-        return np.where(level >= 0.0, self.pos_index, self.neg_index)
+        steps = src[:, :, self.coord].T  # (N, c): row i is every path's increment i
+        level = np.empty(steps.shape)
+        level[0] = 0.0
+        if level.shape[0] > 1:
+            level[1] = steps[0]
+        for i in range(2, level.shape[0]):
+            np.add(level[i - 1], steps[i - 1], out=level[i])
+        # arithmetic, not np.where: the signs in a time-major row change from
+        # path to path, and a branching select mispredicts on them
+        paths = (level >= 0.0).astype(np.int64)
+        paths *= self.pos_index - self.neg_index
+        paths += self.neg_index
+        return paths.T
 
 
 class ReplayControl(OpenLoopControl):

@@ -363,14 +363,14 @@ def test_chunk_and_thread_layout_is_invisible(pennies_problem, pennies_fields):
 
 
 def test_chunks_run_in_worker_processes(pennies_problem):
-    spec = pennies_problem.spec
+    # the payoff reports the process that evaluates it
+    spec = dataclasses.replace(pennies_problem.spec, payoff_bound=float(2 ** 40),
+                               payoff=lambda x: np.full(x.shape[:-1], float(os.getpid())))
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     times = np.linspace(0.0, spec.horizon, 9)
     seeds = derive_seed_array(0, np.arange(8))
     values, _ = _run_cells(spec, times, np.array([0.0]), [(alpha, const_adv(0, "c0"))],
-                           seeds, EngineConfig(n_steps=8, chunk_size=4, threads=2),
-                           postprocess=[lambda t, states: np.full(states.shape[0],
-                                                                  os.getpid())])
+                           seeds, EngineConfig(n_steps=8, chunk_size=4, threads=2))
     pids = values[0, 0].astype(int)
     assert np.all(pids[:4] == pids[0]) and np.all(pids[4:] == pids[4])
     assert pids[0] != pids[4]
@@ -694,10 +694,10 @@ def _spy_mixed_steps(monkeypatch) -> list:
     """Record each mixed step's form: (live pairs, two adjacent codes)."""
     steps, step = [], game_engine._step_batch
 
-    def spy_step(spec, t, dt, X, u_idx, v_idx, dWi, rows):
-        B, S, sel = step(spec, t, dt, X, u_idx, v_idx, dWi, rows)
+    def spy_step(spec, t, dt, X, code, lo, hi, dWi, rows):
+        B, S, sel = step(spec, t, dt, X, code, lo, hi, dWi, rows)
         if sel is not None:
-            live = np.unique(u_idx * spec.controls_v.size + v_idx)
+            live = np.unique(code)
             steps.append((live.size, live.size == 2 and live[1] == live[0] + 1))
         return B, S, sel
 
@@ -733,6 +733,7 @@ def test_every_mixed_step_form_matches_the_reference_bitwise(monkeypatch):
         "adjacent": (middle, sign, lambda live, adjacent: adjacent),
     }
     steps = _spy_mixed_steps(monkeypatch)
+    refs = {}
     for name, (strategy, adv, form) in cases.items():
         steps.clear()
         est = estimate_cell(spec, 0.0, x0, strategy, adv, n_paths=40, master_seed=17,
@@ -740,6 +741,18 @@ def test_every_mixed_step_form_matches_the_reference_bitwise(monkeypatch):
         assert any(form(*s) for s in steps), (name, steps)
         ref = _reference_payoffs(spec, 0.0, x0, strategy, adv, 40, 17, engine)
         assert np.array_equal(est.payoffs, ref), name
+        refs[strategy.label, adv.id] = ref
+    # blocks of two strategies on two noise coordinates: the first pair steps
+    # slice by slice, and the constant pair as one block of 80 rows
+    again = constant_strategy(spec.controls_u, 1, 0.0, 1.0, label="again")
+    strategies = [strategy for strategy, _, _ in cases.values()] + [again]
+    table = value_experiment(spec, 0.0, x0, strategies,
+                             AdversaryFamily((sign, const_adv(1, "c1"))), n_paths=40,
+                             master_seed=17, engine=EngineConfig(n_steps=24, chunk_size=80),
+                             keep_payoffs=True)
+    refs["again", "sgn"] = refs[middle.label, "sgn"]
+    for (label, aid), ref in refs.items():
+        assert np.array_equal(table.per_strategy[label].members[aid].payoffs, ref), label
 
 
 def test_signed_zeros_step_as_euler_step():
@@ -801,11 +814,12 @@ def test_best_response_lookup_batch_matches_scalar(pennies_problem, pennies_fiel
     rng = np.random.default_rng(31)
     x = rng.uniform(-4.5, 4.5, size=(64, 1))
     u_idx = rng.integers(0, 2, size=64)
-    step, tracker = _adversary_realization(adversary, spec, times, None, None,
-                                           np.arange(64))()
-    assert tracker is None
+    # a block of two slices of a 32-path chunk, read at once
+    step, trackers = _adversary_realization(adversary, spec, times, None, None,
+                                            np.arange(32))(2)
+    assert trackers == []
     for i in (0, 1, 4):
-        batch = step(i, x, u_idx)
+        batch = step(i, x.reshape(2, 32, 1), u_idx.reshape(2, 32)).reshape(-1)
         scalar = [oracle.snap_lookup(lower.grid.times, lower.grid.axes, lower.response_v,
                                      times[i], x[p], int(u_idx[p])) for p in range(64)]
         assert np.array_equal(batch, np.asarray(scalar))
@@ -977,17 +991,21 @@ def test_a_chunk_marches_member_by_member(pennies_problem, pennies_fields, monke
         owner[factory] = adversary.id
         return factory
 
-    def logged_march(spec, times, seeds, x0, strategy, v_factory, *args, **kwargs):
-        log.append(("march", owner[v_factory], strategy.label))
-        return march(spec, times, seeds, x0, strategy, v_factory, *args, **kwargs)
+    def logged_march(spec, times, seeds, x0, block, v_factory, *args, **kwargs):
+        log.append(("march", owner[v_factory], tuple(s.label for s in block)))
+        return march(spec, times, seeds, x0, block, v_factory, *args, **kwargs)
 
     monkeypatch.setattr(game_engine, "_adversary_realization", logged_realize)
     monkeypatch.setattr(game_engine, "_march_chunk", logged_march)
     report = value_experiment(spec, 0.0, x0, strategies, family, **kw)
-    member_major = [entry for aid in family.ids
-                    for entry in [("realize", aid)] + [("march", aid, s.label)
-                                                       for s in strategies]]
-    assert log == member_major * 3  # three chunks of 40, 40 and 16 paths
+    labels = [s.label for s in strategies]
+    one_by_one = [entry for aid in family.ids
+                  for entry in [("realize", aid)] + [("march", aid, (label,))
+                                                     for label in labels]]
+    # chunks of 40, 40 and 16 paths: a block holds chunk_size // c strategies
+    both = [entry for aid in family.ids
+            for entry in (("realize", aid), ("march", aid, tuple(labels)))]
+    assert log == one_by_one * 2 + both
     monkeypatch.undo()
     for strat in strategies:
         for adv in family.members:
@@ -1026,6 +1044,150 @@ def test_a_faulty_strategy_is_refused_before_a_faulty_later_member(pennies_probl
     with pytest.raises(ModelEvaluationError,
                        match=r"^control 'five' produced indices outside \[0, 2\)$"):
         value_experiment(spec, 0.0, np.array([0.0]), [fits], family, **kw)
+
+
+def _spy_step_rows(monkeypatch) -> list:
+    """Record the row count of every step the kernel runs."""
+    rows, step = [], game_engine._step_batch
+
+    def spy_step(spec, t, dt, X, *args):
+        rows.append(len(X))
+        return step(spec, t, dt, X, *args)
+
+    monkeypatch.setattr(game_engine, "_step_batch", spy_step)
+    return rows
+
+
+def test_tables_are_bitwise_invariant_to_strategies_per_block(pennies_problem,
+                                                              pennies_fields, monkeypatch):
+    # one 16-path chunk marched 1, 2, 3 and 4 strategies per block; every
+    # strategy opens on u = -1 (the ladder reads it at x0) and the hitting
+    # one moves to u = +1 path by path, so whole-block steps and per-slice
+    # steps both run; nature plays every kind of member
+    spec = pennies_problem.spec
+    lower, _ = pennies_fields
+    times = np.linspace(0.0, spec.horizon, 33)
+    clamped = ElementaryStrategy(control_set=spec.controls_u, start_rule=FixedTimeRule(0.0),
+                                 rules=(FixedTimeRule(0.3), FixedTimeRule(0.1),
+                                        FixedTimeRule(spec.horizon)),
+                                 actions=(ConstantAction(0), ConstantAction(1),
+                                          ConstantAction(0)),
+                                 label="clamped")
+    strategies = [constant_strategy(spec.controls_u, 0, 0.0, spec.horizon), clamped,
+                  hitswitch_strategy(spec.controls_u, 0.0, spec.horizon, level=0.6),
+                  make_grid_strategy(lower.feedback_u, times[[0, 8, 16, 24, 32]],
+                                     label="grid4")]
+    family = AdversaryFamily((Adversary("sgn", SignControl(pos_index=1, neg_index=0)),
+                              Adversary("fb", lower.feedback_v),
+                              Adversary("br", lower),
+                              Adversary("beta", hitswitch_strategy(spec.controls_v, 0.0,
+                                                                   spec.horizon, level=0.7))))
+    rules = [("half", FixedTimeRule(spec.horizon / 2)),
+             ("exit", CappedRule(HittingRule(AbsRegion(0.5)), FixedTimeRule(spec.horizon))),
+             ("hit", HittingRule(AbsRegion(0.8)))]
+    x0 = np.array([0.1])
+    rows = _spy_step_rows(monkeypatch)
+
+    def tables(per_block):
+        kw = dict(n_paths=16, master_seed=13,
+                  engine=EngineConfig(n_steps=32, chunk_size=16 * per_block))
+        rows.clear()
+        value = value_experiment(spec, 0.0, x0, strategies, family, keep_payoffs=True, **kw)
+        dpp = dpp_checks(spec, lower, 0.0, x0, strategies, family, rules, **kw)
+        cells = [(est.payoffs.tobytes(), est.clamp_count, repr((est.mean, est.std_error)))
+                 for rv in value.per_strategy.values() for est in rv.members.values()]
+        return cells, repr(list(map(dataclasses.asdict, dpp))), set(rows)
+
+    one = tables(1)
+    assert one[2] == {16}
+    for per_block in (2, 3, 4):
+        cells, dpp, seen = tables(per_block)
+        assert cells == one[0], per_block
+        assert dpp == one[1], per_block
+        # per-slice steps (16 rows) and whole-block steps (all the block's rows)
+        assert {16, 16 * per_block} <= seen, (per_block, seen)
+    assert one[0][4][1] == 16  # "clamped" against "sgn": one clamp per path
+
+
+def _overflowing(spec) -> ProblemSpec:
+    """``spec`` whose drift at u = +1 is finite at 0 but overflows one step later."""
+    return dataclasses.replace(
+        spec, drift=lambda t, x, u, v: 1e300 * (1.0 + x * x) if u[0] > 0 else 0.0 * x)
+
+
+def _failing_at(spec, how: str, at: float, label: str) -> ElementaryStrategy:
+    """u = -1 up to ``at``, then u = +1 (a blow-up) or nothing (exhausted)."""
+    rules, actions = (FixedTimeRule(at),), (ConstantAction(0),)
+    if how == "blow-up":
+        rules, actions = rules + (FixedTimeRule(spec.horizon),), actions + (ConstantAction(1),)
+    return ElementaryStrategy(control_set=spec.controls_u, start_rule=FixedTimeRule(0.0),
+                              rules=rules, actions=actions, label=label)
+
+
+@pytest.mark.parametrize("earlier_fails, later_fails", [
+    ("blow-up", "blow-up"), ("blow-up", "exhausted"),
+    ("exhausted", "blow-up"), ("exhausted", "exhausted")])
+def test_a_block_raises_the_earlier_cells_error(pennies_problem, earlier_fails, later_fails):
+    # the later strategy of a two-strategy block fails first in the march;
+    # the error is the earlier cell's, as a cell-by-cell march raises it
+    spec = _overflowing(pennies_problem.spec)
+    earlier = _failing_at(spec, earlier_fails, 0.75 * spec.horizon, "earlier")
+    later = _failing_at(spec, later_fails, 0.25 * spec.horizon, "later")
+    family = AdversaryFamily((const_adv(0, "c0"),))
+    x0 = np.array([0.0])
+    kw = dict(n_paths=8, master_seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises((ModelEvaluationError, StrategyIntervalError)) as alone:
+            value_experiment(spec, 0.0, x0, [earlier], family,
+                             engine=EngineConfig(n_steps=16), **kw)
+        with pytest.raises(type(alone.value)) as blocked:
+            value_experiment(spec, 0.0, x0, [earlier, later], family,
+                             engine=EngineConfig(n_steps=16, chunk_size=16), **kw)
+    assert str(blocked.value) == str(alone.value)
+    assert "'earlier'" in str(alone.value) or "(t=0.40625, u=[1.]" in str(alone.value)
+
+
+@dataclasses.dataclass(frozen=True)
+class LateHittingRule(HittingRule):
+    """A hitting rule whose engine monitor reports each hit one index late."""
+
+
+class _LateMonitor:
+    def __init__(self, inner):
+        self.inner = inner
+
+    def observe(self, j, X):
+        self.inner.observe(j, X)
+
+    def fired_by(self, j):
+        hit = self.inner.fired_by(j)
+        # a hit at j is reported at j + 1, naming index j
+        return np.where(hit < j, hit, _NOT_YET)
+
+
+def test_a_monitor_reporting_a_past_fire_is_refused_by_name(pennies_problem, pennies_fields,
+                                                            monkeypatch):
+    lower, _ = pennies_fields
+    spec = pennies_problem.spec
+    monitor = game_engine._rule_monitor
+
+    def late(rule, times, n):
+        inner = monitor(rule, times, n)
+        return _LateMonitor(inner) if isinstance(rule, LateHittingRule) else inner
+
+    monkeypatch.setattr(game_engine, "_rule_monitor", late)
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    family = AdversaryFamily((const_adv(0, "c0"),))
+    kw = dict(n_paths=16, master_seed=2, engine=EngineConfig(n_steps=32))
+    x0 = np.array([0.0])
+    on_time = dpp_checks(spec, lower, 0.0, x0, [alpha], family,
+                         [("exit", HittingRule(AbsRegion(0.5)))], **kw)
+    assert on_time[0].game_value != on_time[0].field_value
+    with pytest.raises(StrategyStructureError,
+                       match=r"^stopping rule 'late' reported fire index \d+ at index \d+"):
+        dpp_checks(spec, lower, 0.0, x0, [alpha], family,
+                   [("exit", HittingRule(AbsRegion(0.5))),
+                    ("late", LateHittingRule(AbsRegion(0.5)))], **kw)
 
 
 def test_value_experiment_validates_inputs(pennies_problem):
@@ -1300,36 +1462,48 @@ def test_dpp_checks_fold_every_rule_of_one_table(pennies_problem, pennies_fields
         dpp_checks(spec, lower, 0.0, x0, strategies, family, [], **kw)
 
 
-def test_dpp_marches_record_states_only(pennies_problem, pennies_fields, monkeypatch):
-    # the restart values read states only: a march that also records the
-    # index paths must give the same reports bit for bit
+def test_restart_states_captured_in_the_march_match_a_replay(pennies_problem,
+                                                             pennies_fields):
+    # each rule's monitor observes the march and keeps the state at its fire
+    # index; the restart value must be the field at the state that a replay
+    # of the recorded paths finds there, capped at the horizon
     lower, _ = pennies_fields
     spec = pennies_problem.spec
     times = np.linspace(0.0, spec.horizon, 33)
     strategies = [constant_strategy(spec.controls_u, 1, 0.0, spec.horizon),
-                  make_grid_strategy(lower.feedback_u, times[[0, 16, 32]], label="grid2")]
-    family = AdversaryFamily((const_adv(0, "c0"),
-                              Adversary("sgn", SignControl(pos_index=1, neg_index=0))))
+                  make_grid_strategy(lower.feedback_u, times[[0, 16, 32]], label="grid2"),
+                  hitswitch_strategy(spec.controls_u, 0.0, spec.horizon, level=0.8)]
+    members = [Adversary("sgn", SignControl(pos_index=1, neg_index=0)), const_adv(0, "c0"),
+               Adversary("beta", hitswitch_strategy(spec.controls_v, 0.0, spec.horizon,
+                                                    level=0.9))]
     rules = [("half", FixedTimeRule(spec.horizon / 2)),
-             ("exit", CappedRule(HittingRule(AbsRegion(0.5)), FixedTimeRule(spec.horizon)))]
-    kw = dict(n_paths=96, master_seed=5, engine=EngineConfig(n_steps=32, chunk_size=40))
-    march = game_engine._march_chunk
-    seen = []
-
-    def spy(*args, record=None, force=None, **kwargs):
-        paths = march(*args, record=force or record, **kwargs)
-        seen.append((record, paths.u_indices is None, paths.v_indices is None))
-        return paths
-
-    monkeypatch.setattr(game_engine, "_march_chunk", spy)
-    lean = dpp_checks(spec, lower, 0.0, np.array([0.2]), strategies, family, rules, **kw)
-    assert set(seen) == {("states", True, True)} and len(seen) == 3 * 4
-    monkeypatch.setattr(game_engine, "_march_chunk",
-                        lambda *a, **k: spy(*a, force="paths", **k))
-    full = dpp_checks(spec, lower, 0.0, np.array([0.2]), strategies, family, rules, **kw)
-    assert set(seen[12:]) == {("states", False, False)}
-    # repr tells -0.0 from 0.0, so this is bitwise
-    assert repr(list(map(dataclasses.asdict, lean))) == repr(list(map(dataclasses.asdict, full)))
+             ("exit", HittingRule(AbsRegion(0.5))),
+             ("capped", CappedRule(HittingRule(AbsRegion(0.5)),
+                                   FixedTimeRule(0.75 * spec.horizon))),
+             ("start", GridIndexRule(0)),
+             ("never", HittingRule(AbsRegion(100.0)))]
+    cells = [(strategy, member) for strategy in strategies for member in members]
+    seeds = derive_seed_array(5, np.arange(40))
+    x0 = np.array([0.2])
+    # chunks of 30 and 10 paths: one strategy per block, then all three
+    values, _ = _run_cells(spec, times, x0, cells, seeds,
+                           EngineConfig(n_steps=32, chunk_size=30), lower, rules)
+    noises = [sample_noise(times, int(seed), spec.noise_dim) for seed in seeds]
+    fired = {label: set() for label, _ in rules}
+    for ci, (strategy, member) in enumerate(cells):
+        record = (simulate_strong if isinstance(member.plays, OpenLoopControl)
+                  else simulate_feedback_pair)
+        states = record(spec, strategy, member.plays, noises, x0).states
+        for k, (label, rule) in enumerate(rules):
+            fire = fire_batch(rule, times, states)
+            fired[label] |= set(np.where(fire == _NOT_YET, -1, fire).tolist())
+            fire = np.minimum(fire, times.size - 1)
+            want = lower.value_at(times[fire], states[np.arange(seeds.size), fire])
+            assert values[k, ci].tobytes() == want.tobytes(), (label, strategy.label,
+                                                               member.id)
+    assert fired["start"] == {0} and fired["never"] == {-1} and fired["half"] == {16}
+    assert -1 in fired["exit"] and len(fired["exit"]) > 3
+    assert max(fired["capped"]) == 24 and len(fired["capped"]) > 3
 
 
 # --------------------------------------------------------------- embedding ---- #
