@@ -342,14 +342,13 @@ def _noise_term(sig: np.ndarray, dWi: np.ndarray) -> np.ndarray:
     +0.0, and ``+ 0.0`` does the same.
     """
     n, c = sig.shape[0], dWi.shape[0]
-    if n != c:
-        sig = sig.reshape((n // c, c) + sig.shape[1:])
+    sig = sig.reshape((n // c, c) + sig.shape[1:])
     if dWi.shape[-1] == 1:
         term = sig[..., 0] * dWi
         term += 0.0
     else:
         term = (sig * dWi[..., None, :]).sum(axis=-1)
-    return term.reshape(n, -1) if n != c else term
+    return term.reshape(n, -1)
 
 
 def _step_uniform(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
@@ -502,10 +501,8 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
     noise.  Each strategy's tracker reads its own slice.  ``v_factory`` is
     the member's realization on this chunk (see
     :func:`_adversary_realization`); ``dW_tm`` is the chunk's increments
-    time-major (N, c, noise_dim), so step slices are contiguous.  A step
-    runs :func:`_step_batch` once on the block when every slice's pair
-    codes span the same [lo, hi], else once per slice: per row, the same
-    floats either way.
+    time-major (N, c, noise_dim), so step slices are contiguous.  Each step
+    runs :func:`_step_batch` once on the whole block.
 
     Returns one :class:`Paths` per strategy and one :class:`_RestartCapture`
     over the block per ``(label, rule)`` in ``rules``.  With ``record`` (one
@@ -538,18 +535,13 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
         states[0] = X
         u_paths = np.empty((n, c), dtype=np.int32)
         v_paths = np.empty((n, c), dtype=np.int32)
-    u_block = np.empty((n_s, c), dtype=np.int64)
+    u = np.empty((n_s, c), dtype=np.int64)
     code = np.empty((n_s, c), dtype=np.int64)
     dts = np.diff(times)
-    rows = np.arange(c)
-    block_rows = np.arange(n_s * c) if n_s > 1 else rows
+    rows = np.arange(n_s * c)
     for i in range(n):
-        if n_s == 1:  # the tracker's own row, read by broadcasting
-            u = u_trackers[0].on_state(i, X)
-        else:
-            u = u_block
-            for s, tracker in enumerate(u_trackers):
-                u[s] = tracker.on_state(i, X_slices[s])
+        for s, tracker in enumerate(u_trackers):
+            u[s] = tracker.on_state(i, X_slices[s])
         v = v_source(i, X_slices, u)
         for side, tracker in checked:
             if not tracker.all_defined:
@@ -558,18 +550,8 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
         np.multiply(u, n_v, out=code)
         code += v
         t, dt = float(times[i]), float(dts[i])
-        if n_s == 1:
-            blocks = _step_batch(spec, t, dt, X, code[0], int(code.min()), int(code.max()),
-                                 dW_tm[i], rows)
-        else:
-            lo, hi = code.min(axis=1).tolist(), code.max(axis=1).tolist()
-            if lo.count(lo[0]) == n_s and hi.count(hi[0]) == n_s:
-                _step_batch(spec, t, dt, X, code.reshape(-1), lo[0], hi[0], dW_tm[i],
-                            block_rows)
-            else:
-                for s in range(n_s):
-                    _step_batch(spec, t, dt, X_slices[s], code[s], lo[s], hi[s], dW_tm[i],
-                                rows)
+        blocks = _step_batch(spec, t, dt, X, code.reshape(-1), int(code.min()),
+                             int(code.max()), dW_tm[i], rows)
         # a single reduce; any nan/inf entry forces a non-finite total
         if not np.isfinite(float(X.sum())):
             if n_s > 1:
@@ -579,7 +561,7 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
             capture.observe(i + 1, X)
         if record:
             states[i + 1] = X
-            u_paths[i] = u
+            u_paths[i] = u[0]
             v_paths[i] = np.broadcast_to(v, code.shape)[0]
     payoffs = eval_payoff(spec, X)
     paths = [Paths(states=None, u_indices=None, v_indices=None,

@@ -252,14 +252,15 @@ class FeedbackMap:
 
         States of shape (..., dim) map to one index array per axis, each of
         shape (...) and clipped to the axis, so a state off the grid reads
-        the nearest edge node.  Ties round half to even.
+        the nearest edge node.  Ties round half to even.  The clip is taken
+        in floats, before the cast to ints, so a state too far off the grid
+        for an int still reads its edge node.
         """
         x = np.asarray(x, dtype=float)
         cells = []
         for a, (axis, step) in enumerate(zip(self.axes, self._steps)):
-            idx = np.asarray(np.rint((x[..., a] - axis[0]) / step), dtype=np.intp)
-            np.maximum(idx, 0, out=idx)
-            cells.append(np.minimum(idx, axis.size - 1, out=idx))
+            node = np.fmax(np.rint((x[..., a] - axis[0]) / step), 0.0)
+            cells.append(np.asarray(np.fmin(node, axis.size - 1), dtype=np.intp))
         return tuple(cells)
 
     def lookup_index_batch(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -583,10 +584,9 @@ class SignControl(OpenLoopControl):
     "extra" reads coordinate ``coord`` of the auxiliary stream.
 
     The sums are built one step at a time, each a contiguous row of all the
-    paths: the same additions in the same order as ``np.cumsum`` along each
-    path, so the same floats, signed zeros included.  Only the sign of an
-    exactly-zero sum could tell the two apart, and ``>= 0.0`` reads both
-    signs alike.
+    paths, from a first sum of 0.0: the same additions in the same order as
+    ``np.cumsum`` along each path, so the same floats up to the sign of an
+    exactly-zero sum, which ``>= 0.0`` reads alike.
     """
 
     def __init__(self, pos_index: int, neg_index: int, source: str = "brownian",
@@ -606,9 +606,7 @@ class SignControl(OpenLoopControl):
         steps = src[:, :, self.coord].T  # (N, c): row i is every path's increment i
         level = np.empty(steps.shape)
         level[0] = 0.0
-        if level.shape[0] > 1:
-            level[1] = steps[0]
-        for i in range(2, level.shape[0]):
+        for i in range(1, level.shape[0]):
             np.add(level[i - 1], steps[i - 1], out=level[i])
         # arithmetic, not np.where: the signs in a time-major row change from
         # path to path, and a branching select mispredicts on them

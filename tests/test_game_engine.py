@@ -1062,8 +1062,8 @@ def test_tables_are_bitwise_invariant_to_strategies_per_block(pennies_problem,
                                                               pennies_fields, monkeypatch):
     # one 16-path chunk marched 1, 2, 3 and 4 strategies per block; every
     # strategy opens on u = -1 (the ladder reads it at x0) and the hitting
-    # one moves to u = +1 path by path, so whole-block steps and per-slice
-    # steps both run; nature plays every kind of member
+    # one moves to u = +1 path by path, so a block's slices play different
+    # pairs on one step; nature plays every kind of member
     spec = pennies_problem.spec
     lower, _ = pennies_fields
     times = np.linspace(0.0, spec.horizon, 33)
@@ -1104,8 +1104,9 @@ def test_tables_are_bitwise_invariant_to_strategies_per_block(pennies_problem,
         cells, dpp, seen = tables(per_block)
         assert cells == one[0], per_block
         assert dpp == one[1], per_block
-        # per-slice steps (16 rows) and whole-block steps (all the block's rows)
-        assert {16, 16 * per_block} <= seen, (per_block, seen)
+        # every step runs once on a whole block of the 4 strategies
+        blocks = {16 * min(per_block, 4 - b) for b in range(0, 4, per_block)}
+        assert seen == blocks, (per_block, seen)
     assert one[0][4][1] == 16  # "clamped" against "sgn": one clamp per path
 
 

@@ -312,6 +312,10 @@ def test_feedback_lookup_snaps_and_clamps():
     # dead center of a cell and far outside the box agree with direct indexing
     assert fb.lookup_index_batch(0.0, np.array([[-2.0]]))[0] == fb.indices[0, 0]
     assert fb.lookup_index_batch(1.0, np.array([[99.0]]))[0] == fb.indices[-1, -1]
+    # states too far off the grid for an int read the edge nodes, silently
+    with np.errstate(all="raise"):
+        far = fb.cells_of(np.array([[1e300], [-1e300], [np.inf], [-np.inf]]))
+    assert far[0].tolist() == [8, 0, 8, 0]
 
 
 def test_feedback_batch_matches_scalar():
