@@ -351,76 +351,55 @@ def _noise_term(sig: np.ndarray, dWi: np.ndarray) -> np.ndarray:
     return term.reshape(n, -1)
 
 
-def _step_uniform(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
-                  iu: int, jv: int, dWi: np.ndarray) -> tuple:
-    # in-place x += b dt; x += sig dW keeps the reference step's association exactly
-    u, v = spec.controls_u.point(iu), spec.controls_v.point(jv)
-    b = np.asarray(spec.drift(t, X, u, v), dtype=float)
-    sig = np.asarray(spec.diffusion(t, X, u, v), dtype=float)
-    X += b * dt
-    X += _noise_term(sig, dWi)
-    return b, sig, None
-
-
 def _step_batch(spec: ProblemSpec, t: float, dt: float, X: np.ndarray,
                 code: np.ndarray, lo: int, hi: int, dWi: np.ndarray,
                 rows: np.ndarray) -> tuple:
-    """One Euler step in place, with paths grouped by their (u, v) pair.
+    """One Euler step in place, each row on its own (u, v) pair.
 
     ``code`` is each row's pair code ``u * n_v + v`` and [lo, hi] its
-    range.  Steps where every path shares one pair (lo equals hi, which
-    every one-path march has) take the uniform path before any
-    grouping.  Mixed steps are about as common (in a full run of the test
-    suite, about half of the batched steps had paths on more than one pair);
-    they evaluate each live pair on the full state block and select per row.
-    The coefficient contract (vectorized, row i depends on x[i] alone) makes
-    that the same floats as a per-group evaluation, without mask extraction
-    and scatter; ``rows`` is ``arange(len(X))``, built once per march.
+    range.  Drift and diffusion are called once on the whole block for
+    every code in [lo, hi], also a code that no row plays, which is
+    evaluated but never read.  When lo equals hi (every one-path march)
+    that block is the step's; otherwise each row reads its own pair with
+    one flat ``take`` at ``(code - lo) * len(X) + row`` on the concatenated
+    blocks.  The coefficient contract
+    (vectorized, row i depends on x[i] alone) makes that the same floats as
+    a per-group evaluation; ``rows`` is ``arange(len(X))``, built once per
+    march.  In-place ``x += b dt; x += sig dW`` keeps the reference step's
+    association, and the noise term follows :func:`_noise_term`, so signed
+    zeros come out as in the reference step.
 
-    The live pairs and each row's slot among them come from the pair code:
-    two adjacent codes are the pairs ``(lo, lo + 1)`` with slot ``code -
-    lo``; any other mix is read off a ``bincount``.  Each row's drift and
-    diffusion are one flat ``take`` at ``slot * len(X) + row`` on the
-    stacked blocks.  Signed zeros come out as in the reference step: the
-    noise term follows :func:`_noise_term`.
-
-    Returns the coefficient blocks it evaluated, for the blow-up report:
-    (drift, diffusion, None) on a uniform step, else (drift per live pair,
-    diffusion per live pair, each row's pair slot).
+    Returns the drift and diffusion blocks per code in [lo, hi], for the
+    blow-up report.
     """
-    n_u, n_v = spec.controls_u.size, spec.controls_v.size
-    if lo == hi:
-        iu, jv = divmod(lo, n_v)
-        return _step_uniform(spec, t, dt, X, iu, jv, dWi)
-    if hi == lo + 1:
-        codes = (lo, hi)
-        sel = code - lo
-    else:
-        codes = np.flatnonzero(np.bincount(code, minlength=n_u * n_v))
-        slot = np.empty(n_u * n_v, dtype=np.intp)
-        slot[codes] = np.arange(codes.size)
-        sel = slot[code]
-    n, k = X.shape[0], len(codes)
-    B = np.empty((k,) + X.shape)
-    S = np.empty((k,) + X.shape + (dWi.shape[-1],))
-    for j, c in enumerate(codes):
-        iu, jv = divmod(int(c), n_v)
+    n_v = spec.controls_v.size
+    drifts, diffusions = [], []
+    for c in range(lo, hi + 1):
+        iu, jv = divmod(c, n_v)
         u, v = spec.controls_u.point(iu), spec.controls_v.point(jv)
-        B[j] = spec.drift(t, X, u, v)
-        S[j] = spec.diffusion(t, X, u, v)
-    flat = sel * n
-    flat += rows
-    X += B.reshape((k * n,) + X.shape[1:]).take(flat, axis=0) * dt
-    X += _noise_term(S.reshape((k * n,) + S.shape[2:]).take(flat, axis=0), dWi)
-    return B, S, sel
+        drifts.append(np.asarray(spec.drift(t, X, u, v), dtype=float))
+        diffusions.append(np.asarray(spec.diffusion(t, X, u, v), dtype=float))
+    if lo == hi:
+        b, sig = drifts[0], diffusions[0]
+    else:
+        flat = code - lo
+        flat *= len(X)
+        flat += rows
+        b = np.concatenate(drifts).take(flat, axis=0)
+        sig = np.concatenate(diffusions).take(flat, axis=0)
+    X += b * dt
+    X += _noise_term(sig, dWi)
+    return drifts, diffusions
 
 
 def _blow_up(spec: ProblemSpec, t: float, t_next: float, X: np.ndarray, seeds: np.ndarray,
-             code: np.ndarray, blocks: tuple) -> None:
+             code: np.ndarray, lo: int, blocks: tuple) -> None:
     """Raise for a step that left the finite range, naming the cause.
 
-    The offending row is the first non-finite one (else the largest).  When
-    a coefficient block the step evaluated for that row is non-finite, the
+    ``X`` holds S slices of the chunk's c paths, ``seeds`` the chunk's c
+    path seeds, and ``blocks`` what :func:`_step_batch` returned.  The
+    offending row is the first non-finite one (else the largest).  When the
+    drift or diffusion block of that row's own pair is non-finite on it, the
     callback is at fault: :class:`ModelEvaluationError` names it with t, u,
     v and the path seed.  Otherwise the state overflowed on finite
     coefficients: :class:`SimulationBlowUpError`.
@@ -428,13 +407,11 @@ def _blow_up(spec: ProblemSpec, t: float, t_next: float, X: np.ndarray, seeds: n
     finite_rows = np.all(np.isfinite(X), axis=-1)
     bad = int(np.argmin(finite_rows)) if not finite_rows.all() \
         else int(np.argmax(np.abs(X).max(axis=-1)))
-    seed = int(seeds[bad])
-    b, sig, sel = blocks
-    if sel is not None:
-        b, sig = b[sel[bad]], sig[sel[bad]]
-    for name, block in (("drift", b), ("diffusion", sig)):
-        if not np.all(np.isfinite(block[bad])):
-            iu, jv = divmod(int(code[bad]), spec.controls_v.size)
+    seed = int(seeds[bad % seeds.size])
+    pair = int(code[bad])
+    for name, per_code in zip(("drift", "diffusion"), blocks):
+        if not np.all(np.isfinite(per_code[pair - lo][bad])):
+            iu, jv = divmod(pair, spec.controls_v.size)
             u, v = spec.controls_u.point(iu), spec.controls_v.point(jv)
             raise ModelEvaluationError(f"{spec.label}.{name}(t={t}, u={u}, v={v}) returned "
                                        f"non-finite values on path seed {seed}")
@@ -486,11 +463,6 @@ class _RestartCapture:
         return field.value_at(times[self.fire], self.states)
 
 
-class _BlockFault(Exception):
-    """A block of several strategies left the finite range; its cells are
-    marched again one at a time, so the report names the first cell's cause."""
-
-
 def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
                  x0: np.ndarray, strategies: list, v_factory, dW_tm: np.ndarray,
                  rules=(), record: bool = False) -> tuple:
@@ -507,8 +479,8 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
     Returns one :class:`Paths` per strategy and one :class:`_RestartCapture`
     over the block per ``(label, rule)`` in ``rules``.  With ``record`` (one
     strategy only) the states and both index paths are kept, the indices as
-    int32, to keep recorded chunks small.  A block of several strategies
-    that leaves the finite range raises :class:`_BlockFault`.
+    int32, to keep recorded chunks small.  A step that leaves the finite
+    range raises through :func:`_blow_up`, whatever the block's size.
     """
     n = times.size - 1
     c = seeds.size
@@ -537,6 +509,7 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
         v_paths = np.empty((n, c), dtype=np.int32)
     u = np.empty((n_s, c), dtype=np.int64)
     code = np.empty((n_s, c), dtype=np.int64)
+    flat_code = code.reshape(-1)
     dts = np.diff(times)
     rows = np.arange(n_s * c)
     for i in range(n):
@@ -550,13 +523,12 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
         np.multiply(u, n_v, out=code)
         code += v
         t, dt = float(times[i]), float(dts[i])
-        blocks = _step_batch(spec, t, dt, X, code.reshape(-1), int(code.min()),
-                             int(code.max()), dW_tm[i], rows)
+        lo = int(flat_code.min())
+        blocks = _step_batch(spec, t, dt, X, flat_code, lo, int(flat_code.max()),
+                             dW_tm[i], rows)
         # a single reduce; any nan/inf entry forces a non-finite total
         if not np.isfinite(float(X.sum())):
-            if n_s > 1:
-                raise _BlockFault
-            _blow_up(spec, t, float(times[i + 1]), X, seeds, code[0], blocks)
+            _blow_up(spec, t, float(times[i + 1]), X, seeds, flat_code, lo, blocks)
         for capture in captures:
             capture.observe(i + 1, X)
         if record:

@@ -348,16 +348,18 @@ def sample_noise(time_grid: np.ndarray, seed: int, noise_dim: int,
 
     Pure in (time_grid, seed, dims): repeated calls agree bitwise.  The
     Brownian and extra increments come from disjoint Philox streams of the
-    same seed, so enlarging ``extra_dim`` never changes ``dW``.
+    same seed, so enlarging ``extra_dim`` never changes ``dW``.  Any int
+    seed is taken modulo 2**64, and the path keeps that seed.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ConfigError("time_grid must be 1-d with at least two points")
     if not np.all(np.diff(times) > 0):
         raise ConfigError("time_grid must be strictly increasing")
-    dW, extra = sample_noise_batch(times, np.array([int(seed) & _MASK64], dtype=np.uint64),
-                                   noise_dim, extra_dim)
-    return NoisePath(times=times, dW=dW[0], extra=extra[0], seed=int(seed))
+    seed = int(seed) & _MASK64
+    dW, extra = sample_noise_batch(times, np.array([seed], dtype=np.uint64), noise_dim,
+                                   extra_dim)
+    return NoisePath(times=times, dW=dW[0], extra=extra[0], seed=seed)
 
 
 # ----------------------------------------------------- assumption checks ---- #

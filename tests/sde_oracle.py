@@ -1,7 +1,7 @@
 """Reference forms of the Euler step and the seed mixer, written apart from the package.
 
-The package steps whole chunks in place (``game_engine._step_uniform`` and
-``_step_batch``) and mixes seeds on uint64 arrays (``derive_seed_array``).
+The package steps whole blocks in place (``game_engine._step_batch``) and
+mixes seeds on uint64 arrays (``derive_seed_array``).
 This module keeps the textbook forms those must reproduce bit for bit: one
 explicit Euler step through the validated coefficient calls, and splitmix64
 on Python ints.

@@ -35,7 +35,7 @@ from robustctl.game_engine import (Adversary, AdversaryFamily, EngineConfig,
 from robustctl.pde_solver import ValueField, make_grid, solve_isaacs
 from robustctl.sde_core import (ControlSet, NoisePath, ProblemSpec,
                                 derive_seed, derive_seed_array, eval_payoff,
-                                sample_noise)
+                                sample_noise, sample_noise_batch)
 from robustctl.strategies import (_NOT_YET, UNDEFINED, AbsRegion, CappedRule,
                                   ConstantAction, ConstantControl,
                                   ElementaryStrategy, FeedbackMap, FixedTimeRule,
@@ -254,6 +254,31 @@ def test_a_strategy_that_runs_out_is_refused_on_either_side(pennies_problem):
         with pytest.raises(StrategyIntervalError,
                            match=rf"^{side} strategy 'runs_out' inactive on step {first} "):
             run()
+
+
+def test_wide_seeds_record_as_their_64_bit_residues(pennies_problem):
+    # sample_noise takes any int seed modulo 2**64, and the recorded entry
+    # points read the path's seed into a uint64 array
+    spec = pennies_problem.spec
+    times = np.linspace(0.0, spec.horizon, 17)
+    alpha = hitswitch_strategy(spec.controls_u, 0.0, spec.horizon, level=0.3)
+    beta = hitswitch_strategy(spec.controls_v, 0.0, spec.horizon, level=0.3)
+    sign = SignControl(pos_index=1, neg_index=0)
+    x0 = np.array([0.0])
+
+    def record(seeds):
+        noises = [sample_noise(times, seed, spec.noise_dim) for seed in seeds]
+        return [simulate_strong(spec, alpha, sign, noises, x0),
+                simulate_feedback_pair(spec, alpha, beta, noises, x0),
+                embed_feedback_as_openloop(spec, alpha, beta, noises, x0)[0]]
+
+    wide, narrow = record([-1, 2 ** 64 + 5]), record([2 ** 64 - 1, 5])
+    for got, want in zip(wide, narrow):
+        for name in ("states", "u_indices", "v_indices", "payoffs", "seeds"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.seeds.tolist() == [2 ** 64 - 1, 5]
+        assert got.clamp_count == want.clamp_count
 
 
 def test_recorded_index_paths_match_the_oracle(pennies_problem):
@@ -691,15 +716,13 @@ def _coupled_game() -> ProblemSpec:
 
 
 def _spy_mixed_steps(monkeypatch) -> list:
-    """Record each mixed step's form: (live pairs, two adjacent codes)."""
+    """Record each mixed step's (code span hi - lo + 1, live codes), read from ``code``."""
     steps, step = [], game_engine._step_batch
 
     def spy_step(spec, t, dt, X, code, lo, hi, dWi, rows):
-        B, S, sel = step(spec, t, dt, X, code, lo, hi, dWi, rows)
-        if sel is not None:
-            live = np.unique(code)
-            steps.append((live.size, live.size == 2 and live[1] == live[0] + 1))
-        return B, S, sel
+        if hi > lo:
+            steps.append((hi - lo + 1, np.unique(code).size))
+        return step(spec, t, dt, X, code, lo, hi, dWi, rows)
 
     monkeypatch.setattr(game_engine, "_step_batch", spy_step)
     return steps
@@ -714,23 +737,28 @@ def _three_way(control_set, end: float) -> ElementaryStrategy:
                               label="threeway")
 
 
+def _swap(control_set) -> ElementaryStrategy:
+    """u = -1 until |x_0| >= 0.3, then u = +1."""
+    return ElementaryStrategy(control_set=control_set, start_rule=FixedTimeRule(0.0),
+                              rules=(HittingRule(AbsRegion(0.3, coord=0)), FixedTimeRule(1.0)),
+                              actions=(ConstantAction(0), ConstantAction(2)), label="swap")
+
+
 def test_every_mixed_step_form_matches_the_reference_bitwise(monkeypatch):
     spec = _coupled_game()
     engine = EngineConfig(n_steps=24, chunk_size=16)
     x0 = np.array([0.1, -0.2])
-    swap = ElementaryStrategy(control_set=spec.controls_u, start_rule=FixedTimeRule(0.0),
-                              rules=(HittingRule(AbsRegion(0.3, coord=0)), FixedTimeRule(1.0)),
-                              actions=(ConstantAction(0), ConstantAction(2)), label="swap")
+    swap = _swap(spec.controls_u)
     middle = constant_strategy(spec.controls_u, 1, 0.0, 1.0)
     sign = Adversary("sgn", SignControl(pos_index=1, neg_index=0))
     cases = {
-        # codes spread over three or more pairs: bincount
-        "bincount, three pairs": (_three_way(spec.controls_u, 1.0), sign,
-                                  lambda live, adjacent: live >= 3),
-        # u = -1 and u = +1 against one v: codes 1 and 5, bincount
-        "bincount, a gap": (swap, const_adv(1, "c1"), lambda live, adjacent: not adjacent),
+        # codes spread over three or more pairs
+        "three pairs": (_three_way(spec.controls_u, 1.0), sign,
+                        lambda span, live: live >= 3),
+        # u = -1 and u = +1 against one v: codes 1 and 5, three dead codes between
+        "a gap": (swap, const_adv(1, "c1"), lambda span, live: (span, live) == (5, 2)),
         # u = 0 against either v: codes 2 and 3
-        "adjacent": (middle, sign, lambda live, adjacent: adjacent),
+        "adjacent": (middle, sign, lambda span, live: (span, live) == (2, 2)),
     }
     steps = _spy_mixed_steps(monkeypatch)
     refs = {}
@@ -742,8 +770,8 @@ def test_every_mixed_step_form_matches_the_reference_bitwise(monkeypatch):
         ref = _reference_payoffs(spec, 0.0, x0, strategy, adv, 40, 17, engine)
         assert np.array_equal(est.payoffs, ref), name
         refs[strategy.label, adv.id] = ref
-    # blocks of two strategies on two noise coordinates: the first pair steps
-    # slice by slice, and the constant pair as one block of 80 rows
+    # blocks of two strategies on two noise coordinates: each block of 80
+    # rows steps once over the range of its slices' codes
     again = constant_strategy(spec.controls_u, 1, 0.0, 1.0, label="again")
     strategies = [strategy for strategy, _, _ in cases.values()] + [again]
     table = value_experiment(spec, 0.0, x0, strategies,
@@ -753,6 +781,29 @@ def test_every_mixed_step_form_matches_the_reference_bitwise(monkeypatch):
     refs["again", "sgn"] = refs[middle.label, "sgn"]
     for (label, aid), ref in refs.items():
         assert np.array_equal(table.per_strategy[label].members[aid].payoffs, ref), label
+
+
+def test_a_dead_pair_is_evaluated_but_never_read():
+    # swap plays u = -1 or u = +1 against v = +0.5: codes 1 and 5, so each
+    # mixed step also evaluates codes 2 to 4, which no row plays.  u = 0
+    # drifts to NaN after the start time, where the start probe does not
+    # look; np.where builds the NaN without a floating-point warning
+    finite = _coupled_game()
+    dead_calls = []
+
+    def drift(t, x, u, v):
+        dead = t > 0.0 and u[0] == 0.0
+        dead_calls.append(dead)
+        return np.where(dead, np.nan, finite.drift(t, x, u, v))
+
+    family = AdversaryFamily((const_adv(1, "c1"),))
+    payoffs = [value_experiment(spec, 0.0, np.array([0.1, -0.2]), [_swap(finite.controls_u)],
+                                family, n_paths=40, master_seed=17,
+                                engine=EngineConfig(n_steps=24, chunk_size=16),
+                                keep_payoffs=True).best.estimate.payoffs
+               for spec in (finite, dataclasses.replace(finite, drift=drift))]
+    assert any(dead_calls)
+    assert payoffs[1].tobytes() == payoffs[0].tobytes()
 
 
 def test_signed_zeros_step_as_euler_step():
@@ -1146,6 +1197,23 @@ def test_a_block_raises_the_earlier_cells_error(pennies_problem, earlier_fails, 
                              engine=EngineConfig(n_steps=16, chunk_size=16), **kw)
     assert str(blocked.value) == str(alone.value)
     assert "'earlier'" in str(alone.value) or "(t=0.40625, u=[1.]" in str(alone.value)
+
+
+def test_a_block_names_the_failing_rows_own_seed(pennies_problem):
+    # the later slice of a two-strategy block blows up; the block's march
+    # names its first row's path seed, read modulo the chunk's paths
+    spec = _overflowing(pennies_problem.spec)
+    strategies = [constant_strategy(spec.controls_u, 0, 0.0, spec.horizon),
+                  _failing_at(spec, "blow-up", 0.25 * spec.horizon, "later")]
+    times = np.linspace(0.0, spec.horizon, 17)
+    seeds = derive_seed_array(3, np.arange(8))
+    dW, extra = sample_noise_batch(times, seeds, spec.noise_dim)
+    v_factory = _adversary_realization(const_adv(0, "c0"), spec, times, dW, extra, seeds)
+    dW_tm = np.ascontiguousarray(dW.transpose(1, 0, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ModelEvaluationError, match=rf"on path seed {int(seeds[0])}$"):
+            game_engine._march_chunk(spec, times, seeds, np.array([0.0]), strategies,
+                                     v_factory, dW_tm)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1668,7 +1736,7 @@ def test_quadratic_drift_blows_up_on_every_entry_point(violator_problem):
 
 def test_a_mixed_step_names_the_pair_whose_drift_failed():
     # from t = 0.5 on, the drift at (u = +1, v = +0.5) is non-finite; the
-    # first row on that pair is named through its slot among the live pairs
+    # first row on that pair is named through its own pair's block
     healthy = _coupled_game()
 
     def drift(t, x, u, v):

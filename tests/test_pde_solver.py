@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from robustctl.errors import (CflViolationError, ConfigError, ModelEvaluationError,
                               NumericalSolveError)
-from robustctl.pde_solver import (cfl_max_dt, compare_to_reference, make_grid,
-                                  solve_isaacs)
+from robustctl.pde_solver import (SpaceTimeGrid, ValueField, cfl_max_dt,
+                                  compare_to_reference, make_grid, solve_isaacs)
 from robustctl.sde_core import ControlSet, ProblemSpec, eval_payoff
 
 
@@ -275,6 +276,50 @@ def test_value_at_time_interpolation(heat_field):
     # beyond the horizon clamps onto the terminal layer
     assert float(heat_field.value_at(float(times[-1]) + 1.0, x)[0]) == \
         float(heat_field.value_at(float(times[-1]), x)[0])
+
+
+def _multilinear(times: np.ndarray, axes: tuple, values: np.ndarray, t: float,
+                 x: np.ndarray) -> float:
+    """v(t, x) by the textbook formula: clamp each coordinate into its uniform
+    axis, weight the 2**(d + 1) corners of its cell; a singleton axis reads its
+    one node."""
+
+    def cell(grid, p):
+        if grid.size == 1:
+            return [(0, 1.0)]
+        p = min(max(p, grid[0]), grid[-1])
+        i = min(int((p - grid[0]) // (grid[1] - grid[0])), grid.size - 2)
+        f = (p - grid[i]) / (grid[i + 1] - grid[i])
+        return [(i, 1.0 - f), (i + 1, f)]
+
+    total = 0.0
+    for corner in itertools.product(cell(times, t), *map(cell, axes, x)):
+        weight = np.prod([w for _, w in corner])
+        total += weight * values[tuple(i for i, _ in corner)]
+    return total
+
+
+@pytest.mark.parametrize("axes", [
+    (np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 3)),
+    (np.array([0.3]), np.linspace(-1.0, 1.0, 4)),
+    (np.linspace(-1.0, 1.0, 5), np.array([-0.7]))], ids=["box", "x-singleton", "y-singleton"])
+def test_value_at_in_two_dimensions_is_multilinear(axes):
+    rng = np.random.default_rng(4)
+    times = np.linspace(0.0, 0.5, 4)
+    values = rng.uniform(-1.0, 1.0, (times.size,) + tuple(a.size for a in axes))
+    lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
+    grid = SpaceTimeGrid(lo=lo, hi=hi, spacing=np.array([a[-1] - a[0] for a in axes]),
+                         axes=axes, times=times)
+    field = ValueField(which="lower", grid=grid, values=values, feedback_u=None,
+                       feedback_v=None, response_v=None, max_update=None)
+    # inside the box and up to one unit outside it, in time and space; a
+    # singleton axis is read at any coordinate
+    t = rng.uniform(-0.2, 0.7, 200)
+    x = rng.uniform(lo - 1.0, hi + 1.0, (200, 2))
+    inside = np.all((x >= lo) & (x <= hi) | (lo == hi), axis=1) & (t >= 0.0) & (t <= 0.5)
+    assert inside.any() and not inside.all()
+    want = [_multilinear(times, axes, values, tp, xp) for tp, xp in zip(t, x)]
+    assert np.allclose(field.value_at(t, x), want, rtol=0.0, atol=1e-13)
 
 
 # --------------------------------------------------------------- comparison ---- #
