@@ -290,7 +290,8 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
     v indices reads the block's states X as (S, c, dim) and the controller's
     indices u as (S, c).  Open-loop controls are realized here, once per
     chunk, from ``dW``, a (c, N, noise_dim) view of the time-major noise;
-    the paths are kept time-major int32, and each step's (c,) row serves
+    the paths are kept time-major int32 (the built-in controls return them
+    so, and they are kept without a copy), and each step's (c,) row serves
     every slice by broadcasting.  A feedback table or a reply table is read
     at each step's (t, x) for the whole block at once.  A strategy is
     stateful: ``trackers`` holds a fresh one per slice, else it is empty.
@@ -645,7 +646,8 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     values[0, ci, p] is cell ci's terminal payoff on path p; with ``rules``,
     a list of (label, rule) pairs, values[k, ci, p] is ``field`` at path p's
     (rho_k, X_rho_k), the restart state captured during the march.  Chunks
-    write into shared arrays, so worker processes need not return anything.
+    write into shared arrays, so worker processes need not return anything,
+    and ``values`` is that shared array itself, returned without a copy.
     """
     extra_dim = max(adv.extra_dim for _, adv in cells)
     n_paths = seeds.size
@@ -662,8 +664,7 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
         c = stop - start
         per_block = max(1, engine.chunk_size // c)
         dW, extra = sample_noise_batch(times, chunk_seeds, spec.noise_dim, extra_dim)
-        dW_tm = np.ascontiguousarray(dW.transpose(1, 0, 2))
-        dW = dW_tm.transpose(1, 0, 2)  # frees the sampled (c, N, noise_dim) block
+        dW_tm = dW.transpose(1, 0, 2)  # the panel's own time-major storage
 
         def march(strategies, v_factory):
             paths, captures = _march_chunk(spec, times, chunk_seeds, x0, strategies,
@@ -690,7 +691,7 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
             del v_factory, results  # before the next member is realized
 
     _map_chunks(n_paths, engine, worker)
-    return values.copy(), clamp_store.sum(axis=0)
+    return values, clamp_store.sum(axis=0)
 
 
 def _mean_se(row: np.ndarray) -> tuple[float, float]:

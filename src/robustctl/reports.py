@@ -9,7 +9,6 @@ matter how work was chunked or threaded.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 
@@ -59,20 +58,20 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(c) for c in row])
+def _write_csv(path: str, header: list, rows) -> None:
+    """Stream one table to ``path``: the header, then each row as it is read
+    from ``rows`` (any iterable of rows), formatted cell by cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_cell(c) for c in row] for row in rows)
 
 
 def emit_report(summary: dict, tables: dict, out_dir: str) -> list:
     """Write summary.json and one CSV per table; returns the paths written.
 
-    ``tables`` maps a base name to (header, rows).  Table names become
+    ``tables`` maps a base name to (header, rows), ``rows`` any iterable of
+    rows; each is formatted as it is written.  Table names become
     ``<name>.csv`` inside ``out_dir``; the directory is created if missing.
     """
     os.makedirs(out_dir, exist_ok=True)

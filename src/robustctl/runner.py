@@ -437,23 +437,30 @@ def _estimate_table(report, filt: dict | None):
 
 
 def _field_table(fields: dict):
-    header = None
-    rows = []
-    for eq in sorted(fields):
-        field = fields[eq]
-        grid = field.grid
-        if header is None:
-            header = (["equation", "t"]
-                      + [f"x{a}" for a in range(grid.dim)] + ["value"])
-        stride = max(1, (len(grid.times) - 1) // 32)
-        layer_ids = sorted(set(range(0, len(grid.times), stride)) | {len(grid.times) - 1})
-        nodes = grid.nodes().reshape(-1, grid.dim)
-        for li in layer_ids:
-            vals = field.values[li].reshape(-1)
-            t = float(grid.times[li])
-            for node, val in zip(nodes, vals):
-                rows.append([eq, t] + [float(c) for c in node] + [float(val)])
-    return header or ["equation", "t", "value"], rows
+    dim = fields[min(fields)].grid.dim if fields else 0
+    return ["equation", "t"] + [f"x{a}" for a in range(dim)] + ["value"], _FieldRows(fields)
+
+
+class _FieldRows:
+    """The fields table's rows, made anew each time they are read.  Only each
+    equation's reported layers are kept (every stride-th one and the last),
+    so until the table is written it holds small arrays, not a list per row."""
+
+    def __init__(self, fields: dict):
+        self.parts = []
+        for eq, field in sorted(fields.items()):
+            grid = field.grid
+            stride = max(1, (len(grid.times) - 1) // 32)
+            layer_ids = sorted(set(range(0, len(grid.times), stride)) | {len(grid.times) - 1})
+            self.parts.append((eq, grid.times[layer_ids], grid.nodes().reshape(-1, grid.dim),
+                               field.values[layer_ids].reshape(len(layer_ids), -1)))
+
+    def __iter__(self):
+        for eq, times, nodes, layers in self.parts:
+            nodes = nodes.tolist()
+            for t, vals in zip(times.tolist(), layers):
+                for node, val in zip(nodes, vals.tolist()):
+                    yield [eq, t] + node + [val]
 
 
 def _hamiltonian_stage(problem, cfg: dict, master_seed: int, tol: dict):

@@ -299,7 +299,8 @@ class NoisePath:
 
     ``dW[i]`` is the state-driving increment over (times[i], times[i+1]);
     ``extra[i]`` the auxiliary one (shape (N, extra_dim), possibly with
-    extra_dim = 0).  Both scale like sqrt(dt) per interval.
+    extra_dim = 0).  Both scale like sqrt(dt) per interval.  ``seed`` is
+    kept modulo 2**64, the range of a path seed, however the path was built.
     """
 
     times: np.ndarray
@@ -307,9 +308,15 @@ class NoisePath:
     extra: np.ndarray
     seed: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
+
     @property
     def n_steps(self) -> int:
         return self.dW.shape[0]
+
+
+_NOISE_BLOCK = 64  # paths drawn into one block buffer before they are stored
 
 
 def sample_noise_batch(times: np.ndarray, seeds: np.ndarray, noise_dim: int,
@@ -321,25 +328,34 @@ def sample_noise_batch(times: np.ndarray, seeds: np.ndarray, noise_dim: int,
     draw times sqrt(dt).  One bit generator is recycled through the rows by
     setting a fresh state with the row's key and stream word, which draws
     the same numbers as constructing it anew at a fraction of the cost.
+
+    Both panels are stored time-major, (N, c, dim), and returned as (c, N,
+    dim) views, so ``dW.transpose(1, 0, 2)`` is the contiguous panel.  Paths
+    are drawn and scaled in blocks of up to 64, then stored into it.
     """
     n = times.size - 1
-    dW = np.empty((seeds.size, n, noise_dim))
-    extra = np.empty((seeds.size, n, extra_dim))
+    scale = np.sqrt(np.diff(times))[None, :, None]
     bg = np.random.Philox(key=np.uint64(0))
     gen = np.random.Generator(bg)
     fresh = bg.state  # zero counter, empty buffer; only key[0] and counter[3] change
-    for p in range(seeds.size):
-        for stream, out in ((STREAM_BROWNIAN, dW), (STREAM_EXTRA, extra)):
-            if out.shape[2]:
-                fresh["state"]["key"][0] = seeds[p]
+    panels = []
+    for stream, width in ((STREAM_BROWNIAN, noise_dim), (STREAM_EXTRA, extra_dim)):
+        panel = np.empty((n, seeds.size, width))
+        panels.append(panel.transpose(1, 0, 2))
+        if not width:
+            continue
+        block = np.empty((min(_NOISE_BLOCK, seeds.size), n, width))
+        for start in range(0, seeds.size, _NOISE_BLOCK):
+            rows = block[:min(_NOISE_BLOCK, seeds.size - start)]
+            for r, seed in enumerate(seeds[start:start + rows.shape[0]]):
+                fresh["state"]["key"][0] = seed
                 fresh["state"]["counter"][3] = stream
                 bg.state = fresh
-                gen.standard_normal(out=out[p])
-    # elementwise on the full block, so bitwise equal to scaling row by row
-    scale = np.sqrt(np.diff(times))[:, None]
-    dW *= scale
-    extra *= scale
-    return dW, extra
+                gen.standard_normal(out=rows[r])
+            # elementwise, so bitwise equal to scaling the whole panel
+            rows *= scale
+            panel[:, start:start + rows.shape[0]] = rows.transpose(1, 0, 2)
+    return panels[0], panels[1]
 
 
 def sample_noise(time_grid: np.ndarray, seed: int, noise_dim: int,

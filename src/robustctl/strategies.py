@@ -553,9 +553,11 @@ class OpenLoopControl:
 
     Controls have a batch form only: ``realize_batch(times, dW, extra, seeds)``
     maps a chunk's noise, (c, N, noise_dim) and (c, N, extra_dim), to (c, N)
-    index paths.  Row p is the realization for path seed ``seeds[p]``; its
-    step i may read increments with index < i only.  The engine and the
-    screen call it through :func:`realize_checked`.
+    index paths of any integer dtype.  Row p is the realization for path
+    seed ``seeds[p]``; its step i may read increments with index < i only.
+    The engine and the screen call it through :func:`realize_checked`.  The
+    engine marches time-major int32 paths, so the built-in controls return
+    int32 (c, N) views of time-major (N, c) arrays, which it keeps uncopied.
     """
 
     extra_dim = 0
@@ -567,13 +569,23 @@ class OpenLoopControl:
             f"open-loop control {type(self).__name__} has no batch form")
 
 
+def _played_index(index: int, owner: str) -> int:
+    """An index a built-in control plays, checked to fit its int32 index paths."""
+    if not 0 <= int(index) < 2 ** 31:
+        raise ConfigError(f"{owner} plays index {index}, outside [0, 2**31)")
+    return int(index)
+
+
 @dataclass(frozen=True)
 class ConstantControl(OpenLoopControl):
     index: int
     label: str = "const"
 
+    def __post_init__(self):
+        object.__setattr__(self, "index", _played_index(self.index, f"control {self.label!r}"))
+
     def realize_batch(self, times, dW, extra, seeds):
-        return np.broadcast_to(np.int64(self.index), dW.shape[:2])
+        return np.broadcast_to(np.int32(self.index), dW.shape[:2])
 
 
 class SignControl(OpenLoopControl):
@@ -583,8 +595,9 @@ class SignControl(OpenLoopControl):
     always pos_index.  ``source`` picks the stream: "brownian" reads dW,
     "extra" reads coordinate ``coord`` of the auxiliary stream.
 
-    The sums are built one step at a time, each a contiguous row of all the
-    paths, from a first sum of 0.0: the same additions in the same order as
+    One running-sum row of all the paths is kept, from a first sum of 0.0,
+    and step i's signs are written as row i of a time-major int32 array
+    before increment i is added: the same additions in the same order as
     ``np.cumsum`` along each path, so the same floats up to the sign of an
     exactly-zero sum, which ``>= 0.0`` reads alike.
     """
@@ -593,34 +606,37 @@ class SignControl(OpenLoopControl):
                  coord: int = 0, label: str = ""):
         if source not in ("brownian", "extra"):
             raise ConfigError(f"SignControl source must be 'brownian' or 'extra', got {source!r}")
-        self.pos_index = int(pos_index)
-        self.neg_index = int(neg_index)
+        self.label = label or f"sign_{source}"
+        self.pos_index = _played_index(pos_index, f"control {self.label!r}")
+        self.neg_index = _played_index(neg_index, f"control {self.label!r}")
         self.source = source
         self.coord = int(coord)
-        self.label = label or f"sign_{source}"
         if source == "extra":
             self.extra_dim = coord + 1
 
     def realize_batch(self, times, dW, extra, seeds):
         src = dW if self.source == "brownian" else extra
         steps = src[:, :, self.coord].T  # (N, c): row i is every path's increment i
-        level = np.empty(steps.shape)
-        level[0] = 0.0
-        for i in range(1, level.shape[0]):
-            np.add(level[i - 1], steps[i - 1], out=level[i])
+        paths = np.empty(steps.shape, dtype=np.int32)
+        level = np.zeros(steps.shape[1])
+        for i in range(steps.shape[0]):
+            np.greater_equal(level, 0.0, out=paths[i])
+            level += steps[i]
         # arithmetic, not np.where: the signs in a time-major row change from
         # path to path, and a branching select mispredicts on them
-        paths = (level >= 0.0).astype(np.int64)
         paths *= self.pos_index - self.neg_index
         paths += self.neg_index
         return paths.T
 
 
 class ReplayControl(OpenLoopControl):
-    """Replays recorded index paths verbatim: one (N,) path on every row, or (c, N), one per row."""
+    """Replays recorded index paths verbatim: one (N,) path on every row, or (c, N), one per row.
+
+    The paths are kept in their own dtype, so a float path is refused by
+    :func:`realize_checked` rather than truncated."""
 
     def __init__(self, indices, label: str = "replay"):
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indices = np.asarray(indices)
         self.label = label
 
     def realize_batch(self, times, dW, extra, seeds):
@@ -654,11 +670,11 @@ class PiecewiseRandomControl(OpenLoopControl):
         n_paths, n = dW.shape[0], dW.shape[1]
         starts = np.round(np.linspace(0, n, self.n_segments + 1)).astype(np.int64)[:-1]
         salted = derive_seed_array(seeds, 7 + self.salt)
-        values = np.empty((n_paths, self.n_segments), dtype=np.int64)
+        values = np.empty((self.n_segments, n_paths), dtype=np.int32)
         for j in range(self.n_segments):
-            values[:, j] = (derive_seed_array(salted, j) % np.uint64(self.n_choices)).astype(np.int64)
+            values[j] = derive_seed_array(salted, j) % np.uint64(self.n_choices)
         seg_of_step = np.searchsorted(starts, np.arange(n), side="right") - 1
-        return values[:, seg_of_step]
+        return values[seg_of_step].T  # gathered time-major, (N, c)
 
 
 def realize_checked(control: OpenLoopControl, times: np.ndarray, dW: np.ndarray,
@@ -666,15 +682,20 @@ def realize_checked(control: OpenLoopControl, times: np.ndarray, dW: np.ndarray,
                     n_choices: int | None = None) -> np.ndarray:
     """The control's (c, N) index paths for one chunk's noise, validated: the
     auxiliary stream is as wide as the control reads, and the result has shape
-    (c, N) with every index in [0, n_choices) when ``n_choices`` is given."""
+    (c, N), an integer dtype (kept as it is, without a copy) and every index
+    in [0, n_choices) when ``n_choices`` is given.  A float or bool result is
+    refused by name rather than truncated."""
     if control.extra_dim > extra.shape[-1]:
         raise ConfigError(
             f"control {control.label!r} needs extra_dim >= {control.extra_dim}, "
             f"noise provides {extra.shape[-1]}")
-    idx = np.asarray(control.realize_batch(times, dW, extra, seeds), dtype=np.int64)
+    idx = np.asarray(control.realize_batch(times, dW, extra, seeds))
     if idx.shape != dW.shape[:2]:
         raise ModelEvaluationError(
             f"control {control.label!r} realized shape {idx.shape}, expected {dW.shape[:2]}")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ModelEvaluationError(
+            f"control {control.label!r} realized dtype {idx.dtype}, expected integer indices")
     if n_choices is not None and idx.size and (idx.min() < 0 or idx.max() >= n_choices):
         raise ModelEvaluationError(
             f"control {control.label!r} produced indices outside [0, {n_choices})")

@@ -200,6 +200,29 @@ def test_summary_reruns_byte_identically(tmp_path):
     assert summary_to_json(second.summary) == summary_path.read_bytes().decode()
 
 
+def test_the_fields_table_is_made_as_it_is_written(tmp_path):
+    # the rows are made from the kept layers each time the table is read, so
+    # one result writes the same fields.csv twice, row for row the layers a
+    # list built from the solved fields holds
+    result = run_experiment(CHEAP_PENNIES, command="solve-pde", seed=5)
+    header, rows = result.tables["fields"]
+    assert header == ["equation", "t", "x0", "value"] and not isinstance(rows, list)
+    texts = [(Path(write_result(result, str(tmp_path / d))[0]).parent / "fields.csv").read_text()
+             for d in ("a", "b")]
+    assert texts[0] == texts[1]
+    g = result.summary["config"]["grid"]
+    spec = build_problem("pennies").spec
+    grid = make_grid(spec, g["lo"], g["hi"], g["h"], dt=g["dt"], cfl_safety=g["cfl_safety"])
+    stride = max(1, (len(grid.times) - 1) // 32)
+    layers = sorted(set(range(0, len(grid.times), stride)) | {len(grid.times) - 1})
+    fields = {eq: solve_isaacs(spec, grid, eq) for eq in ("lower", "upper")}
+    want = [[eq, float(grid.times[li]), float(x), float(val)]
+            for eq, field in fields.items() for li in layers
+            for x, val in zip(grid.axes[0], field.values[li])]
+    assert list(rows) == want
+    assert texts[0].count("\n") == len(want) + 1
+
+
 def test_oversized_grid_dt_is_a_config_error():
     cfg = {"problem": {"id": "heat"}, "grid": {"h": 0.5, "dt": 0.2},
            "equations": ["lower"]}

@@ -42,8 +42,9 @@ from robustctl.strategies import (_NOT_YET, UNDEFINED, AbsRegion, CappedRule,
                                   GridIndexRule, HittingRule, OpenLoopControl, PiecewiseRandomControl,
                                   ReplayControl, SignControl, StoppingRule,
                                   _track, check_nonanticipative, fire_batch,
-                                  make_grid_strategy)
+                                  make_grid_strategy, realize_checked)
 from sde_oracle import euler_step
+from working_set import peak_bytes
 
 
 def constant_strategy(control_set, index: int, start: float, end: float,
@@ -281,6 +282,26 @@ def test_wide_seeds_record_as_their_64_bit_residues(pennies_problem):
         assert got.clamp_count == want.clamp_count
 
 
+def test_hand_built_noise_paths_keep_their_64_bit_seeds(pennies_problem):
+    # a NoisePath built by hand takes its seed modulo 2**64 too, so every
+    # recorded entry point reads seed -1 as 2**64 - 1 instead of overflowing
+    spec = pennies_problem.spec
+    times = np.linspace(0.0, spec.horizon, 17)
+    alpha = hitswitch_strategy(spec.controls_u, 0.0, spec.horizon, level=0.3)
+    beta = hitswitch_strategy(spec.controls_v, 0.0, spec.horizon, level=0.3)
+    sign = SignControl(pos_index=1, neg_index=0)
+    x0 = np.array([0.0])
+    drawn = sample_noise(times, 2 ** 64 - 1, spec.noise_dim)
+    by_hand = NoisePath(times=times, dW=drawn.dW, extra=drawn.extra, seed=-1)
+    assert by_hand.seed == 2 ** 64 - 1
+    for record in (lambda noise: simulate_strong(spec, alpha, sign, noise, x0),
+                   lambda noise: simulate_feedback_pair(spec, alpha, beta, noise, x0),
+                   lambda noise: embed_feedback_as_openloop(spec, alpha, beta, noise, x0)[0]):
+        got, want = record(by_hand), record(drawn)
+        assert got.seeds.tolist() == [2 ** 64 - 1]
+        assert got.states.tobytes() == want.states.tobytes()
+
+
 def test_recorded_index_paths_match_the_oracle(pennies_problem):
     # the u/v paths of a trajectory are what each strategy plays on the
     # recorded states, and replaying v open loop reproduces those states
@@ -326,6 +347,44 @@ def test_deterministic_dynamics_have_zero_standard_error(drift_problem):
     assert est.std_error == 0.0
     assert est.mean == float(eval_payoff(spec, np.array([0.25])))
     assert np.all(est.payoffs == est.mean)
+
+
+def _exact_tanh_mean(mean: float, sd: float) -> float:
+    """E tanh(mean + sd Z) for a standard normal Z, by 120-node Gauss-Hermite quadrature."""
+    nodes, weights = np.polynomial.hermite.hermgauss(120)
+    return float(weights @ np.tanh(mean + sd * np.sqrt(2.0) * nodes) / np.sqrt(np.pi))
+
+
+@pytest.mark.parametrize("n_steps", [50, 2])
+def test_constant_cells_match_the_exact_terminal_law(pennies_problem, drift_problem, n_steps):
+    # with constant coefficients the Euler march is exact, X_T = x0 + cT +
+    # sigma W_T, so every constant strategy against every constant control
+    # has mean E tanh(x0 + cT + sigma W_T), with no field or step error; at
+    # two steps a misread noise increment is half the path
+    exact = {}
+    for problem in (pennies_problem, drift_problem):
+        spec = problem.spec
+        U, V, T = spec.controls_u, spec.controls_v, spec.horizon
+        x0 = np.zeros(spec.dim)
+        strategies = [constant_strategy(U, i, 0.0, T) for i in range(U.size)]
+        family = AdversaryFamily(tuple(const_adv(j, f"v{j}") for j in range(V.size)))
+        report = value_experiment(spec, 0.0, x0, strategies, family, 4000, 7,
+                                  EngineConfig(n_steps=n_steps))
+        for i, strategy in enumerate(strategies):
+            for j in range(V.size):
+                u, v = U.point(i), V.point(j)
+                c = float(spec.drift(0.0, x0[None], u, v)[0, 0])
+                sigma = float(spec.diffusion(0.0, x0[None], u, v)[0, 0, 0])
+                want = _exact_tanh_mean(x0[0] + c * T, sigma * np.sqrt(T))
+                est = report.per_strategy[strategy.label].members[f"v{j}"]
+                assert abs(est.mean - want) <= 3.0 * est.std_error, (spec.label, i, j)
+                exact[spec.label, i, j] = want
+    assert len(exact) == 13
+    # the games' values: pennies' lower (c = -1) and upper (c = +1) fields
+    # and drift_control's saddle (c = 1/2), at (0, 0)
+    for key, value in ((("pennies", 1, 0), -0.350113), (("pennies", 0, 0), 0.350113),
+                       (("drift_control", 2, 0), 0.179905)):
+        assert abs(exact[key] - value) < 5e-7, key
 
 
 def test_same_arguments_reproduce_bitwise(pennies_problem):
@@ -1065,6 +1124,39 @@ def test_a_chunk_marches_member_by_member(pennies_problem, pennies_fields, monke
             bits = [repr((est.mean, est.std_error, est.clamp_count)) for est in (got, alone)]
             assert bits[0] == bits[1], (strat.label, adv.id)
     assert report.per_strategy["clamped"].members["c0"].clamp_count == 96
+
+
+def test_built_in_realizations_are_built_once_as_time_major_int32(pennies_problem):
+    # at c = 2000 paths and N = 250 steps the march's (N, c) int32 paths are
+    # the realization's whole working set: no float panel of running sums,
+    # no int64 copy, no transposing copy
+    spec = pennies_problem.spec
+    times = np.linspace(0.0, spec.horizon, 251)
+    seeds = derive_seed_array(3, np.arange(2000))
+    dW, extra = sample_noise_batch(times, seeds, spec.noise_dim, 1)
+    output = 250 * 2000 * np.dtype(np.int32).itemsize
+    for plays in (SignControl(1, 0), SignControl(1, 0, source="extra"),
+                  PiecewiseRandomControl(2, 8)):
+        adversary = Adversary(plays.label, plays)
+        factory, peak = peak_bytes(_adversary_realization, adversary, spec, times, dW,
+                                   extra, seeds)
+        assert peak <= 1.25 * output, (plays.label, peak / output)
+        step, _ = factory(1)
+        want = realize_checked(plays, times, dW, extra, seeds, spec.controls_v.size)
+        assert all(np.array_equal(step(i, None, None), want[:, i]) for i in (0, 124, 249))
+
+
+def test_run_cells_returns_its_shared_table_itself(pennies_problem, monkeypatch):
+    # the table the chunks wrote is handed back as it is, not copied
+    spec = pennies_problem.spec
+    shared_zeros, made = game_engine._shared_zeros, []
+    monkeypatch.setattr(game_engine, "_shared_zeros",
+                        lambda shape, dtype: made.append(shared_zeros(shape, dtype)) or made[-1])
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    values, _ = _run_cells(spec, np.linspace(0.0, spec.horizon, 9), np.array([0.0]),
+                           [(alpha, const_adv(0, "c0"))], derive_seed_array(0, np.arange(8)),
+                           EngineConfig(n_steps=8))
+    assert values is made[0]
 
 
 class OutOfRangeControl(OpenLoopControl):

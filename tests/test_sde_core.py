@@ -11,13 +11,14 @@ from hypothesis import strategies as hs
 
 import sde_oracle as oracle
 from robustctl.errors import ConfigError, ModelEvaluationError
-from robustctl.sde_core import (STREAM_BROWNIAN, STREAM_EXTRA, ControlSet,
+from robustctl.sde_core import (_NOISE_BLOCK, STREAM_BROWNIAN, STREAM_EXTRA, ControlSet,
                                 ProblemSpec, derive_seed, derive_seed_array,
                                 eval_diffusion, eval_drift, eval_pairs,
                                 eval_payoff, sample_noise, sample_noise_batch,
                                 stream_generator, validate_assumptions)
 from robustctl.problems import available_problems, build_problem
 from sde_oracle import euler_step
+from working_set import peak_bytes
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -131,6 +132,19 @@ def test_noise_panel_rows_are_fresh_stream_draws():
         dW, extra = sample_noise_batch(times, row, 2, 3)
         assert np.array_equal(one.dW, dW[0]) and np.array_equal(one.extra, extra[0])
         assert one.seed == int(row[0])
+
+
+def test_noise_panels_are_stored_time_major_in_one_pass():
+    # each panel is drawn block by block into its time-major storage: the
+    # working set is the two outputs and one block buffer, and the (c, N, dim)
+    # results are views whose transposes are the contiguous panels
+    times = np.linspace(0.0, 0.5, 251)
+    seeds = derive_seed_array(5, np.arange(2000))
+    (dW, extra), peak = peak_bytes(sample_noise_batch, times, seeds, 1, 1)
+    block = _NOISE_BLOCK * 250 * 8
+    assert peak <= 1.1 * (dW.nbytes + extra.nbytes + block), peak
+    for panel in (dW, extra):
+        assert panel.shape == (2000, 250, 1) and panel.transpose(1, 0, 2).flags.c_contiguous
 
 
 def test_sample_noise_rejects_bad_grid():

@@ -481,7 +481,8 @@ def test_sign_control_batch_matches_scalar():
 def test_built_in_batch_forms_keep_their_first_bits():
     # the running sum is exactly 0.0 (or -0.0) on many steps of these dyadic
     # increments, where the sign convention decides; the realizations read
-    # the engine's time-major noise through a transposed view
+    # the engine's time-major noise through a transposed view.  The first
+    # forms returned int64; the values are pinned, the dtype is now int32
     rng = np.random.default_rng(4)
     shape = (24, 32, 2)
     dyadic = rng.integers(-2, 3, size=shape) * 0.25
@@ -497,11 +498,11 @@ def test_built_in_batch_forms_keep_their_first_bits():
                 want = oracle.sign_batch(ctrl, dW, extra)
                 for noise in (dW, dW_view):
                     got = ctrl.realize_batch(TIMES, noise, extra, seeds)
-                    assert got.dtype == want.dtype and np.array_equal(got, want), source
+                    assert got.dtype == np.int32 and np.array_equal(got, want), source
         ctrl = ConstantControl(1)
         got = ctrl.realize_batch(TIMES, dW_view, extra, seeds)
         want = oracle.constant_batch(ctrl, dW)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
         assert not got.flags.writeable
 
 
@@ -535,6 +536,8 @@ def test_replay_control():
                           [idx] * 3)
     with pytest.raises(ConfigError, match="2 steps, noise has 32"):
         realize(ReplayControl((0, 1)), noise)
+    with pytest.raises(ModelEvaluationError, match="realized dtype float64"):
+        realize(ReplayControl(np.full(32, 1.9)), noise)
 
 
 def test_replay_control_plays_one_recorded_path_per_row():
@@ -573,14 +576,17 @@ def test_piecewise_random_batch_matches_scalar():
         assert np.array_equal(batch[p], oracle.realize(ctrl, noise))
 
 
+class Fixed(OpenLoopControl):
+    """A control that realizes one given array, whatever the noise."""
+
+    def __init__(self, out):
+        self.out = out
+
+    def realize_batch(self, times, dW, extra, seeds):
+        return self.out
+
+
 def test_realize_checked_validates_the_batch_form():
-    class Fixed(OpenLoopControl):
-        def __init__(self, out):
-            self.out = out
-
-        def realize_batch(self, times, dW, extra, seeds):
-            return self.out
-
     noise = sample_noise(TIMES, 17, 1)
     with pytest.raises(ModelEvaluationError, match="outside"):
         realize(Fixed(np.full((1, 32), 99)), noise)
@@ -588,6 +594,31 @@ def test_realize_checked_validates_the_batch_form():
         realize(Fixed(np.zeros(32)), noise)
     with pytest.raises(StrategyStructureError, match="OpenLoopControl has no batch form"):
         realize(OpenLoopControl(), noise)
+
+
+def test_built_in_controls_refuse_indices_their_int32_paths_cannot_hold():
+    for make in (lambda: ConstantControl(2 ** 31), lambda: ConstantControl(-1),
+                 lambda: SignControl(pos_index=2 ** 31, neg_index=0)):
+        with pytest.raises(ConfigError, match=r"plays index -?\d+, outside \[0, 2\*\*31\)"):
+            make()
+
+
+def test_realize_checked_refuses_indices_that_are_not_integers():
+    # a float index would be truncated (1.9 would play index 1) and a bool
+    # read as 0 or 1: both are refused by name, after the shape check
+    noise = sample_noise(TIMES, 18, 1)
+    seeds = np.array([noise.seed], dtype=np.uint64)
+    for bad in (np.full((1, 32), 1.9), np.ones((1, 32), dtype=bool)):
+        with pytest.raises(ModelEvaluationError,
+                           match=rf"realized dtype {bad.dtype}, expected integer indices"):
+            realize(Fixed(bad), noise)
+    with pytest.raises(ModelEvaluationError, match=r"shape \(32,\), expected \(1, 32\)"):
+        realize(Fixed(np.full(32, 1.9)), noise)
+    # any integer dtype is kept as it is, without a copy
+    for dtype in (np.int16, np.int32, np.int64):
+        out = np.ones((1, 32), dtype=dtype)
+        got = realize_checked(Fixed(out), TIMES, noise.dW[None], noise.extra[None], seeds, 2)
+        assert got.dtype == dtype and np.shares_memory(got, out)
 
 
 # --------------------------------------------------- anticipation checking ---- #
