@@ -291,15 +291,18 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
     indices u as (S, c).  Open-loop controls are realized here, once per
     chunk, from ``dW``, a (c, N, noise_dim) view of the time-major noise;
     the paths are kept time-major int32 (the built-in controls return them
-    so, and they are kept without a copy), and each step's (c,) row serves
-    every slice by broadcasting.  A feedback table or a reply table is read
-    at each step's (t, x) for the whole block at once.  A strategy is
-    stateful: ``trackers`` holds a fresh one per slice, else it is empty.
+    so, and they are kept without a copy: a row of stride one item, or of
+    stride 0 as in ``ConstantControl``'s broadcast, is read as it is), and
+    each step's (c,) row serves every slice by broadcasting.  A feedback
+    table or a reply table is read at each step's (t, x) for the whole
+    block at once.  A strategy is stateful: ``trackers`` holds a fresh one
+    per slice, else it is empty.
     """
     plays = adversary.plays
     if isinstance(plays, OpenLoopControl):
-        paths = realize_checked(plays, times, dW, extra, seeds, spec.controls_v.size)
-        paths_tm = np.ascontiguousarray(paths.T, dtype=np.int32)
+        paths_tm = realize_checked(plays, times, dW, extra, seeds, spec.controls_v.size).T
+        if paths_tm.dtype != np.int32 or paths_tm.strides[1] not in (0, paths_tm.itemsize):
+            paths_tm = np.ascontiguousarray(paths_tm, dtype=np.int32)
         step = lambda i, X, u: paths_tm[i]
         return lambda n_s: (step, [])
     if isinstance(plays, ValueField):

@@ -20,9 +20,11 @@ Only diagonal diffusion is supported: cross terms of sigma sigma^T break
 the monotone stencil, so they are rejected rather than mishandled.  (The
 pointwise running term in :mod:`robustctl.hamiltonian` takes any sigma.)
 
-The field stores what the Monte Carlo engine reads from the march:
-per-layer controller and adversary feedback indices and the per-u adversary
-best-reply table.
+Both equations can be marched in one loop that evaluates each layer's
+coefficients once for both.  The field stores what the Monte Carlo engine
+reads from the march: per-layer controller and adversary feedback indices
+and the per-u adversary best-reply table, each in its control set's
+``index_dtype`` (uint8 on every built-in game).
 """
 
 from __future__ import annotations
@@ -163,13 +165,6 @@ def make_grid(spec: ProblemSpec, lo, hi, h, dt: float | None = None,
 # ------------------------------------------------------------- the march ---- #
 
 
-def _neighbor(V: np.ndarray, axis: int, direction: int) -> np.ndarray:
-    """Neighbor values along one axis with edge replication (ghost cells)."""
-    n = V.shape[axis]
-    idx = np.clip(np.arange(n) + direction, 0, n - 1)
-    return np.take(V, idx, axis=axis)
-
-
 @dataclass(eq=False)
 class ValueField:
     """A solved Isaacs field with the feedback tables of its own march.
@@ -177,8 +172,9 @@ class ValueField:
     ``values[i]`` approximates v(times[i], .) on the grid nodes.
     ``feedback_u``/``feedback_v`` tabulate the optimizing control indices per
     layer; ``response_v[i, k]`` is the adversary's best reply to u_k at layer
-    i.  ``max_update[i]`` is the largest |values[i] - values[i+1]| of the
-    step that produced layer i.
+    i.  The three index tables are stored in their control set's
+    ``index_dtype``.  ``max_update[i]`` is the largest
+    |values[i] - values[i+1]| of the step that produced layer i.
     """
 
     which: str
@@ -228,20 +224,57 @@ class ValueField:
         return out
 
 
-def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower") -> ValueField:
+def _coefficients(spec: ProblemSpec, t: float, nodes: np.ndarray) -> tuple:
+    """One layer's upwind split of the drift and half the diffusion diagonal,
+    each (n_u, n_v, *shape, dim), shared by every equation of the march."""
+    b, sig = eval_pairs(spec, t, nodes)
+    half_aa = 0.5 * _diffusion_diag(spec, sig)
+    return np.maximum(b, 0.0), np.minimum(b, 0.0), half_aa
+
+
+def _step(which: str, V: np.ndarray, coefficients: tuple, h: np.ndarray,
+          neighbors: list, dt: float) -> tuple:
+    """One backward step of one equation from the layer V: the new layer,
+    the reduction's u and v indices, and the lower reduction's reply table
+    (the reply table of both fields).  Its temporaries end with the call."""
+    b_up, b_down, half_aa = coefficients
+    Dp = np.empty(V.shape + (len(h),))
+    Dm = np.empty(V.shape + (len(h),))
+    D2 = np.empty(V.shape + (len(h),))
+    for a, (up, down) in enumerate(neighbors):
+        Vp = V.take(up, axis=a)
+        Vm = V.take(down, axis=a)
+        Dp[..., a] = (Vp - V) / h[a]
+        Dm[..., a] = (V - Vm) / h[a]
+        D2[..., a] = (Vp - 2.0 * V + Vm) / h[a] ** 2
+    L = (b_up * Dp + b_down * Dm + half_aa * D2).sum(axis=-1)   # (n_u, n_v, *shape)
+    lower = minimax(L, "lower")
+    H, u_star, v_star, _ = lower if which == "lower" else minimax(L, "upper")
+    return V + dt * H, u_star, v_star, lower[3]
+
+
+def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which="lower") -> ValueField | tuple:
     """March the explicit monotone scheme backward from the payoff.
 
     ``which`` picks the Hamiltonian: "lower" = max_u min_v (controller
-    commits first), "upper" = min_v max_u.  Argmax/argmin ties break to the
-    lowest control index, deterministically.  Coefficients are evaluated at
+    commits first), "upper" = min_v max_u.  A tuple such as ("lower",
+    "upper") marches its equations in one loop, sharing each layer's
+    coefficients, diffusion diagonal and upwind split, and returns their
+    fields in its order, with the bits of separate solves.  Argmax/argmin
+    ties break to the lowest control index.  Coefficients are evaluated at
     the layer being produced.
     """
-    if which not in ("lower", "upper"):
-        raise ConfigError(f"which must be 'lower' or 'upper', got {which!r}")
+    equations = (which,) if isinstance(which, str) else tuple(which)
+    if not equations:
+        raise ConfigError("which names no equation")
+    for k, eq in enumerate(equations):
+        if eq not in ("lower", "upper"):
+            raise ConfigError(f"which must be 'lower' or 'upper', got {eq!r}")
+        if eq in equations[:k]:
+            raise ConfigError(f"equation {eq!r} is named twice in {which!r}")
     times = grid.times
     n_layers = times.size
     shape = grid.shape
-    dim = grid.dim
     h = grid.spacing
     nodes = grid.nodes()
     n_u = spec.controls_u.size
@@ -252,60 +285,53 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which: str = "lower") -
             f"grid dt={grid.dt} exceeds the stability bound {bound:.6g}",
             dt=grid.dt, dt_max=bound)
 
-    values = np.empty((n_layers,) + shape)
-    values[-1] = eval_payoff(spec, nodes)
-    fb_u = np.empty((n_layers,) + shape, dtype=np.int16)
-    fb_v = np.empty((n_layers,) + shape, dtype=np.int16)
-    resp_v = np.empty((n_layers, n_u) + shape, dtype=np.int16)
-    max_update = np.empty(n_layers - 1)
+    # each axis's neighbour indices with edge replication (ghost cells)
+    neighbors = [(np.clip(np.arange(n) + 1, 0, n - 1), np.clip(np.arange(n) - 1, 0, n - 1))
+                 for n in shape]
+    payoff = eval_payoff(spec, nodes)
+    u_dtype, v_dtype = spec.controls_u.index_dtype, spec.controls_v.index_dtype
+    # per equation: values, feedback_u, feedback_v, response_v, max_update
+    marches = []
+    for _ in equations:
+        values = np.empty((n_layers,) + shape)
+        values[-1] = payoff
+        marches.append((values, np.empty((n_layers,) + shape, dtype=u_dtype),
+                        np.empty((n_layers,) + shape, dtype=v_dtype),
+                        np.empty((n_layers, n_u) + shape, dtype=v_dtype),
+                        np.empty(n_layers - 1)))
 
     for i in range(n_layers - 2, -1, -1):
-        V = values[i + 1]
         t = float(times[i])
-        Dp = np.empty(shape + (dim,))
-        Dm = np.empty(shape + (dim,))
-        D2 = np.empty(shape + (dim,))
-        for a in range(dim):
-            Vp = _neighbor(V, a, +1)
-            Vm = _neighbor(V, a, -1)
-            Dp[..., a] = (Vp - V) / h[a]
-            Dm[..., a] = (V - Vm) / h[a]
-            D2[..., a] = (Vp - 2.0 * V + Vm) / h[a] ** 2
+        coefficients = _coefficients(spec, t, nodes)
+        for eq, (values, fb_u, fb_v, resp_v, max_update) in zip(equations, marches):
+            V = values[i + 1]
+            new, u_star, v_star, reply = _step(eq, V, coefficients, h, neighbors, grid.dt)
+            if not np.all(np.isfinite(new)):
+                flat = int(np.argmin(np.isfinite(new)))
+                bad = tuple(int(k) for k in np.unravel_index(flat, shape))
+                raise NumericalSolveError(
+                    f"non-finite value at t={t}, node index {bad} while solving {eq} field")
+            values[i] = new
+            fb_u[i] = u_star
+            fb_v[i] = v_star
+            resp_v[i] = reply
+            max_update[i] = float(np.max(np.abs(new - V)))
 
-        b, sig = eval_pairs(spec, t, nodes)         # b: (n_u, n_v, *shape, dim)
-        aa = _diffusion_diag(spec, sig)
-        upwind = np.maximum(b, 0.0) * Dp + np.minimum(b, 0.0) * Dm
-        L = (upwind + 0.5 * aa * D2).sum(axis=-1)       # (n_u, n_v, *shape)
-
-        # the reply table is the lower reduction's inner argmin for both fields
-        lower = minimax(L, "lower")
-        H, u_star, v_star, _ = lower if which == "lower" else minimax(L, "upper")
-
-        new = V + grid.dt * H
-        if not np.all(np.isfinite(new)):
-            flat = int(np.argmin(np.isfinite(new)))
-            bad = tuple(int(k) for k in np.unravel_index(flat, shape))
-            raise NumericalSolveError(
-                f"non-finite value at t={t}, node index {bad} while solving {which} field")
-        values[i] = new
-        fb_u[i] = u_star
-        fb_v[i] = v_star
-        resp_v[i] = lower[3]
-        max_update[i] = float(np.max(np.abs(new - V)))
-
-    # terminal layer has no step of its own; replicate the last computed one
-    fb_u[-1] = fb_u[-2] if n_layers > 1 else 0
-    fb_v[-1] = fb_v[-2] if n_layers > 1 else 0
-    resp_v[-1] = resp_v[-2] if n_layers > 1 else 0
-
-    label = f"{spec.label}/{which}"
-    return ValueField(
-        which=which, grid=grid, values=values,
-        feedback_u=FeedbackMap(times=times, axes=grid.axes, indices=fb_u,
-                               control_set=spec.controls_u, label=f"{label}/u"),
-        feedback_v=FeedbackMap(times=times, axes=grid.axes, indices=fb_v,
-                               control_set=spec.controls_v, label=f"{label}/v"),
-        response_v=resp_v, max_update=max_update)
+    fields = []
+    for eq, (values, fb_u, fb_v, resp_v, max_update) in zip(equations, marches):
+        # terminal layer has no step of its own; replicate the last computed one
+        fb_u[-1] = fb_u[-2]
+        fb_v[-1] = fb_v[-2]
+        resp_v[-1] = resp_v[-2]
+        label = f"{spec.label}/{eq}"
+        fields.append(ValueField(
+            which=eq, grid=grid, values=values,
+            feedback_u=FeedbackMap(times=times, axes=grid.axes, indices=fb_u,
+                                   control_set=spec.controls_u, label=f"{label}/u"),
+            feedback_v=FeedbackMap(times=times, axes=grid.axes, indices=fb_v,
+                                   control_set=spec.controls_v, label=f"{label}/v"),
+            response_v=resp_v, max_update=max_update))
+    return fields[0] if isinstance(which, str) else tuple(fields)
 
 
 @dataclass(frozen=True)

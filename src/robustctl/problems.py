@@ -159,7 +159,7 @@ def _build_pennies(params: dict) -> BenchmarkProblem:
     pm_one = ControlSet(np.array([[-1.0], [1.0]]), label="pm_one")
 
     def drift(t, x, u, v):
-        return (u[0] * v[0]) * np.ones_like(x)
+        return np.full(x.shape, u[0] * v[0])
 
     spec = ProblemSpec(
         label="pennies", dim=1, noise_dim=1, horizon=horizon,
@@ -179,7 +179,7 @@ def _build_drift_control(params: dict) -> BenchmarkProblem:
     horizon = float(p["horizon"])
 
     def drift(t, x, u, v):
-        return (u[0] + v[0]) * np.ones_like(x)
+        return np.full(x.shape, u[0] + v[0])
 
     spec = ProblemSpec(
         label="drift_control", dim=1, noise_dim=1, horizon=horizon,

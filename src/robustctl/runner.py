@@ -101,18 +101,17 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
                    threads: int | None = None, strict: bool = False) -> RunResult:
     """Run the stages the command asks for and assemble the summary.
 
-    ``seed`` and ``threads`` override the config when given.  The summary
+    ``seed`` and ``threads`` override the config when given; they are
+    checked by the schema with the rest of it.  The summary
     and tables are always built; callers decide whether to write them
     (:func:`write_result`).  Exit code: 0 all checks passed, 1 some check
     failed (or warnings under ``strict``).  Config problems raise
     ConfigError; unexpected numerical trouble raises other RobustCtlError
     subclasses, and mapping those to exit codes is the CLI's job.
     """
-    cfg = resolve_config(raw_config)
-    if seed is not None:
-        cfg["seed"] = int(seed)
-    if threads is not None:
-        cfg["threads"] = int(threads)
+    overrides = {key: int(value) for key, value in (("seed", seed), ("threads", threads))
+                 if value is not None}
+    cfg = resolve_config({**raw_config, **overrides})
 
     problem = build_problem(cfg["problem"]["id"], cfg["problem"].get("parameters") or None)
     spec = problem.spec
@@ -191,42 +190,7 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
             return _finish(summary, tables, checks, warnings, strict)
 
     # ---- PDE solves -------------------------------------------------------- #
-    fields: dict = {}
-    if "solve" in stages:
-        gcfg = cfg["grid"]
-        try:
-            grid = make_grid(spec, gcfg["lo"], gcfg["hi"], gcfg["h"],
-                             dt=gcfg.get("dt"), cfl_safety=gcfg["cfl_safety"])
-        except CflViolationError as exc:
-            raise ConfigError(f"grid.dt rejected: {exc}") from exc
-        summary["pde"] = {"h": gcfg["h"], "dt": grid.dt, "n_layers": len(grid.times),
-                          "cfl_dt_max": _finite_or_none(
-                              cfl_max_dt(spec, grid.axes))}
-        for eq in cfg["equations"]:
-            field = solve_isaacs(spec, grid, which=eq)
-            fields[eq] = field
-            # the march runs backward: its final step produced layer 0
-            entry = {"max_update_final": float(field.max_update[0])}
-            if problem.reference is not None:
-                err = compare_to_reference(field, problem.reference,
-                                           lo=problem.interior_lo, hi=problem.interior_hi)
-                entry["sup_error"] = err.sup_error
-                entry["rms_error"] = err.rms_error
-                checks.add(f"pde.reference.{eq}", "solve",
-                           err.sup_error <= tol["pde_sup"], value=err.sup_error,
-                           tolerance=tol["pde_sup"],
-                           detail=f"sup error {err.sup_error:.3e} on "
-                                  f"[{problem.interior_lo}, {problem.interior_hi}]")
-            summary["pde"][eq] = entry
-        if "lower" in fields and "upper" in fields:
-            gap = float(np.max(fields["lower"].values - fields["upper"].values))
-            scale = float(max(np.abs(fields["lower"].values).max(),
-                              np.abs(fields["upper"].values).max(), 1.0))
-            checks.add("pde.order", "solve", gap <= 1e-10 * scale, value=gap,
-                       tolerance=1e-10 * scale,
-                       detail="max over nodes of (lower - upper)")
-            summary["pde"]["order_gap"] = gap
-        tables["fields"] = _field_table(fields)
+    fields = _solve_stage(problem, cfg, summary, checks, tables) if "solve" in stages else {}
 
     def need(eq: str, stage: str) -> ValueField:
         if eq not in fields:
@@ -234,7 +198,10 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
                 f"stage {stage!r} needs the {eq} equation; add it to 'equations'")
         return fields[eq]
 
-    # the plan's ladder and both families, once the lower field exists
+    # the rest of the plan, once the fields exist: the ladder and both
+    # families for the tables, and the embedding pairs, so a missing equation
+    # fails before any Monte Carlo.  The pairs keep the one table they read of
+    # the upper field, and only the lower field is kept past this point.
     table_stages = [name for name in ("value", "filtration", "dpp") if name in stages]
     if table_stages:
         lower = need("lower", table_stages[0])
@@ -246,6 +213,10 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
             include_best_response=adv["include_best_response"])
         ladder = ge.default_strategy_family(
             problem, lower, cfg["strategies"]["decision_counts"], s0, engine)
+    if "embedding" in stages:
+        pairs = ge.builtin_pairs(problem, need("lower", "embedding"),
+                                 need("upper", "embedding"), s0, engine)
+    fields.pop("upper", None)
 
     experiment_seed = derive_seed(master_seed, 37)
 
@@ -331,9 +302,6 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
 
     # ---- feedback-to-open-loop embedding ------------------------------------ #
     if "embedding" in stages:
-        lower = need("lower", "embedding")
-        upper = need("upper", "embedding")
-        pairs = ge.builtin_pairs(problem, lower, upper, s0, engine)
         times = ge._sim_times(spec, s0, engine)
         n_seeds = cfg["embedding"]["n_seeds"]
         failed = {}  # (pair, seed index) -> the error of that row
@@ -369,6 +337,47 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
         tables["hamiltonian"] = rows
 
     return _finish(summary, tables, checks, warnings, strict)
+
+
+def _solve_stage(problem, cfg: dict, summary: dict, checks: Checks, tables: dict) -> dict:
+    """The configured equations solved in one march, checked and reported, by
+    equation.  A function of its own, so no local of it keeps a field alive."""
+    spec = problem.spec
+    tol = cfg["tolerances"]
+    gcfg = cfg["grid"]
+    try:
+        grid = make_grid(spec, gcfg["lo"], gcfg["hi"], gcfg["h"],
+                         dt=gcfg.get("dt"), cfl_safety=gcfg["cfl_safety"])
+    except CflViolationError as exc:
+        raise ConfigError(f"grid.dt rejected: {exc}") from exc
+    summary["pde"] = {"h": gcfg["h"], "dt": grid.dt, "n_layers": len(grid.times),
+                      "cfl_dt_max": _finite_or_none(cfl_max_dt(spec, grid.axes))}
+    equations = tuple(cfg["equations"])
+    fields = dict(zip(equations, solve_isaacs(spec, grid, equations)))
+    for eq, field in fields.items():
+        # the march runs backward: its final step produced layer 0
+        entry = {"max_update_final": float(field.max_update[0])}
+        if problem.reference is not None:
+            err = compare_to_reference(field, problem.reference,
+                                       lo=problem.interior_lo, hi=problem.interior_hi)
+            entry["sup_error"] = err.sup_error
+            entry["rms_error"] = err.rms_error
+            checks.add(f"pde.reference.{eq}", "solve",
+                       err.sup_error <= tol["pde_sup"], value=err.sup_error,
+                       tolerance=tol["pde_sup"],
+                       detail=f"sup error {err.sup_error:.3e} on "
+                              f"[{problem.interior_lo}, {problem.interior_hi}]")
+        summary["pde"][eq] = entry
+    if "lower" in fields and "upper" in fields:
+        gap = float(np.max(fields["lower"].values - fields["upper"].values))
+        scale = float(max(np.abs(fields["lower"].values).max(),
+                          np.abs(fields["upper"].values).max(), 1.0))
+        checks.add("pde.order", "solve", gap <= 1e-10 * scale, value=gap,
+                   tolerance=1e-10 * scale,
+                   detail="max over nodes of (lower - upper)")
+        summary["pde"]["order_gap"] = gap
+    tables["fields"] = _field_table(fields)
+    return fields
 
 
 def hash_pair(aid: str, bid: str) -> int:

@@ -132,6 +132,12 @@ class ControlSet:
     def point_dim(self) -> int:
         return self.points.shape[1]
 
+    @property
+    def index_dtype(self) -> np.dtype:
+        """The smallest unsigned dtype that holds every index into the set,
+        the dtype of the feedback tables on it (uint8 up to 256 controls)."""
+        return np.min_scalar_type(self.size - 1)
+
     def point(self, index: int) -> np.ndarray:
         return self.points[index]
 

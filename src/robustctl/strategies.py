@@ -238,9 +238,12 @@ class FeedbackMap:
 
     @classmethod
     def constant(cls, control_set: ControlSet, index: int, times, axes, label: str = "const"):
+        # checked before the cast, which would overflow on an index the dtype cannot hold
+        if not 0 <= index < control_set.size:
+            raise ConfigError(f"feedback map {label!r}: control index out of range")
         shape = (len(times),) + tuple(len(a) for a in axes)
         return cls(times=np.asarray(times, dtype=float), axes=tuple(axes),
-                   indices=np.full(shape, index, dtype=np.int16),
+                   indices=np.full(shape, index, dtype=control_set.index_dtype),
                    control_set=control_set, label=label)
 
     def layer_of(self, t: float) -> int:

@@ -43,9 +43,7 @@ def violator_problem():
 
 def solve_both(problem, h):
     grid = make_grid(problem.spec, problem.grid_lo, problem.grid_hi, h)
-    lower = solve_isaacs(problem.spec, grid, "lower")
-    upper = solve_isaacs(problem.spec, grid, "upper")
-    return lower, upper
+    return solve_isaacs(problem.spec, grid, ("lower", "upper"))
 
 
 @pytest.fixture(scope="session")

@@ -309,8 +309,7 @@ def test_criterion_09_scheme_properties_on_every_benchmark(announce):
         spec = problem.spec
         grid = make_grid(spec, problem.grid_lo, problem.grid_hi,
                          coarse_h[pid], dt=problem.grid_dt)
-        lower = solve_isaacs(spec, grid, "lower")
-        upper = solve_isaacs(spec, grid, "upper")
+        lower, upper = solve_isaacs(spec, grid, ("lower", "upper"))
         assert np.all(lower.values <= upper.values), pid
 
         g = eval_payoff(spec, grid.nodes())

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +216,7 @@ def test_the_fields_table_is_made_as_it_is_written(tmp_path):
     grid = make_grid(spec, g["lo"], g["hi"], g["h"], dt=g["dt"], cfl_safety=g["cfl_safety"])
     stride = max(1, (len(grid.times) - 1) // 32)
     layers = sorted(set(range(0, len(grid.times), stride)) | {len(grid.times) - 1})
-    fields = {eq: solve_isaacs(spec, grid, eq) for eq in ("lower", "upper")}
+    fields = dict(zip(("lower", "upper"), solve_isaacs(spec, grid, ("lower", "upper"))))
     want = [[eq, float(grid.times[li]), float(x), float(val)]
             for eq, field in fields.items() for li in layers
             for x, val in zip(grid.axes[0], field.values[li])]
@@ -388,6 +389,41 @@ def test_every_stage_equals_the_direct_calls():
     assert result.exit_code == 0, summary["failed_checks"]
 
 
+def test_the_upper_field_is_gone_before_the_monte_carlo_tables(monkeypatch):
+    # after the solves only the embedding pairs read the upper field, through
+    # its feedback_v table; the plan builds them at once, so the field itself
+    # is freed before the first table is marched, and the lower one is kept
+    solve, refs, seen = runner.solve_isaacs, {}, []
+
+    def recording(spec, grid, which="lower"):
+        fields = solve(spec, grid, which)
+        refs.update((field.which, weakref.ref(field)) for field in fields)
+        return fields
+
+    real = ge.value_experiment
+
+    def entering(*args, **kwargs):
+        seen.append((refs["lower"]() is not None, refs["upper"]() is None))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "solve_isaacs", recording)
+    monkeypatch.setattr(ge, "value_experiment", entering)
+    result = run_experiment(ALL_STAGES, command="run", seed=3)
+    assert seen == [(True, True)]
+    assert result.summary["embedding"]["mismatches"] == 0
+
+
+def test_embedding_without_the_upper_equation_fails_before_the_tables(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("reached the Monte Carlo tables")
+
+    monkeypatch.setattr(ge, "value_experiment", never)
+    monkeypatch.setattr(ge, "dpp_checks", never)
+    cfg = {**ALL_STAGES, "equations": ["lower"]}
+    with pytest.raises(ConfigError, match="stage 'embedding' needs the upper equation"):
+        run_experiment(cfg, command="run", seed=3)
+
+
 def test_embedding_check_fails_on_exactly_the_doctored_rows(monkeypatch):
     # the replay flips v on step 10 of row 0 only, so each pair's seed-0 row,
     # and no other, must come back unmatched
@@ -545,3 +581,22 @@ def test_cli_seed_flag_overrides_the_config(tmp_path):
                  "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["seed"] == 9
+
+
+def test_seed_and_thread_overrides_are_checked_by_the_schema(tmp_path, capsys):
+    # the overrides join the raw config before it is resolved, so a bad one
+    # is named as the config's own would be, and a summary written under an
+    # override reloads as a config
+    cfg = write_cfg(tmp_path, cheap_constant())
+    assert main(["run", "--config", cfg, "--seed", "-1",
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert "$.seed" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    with pytest.raises(ConfigError, match=r"\$\.threads"):
+        run_experiment(cheap_constant(), command="validate", threads=0)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+    summary_path = out / "summary.json"
+    rerun = run_experiment(load_config(str(summary_path)), command="validate")
+    assert rerun.summary["config"]["seed"] == 5
+    assert summary_to_json(rerun.summary) == summary_path.read_text()

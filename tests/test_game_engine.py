@@ -1146,6 +1146,28 @@ def test_built_in_realizations_are_built_once_as_time_major_int32(pennies_proble
         assert all(np.array_equal(step(i, None, None), want[:, i]) for i in (0, 124, 249))
 
 
+def test_a_constant_realization_is_kept_as_its_broadcast(pennies_problem):
+    # ConstantControl realizes a zero-stride int32 broadcast, and the march
+    # reads its rows as they are: no (N, c) array is written.  A realization
+    # whose rows are strided is still copied to time-major int32.
+    spec = pennies_problem.spec
+    times = np.linspace(0.0, spec.horizon, 251)
+    seeds = derive_seed_array(3, np.arange(2000))
+    dW, extra = sample_noise_batch(times, seeds, spec.noise_dim, 1)
+    output = 250 * 2000 * np.dtype(np.int32).itemsize
+    factory, peak = peak_bytes(_adversary_realization, Adversary("c1", ConstantControl(1)),
+                               spec, times, dW, extra, seeds)
+    assert peak <= 0.01 * output, peak
+    step, _ = factory(1)
+    assert all(step(i, None, None).dtype == np.int32 and np.all(step(i, None, None) == 1)
+               for i in (0, 124, 249))
+    rows = np.random.default_rng(0).integers(0, 2, size=(2000, 250)).astype(np.int32)
+    step, _ = _adversary_realization(Adversary("replay", ReplayControl(rows)), spec, times,
+                                     dW, extra, seeds)(1)
+    assert all(step(i, None, None).flags.c_contiguous
+               and np.array_equal(step(i, None, None), rows[:, i]) for i in (0, 124, 249))
+
+
 def test_run_cells_returns_its_shared_table_itself(pennies_problem, monkeypatch):
     # the table the chunks wrote is handed back as it is, not copied
     spec = pennies_problem.spec

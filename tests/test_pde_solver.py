@@ -12,7 +12,9 @@ from robustctl.errors import (CflViolationError, ConfigError, ModelEvaluationErr
                               NumericalSolveError)
 from robustctl.pde_solver import (SpaceTimeGrid, ValueField, cfl_max_dt,
                                   compare_to_reference, make_grid, solve_isaacs)
+from robustctl.problems import available_problems, build_problem
 from robustctl.sde_core import ControlSet, ProblemSpec, eval_payoff
+from working_set import peak_bytes
 
 
 def simple_spec(drift_value: float, sigma_value: float, dim: int = 1,
@@ -339,3 +341,55 @@ def test_compare_to_reference_empty_region(heat_field):
     with pytest.raises(ConfigError):
         compare_to_reference(heat_field, lambda t, x: np.zeros(x.shape[0]),
                              lo=100.0, hi=101.0)
+
+
+# ------------------------------------------------------------ joint march ---- #
+
+
+def test_a_joint_march_gives_the_bits_of_separate_solves():
+    # both equations share each layer's coefficients in one march, and each
+    # keeps its own differences, reduction and tables: the same bits as two
+    # one-equation solves, with every index table in its set's narrow dtype
+    coarse_h = {"constant": 0.25, "heat": 0.25, "pennies": 0.1,
+                "drift_control": 0.1, "growth_violator": 0.1}
+    for pid in available_problems():
+        problem = build_problem(pid)
+        spec = problem.spec
+        grid = make_grid(spec, problem.grid_lo, problem.grid_hi, coarse_h[pid],
+                         dt=problem.grid_dt)
+        joint = solve_isaacs(spec, grid, ("lower", "upper"))
+        assert [field.which for field in joint] == ["lower", "upper"], pid
+        assert solve_isaacs(spec, grid, ("upper", "lower"))[0].which == "upper", pid
+        for field in joint:
+            alone = solve_isaacs(spec, grid, field.which)
+            for name in ("values", "max_update", "response_v"):
+                a, b = getattr(field, name), getattr(alone, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (pid, name)
+            for name in ("feedback_u", "feedback_v"):
+                a, b = getattr(field, name), getattr(alone, name)
+                assert np.array_equal(a.indices, b.indices), (pid, name)
+                assert a.indices.dtype == a.control_set.index_dtype == np.uint8, (pid, name)
+            assert field.response_v.dtype == spec.controls_v.index_dtype, pid
+
+
+def test_unknown_or_repeated_equations_are_refused_by_name(heat_problem):
+    grid = make_grid(heat_problem.spec, -6, 6, 0.25)
+    for which, named in ((("lower", "middle"), "'middle'"),
+                         (("upper", "lower", "upper"), "equation 'upper' is named twice"),
+                         ((), "names no equation")):
+        with pytest.raises(ConfigError, match=named):
+            solve_isaacs(heat_problem.spec, grid, which)
+
+
+def test_a_joint_solve_holds_little_beyond_its_fields(heat_problem):
+    # each layer's work is a few node-sized temporaries that end with its
+    # step, so the solve's peak is the two fields it returns: one more
+    # array the size of a field's values would break this
+    spec = heat_problem.spec
+    grid = make_grid(spec, heat_problem.grid_lo, heat_problem.grid_hi, 0.1,
+                     dt=heat_problem.grid_dt)
+    fields, peak = peak_bytes(solve_isaacs, spec, grid, ("lower", "upper"))
+    own = sum(a.nbytes for f in fields
+              for a in (f.values, f.feedback_u.indices, f.feedback_v.indices,
+                        f.response_v, f.max_update))
+    assert peak <= 1.15 * own, peak / own

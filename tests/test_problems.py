@@ -80,3 +80,18 @@ def test_control_sets_match_the_narrative(pennies_problem, drift_problem):
     assert np.array_equal(pennies_problem.spec.controls_v.points, [[-1.0], [1.0]])
     assert np.array_equal(drift_problem.spec.controls_u.points, [[-1.0], [0.0], [1.0]])
     assert np.array_equal(drift_problem.spec.controls_v.points, [[-0.5], [0.0], [0.5]])
+
+
+def test_built_in_drifts_fill_their_block_with_the_old_bits():
+    # one np.full of the pair's value, the same bits as the value times
+    # ones_like(x): multiplying by 1.0 is exact and keeps signed zeros
+    x = np.array([0.0, -0.0, 1e300, -1e300, 1.0] * 3).reshape(3, 5, 1)
+    for pid, pair in (("pennies", lambda u, v: u[0] * v[0]),
+                      ("drift_control", lambda u, v: u[0] + v[0])):
+        spec = build_problem(pid).spec
+        for u in spec.controls_u.points:
+            for v in spec.controls_v.points:
+                got = spec.drift(0.0, x, u, v)
+                old = pair(u, v) * np.ones_like(x)
+                assert got.dtype == old.dtype and got.shape == old.shape, (pid, u, v)
+                assert got.tobytes() == old.tobytes(), (pid, u, v)

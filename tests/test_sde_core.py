@@ -175,6 +175,13 @@ def test_control_set_validation():
         ControlSet(np.array([[np.inf]]))
 
 
+def test_index_dtype_is_the_narrowest_that_holds_every_index():
+    for size, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
+        cs = ControlSet(np.arange(size, dtype=float))
+        assert cs.index_dtype == dtype
+        assert np.array(size - 1).astype(cs.index_dtype) == size - 1
+
+
 # --------------------------------------------------------- model evaluation ---- #
 
 

@@ -351,6 +351,18 @@ def test_constant_feedback_map():
     assert fb.lookup_index_batch(0.3, np.array([[1.7]]))[0] == 1
 
 
+def test_a_constant_feedback_map_checks_its_index_before_the_cast():
+    # the table's dtype is the set's narrow index dtype, which cannot hold
+    # 40000 or -1, so the index is refused by name before the cast
+    axes = (np.linspace(-2, 2, 9),)
+    for bad in (40000, -1, PM.size):
+        with pytest.raises(ConfigError, match="feedback map 'const': control index out of range"):
+            FeedbackMap.constant(PM, bad, TIMES, axes)
+    fb = FeedbackMap.constant(PM, 1, TIMES, axes)
+    assert fb.indices.dtype == PM.index_dtype == np.uint8
+    assert np.all(fb.indices == 1)
+
+
 # --------------------------------------------------------- grid strategies ---- #
 
 
