@@ -36,7 +36,8 @@ SCHEMA = {
     "additionalProperties": False,
     "required": ["problem"],
     "properties": {
-        "schema_version": _default(_POS_INT, 1),
+        # the one config version; any other is refused by name
+        "schema_version": _default({"const": 1}, 1),
         "problem": {
             "type": "object",
             "additionalProperties": False,
@@ -160,7 +161,9 @@ SCHEMA = {
                 "value_abs": _default(_POS_NUM, 0.03),
                 "filtration_abs": _default(_POS_NUM, 0.02),
                 "dpp_abs": _default(_POS_NUM, 2e-2),
-                "mc_abs": _default(_POS_NUM, 5e-3),
+                # retired: nothing reads it; accepted and ignored on load, so an
+                # older summary that carries it still reloads and reruns
+                "mc_abs": _POS_NUM,
                 "se_multiplier": _default(_POS_NUM, 3.0),
                 "monotonicity_se_multiplier": _default(_POS_NUM, 1.0),
                 "hamiltonian_slack": _default(_POS_NUM, 1e-8),

@@ -978,9 +978,9 @@ def default_adversary_families(problem, lower_field: ValueField | None = None,
     V = problem.spec.controls_v
     members = [Adversary(f"const:{_fmt_point(V.point(j))}", ConstantControl(j))
                for j in range(V.size)]
+    j_neg = int(np.argmin(V.points[:, 0]))
+    j_pos = int(np.argmax(V.points[:, 0]))
     if V.size >= 2:
-        j_neg = int(np.argmin(V.points[:, 0]))
-        j_pos = int(np.argmax(V.points[:, 0]))
         members.append(Adversary("signW", SignControl(pos_index=j_pos, neg_index=j_neg)))
         members.append(Adversary("antisignW", SignControl(pos_index=j_neg, neg_index=j_pos)))
     if lower_field is not None and include_feedback:
@@ -991,8 +991,6 @@ def default_adversary_families(problem, lower_field: ValueField | None = None,
 
     extras = []
     if V.size >= 2:
-        j_neg = int(np.argmin(V.points[:, 0]))
-        j_pos = int(np.argmax(V.points[:, 0]))
         extras.append(Adversary("signE", SignControl(pos_index=j_pos, neg_index=j_neg,
                                                      source="extra")))
         extras.append(Adversary("antisignE", SignControl(pos_index=j_neg, neg_index=j_pos,

@@ -29,7 +29,6 @@ from .sde_core import ProblemSpec, eval_pairs
 
 __all__ = [
     "HamiltonianQuery",
-    "HamiltonianResult",
     "MixedSolution",
     "lagrangian_matrix",
     "minimax",
@@ -98,46 +97,14 @@ def minimax(L: np.ndarray, which: str):
             inner[u_star, cols].reshape(rest), inner.reshape((n_u,) + rest))
 
 
-@dataclass(frozen=True, eq=False)
-class HamiltonianResult:
-    """Value of one Hamiltonian plus the optimizers that certify it.
-
-    For the lower Hamiltonian, ``inner_best[i]`` is v's best reply to u_i and
-    ``outer_index`` the maximizing u; for the upper one the roles swap.
-    ``matrix`` is the full running-term matrix, so a result can be re-checked
-    without re-evaluating the model.
-    """
-
-    which: str
-    value: float
-    outer_index: int
-    inner_best: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def u_index(self) -> int:
-        return self.outer_index if self.which == "lower" else int(self.inner_best[self.outer_index])
-
-    @property
-    def v_index(self) -> int:
-        return int(self.inner_best[self.outer_index]) if self.which == "lower" else self.outer_index
+def hamiltonian_lower(spec: ProblemSpec, q: HamiltonianQuery) -> float:
+    """max_u min_v of the running term; :func:`minimax` gives the optimizers."""
+    return float(minimax(lagrangian_matrix(spec, q), "lower")[0])
 
 
-def _pure_result(which: str, L: np.ndarray) -> HamiltonianResult:
-    value, u_star, v_star, inner = minimax(L, which)
-    outer = u_star if which == "lower" else v_star
-    return HamiltonianResult(which=which, value=float(value), outer_index=int(outer),
-                             inner_best=inner.astype(np.int64), matrix=L)
-
-
-def hamiltonian_lower(spec: ProblemSpec, q: HamiltonianQuery) -> HamiltonianResult:
-    """max_u min_v of the running term. Ties break to the lowest index."""
-    return _pure_result("lower", lagrangian_matrix(spec, q))
-
-
-def hamiltonian_upper(spec: ProblemSpec, q: HamiltonianQuery) -> HamiltonianResult:
-    """min_v max_u of the running term. Ties break to the lowest index."""
-    return _pure_result("upper", lagrangian_matrix(spec, q))
+def hamiltonian_upper(spec: ProblemSpec, q: HamiltonianQuery) -> float:
+    """min_v max_u of the running term; :func:`minimax` gives the optimizers."""
+    return float(minimax(lagrangian_matrix(spec, q), "upper")[0])
 
 
 # ----------------------------------------------------------- matrix games ---- #

@@ -102,14 +102,16 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
     """Run the stages the command asks for and assemble the summary.
 
     ``seed`` and ``threads`` override the config when given; they are
-    checked by the schema with the rest of it.  The summary
-    and tables are always built; callers decide whether to write them
+    checked by the schema with the rest of it, uncast, so 2.5 or True is
+    refused by name; a numpy integer is taken as the int it holds.  The
+    summary and tables are always built; callers decide whether to write them
     (:func:`write_result`).  Exit code: 0 all checks passed, 1 some check
     failed (or warnings under ``strict``).  Config problems raise
     ConfigError; unexpected numerical trouble raises other RobustCtlError
     subclasses, and mapping those to exit codes is the CLI's job.
     """
-    overrides = {key: int(value) for key, value in (("seed", seed), ("threads", threads))
+    overrides = {key: value.item() if isinstance(value, np.integer) else value
+                 for key, value in (("seed", seed), ("threads", threads))
                  if value is not None}
     cfg = resolve_config({**raw_config, **overrides})
 

@@ -129,10 +129,6 @@ class ControlSet:
         return self.points.shape[0]
 
     @property
-    def point_dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
     def index_dtype(self) -> np.dtype:
         """The smallest unsigned dtype that holds every index into the set,
         the dtype of the feedback tables on it (uint8 up to 256 controls)."""

@@ -38,7 +38,7 @@ from .errors import ConfigError, ModelEvaluationError, StrategyStructureError
 from .sde_core import ControlSet, derive_seed, derive_seed_array, stream_generator
 
 __all__ = [
-    "AbsRegion", "ThresholdRegion", "OutsideBoxRegion",
+    "AbsRegion",
     "StoppingRule", "FixedTimeRule", "GridIndexRule", "HittingRule",
     "CappedRule", "fire_batch",
     "Action", "ConstantAction", "FeedbackLookupAction",
@@ -54,7 +54,7 @@ __all__ = [
 UNDEFINED = -1  # sentinel control index: strategy not active at this step
 
 
-# -------------------------------------------------------------- regions ---- #
+# --------------------------------------------------------------- region ---- #
 
 
 @dataclass(frozen=True)
@@ -69,39 +69,6 @@ class AbsRegion:
         if self.coord is None:
             return np.max(np.abs(x), axis=-1) >= self.level
         return np.abs(x[..., self.coord]) >= self.level
-
-
-@dataclass(frozen=True)
-class ThresholdRegion:
-    """{x : x_coord >= level} (direction "ge") or <= (direction "le")."""
-
-    level: float
-    coord: int = 0
-    direction: str = "ge"
-
-    def __post_init__(self):
-        if self.direction not in ("ge", "le"):
-            raise ConfigError(f"ThresholdRegion direction must be 'ge' or 'le', got {self.direction!r}")
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.direction == "ge":
-            return x[..., self.coord] >= self.level
-        return x[..., self.coord] <= self.level
-
-
-@dataclass(frozen=True)
-class OutsideBoxRegion:
-    """Complement of an axis-aligned open box (lo, hi)."""
-
-    lo: tuple
-    hi: tuple
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        return np.any((x <= lo) | (x >= hi), axis=-1)
 
 
 # -------------------------------------------------------- stopping rules ---- #
@@ -143,7 +110,9 @@ class GridIndexRule(StoppingRule):
 
 @dataclass(frozen=True)
 class HittingRule(StoppingRule):
-    """Fires at the first entry of the path into ``region``.
+    """Fires at the first entry of the path into ``region``, any object whose
+    ``contains`` maps states (..., d) to a boolean mask (..., ), such as
+    :class:`AbsRegion`.
 
     With ``from_rule`` given, only entries at or after that rule's fire index
     count, so hitting rules can be chained after scheduled times.

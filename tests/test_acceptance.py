@@ -145,9 +145,9 @@ def test_criterion_03_hamiltonian_ordering_on_random_queries(announce):
     pennies = build_problem("pennies").spec
     q = HamiltonianQuery(t=0.0, x=np.array([0.0]), p=np.array([1.0]),
                          M=np.array([[0.0]]))
-    triple = (hamiltonian_lower(pennies, q).value,
+    triple = (hamiltonian_lower(pennies, q),
               hamiltonian_mixed(pennies, q).value,
-              hamiltonian_upper(pennies, q).value)
+              hamiltonian_upper(pennies, q))
     ok = worst <= 1e-8 and triple == (-1.0, 0.0, 1.0)
     announce(f"[criterion 3] {'PASS' if ok else 'FAIL'}: max ordering "
              f"violation {worst:.2e} <= 1e-8 over 5 x {n_queries} queries; "

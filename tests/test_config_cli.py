@@ -115,6 +115,31 @@ def test_semantic_checks_collect_everything():
     assert "first_exit needs a 'level'" in text
 
 
+def test_retired_mc_abs_is_accepted_and_ignored_on_load(tmp_path):
+    # nothing reads tolerances.mc_abs: a fresh summary no longer carries it,
+    # and a summary written while it had a default (0.005) reruns to its bytes
+    fresh = run_experiment(cheap_constant(), command="run", seed=5)
+    assert "mc_abs" not in fresh.summary["config"]["tolerances"]
+    older = json.loads(summary_to_json(fresh.summary))
+    older["config"]["tolerances"]["mc_abs"] = 0.005
+    path = tmp_path / "summary.json"
+    path.write_text(summary_to_json(older))
+    assert '"mc_abs": 0.005,' in path.read_text()
+    rerun = run_experiment(load_config(str(path)), command="run")
+    assert summary_to_json(rerun.summary) == path.read_text()
+
+
+def test_only_schema_version_one_is_accepted(tmp_path, capsys):
+    assert resolve_config({"problem": {"id": "constant"}})["schema_version"] == 1
+    for version in (2, 0, True, "1"):
+        with pytest.raises(ConfigError, match=r"\$\.schema_version"):
+            resolve_config({"problem": {"id": "constant"}, "schema_version": version})
+    cfg = write_cfg(tmp_path, {**cheap_constant(), "schema_version": 2})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "$.schema_version" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config_unwraps_a_summary(tmp_path):
     inner = {"problem": {"id": "constant"}, "seed": 7}
     path = tmp_path / "summary.json"
@@ -599,4 +624,21 @@ def test_seed_and_thread_overrides_are_checked_by_the_schema(tmp_path, capsys):
     summary_path = out / "summary.json"
     rerun = run_experiment(load_config(str(summary_path)), command="validate")
     assert rerun.summary["config"]["seed"] == 5
+    assert summary_to_json(rerun.summary) == summary_path.read_text()
+
+
+def test_seed_and_thread_overrides_are_not_cast(tmp_path):
+    # a float or a bool is refused by name, as the same value in a config file
+    # is; a numpy integer is the int it holds
+    for key, value in (("seed", 2.5), ("seed", True), ("threads", 1.5), ("threads", True)):
+        with pytest.raises(ConfigError, match=rf"\$\.{key}"):
+            run_experiment(cheap_constant(), command="validate", **{key: value})
+    result = run_experiment(cheap_constant(), command="validate",
+                            seed=np.int64(5), threads=np.int32(2))
+    assert type(result.summary["config"]["seed"]) is int
+    out = tmp_path / "out"
+    write_result(result, str(out))
+    summary_path = out / "summary.json"
+    assert json.loads(summary_path.read_text())["config"]["seed"] == 5
+    rerun = run_experiment(load_config(str(summary_path)), command="validate")
     assert summary_to_json(rerun.summary) == summary_path.read_text()

@@ -120,35 +120,35 @@ def test_lagrangian_matrix_matches_the_oracle_in_two_dimensions():
         L = lagrangian_matrix(spec, q)
         assert L.shape == (3, 2)
         np.testing.assert_allclose(L, A, rtol=0.0, atol=1e-12)
-        assert hamiltonian_lower(spec, q).value == pytest.approx(oracle_lower(A), abs=1e-12)
-        assert hamiltonian_upper(spec, q).value == pytest.approx(oracle_upper(A), abs=1e-12)
+        assert hamiltonian_lower(spec, q) == pytest.approx(oracle_lower(A), abs=1e-12)
+        assert hamiltonian_upper(spec, q) == pytest.approx(oracle_upper(A), abs=1e-12)
 
 
 def test_lower_hamiltonian_pinned(pennies_problem, drift_problem):
     x = np.array([0.0])
     # pennies, p=1, M=0: sup_u inf_v u v = -1
-    res = hamiltonian_lower(pennies_problem.spec, query(pennies_problem.spec, 0.0, x, 1.0, 0.0))
-    assert res.value == -1.0
+    lo = hamiltonian_lower(pennies_problem.spec, query(pennies_problem.spec, 0.0, x, 1.0, 0.0))
+    assert type(lo) is float and lo == -1.0
     # drift control, p=-2: sup_u inf_v (u+v)(-2) at u=-1, v=+0.5 -> 1.0
-    res = hamiltonian_lower(drift_problem.spec, query(drift_problem.spec, 0.0, x, -2.0, 0.0))
-    assert res.value == 1.0
-    assert drift_problem.spec.controls_u.point(res.u_index)[0] == -1.0
+    q = query(drift_problem.spec, 0.0, x, -2.0, 0.0)
+    assert hamiltonian_lower(drift_problem.spec, q) == 1.0
+    _, u_star, _, _ = minimax(lagrangian_matrix(drift_problem.spec, q), "lower")
+    assert drift_problem.spec.controls_u.point(u_star)[0] == -1.0
 
 
 def test_upper_hamiltonian_pinned(pennies_problem, drift_problem):
     x = np.array([0.0])
-    res = hamiltonian_upper(pennies_problem.spec, query(pennies_problem.spec, 0.0, x, 1.0, 0.0))
-    assert res.value == 1.0
+    up = hamiltonian_upper(pennies_problem.spec, query(pennies_problem.spec, 0.0, x, 1.0, 0.0))
+    assert type(up) is float and up == 1.0
     # drift control has a saddle: upper equals lower equals |p| - |p|/2
-    res = hamiltonian_upper(drift_problem.spec, query(drift_problem.spec, 0.0, x, 1.0, 0.0))
-    assert res.value == 0.5
+    assert hamiltonian_upper(drift_problem.spec, query(drift_problem.spec, 0.0, x, 1.0, 0.0)) == 0.5
 
 
 def test_singleton_sets_bypass_optimization(heat_problem):
     q = query(heat_problem.spec, 0.1, np.array([0.3]), 1.7, 2.0)
     lo = hamiltonian_lower(heat_problem.spec, q)
     up = hamiltonian_upper(heat_problem.spec, q)
-    assert lo.value == up.value == pytest.approx(2.0, abs=1e-12)
+    assert lo == up == pytest.approx(2.0, abs=1e-12)
 
 
 def test_isaacs_gap_pinned(pennies_problem, drift_problem):
@@ -302,13 +302,15 @@ def test_ordering_and_oracle_agreement(pid):
         lo = hamiltonian_lower(spec, q)
         up = hamiltonian_upper(spec, q)
         mixed = hamiltonian_mixed(spec, q)
-        assert lo.value == pytest.approx(oracle_lower(A), abs=1e-12)
-        assert up.value == pytest.approx(oracle_upper(A), abs=1e-12)
-        assert lo.value <= mixed.value + 1e-8
-        assert mixed.value <= up.value + 1e-8
-        # the reported argmax/argmin reproduce the reported value
-        assert A[lo.u_index, lo.v_index] == pytest.approx(lo.value, abs=1e-12)
-        assert A[up.u_index, up.v_index] == pytest.approx(up.value, abs=1e-12)
+        assert lo == pytest.approx(oracle_lower(A), abs=1e-12)
+        assert up == pytest.approx(oracle_upper(A), abs=1e-12)
+        assert lo <= mixed.value + 1e-8
+        assert mixed.value <= up + 1e-8
+        # the optimizers minimax reports reproduce the pure values
+        L = lagrangian_matrix(spec, q)
+        for which, value in (("lower", lo), ("upper", up)):
+            _, u_star, v_star, _ = minimax(L, which)
+            assert A[u_star, v_star] == pytest.approx(value, abs=1e-12)
 
 
 def test_query_validation(pennies_problem):

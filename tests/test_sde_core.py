@@ -160,7 +160,7 @@ def test_sample_noise_rejects_bad_grid():
 def test_control_set_basics():
     cs = ControlSet(np.array([[-1.0], [1.0]]), label="pm")
     assert cs.size == 2
-    assert cs.point_dim == 1
+    assert cs.points.shape == (2, 1)
     assert cs.point(1)[0] == 1.0
     with pytest.raises(ValueError):
         cs.points[0, 0] = 5.0  # read-only view

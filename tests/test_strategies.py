@@ -25,9 +25,8 @@ from robustctl.strategies import (_NOT_YET, UNDEFINED, _track, AbsRegion, Capped
                                   ElementaryStrategy, FeedbackLookupAction,
                                   FeedbackMap, FixedTimeRule, GridIndexRule,
                                   HittingRule, OpenLoopControl,
-                                  OutsideBoxRegion, PiecewiseRandomControl,
-                                  ReplayControl, SignControl,
-                                  ThresholdRegion, check_nonanticipative,
+                                  PiecewiseRandomControl, ReplayControl,
+                                  SignControl, check_nonanticipative,
                                   concatenate, fire_batch, make_grid_strategy,
                                   realize_checked)
 
@@ -113,12 +112,8 @@ def test_regions():
     x = np.array([[0.5, -2.0], [0.1, 0.1]])
     assert np.array_equal(AbsRegion(1.5).contains(x), [True, False])
     assert np.array_equal(AbsRegion(1.5, coord=0).contains(x), [False, False])
-    assert np.array_equal(ThresholdRegion(0.3).contains(x), [True, False])
-    assert np.array_equal(ThresholdRegion(0.3, direction="le").contains(x), [False, True])
-    box = OutsideBoxRegion(lo=(-1.0, -1.0), hi=(1.0, 1.0))
-    assert np.array_equal(box.contains(x), [True, False])
-    with pytest.raises(ConfigError):
-        ThresholdRegion(0.0, direction="up")
+    assert np.array_equal(AbsRegion(1.5, coord=1).contains(x), [True, False])
+    assert AbsRegion(0.0).contains(x).all()  # level 0 holds everywhere
 
 
 @given(seed=hs.integers(0, 10_000), level=hs.floats(0.2, 1.5))
@@ -236,10 +231,9 @@ def tracker_cases(feedback: FeedbackMap) -> list:
         actions=two, label="hitswitch")
     chained = ElementaryStrategy(
         control_set=PM, start_rule=FixedTimeRule(0.0),
-        # x <= 0 holds at index 0, so only the gate delays the switch; an
-        # entry at the gate's own fire index counts
-        rules=(HittingRule(ThresholdRegion(0.0, direction="le"),
-                           from_rule=HittingRule(AbsRegion(0.3))),
+        # |x| >= 0 holds at every index, so the switch lands exactly on the
+        # gate's fire index: an entry at the gate's own fire index counts
+        rules=(HittingRule(AbsRegion(0.0), from_rule=HittingRule(AbsRegion(0.3))),
                FixedTimeRule(1.0)),
         actions=two, label="chained")
     junction = HittingRule(AbsRegion(0.4))
