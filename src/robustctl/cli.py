@@ -3,7 +3,7 @@
 Subcommands map to stage bundles (see runner.COMMANDS); all of them share
 the same flags.  Exit codes: 0 all checks passed, 1 at least one check
 failed (or warnings with --strict), 2 configuration problem, 3 runtime
-failure inside a stage.
+failure inside a stage or while writing the output.
 """
 
 from __future__ import annotations
@@ -75,21 +75,24 @@ def main(argv: list | None = None) -> int:
             or os.path.join(os.getcwd(), "robustctl_out")
         if not isinstance(out_dir, str):
             raise ConfigError(f"output_dir must be a string, got {out_dir!r}")
+        # checked before any stage runs, so a bad path does not waste the run
+        if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+            raise ConfigError(f"output directory {out_dir} exists and is not a directory")
         threads = args.threads if args.threads is not None else _threads_from_env()
         result = run_experiment(raw, command=args.command, seed=args.seed,
                                 threads=threads, strict=args.strict)
+        for check in result.summary["checks"]:
+            mark = "PASS" if check["passed"] else "FAIL"
+            print(f"[{mark}] {check['id']}: {check['detail']}")
+        for warning in result.summary["warnings"]:
+            print(f"[warn] {warning}")
+        paths = write_result(result, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RobustCtlError as exc:
+    except (RobustCtlError, OSError) as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    for check in result.summary["checks"]:
-        mark = "PASS" if check["passed"] else "FAIL"
-        print(f"[{mark}] {check['id']}: {check['detail']}")
-    for warning in result.summary["warnings"]:
-        print(f"[warn] {warning}")
-    paths = write_result(result, out_dir)
     print(f"wrote {len(paths)} files under {out_dir}")
     return result.exit_code
 

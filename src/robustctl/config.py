@@ -4,16 +4,21 @@ A run config is a plain JSON object.  Unknown keys anywhere are errors (the
 validator names them), so typos cannot silently disable a stage.  A summary
 file produced by an earlier run is also accepted as a config: the embedded
 ``config`` object is extracted, which makes reruns round-trip exactly.
+
+``SCHEMA`` is a Draft 2020-12 JSON Schema, checked by :func:`describe_errors`,
+which implements exactly the keywords ``SCHEMA`` uses, with jsonschema's
+messages and paths.  Two rules are stricter than the draft: an ``integer`` is
+an ``int`` (10.0 is refused), and a ``number`` is finite (NaN, Infinity and
+1e400, which ``json`` reads as inf, are refused).
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import os
 
 from .errors import ConfigError
-from .problems import available_problems
+from .problems import available_problems, finite_number
 
 __all__ = ["SCHEMA", "DEFAULTS", "load_config", "validate_config",
            "resolve_config", "describe_errors"]
@@ -193,10 +198,15 @@ DEFAULTS = _defaults_of(SCHEMA)
 
 def load_config(path: str) -> dict:
     """Parse a config file; a summary file is unwrapped to its embedded config."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be read: {exc.strerror or exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -212,15 +222,125 @@ def load_config(path: str) -> dict:
     return data
 
 
+# ------------------------------------------------------ schema checker ---- #
+# One function per keyword of SCHEMA, each yielding (path, message) pairs
+# with jsonschema's message for that keyword; ``path`` is a tuple of keys and
+# indexes.  A keyword that is not in _KEYWORDS fails loudly (KeyError).
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "null": type(None)}
+
+
+def _is_type(value, name: str) -> bool:
+    if name == "integer":
+        return isinstance(value, int) and not isinstance(value, bool)
+    if name == "number":
+        return finite_number(value)
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _equal(a, b) -> bool:
+    """JSON equality as jsonschema has it: booleans are not numbers, 1 == 1.0."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(v, b[k]) for k, v in a.items())
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _type(types, value, path, schema):
+    names = [types] if isinstance(types, str) else types
+    if not any(_is_type(value, name) for name in names):
+        if "number" in names and isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path, f"{value!r} is not a finite number"
+        else:
+            yield path, f"{value!r} is not of type {', '.join(map(repr, names))}"
+
+
+def _properties(properties, value, path, schema):
+    if isinstance(value, dict):
+        for key, sub in properties.items():
+            if key in value:
+                yield from _check(sub, value[key], path + (key,))
+
+
+def _additional_properties(allowed, value, path, schema):
+    # SCHEMA uses only the boolean form
+    if isinstance(value, dict) and not allowed:
+        extras = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            yield path, (f"Additional properties are not allowed "
+                         f"({', '.join(map(repr, extras))} {verb} unexpected)")
+
+
+def _required(required, value, path, schema):
+    if isinstance(value, dict):
+        for key in required:
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+
+
+def _const(const, value, path, schema):
+    if not _equal(value, const):
+        yield path, f"{const!r} was expected"
+
+
+def _enum(enum, value, path, schema):
+    if not any(_equal(value, each) for each in enum):
+        yield path, f"{value!r} is not one of {enum!r}"
+
+
+def _items(items, value, path, schema):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _check(items, item, path + (i,))
+
+
+def _min_items(count, value, path, schema):
+    if isinstance(value, list) and len(value) < count:
+        yield path, f"{value!r} {'should be non-empty' if count == 1 else 'is too short'}"
+
+
+def _unique_items(unique, value, path, schema):
+    if unique and isinstance(value, list) and any(
+            _equal(a, b) for i, a in enumerate(value) for b in value[i + 1:]):
+        yield path, f"{value!r} has non-unique elements"
+
+
+def _minimum(bound, value, path, schema):
+    if finite_number(value) and value < bound:
+        yield path, f"{value!r} is less than the minimum of {bound!r}"
+
+
+def _exclusive_minimum(bound, value, path, schema):
+    if finite_number(value) and value <= bound:
+        yield path, f"{value!r} is less than or equal to the minimum of {bound!r}"
+
+
+def _annotation(arg, value, path, schema):
+    return ()
+
+
+_KEYWORDS = {
+    "type": _type, "properties": _properties, "additionalProperties": _additional_properties,
+    "required": _required, "const": _const, "enum": _enum, "items": _items,
+    "minItems": _min_items, "uniqueItems": _unique_items, "minimum": _minimum,
+    "exclusiveMinimum": _exclusive_minimum, "default": _annotation, "$schema": _annotation,
+}
+
+
+def _check(schema: dict, value, path: tuple):
+    for keyword, arg in schema.items():
+        yield from _KEYWORDS[keyword](arg, value, path, schema)
+
+
 def describe_errors(data: dict) -> list[str]:
-    """All schema violations as readable strings with JSON paths."""
-    import jsonschema  # imported here: only validation needs it, and it is slow to import
-    validator = jsonschema.Draft202012Validator(SCHEMA)
+    """All schema violations as readable strings with JSON paths, by path."""
     out = []
-    for err in sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path)):
-        where = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path)
-        out.append(f"{where}: {err.message}")
+    for path, message in sorted(_check(SCHEMA, data, ()), key=lambda e: e[0]):
+        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        out.append(f"{where}: {message}")
     return out
 
 

@@ -50,7 +50,6 @@ group work, and all reductions run over fully assembled arrays.
 from __future__ import annotations
 
 import mmap
-import multiprocessing
 import os
 import pickle
 from dataclasses import dataclass, field as dc_field
@@ -137,9 +136,12 @@ class EngineConfig:
     def __post_init__(self):
         if self.n_steps < 1 or self.chunk_size < 1 or self.threads < 1:
             raise ConfigError("EngineConfig: n_steps, chunk_size, threads must be >= 1")
-        if self.threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
-            raise ConfigError(f"EngineConfig: threads={self.threads} needs worker processes "
-                              "started by 'fork', which this platform does not offer")
+        if self.threads > 1:
+            import multiprocessing  # here and in _map_chunks: only a worker pool needs it
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise ConfigError(f"EngineConfig: threads={self.threads} needs worker "
+                                  "processes started by 'fork', which this platform "
+                                  "does not offer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -590,6 +592,7 @@ def _map_chunks(n_paths: int, engine: EngineConfig, worker) -> int:
         conn.close()
         os._exit(0)
 
+    import multiprocessing
     ctx = multiprocessing.get_context("fork")
     procs, errors = [], []
     try:

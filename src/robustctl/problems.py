@@ -23,6 +23,7 @@ compared on it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,7 @@ __all__ = [
     "BenchmarkProblem",
     "build_problem",
     "available_problems",
+    "finite_number",
 ]
 
 
@@ -75,12 +77,27 @@ def build_problem(problem_id: str, parameters: dict | None = None) -> BenchmarkP
     return _REGISTRY[problem_id](dict(parameters or {}))
 
 
+def finite_number(value) -> bool:
+    """An ``int`` or ``float``, not a ``bool``, that is a finite float: what a
+    config number and a problem parameter must be."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _take_params(problem_id: str, params: dict, defaults: dict) -> dict:
     unknown = set(params) - set(defaults)
     if unknown:
         raise ConfigError(
             f"problem {problem_id!r}: unknown parameters {sorted(unknown)}; "
             f"accepted: {sorted(defaults)}")
+    bad = [f"problem {problem_id!r}: parameter {key!r} must be a finite real number, "
+           f"got {value!r}" for key, value in params.items() if not finite_number(value)]
+    if bad:
+        raise ConfigError(bad)
     out = dict(defaults)
     out.update(params)
     return out

@@ -9,6 +9,7 @@ which is what makes reruns and thread sweeps byte-comparable.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,14 +17,18 @@ import textwrap
 import weakref
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from conftest import estimate_cell
+import robustctl.config as config
 import robustctl.game_engine as ge
 import robustctl.runner as runner
 from robustctl.cli import main
-from robustctl.config import (DEFAULTS, describe_errors, load_config,
+from robustctl.config import (DEFAULTS, SCHEMA, describe_errors, load_config,
                               resolve_config, validate_config)
 from robustctl.errors import ConfigError
 from robustctl.pde_solver import make_grid, solve_isaacs
@@ -62,20 +67,157 @@ def test_resolution_is_idempotent():
     assert resolve_config(resolved) == resolved
 
 
-def test_jsonschema_is_imported_only_when_a_config_is_validated():
-    # a fresh interpreter: this one has validated configs already
+def test_validation_and_a_single_worker_run_load_neither_jsonschema_nor_multiprocessing():
+    # a fresh interpreter: this one has loaded both; a two-worker table still
+    # forks its workers and gives the single-worker summary
     script = textwrap.dedent("""
-        import sys
+        import os, sys
         import robustctl, robustctl.cli
-        assert "jsonschema" not in sys.modules, "loaded on import"
         from robustctl.config import resolve_config
-        resolve_config({"problem": {"id": "constant"}})
-        assert "jsonschema" in sys.modules
+        from robustctl.reports import summary_to_json
+        from robustctl.runner import run_experiment
+        cfg = {"problem": {"id": "pennies"}, "grid": {"h": 0.2},
+               "simulate": {"n_paths": 64, "n_steps": 16, "chunk_size": 32},
+               "strategies": {"decision_counts": [2]},
+               "adversaries": {"n_random": 1, "random_segments": 4}}
+        resolve_config(cfg)
+        run_experiment(cfg, command="validate")
+        one = run_experiment(cfg, command="simulate", threads=1)
+        loaded = [m for m in ("jsonschema", "multiprocessing") if m in sys.modules]
+        assert not loaded, loaded
+        forks, fork = [], os.fork
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+        os.fork = counted_fork
+        two = run_experiment(cfg, command="simulate", threads=2)
+        assert len(forks) == 2, forks
+        assert summary_to_json(two.summary) == summary_to_json(one.summary)
     """)
     src = str(Path(ge.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def _subschemas(schema: dict):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_the_checker_implements_every_keyword_the_schema_uses():
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+    used = set().union(*(sub.keys() for sub in _subschemas(SCHEMA)))
+    assert used <= set(config._KEYWORDS)
+    # the checker reads additionalProperties only in its boolean form
+    assert all(type(sub["additionalProperties"]) is bool
+               for sub in _subschemas(SCHEMA) if "additionalProperties" in sub)
+    # a keyword it does not implement is not passed over
+    with pytest.raises(KeyError, match="anyOf"):
+        list(config._check({"anyOf": [{"type": "string"}]}, 1, ()))
+
+
+_KEY = hs.text(alphabet="abxyz_", min_size=1, max_size=3)
+_SCALAR = hs.one_of(hs.none(), hs.booleans(), hs.integers(-3, 12), hs.floats(),
+                    hs.text(max_size=3))
+_JSON = hs.recursive(_SCALAR, lambda inner: hs.lists(inner, max_size=3)
+                     | hs.dictionaries(_KEY, inner, max_size=3), max_leaves=6)
+
+
+def _mostly(good, bad):
+    """``good`` nine times in ten, else ``bad``."""
+    return hs.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+def _near(schema: dict):
+    """Values aimed at ``schema``: mostly valid, and invalid now and then at any depth."""
+    if "const" in schema:
+        return _mostly(hs.just(schema["const"]), _SCALAR)
+    if "enum" in schema:
+        return _mostly(hs.sampled_from(schema["enum"]), _SCALAR)
+    types = schema["type"]
+    shaped = []
+    for name in [types] if isinstance(types, str) else types:
+        if name == "object" and "properties" in schema:
+            props = schema["properties"]
+            required = schema.get("required", [])
+            fields = hs.fixed_dictionaries(
+                {k: _near(props[k]) for k in required},
+                optional={k: _near(sub) for k, sub in props.items() if k not in required})
+            # an unknown key, or a required key dropped
+            broken = hs.tuples(fields, hs.dictionaries(_KEY, _SCALAR, max_size=2),
+                               hs.sampled_from([None, *required])).map(
+                lambda t: {k: v for k, v in {**t[1], **t[0]}.items() if k != t[2]})
+            shaped.append(_mostly(fields, broken))
+        elif name == "object":
+            shaped.append(hs.dictionaries(_KEY, _JSON, max_size=2))
+        elif name == "array":
+            items = _near(schema["items"])
+            # the broken lists may be short or repeat an item
+            shaped.append(_mostly(
+                hs.lists(items, min_size=schema.get("minItems", 0), max_size=4,
+                         unique=schema.get("uniqueItems", False)),
+                hs.lists(items, max_size=3).flatmap(
+                    lambda xs: hs.just(xs + xs[:1]) | hs.just(xs))))
+        elif name == "integer":
+            shaped.append(hs.integers(schema.get("minimum", -3), 8))
+        elif name == "number":
+            lo = schema.get("minimum", schema.get("exclusiveMinimum", -5))
+            shaped.append(hs.integers(lo, 8) | hs.floats(lo, 8, exclude_min=True).filter(
+                lambda x: not x.is_integer()))
+        else:
+            shaped.append({"string": hs.text(max_size=3), "boolean": hs.booleans(),
+                           "null": hs.none()}[name])
+    return _mostly(hs.one_of(shaped), _SCALAR)
+
+
+def _where(path) -> str:
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
+def _oracle_errors(data) -> list[str]:
+    errors = jsonschema.Draft202012Validator(SCHEMA).iter_errors(data)
+    return [f"{_where(e.absolute_path)}: {e.message}"
+            for e in sorted(errors, key=lambda e: list(e.absolute_path))]
+
+
+def _strict_rule_paths(value, path=()):
+    """Where the two stricter rules may part from the draft: every integral or
+    non-finite float, and every array that holds a non-finite one (NaN is
+    unequal to itself, and jsonschema finds duplicates by sorting)."""
+    if isinstance(value, float) and not (math.isfinite(value) and not value.is_integer()):
+        yield _where(path)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _strict_rule_paths(item, path + (key,))
+    elif isinstance(value, list):
+        if any(isinstance(v, float) and not math.isfinite(v) for v in value):
+            yield _where(path)
+        for i, item in enumerate(value):
+            yield from _strict_rule_paths(item, path + (i,))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near(SCHEMA))
+# a boolean is not the number 1, nor a duplicate of it; 1.0 is
+@example({"problem": {"id": "x"}, "schema_version": True})
+@example({"problem": {"id": "x"}, "schema_version": 1.0})
+@example({"problem": {"id": "x"}, "strategies": {"decision_counts": [1, True]}})
+@example({"problem": {"id": "x"}, "strategies": {"decision_counts": [2, 2.0]}})
+def test_the_checker_agrees_with_jsonschema(data):
+    mine, oracle = describe_errors(data), _oracle_errors(data)
+    exempt = set(_strict_rule_paths(data))
+    if not exempt:
+        assert mine == oracle
+    else:
+        def paths(msgs):
+            return {m.split(": ", 1)[0] for m in msgs} - exempt
+        assert paths(mine) == paths(oracle)
 
 
 def test_unknown_top_level_key_is_named():
@@ -159,6 +301,54 @@ def test_load_config_unwraps_a_summary(tmp_path):
     listy.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(str(listy))
+
+
+def test_unreadable_config_files_are_named(tmp_path, capsys):
+    # a directory, bytes that are not UTF-8, and a path through a file
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"problem": {"id": "\xff"}}')
+    (tmp_path / "afile").write_text("{}")
+    for path, why in ((tmp_path, "cannot be read: Is a directory"), (binary, "not UTF-8"),
+                      (tmp_path / "afile" / "config.json", "cannot be read: Not a directory")):
+        with pytest.raises(ConfigError, match=why):
+            load_config(str(path))
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err and why in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_are_not_integers(tmp_path, capsys):
+    # 10.0 steps used to pass the schema and die in np.linspace; a 2.0 seed
+    # used to run and be recorded as 2.0
+    for where, cfg in (("$.simulate.n_steps: 10.0",
+                        cheap_constant(simulate={"n_paths": 64, "n_steps": 10.0})),
+                       ("$.seed: 2.0", cheap_constant(seed=2.0))):
+        message = f"{where} is not of type 'integer'"
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg, command="simulate")
+        assert message in err.value.errors
+        path = write_cfg(tmp_path, cfg)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_numbers_are_refused_by_name(tmp_path, capsys):
+    # json reads NaN and Infinity, and 1e400 as inf; each used to pass the
+    # schema and end in a traceback once the summary was written
+    for section, key in (("tolerances", "value_abs"), ("grid", "h"),
+                         ("assumptions", "slack")):
+        for spelling in ("NaN", "Infinity", "-Infinity", "1e400"):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({**cheap_constant(), section: {key: "X"}})
+                           .replace('"X"', spelling))
+            assert main(["validate", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert f"$.{section}.{key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert describe_errors({"problem": {"id": "constant"}, "grid": {"h": math.inf}}) \
+        == ["$.grid.h: inf is not a finite number"]
 
 
 # ------------------------------------------------------------------ runner ---- #
@@ -573,6 +763,23 @@ def test_cli_maps_config_problems_to_exit_two(tmp_path, capsys):
 
     code = main(["run", "--config", str(tmp_path / "missing.json")])
     assert code == 2
+
+
+def test_cli_refuses_a_file_as_the_output_directory_before_the_run(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    by_flag = write_cfg(tmp_path, cheap_constant())
+    assert main(["run", "--config", by_flag, "--out", str(afile)]) == 2
+    by_config = write_cfg(tmp_path, cheap_constant(output_dir=str(afile)))
+    assert main(["run", "--config", by_config]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no stage ran
+    assert err.count(f"output directory {afile} exists and is not a directory") == 2
+    assert afile.read_text() == "kept"
+    # a path that cannot be made is found only when written: one line, exit 3
+    assert main(["validate", "--config", by_flag, "--out", str(afile / "sub")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

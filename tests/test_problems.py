@@ -95,3 +95,13 @@ def test_built_in_drifts_fill_their_block_with_the_old_bits():
                 old = pair(u, v) * np.ones_like(x)
                 assert got.dtype == old.dtype and got.shape == old.shape, (pid, u, v)
                 assert got.tobytes() == old.tobytes(), (pid, u, v)
+
+
+def test_parameters_must_be_finite_real_numbers():
+    # "abc" used to raise a bare ValueError, and True ran as 1.0
+    for pid in available_problems():
+        for key in build_problem(pid).parameters:
+            for bad in (True, "abc", None, float("nan"), float("inf"), 10 ** 400):
+                with pytest.raises(ConfigError, match=rf"problem '{pid}': parameter '{key}'"):
+                    build_problem(pid, {key: bad})
+            assert build_problem(pid, {key: 1}).parameters[key] == 1
