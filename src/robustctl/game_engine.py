@@ -27,10 +27,10 @@ keyed by label) marched on one noise panel and reduced by one sup-inf fold
 from the time-major noise, one at a time, and marched against its
 strategies a block at a time, each strategy on its own slice of the block's
 rows (:func:`_run_cells`, :func:`_march_chunk`).  :func:`value_experiment`
-is the only entry point for payoff tables (:func:`filtration_experiment` is
-its 1 x m call), and :func:`dpp_checks` folds every rule's restart values
-from one table, the restart states captured by the rules' monitors during
-the march.  The two games have one recorded entry point each, returning a
+is the only entry point for tables (:func:`filtration_experiment` is its
+1 x m call); one march reads each path's payoff and each dpp rule's
+restart value on that path, and :func:`dpp_checks` returns the latter.
+The two games have one recorded entry point each, returning a
 :class:`Paths` record of noise paths marched as one chunk:
 :func:`simulate_strong` (feedback alpha against an open-loop control)
 and :func:`simulate_feedback_pair` (alpha against a feedback beta); the
@@ -39,8 +39,8 @@ actions against its own control set when built, so the engine makes one
 set comparison per side (:func:`_check_set`).  Non-anticipation is judged
 by behaviour alone, through :func:`_screen`: an open-loop member is
 screened by the first table it plays in on each game grid, and
-:func:`dpp_checks` screens its rules; the recorded entry points screen
-nothing.  With ``EngineConfig.threads > 1`` the chunks are
+:func:`value_experiment` screens its rules; the recorded entry points
+screen nothing.  With ``EngineConfig.threads > 1`` the chunks are
 marched in worker processes started by fork, which write their results
 into arrays shared with the parent.  Results are bitwise invariant to chunk
 size and worker count: path seeds are derived per path index, chunks only
@@ -648,17 +648,16 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
     of at most ``chunk_size`` rows (:func:`_march_chunk`); a block of
     several that raises is marched again one strategy at a time, so the
     error raised is the one a cell-by-cell march raises first.  Each cell
-    writes its own slots.  Returns (values, clamps): with no ``rules``,
-    values[0, ci, p] is cell ci's terminal payoff on path p; with ``rules``,
-    a list of (label, rule) pairs, values[k, ci, p] is ``field`` at path p's
-    (rho_k, X_rho_k), the restart state captured during the march.  Chunks
-    write into shared arrays, so worker processes need not return anything,
-    and ``values`` is that shared array itself, returned without a copy.
+    writes its own slots.  Returns (values, clamps): values[0, ci, p] is
+    cell ci's payoff on path p, and values[1 + k, ci, p] is ``field`` at
+    its (rho_k, X_rho_k) for the k-th of the (label, rule) ``rules``, the
+    restart state captured on the same march.  Chunks write into shared
+    arrays, so workers return nothing, and ``values`` is that shared array
+    itself, returned without a copy.
     """
     extra_dim = max(adv.extra_dim for _, adv in cells)
     n_paths = seeds.size
-    rules = list(rules)
-    values = _shared_zeros((max(len(rules), 1), len(cells), n_paths), np.float64)
+    values = _shared_zeros((1 + len(rules), len(cells), n_paths), np.float64)
     clamp_store = _shared_zeros((len(range(0, n_paths, engine.chunk_size)), len(cells)),
                                 np.int64)
     by_adversary: dict = {}
@@ -675,10 +674,8 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
         def march(strategies, v_factory):
             paths, captures = _march_chunk(spec, times, chunk_seeds, x0, strategies,
                                            v_factory, dW_tm, rules)
-            if not rules:
-                return [([p.payoffs], p.clamp_count) for p in paths]
             reads = [capture.values(field, times) for capture in captures]
-            return [([read[s * c:(s + 1) * c] for read in reads], p.clamp_count)
+            return [([p.payoffs] + [read[s * c:(s + 1) * c] for read in reads], p.clamp_count)
                     for s, p in enumerate(paths)]
 
         for adversary, row in by_adversary.items():
@@ -734,7 +731,7 @@ def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
                  rules=()) -> tuple[np.ndarray, np.ndarray]:
     """The strategies x members table on one noise panel; see :func:`_run_cells`.
 
-    Rows are strategy-major: cell ``si * len(family.members) + mi``.  Path p
+    Cells are strategy-major: cell ``si * len(family.members) + mi``.  Path p
     uses the seed derived from (master_seed, p), so two runs with the same
     arguments agree bitwise regardless of chunking or worker count, and
     every cell shares the noise (common random numbers).  Open-loop members
@@ -793,6 +790,7 @@ class ValueExperimentReport:
     per_strategy: dict
     best_label: str
     best: RobustValue
+    dpp: list = dc_field(default_factory=list)
 
     def restricted(self, family: AdversaryFamily) -> "ValueExperimentReport":
         """The same table folded over a sub-family's members, in its order."""
@@ -866,7 +864,8 @@ def _fold_table(strategies: list, family: AdversaryFamily, values: np.ndarray,
 
 def value_experiment(spec: ProblemSpec, s: float, x0, strategies,
                      family: AdversaryFamily, n_paths: int, master_seed: int,
-                     engine: EngineConfig, keep_payoffs: bool = False) -> ValueExperimentReport:
+                     engine: EngineConfig, keep_payoffs: bool = False,
+                     field: ValueField | None = None, rules=()) -> ValueExperimentReport:
     """Robust value per strategy, keeping the strategy ordering; best = max.
 
     ``strategies`` is a list of elementary strategies, keyed by their labels
@@ -874,12 +873,30 @@ def value_experiment(spec: ProblemSpec, s: float, x0, strategies,
     is marched on the same noise panel, so the whole table is a
     common-random-numbers comparison and the noise cost is paid once per
     chunk rather than once per cell.  Every payoff estimate in
-    the package is a cell of such a table.
+    the package is a cell of such a table.  Each of ``rules``, (label, rule)
+    pairs screened by :func:`_screen`, keeps every path's state at its fire
+    (capped at the horizon) on the same march; ``field`` there is folded
+    like the payoffs, into one :class:`DppReport` per rule in ``dpp``.
     """
-    strategies = list(strategies)
+    strategies, rules = list(strategies), list(rules)
+    for label, rho in rules:
+        _screen(f"stopping rule {label!r}", rho, spec, engine, master_seed)
     values, clamps = _march_table(spec, s, x0, strategies, family, n_paths,
-                                  master_seed, engine)
-    return _fold_table(strategies, family, values[0], clamps, master_seed, keep_payoffs)
+                                  master_seed, engine, field, rules)
+    report = _fold_table(strategies, family, values[0], clamps, master_seed, keep_payoffs)
+    if rules:
+        field_value = float(field.value_at(np.asarray(s), _as_state(spec, x0)[None])[0])
+    for (label, _), table in zip(rules, values[1:]):
+        restart = _fold_table(strategies, family, table, clamps, master_seed, False)
+        best = restart.best
+        report.dpp.append(DppReport(
+            rho_label=label, field_value=field_value, game_value=best.mean,
+            residual=abs(field_value - best.mean), std_error=best.estimate.std_error,
+            best_strategy=restart.best_label, worst_adversary=best.worst_id,
+            cells={(slabel, aid): (est.mean, est.std_error)
+                   for slabel, rv in restart.per_strategy.items()
+                   for aid, est in rv.members.items()}))
+    return report
 
 
 def filtration_experiment(spec: ProblemSpec, s: float, x0,
@@ -919,33 +936,14 @@ def dpp_checks(spec: ProblemSpec, field: ValueField, s: float, x0, strategies,
     """Verify v(s, x) = sup inf E[v(rho, X_rho)] at each rule against a solved field.
 
     ``rules`` is a list of (label, rule) pairs; one :class:`DppReport` comes
-    back per pair, in order.  Every rule is screened by :func:`_screen`
-    first.  The table is marched once; each rule's monitor observes the
-    march and keeps every path's state at its fire index, and the restart
-    values (the field interpolated at each path's (rho, X_rho), capped at
-    the horizon) are folded like :func:`value_experiment`'s payoffs.
+    back per pair, in order: the ``dpp`` of :func:`value_experiment`'s
+    table marched with these rules.
     """
     rules = list(rules)
     if not rules:
         raise ConfigError("dynamic-programming check needs at least one rule")
-    for label, rho in rules:
-        _screen(f"stopping rule {label!r}", rho, spec, engine, master_seed)
-    strategies = list(strategies)
-    values, clamps = _march_table(spec, s, x0, strategies, family, n_paths, master_seed,
-                                  engine, field, rules)
-    field_value = float(field.value_at(np.asarray(s), _as_state(spec, x0)[None])[0])
-    reports = []
-    for (label, _), table in zip(rules, values):
-        report = _fold_table(strategies, family, table, clamps, master_seed, False)
-        best = report.best
-        reports.append(DppReport(
-            rho_label=label, field_value=field_value, game_value=best.mean,
-            residual=abs(field_value - best.mean), std_error=best.estimate.std_error,
-            best_strategy=report.best_label, worst_adversary=best.worst_id,
-            cells={(slabel, aid): (est.mean, est.std_error)
-                   for slabel, rv in report.per_strategy.items()
-                   for aid, est in rv.members.items()}))
-    return reports
+    return value_experiment(spec, s, x0, strategies, family, n_paths, master_seed, engine,
+                            field=field, rules=rules).dpp
 
 
 def dpp_check(spec: ProblemSpec, field: ValueField, s: float, x0,

@@ -21,28 +21,10 @@ __all__ = ["SUMMARY_VERSION", "summary_to_json", "emit_report", "format_cell"]
 SUMMARY_VERSION = 1
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json sees pure Python."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def summary_to_json(summary: dict) -> str:
-    """Canonical JSON text for a summary dict (sorted keys, no NaN/inf)."""
+    """Canonical JSON text for a summary of plain Python values (sorted keys, no NaN/inf)."""
     try:
-        return json.dumps(_plain(summary), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        return json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ConfigError(f"summary contains a non-finite number: {exc}") from exc
 

@@ -224,12 +224,13 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
 
     # ---- one table: the ladder against the enlarged family ----------------- #
     # The value stage reports the whole table; the filtration stage reads one
-    # row of it, folded over both families.
+    # row of it, folded over both families; the dpp stage reads each rule's
+    # restart values, captured on the same paths.
     table = value_report = None
-    if "value" in stages or "filtration" in stages:
+    if table_stages:
         table = ge.value_experiment(spec, s0, x0, ladder, enlarged, sim["n_paths"],
-                                    experiment_seed, engine,
-                                    keep_payoffs=sim["dump_paths"])
+                                    experiment_seed, engine, keep_payoffs=sim["dump_paths"],
+                                    field=lower, rules=rules if "dpp" in stages else ())
 
     # ---- robust value vs. the lower field ---------------------------------- #
     if "value" in stages:
@@ -285,8 +286,7 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
     if "dpp" in stages:
         summary["dpp"] = {}
         rows = []
-        for rep in ge.dpp_checks(spec, lower, s0, x0, ladder, enlarged, rules,
-                                 sim["n_paths"], derive_seed(master_seed, 41), engine):
+        for rep in table.dpp:
             label = rep.rho_label
             bound = max(tol["se_multiplier"] * rep.std_error, tol["dpp_abs"])
             checks.add(f"dpp.{label}", "dpp", rep.residual <= bound,

@@ -318,6 +318,17 @@ def test_unreadable_config_files_are_named(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_integer_past_the_digit_limit_is_named(tmp_path, capsys):
+    # json.loads raises a bare ValueError, not a JSONDecodeError, for an
+    # integer literal longer than Python's int conversion limit
+    path = tmp_path / "config.json"
+    path.write_text('{"problem": {"id": "constant"}, "seed": ' + "7" * 5000 + "}")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err and "digits" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_floats_are_not_integers(tmp_path, capsys):
     # 10.0 steps used to pass the schema and die in np.linspace; a 2.0 seed
     # used to run and be recorded as 2.0
@@ -583,7 +594,7 @@ def test_every_stage_equals_the_direct_calls():
     rows = []
     for label, rho in rules:
         rep = ge.dpp_check(spec, lower, 0.0, x0, ladder, enlarged, rho, n,
-                           derive_seed(6, 41), engine, rho_label=label)
+                           seed, engine, rho_label=label)
         assert summary["dpp"][label] == {
             "field_value": rep.field_value, "game_value": rep.game_value,
             "residual": rep.residual, "std_error": rep.std_error,
@@ -602,6 +613,15 @@ def test_every_stage_equals_the_direct_calls():
     assert summary["embedding"] == {"n_pairs": 9, "n_seeds": 1, "mismatches": 0}
     assert [row[3] for row in tables["embedding"][1]] == [True] * 9
     assert result.exit_code == 0, summary["failed_checks"]
+
+    # the dpp readouts ride on the value table's march and move none of its bits
+    alone = run_experiment({**ALL_STAGES, "experiments": {**ALL_STAGES["experiments"],
+                                                          "dpp": False}},
+                           command="run", seed=6)
+    assert "dpp" not in alone.summary
+    for key in ("value", "filtration"):
+        assert alone.summary[key] == summary[key]
+    assert alone.tables["estimates"] == tables["estimates"]
 
 
 def test_the_upper_field_is_gone_before_the_monte_carlo_tables(monkeypatch):
@@ -679,8 +699,8 @@ def test_filtration_without_the_value_stage_picks_over_the_base_family():
     assert [row[0] for row in result.tables["estimates"][1]] == ["filtration"] * 2
 
 
-def test_a_full_run_marches_one_value_table_and_one_dpp_table(monkeypatch):
-    # value and filtration share one table; both dpp rules share another
+def test_a_full_run_marches_one_table(monkeypatch):
+    # value, filtration and both dpp rules read one marched table
     marched = []
     run_cells = ge._run_cells
 
@@ -695,12 +715,12 @@ def test_a_full_run_marches_one_value_table_and_one_dpp_table(monkeypatch):
     assert len(result.summary["dpp"]) == 2
     n_cells = sum(len(entry["members"])
                   for entry in result.summary["value"]["per_strategy"].values())
-    assert marched == [n_cells, n_cells]
+    assert marched == [n_cells]
 
 
 def test_a_full_run_screens_each_open_loop_member_once(monkeypatch):
-    # the value and dpp tables share the plan's enlarged family, so its nine
-    # open-loop members are screened by the first table only, plus both rules
+    # the one table marches the plan's enlarged family, so its nine open-loop
+    # members are screened once each, plus both rules
     screened = []
     screen = ge.check_nonanticipative
 
@@ -725,6 +745,37 @@ def test_summary_keeps_only_the_final_march_update():
     final = result.summary["pde"]["lower"]["max_update_final"]
     assert type(final) is float
     assert final == float(lower.max_update[0])
+
+
+def _plain_leaves(obj, where="$"):
+    """Every non-plain key or leaf of a summary, by its JSON path."""
+    if type(obj) is dict:
+        for key, value in obj.items():
+            if type(key) is not str:
+                yield where, key
+            yield from _plain_leaves(value, f"{where}.{key}")
+    elif type(obj) is list:
+        for k, value in enumerate(obj):
+            yield from _plain_leaves(value, f"{where}[{k}]")
+    elif type(obj) not in (str, int, float, bool, type(None)):
+        yield where, obj
+
+
+def test_summaries_hold_plain_json_values_only():
+    # summary_to_json dumps a summary as it is, so every key must be a str and
+    # every leaf a plain Python value: no numpy scalar, array or tuple
+    runs = [run_experiment({**ALL_STAGES, "problem": {"id": pid}}, command="run", seed=5)
+            for pid in ("pennies", "drift_control")]
+    # the gate fails growth_violator: validate, and a run that aborts its stages
+    runs += [run_experiment({"problem": {"id": "growth_violator"}}, command=command)
+             for command in ("validate", "run")]
+    assert runs[-1].summary["aborted_stages"] == runs[-1].summary["stages"] != []
+    for result in runs:
+        summary = result.summary
+        assert list(_plain_leaves(summary)) == []
+        assert summary_to_json(summary) == json.dumps(summary, sort_keys=True, indent=2,
+                                                      allow_nan=False) + "\n"
+    assert all(len(result.summary["stages"]) == 6 for result in runs[:2])
 
 
 # --------------------------------------------------------------------- CLI ---- #

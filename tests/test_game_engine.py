@@ -1669,8 +1669,12 @@ def test_restart_states_captured_in_the_march_match_a_replay(pennies_problem,
     seeds = derive_seed_array(5, np.arange(40))
     x0 = np.array([0.2])
     # chunks of 30 and 10 paths: one strategy per block, then all three
-    values, _ = _run_cells(spec, times, x0, cells, seeds,
-                           EngineConfig(n_steps=32, chunk_size=30), lower, rules)
+    engine = EngineConfig(n_steps=32, chunk_size=30)
+    values, _ = _run_cells(spec, times, x0, cells, seeds, engine, lower, rules)
+    # the payoff row is the table marched with no rules, bit for bit
+    payoffs, _ = _run_cells(spec, times, x0, cells, seeds, engine)
+    assert values.shape[0] == 1 + len(rules) and payoffs.shape[0] == 1
+    assert values[0].tobytes() == payoffs[0].tobytes()
     noises = [sample_noise(times, int(seed), spec.noise_dim) for seed in seeds]
     fired = {label: set() for label, _ in rules}
     for ci, (strategy, member) in enumerate(cells):
@@ -1682,8 +1686,8 @@ def test_restart_states_captured_in_the_march_match_a_replay(pennies_problem,
             fired[label] |= set(np.where(fire == _NOT_YET, -1, fire).tolist())
             fire = np.minimum(fire, times.size - 1)
             want = lower.value_at(times[fire], states[np.arange(seeds.size), fire])
-            assert values[k, ci].tobytes() == want.tobytes(), (label, strategy.label,
-                                                               member.id)
+            assert values[1 + k, ci].tobytes() == want.tobytes(), (label, strategy.label,
+                                                                   member.id)
     assert fired["start"] == {0} and fired["never"] == {-1} and fired["half"] == {16}
     assert -1 in fired["exit"] and len(fired["exit"]) > 3
     assert max(fired["capped"]) == 24 and len(fired["capped"]) > 3
