@@ -17,13 +17,12 @@ from .sde_core import (ControlSet, NoisePath, ProblemSpec, derive_seed,
                        derive_seed_array, sample_noise, stream_generator,
                        validate_assumptions)
 from .problems import BenchmarkProblem, available_problems, build_problem
-from .strategies import (ConstantControl, ElementaryStrategy, FeedbackMap,
-                         FixedTimeRule, HittingRule, OpenLoopControl,
-                         PiecewiseRandomControl, ReplayControl, SignControl,
+from .strategies import (ConstantControl, ElementaryStrategy, FixedTimeRule, HittingRule,
+                         OpenLoopControl, PiecewiseRandomControl, ReplayControl, SignControl,
                          check_nonanticipative, concatenate, make_grid_strategy)
 from .hamiltonian import (HamiltonianQuery, hamiltonian_lower, hamiltonian_mixed,
                           hamiltonian_upper, solve_matrix_game)
-from .pde_solver import (SpaceTimeGrid, ValueField, cfl_max_dt,
+from .pde_solver import (FeedbackMap, SpaceTimeGrid, ValueField, cfl_max_dt,
                          compare_to_reference, make_grid, solve_isaacs)
 from .game_engine import (Adversary, AdversaryFamily, EngineConfig, Paths,
                           ValueEstimate, default_adversary_families,

@@ -8,7 +8,7 @@ plays)``, and the type of ``plays`` says how it plays:
     A control reading noise only, realized through ``realize_checked``.
 :class:`~robustctl.strategies.ElementaryStrategy`
     Another elementary strategy, for strategy-vs-strategy games.
-:class:`~robustctl.strategies.FeedbackMap`
+:class:`~robustctl.pde_solver.FeedbackMap`
     A table v(t, x), read at each step's time and state.
 :class:`~robustctl.pde_solver.ValueField`
     A solved lower field: its per-u reply table ``response_v`` answers the
@@ -59,12 +59,11 @@ import numpy as np
 from .errors import (ConfigError, EmbeddingMismatchError, ModelEvaluationError,
                      SimulationBlowUpError, StrategyIntervalError,
                      StrategyStructureError)
-from .pde_solver import ValueField
+from .pde_solver import FeedbackMap, ValueField
 from .sde_core import (ControlSet, NoisePath, ProblemSpec, derive_seed,
                        derive_seed_array, eval_pairs, eval_payoff, sample_noise_batch)
 from .strategies import (AbsRegion, ConstantAction, ConstantControl,
-                         ElementaryStrategy, FeedbackMap,
-                         FixedTimeRule, HittingRule, OpenLoopControl,
+                         ElementaryStrategy, FixedTimeRule, HittingRule, OpenLoopControl,
                          PiecewiseRandomControl, ReplayControl, SignControl,
                          StoppingRule, StrategyTracker, _rule_monitor,
                          check_nonanticipative, make_grid_strategy, realize_checked)
@@ -308,10 +307,10 @@ def _adversary_realization(adversary: Adversary, spec: ProblemSpec, times: np.nd
         step = lambda i, X, u: paths_tm[i]
         return lambda n_s: (step, [])
     if isinstance(plays, ValueField):
-        grid, table = plays.feedback_v, plays.response_v
+        grid, table = plays.grid, plays.response_v
         owner = f"adversary {adversary.id!r} reply"
-        _check_set(f"{owner} table {grid.label!r}", grid.control_set, "adversary",
-                   spec.controls_v)
+        _check_set(f"{owner} table {plays.feedback_v.label!r}", plays.feedback_v.control_set,
+                   "adversary", spec.controls_v)
         _check_set(f"{owner} rows {plays.feedback_u.label!r}", plays.feedback_u.control_set,
                    "controller", spec.controls_u)
         step = lambda i, X, u: table[(grid.layer_of(float(times[i])), u) + grid.cells_of(X)]

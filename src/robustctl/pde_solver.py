@@ -24,7 +24,8 @@ Both equations can be marched in one loop that evaluates each layer's
 coefficients once for both.  The field stores what the Monte Carlo engine
 reads from the march: per-layer controller and adversary feedback indices
 and the per-u adversary best-reply table, each in its control set's
-``index_dtype`` (uint8 on every built-in game).
+``index_dtype`` (uint8 on every built-in game).  Every table is read
+through one :class:`SpaceTimeGrid`, which checks itself and owns the snap.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ import numpy as np
 
 from .errors import CflViolationError, ConfigError, ModelEvaluationError, NumericalSolveError
 from .hamiltonian import minimax
-from .sde_core import ProblemSpec, eval_pairs, eval_payoff
-from .strategies import FeedbackMap
+from .sde_core import ControlSet, ProblemSpec, eval_pairs, eval_payoff
 
 __all__ = [
     "SpaceTimeGrid",
+    "FeedbackMap",
     "ValueField",
     "FieldErrorReport",
     "cfl_max_dt",
@@ -49,15 +50,35 @@ __all__ = [
 ]
 
 
+def _uniform_step(axis: np.ndarray, what: str) -> float:
+    axis = np.asarray(axis, dtype=float)
+    if axis.ndim != 1 or axis.size == 0:
+        raise ConfigError(f"{what}: need a non-empty 1-d array")
+    if axis.size == 1:
+        return 1.0
+    steps = np.diff(axis)
+    if steps.min() <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+        raise ConfigError(f"{what}: grid must be uniform and increasing")
+    return float(steps[0])
+
+
+def _spacing(axes: tuple) -> np.ndarray:
+    return np.array([_uniform_step(a, f"grid axis {k}") for k, a in enumerate(axes)])
+
+
 @dataclass(frozen=True, eq=False)
 class SpaceTimeGrid:
-    """Uniform box grid in space plus a uniform time grid on [0, T]."""
+    """Uniform box grid in space plus a uniform time grid, each 1-d, non-empty
+    and increasing; ``dt`` and ``spacing`` are their steps (1.0 on a singleton)."""
 
-    lo: np.ndarray
-    hi: np.ndarray
-    spacing: np.ndarray
-    axes: tuple
     times: np.ndarray
+    axes: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        object.__setattr__(self, "axes", tuple(np.asarray(a, dtype=float) for a in self.axes))
+        object.__setattr__(self, "dt", _uniform_step(self.times, "grid times"))
+        object.__setattr__(self, "spacing", _spacing(self.axes))
 
     @property
     def dim(self) -> int:
@@ -68,10 +89,6 @@ class SpaceTimeGrid:
         return tuple(a.size for a in self.axes)
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
     def n_steps(self) -> int:
         return self.times.size - 1
 
@@ -79,6 +96,26 @@ class SpaceTimeGrid:
         """All grid nodes, shape (*shape, dim)."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1)
+
+    def layer_of(self, t: float) -> int:
+        j = int(round((t - self.times[0]) / self.dt))
+        return min(max(j, 0), self.times.size - 1)
+
+    def cells_of(self, x: np.ndarray) -> tuple:
+        """The grid snap: per axis, the index of the node nearest to each state.
+
+        States of shape (..., dim) map to one index array per axis, each of
+        shape (...) and clipped to the axis, so a state off the grid reads
+        the nearest edge node.  Ties round half to even.  The clip is taken
+        in floats, before the cast to ints, so a state too far off the grid
+        for an int still reads its edge node.
+        """
+        x = np.asarray(x, dtype=float)
+        cells = []
+        for a, (axis, step) in enumerate(zip(self.axes, self.spacing)):
+            node = np.fmax(np.rint((x[..., a] - axis[0]) / step), 0.0)
+            cells.append(np.asarray(np.fmin(node, axis.size - 1), dtype=np.intp))
+        return tuple(cells)
 
 
 def _space_axes(lo: np.ndarray, hi: np.ndarray, h: np.ndarray) -> tuple:
@@ -113,9 +150,8 @@ def cfl_max_dt(spec: ProblemSpec, axes: tuple) -> float:
     sampled at the times {0, T/2, T}; infinite when all coefficients vanish.
     For time-independent coefficients the sampling is exact.
     """
-    h = np.array([a[1] - a[0] if a.size > 1 else 1.0 for a in axes])
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack(mesh, axis=-1)
+    h = _spacing(axes)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     worst = 0.0
     for t in (0.0, 0.5 * spec.horizon, spec.horizon):
         b, sig = eval_pairs(spec, t, nodes)
@@ -133,9 +169,9 @@ def make_grid(spec: ProblemSpec, lo, hi, h, dt: float | None = None,
     (times ``cfl_safety``) is used directly.  A requested ``dt`` above the
     bound raises, quoting the bound.
     """
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (spec.dim,)).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (spec.dim,)).copy()
-    h = np.broadcast_to(np.asarray(h, dtype=float), (spec.dim,)).copy()
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (spec.dim,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (spec.dim,))
+    h = np.broadcast_to(np.asarray(h, dtype=float), (spec.dim,))
     axes = _space_axes(lo, hi, h)
     if not (0 < cfl_safety <= 1.0):
         raise ConfigError(f"cfl_safety must be in (0, 1], got {cfl_safety}")
@@ -157,9 +193,49 @@ def make_grid(spec: ProblemSpec, lo, hi, h, dt: float | None = None,
     n_steps = max(1, int(np.ceil(spec.horizon / target - 1e-12)))
     if spec.horizon / n_steps > bound * (1.0 + 1e-12):
         n_steps += 1
-    times = np.linspace(0.0, spec.horizon, n_steps + 1)
-    spacing = np.array([a[1] - a[0] if a.size > 1 else h_a for a, h_a in zip(axes, h)])
-    return SpaceTimeGrid(lo=lo, hi=hi, spacing=spacing, axes=axes, times=times)
+    return SpaceTimeGrid(np.linspace(0.0, spec.horizon, n_steps + 1), axes)
+
+
+@dataclass(eq=False)
+class FeedbackMap:
+    """Control indices tabulated on a :class:`SpaceTimeGrid`.
+
+    ``indices`` has shape (len(grid.times), *grid.shape).  Lookups snap to
+    the nearest grid node in every coordinate and clamp at the edges, so the
+    map is total on R^d x R.
+    """
+
+    grid: SpaceTimeGrid
+    indices: np.ndarray
+    control_set: ControlSet
+    label: str = ""
+
+    def __post_init__(self):
+        self.indices = np.asarray(self.indices)
+        want = (self.grid.times.size,) + self.grid.shape
+        if self.indices.shape != want:
+            raise ConfigError(
+                f"feedback map {self.label!r}: indices shape {self.indices.shape}, expected {want}")
+        if not np.issubdtype(self.indices.dtype, np.integer):
+            raise ConfigError(f"feedback map {self.label!r}: indices must be integers")
+        if self.indices.size and (self.indices.min() < 0
+                                  or self.indices.max() >= self.control_set.size):
+            raise ConfigError(f"feedback map {self.label!r}: control index out of range")
+
+    @classmethod
+    def constant(cls, control_set: ControlSet, index: int, grid: SpaceTimeGrid,
+                 label: str = "const"):
+        # checked before the cast, which would overflow on an index the dtype cannot hold
+        if not 0 <= index < control_set.size:
+            raise ConfigError(f"feedback map {label!r}: control index out of range")
+        return cls(grid=grid, indices=np.full((grid.times.size,) + grid.shape, index,
+                                              dtype=control_set.index_dtype),
+                   control_set=control_set, label=label)
+
+    def lookup_index_batch(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Indices for a batch of states, shape (..., dim) -> (...,)."""
+        grid = self.grid
+        return self.indices[(grid.layer_of(t),) + grid.cells_of(x)]
 
 
 # ------------------------------------------------------------- the march ---- #
@@ -172,8 +248,8 @@ class ValueField:
     ``values[i]`` approximates v(times[i], .) on the grid nodes.
     ``feedback_u``/``feedback_v`` tabulate the optimizing control indices per
     layer; ``response_v[i, k]`` is the adversary's best reply to u_k at layer
-    i.  The three index tables are stored in their control set's
-    ``index_dtype``.  ``max_update[i]`` is the largest
+    i.  The three index tables are read through ``grid`` and stored in their
+    control set's ``index_dtype``.  ``max_update[i]`` is the largest
     |values[i] - values[i+1]| of the step that produced layer i.
     """
 
@@ -326,10 +402,8 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which="lower") -> Value
         label = f"{spec.label}/{eq}"
         fields.append(ValueField(
             which=eq, grid=grid, values=values,
-            feedback_u=FeedbackMap(times=times, axes=grid.axes, indices=fb_u,
-                                   control_set=spec.controls_u, label=f"{label}/u"),
-            feedback_v=FeedbackMap(times=times, axes=grid.axes, indices=fb_v,
-                                   control_set=spec.controls_v, label=f"{label}/v"),
+            feedback_u=FeedbackMap(grid, fb_u, spec.controls_u, label=f"{label}/u"),
+            feedback_v=FeedbackMap(grid, fb_v, spec.controls_v, label=f"{label}/v"),
             response_v=resp_v, max_update=max_update))
     return fields[0] if isinstance(which, str) else tuple(fields)
 
@@ -343,12 +417,11 @@ class FieldErrorReport:
 
 
 def compare_to_reference(field: ValueField, reference, lo=None, hi=None) -> FieldErrorReport:
-    """Sup and RMS error against ``reference(t, x)`` on a subbox, all layers."""
+    """Sup and RMS error against ``reference(t, x)`` on [lo, hi] (default all nodes), all layers."""
     grid = field.grid
-    lo = grid.lo if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), (grid.dim,))
-    hi = grid.hi if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), (grid.dim,))
     nodes = grid.nodes()
-    mask = np.all((nodes >= lo) & (nodes <= hi), axis=-1)
+    mask = np.all((nodes >= (-np.inf if lo is None else lo))
+                  & (nodes <= (np.inf if hi is None else hi)), axis=-1)
     if not mask.any():
         raise ConfigError("comparison region contains no grid nodes")
     pts = nodes[mask]

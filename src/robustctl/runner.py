@@ -9,6 +9,8 @@ reproduces the run exactly.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from . import game_engine as ge
@@ -136,6 +138,14 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
     engine = ge.EngineConfig(n_steps=sim["n_steps"], chunk_size=sim["chunk_size"],
                              threads=cfg["threads"])
     rules = [_build_rho(rule_cfg, spec.horizon) for rule_cfg in cfg["dpp"]["rules"]]
+    # the table holds at least one 8-byte value per rung and path, so an
+    # n_paths whose table cannot fit in physical memory is refused here too
+    table_stages = [name for name in ("value", "filtration", "dpp") if name in stages]
+    table_bytes = len(cfg["strategies"]["decision_counts"]) * sim["n_paths"] * 8
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if table_stages and table_bytes > memory:
+        raise ConfigError(f"$.simulate.n_paths: {sim['n_paths']} paths need a table of at least "
+                          f"{table_bytes} bytes, above the {memory} bytes of physical memory")
 
     tol = cfg["tolerances"]
     checks = Checks()
@@ -204,7 +214,6 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
     # families for the tables, and the embedding pairs, so a missing equation
     # fails before any Monte Carlo.  The pairs keep the one table they read of
     # the upper field, and only the lower field is kept past this point.
-    table_stages = [name for name in ("value", "filtration", "dpp") if name in stages]
     if table_stages:
         lower = need("lower", table_stages[0])
         adv = cfg["adversaries"]

@@ -1,4 +1,4 @@
-"""Feedback strategies, stopping rules, open-loop controls, feedback tables.
+"""Feedback strategies, stopping rules and open-loop controls.
 
 The controller plays an *elementary strategy*: a finite ladder of stopping
 rules tau_0 <= tau_1 <= ... <= tau_n together with actions xi_1 .. xi_n,
@@ -44,7 +44,6 @@ __all__ = [
     "Action", "ConstantAction", "FeedbackLookupAction",
     "ElementaryStrategy", "StrategyTracker",
     "make_grid_strategy", "concatenate",
-    "FeedbackMap",
     "OpenLoopControl", "ConstantControl", "SignControl", "ReplayControl",
     "PiecewiseRandomControl", "realize_checked",
     "NonAnticipativityReport", "check_nonanticipative",
@@ -154,90 +153,10 @@ class ConstantAction(Action):
 
 @dataclass(frozen=True, eq=False)
 class FeedbackLookupAction(Action):
-    """Reads the current (t, x) through a feedback table."""
+    """Reads the current (t, x) through a feedback table
+    (a :class:`robustctl.pde_solver.FeedbackMap`)."""
 
-    feedback: "FeedbackMap"
-
-
-# ---------------------------------------------------------- feedback map ---- #
-
-
-def _uniform_step(axis: np.ndarray, what: str) -> float:
-    axis = np.asarray(axis, dtype=float)
-    if axis.ndim != 1 or axis.size == 0:
-        raise ConfigError(f"{what}: need a non-empty 1-d array")
-    if axis.size == 1:
-        return 1.0
-    steps = np.diff(axis)
-    if steps.min() <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise ConfigError(f"{what}: grid must be uniform and increasing")
-    return float(steps[0])
-
-
-@dataclass(eq=False)
-class FeedbackMap:
-    """Control indices tabulated on a uniform space-time grid.
-
-    ``indices`` has shape (len(times), *map(len, axes)).  Lookups snap to the
-    nearest grid node in every coordinate and clamp at the edges, so the map
-    is total on R^d x R.
-    """
-
-    times: np.ndarray
-    axes: tuple
-    indices: np.ndarray
-    control_set: ControlSet
-    label: str = ""
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
-        self.indices = np.asarray(self.indices)
-        self._dt = _uniform_step(self.times, f"feedback map {self.label!r} times")
-        self._steps = tuple(_uniform_step(a, f"feedback map {self.label!r} axis") for a in self.axes)
-        want = (self.times.size,) + tuple(a.size for a in self.axes)
-        if self.indices.shape != want:
-            raise ConfigError(
-                f"feedback map {self.label!r}: indices shape {self.indices.shape}, expected {want}")
-        if not np.issubdtype(self.indices.dtype, np.integer):
-            raise ConfigError(f"feedback map {self.label!r}: indices must be integers")
-        if self.indices.size and (self.indices.min() < 0
-                                  or self.indices.max() >= self.control_set.size):
-            raise ConfigError(f"feedback map {self.label!r}: control index out of range")
-
-    @classmethod
-    def constant(cls, control_set: ControlSet, index: int, times, axes, label: str = "const"):
-        # checked before the cast, which would overflow on an index the dtype cannot hold
-        if not 0 <= index < control_set.size:
-            raise ConfigError(f"feedback map {label!r}: control index out of range")
-        shape = (len(times),) + tuple(len(a) for a in axes)
-        return cls(times=np.asarray(times, dtype=float), axes=tuple(axes),
-                   indices=np.full(shape, index, dtype=control_set.index_dtype),
-                   control_set=control_set, label=label)
-
-    def layer_of(self, t: float) -> int:
-        j = int(round((t - self.times[0]) / self._dt))
-        return min(max(j, 0), self.times.size - 1)
-
-    def cells_of(self, x: np.ndarray) -> tuple:
-        """The grid snap: per axis, the index of the node nearest to each state.
-
-        States of shape (..., dim) map to one index array per axis, each of
-        shape (...) and clipped to the axis, so a state off the grid reads
-        the nearest edge node.  Ties round half to even.  The clip is taken
-        in floats, before the cast to ints, so a state too far off the grid
-        for an int still reads its edge node.
-        """
-        x = np.asarray(x, dtype=float)
-        cells = []
-        for a, (axis, step) in enumerate(zip(self.axes, self._steps)):
-            node = np.fmax(np.rint((x[..., a] - axis[0]) / step), 0.0)
-            cells.append(np.asarray(np.fmin(node, axis.size - 1), dtype=np.intp))
-        return tuple(cells)
-
-    def lookup_index_batch(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Indices for a batch of states, shape (..., dim) -> (...,)."""
-        return self.indices[(self.layer_of(t),) + self.cells_of(x)]
+    feedback: object
 
 
 # ----------------------------------------------------------- strategies ---- #
@@ -472,7 +391,7 @@ class StrategyTracker:
 # ----------------------------------------------------------- builders ---- #
 
 
-def make_grid_strategy(feedback: FeedbackMap, decision_times: Sequence[float],
+def make_grid_strategy(feedback, decision_times: Sequence[float],
                        label: str = "") -> ElementaryStrategy:
     """Strategy that re-reads a feedback table at fixed decision times.
 

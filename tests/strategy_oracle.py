@@ -127,7 +127,7 @@ def step_control(strategy: ElementaryStrategy, times, states, i: int) -> tuple[i
             if isinstance(action, ConstantAction):
                 return action.index, clamps
             fb = action.feedback
-            return snap_lookup(fb.times, fb.axes, fb.indices, float(times[fire_prev]),
+            return snap_lookup(fb.grid.times, fb.grid.axes, fb.indices, float(times[fire_prev]),
                                states[fire_prev]), clamps
         fire_prev = f
     return UNDEFINED, clamps

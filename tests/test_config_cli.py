@@ -329,6 +329,26 @@ def test_an_integer_past_the_digit_limit_is_named(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_n_paths_whose_table_cannot_fit_is_named(tmp_path, capsys, monkeypatch):
+    # 10**30 paths used to pass the schema and end, after the solves, in a
+    # bare numpy ValueError with exit 1; the table's size is checked against
+    # physical memory before the assumption gate and the solves
+    def too_late(*args, **kwargs):
+        raise AssertionError("ran past the size check")
+
+    monkeypatch.setattr(runner, "validate_assumptions", too_late)
+    monkeypatch.setattr(runner, "_solve_stage", too_late)
+    path = write_cfg(tmp_path, cheap_constant(simulate={"n_paths": 10 ** 30}))
+    for command in ("simulate", "compare", "dpp-check"):
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: $.simulate.n_paths: ") and str(10 ** 30) in err
+    assert not (tmp_path / "out").exists()
+    # a run that marches no table is not refused
+    monkeypatch.undo()
+    assert main(["hamiltonian-report", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_integral_floats_are_not_integers(tmp_path, capsys):
     # 10.0 steps used to pass the schema and die in np.linspace; a 2.0 seed
     # used to run and be recorded as 2.0

@@ -1,5 +1,6 @@
 """Every robustctl module declares ``__all__``, and every name in it resolves."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -31,3 +32,30 @@ def test_every_traced_target_resolves():
             assert hasattr(owner, part), (module, attribute)
             owner = getattr(owner, part)
         assert callable(owner), (module, attribute)
+
+
+def _imported_modules(path: pathlib.Path) -> set:
+    """The robustctl modules a source file imports, by bare name, wherever the import stands."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                names.add(node.module.split(".")[0])
+            elif node.level:
+                names.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("robustctl."):
+                names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("robustctl."))
+    return names
+
+
+def test_the_layers_import_downward_only():
+    # the grid and its tables sit below the strategies that read them, and
+    # both sit below the engine that plays them
+    src = pathlib.Path(robustctl.__file__).resolve().parent
+    imports = {path.stem: _imported_modules(path) for path in src.glob("*.py")}
+    assert imports["game_engine"] >= {"pde_solver", "strategies"}
+    assert not imports["pde_solver"] & {"strategies", "game_engine"}, imports["pde_solver"]
+    assert not imports["strategies"] & {"pde_solver", "game_engine"}, imports["strategies"]

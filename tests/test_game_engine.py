@@ -32,13 +32,13 @@ from robustctl.game_engine import (Adversary, AdversaryFamily, EngineConfig,
                                    dpp_checks, embed_feedback_as_openloop,
                                    filtration_experiment, simulate_feedback_pair,
                                    simulate_strong, value_experiment)
-from robustctl.pde_solver import ValueField, make_grid, solve_isaacs
+from robustctl.pde_solver import FeedbackMap, SpaceTimeGrid, ValueField, make_grid, solve_isaacs
 from robustctl.sde_core import (ControlSet, NoisePath, ProblemSpec,
                                 derive_seed, derive_seed_array, eval_payoff,
                                 sample_noise, sample_noise_batch)
 from robustctl.strategies import (_NOT_YET, UNDEFINED, AbsRegion, CappedRule,
                                   ConstantAction, ConstantControl,
-                                  ElementaryStrategy, FeedbackMap, FixedTimeRule,
+                                  ElementaryStrategy, FixedTimeRule,
                                   GridIndexRule, HittingRule, OpenLoopControl, PiecewiseRandomControl,
                                   ReplayControl, SignControl, StoppingRule,
                                   _track, check_nonanticipative, fire_batch,
@@ -693,9 +693,10 @@ def _reference_march(spec, noise, x0, strategy, adv):
         if isinstance(plays, OpenLoopControl):
             jv = v_path[i]
         elif isinstance(plays, FeedbackMap):
-            jv = oracle.snap_lookup(plays.times, plays.axes, plays.indices, t, states[i])
+            jv = oracle.snap_lookup(plays.grid.times, plays.grid.axes, plays.indices, t,
+                                    states[i])
         elif isinstance(plays, ValueField):
-            grid = plays.feedback_v
+            grid = plays.grid
             jv = oracle.snap_lookup(grid.times, grid.axes, plays.response_v, t, states[i], iu)
         else:
             jv, _ = oracle.step_control(plays, times, prefix, i)
@@ -914,25 +915,34 @@ def test_fire_batch_matches_scalar_scan():
             assert got[p] == (_NOT_YET if f is None else f), rule
 
 
-def test_best_response_lookup_batch_matches_scalar(pennies_problem, pennies_fields):
+def test_best_response_lookup_batch_matches_scalar(pennies_problem):
     # the best-reply adversary's batch step reads response_v for a whole chunk at
-    # once; each row must be the scalar snapped lookup at that (t, x, u)
+    # once; each row must be the scalar snapped lookup at that (t, x, u).  The
+    # table's layers are the march's times and every reply flips with the
+    # layer's parity, so a read of any layer but the step's own moves every row
     spec = pennies_problem.spec
-    lower, _ = pennies_fields
-    adversary = Adversary("br", lower)
-    times = np.linspace(0.0, 1.0, 9)
+    times = np.linspace(0.0, spec.horizon, 9)
+    grid = SpaceTimeGrid(times, (np.linspace(-4.0, 4.0, 17),))
+    layer = np.arange(times.size)[:, None, None]
+    u = np.arange(spec.controls_u.size)[None, :, None]
+    right = (grid.axes[0] > 0.0)[None, None, :]
+    reply = ((layer + u + right) % spec.controls_v.size).astype(spec.controls_v.index_dtype)
+    field = ValueField(which="lower", grid=grid, values=None,
+                       feedback_u=FeedbackMap.constant(spec.controls_u, 0, grid, label="u"),
+                       feedback_v=FeedbackMap.constant(spec.controls_v, 0, grid, label="v"),
+                       response_v=reply, max_update=None)
     rng = np.random.default_rng(31)
     x = rng.uniform(-4.5, 4.5, size=(64, 1))
-    u_idx = rng.integers(0, 2, size=64)
+    u_idx = rng.integers(0, spec.controls_u.size, size=64)
     # a block of two slices of a 32-path chunk, read at once
-    step, trackers = _adversary_realization(adversary, spec, times, None, None,
+    step, trackers = _adversary_realization(Adversary("br", field), spec, times, None, None,
                                             np.arange(32))(2)
     assert trackers == []
-    for i in (0, 1, 4):
+    for i in range(times.size - 1):
         batch = step(i, x.reshape(2, 32, 1), u_idx.reshape(2, 32)).reshape(-1)
-        scalar = [oracle.snap_lookup(lower.grid.times, lower.grid.axes, lower.response_v,
-                                     times[i], x[p], int(u_idx[p])) for p in range(64)]
-        assert np.array_equal(batch, np.asarray(scalar))
+        scalar = [oracle.snap_lookup(times, grid.axes, reply, times[i], x[p], int(u_idx[p]))
+                  for p in range(64)]
+        assert np.array_equal(batch, np.asarray(scalar)), i
 
 
 class ScanOnlyRule(StoppingRule):
@@ -1414,6 +1424,21 @@ def test_default_strategy_family_builds_grid_ladders(pennies_problem, pennies_fi
         default_strategy_family(pennies_problem, lower, [0], 0.0, engine)
 
 
+def test_each_rung_decides_at_its_k_even_splits(pennies_problem, pennies_fields):
+    # rung k starts and re-decides at the march indices round(j N / k),
+    # j = 0..k, so it has exactly k segments
+    lower, _ = pennies_fields
+    spec = pennies_problem.spec
+    engine = EngineConfig(n_steps=250)
+    s = 0.25 * spec.horizon
+    times = np.linspace(s, spec.horizon, engine.n_steps + 1)
+    counts = (1, 2, 3, 8)
+    for k, rung in zip(counts, default_strategy_family(pennies_problem, lower, counts, s, engine)):
+        assert len(rung.rules) == len(rung.actions) == k, rung.label
+        fires = [rule.fixed_fire_index(times) for rule in (rung.start_rule,) + rung.rules]
+        assert fires == [round(j * engine.n_steps / k) for j in range(k + 1)], rung.label
+
+
 def test_builtin_pairs_cover_the_three_by_three_grid(pennies_problem, pennies_fields):
     lower, upper = pennies_fields
     pairs = builtin_pairs(pennies_problem, lower, upper, 0.0,
@@ -1737,8 +1762,8 @@ def test_a_feedback_table_nature_plays_its_grid_strategy(pennies_problem):
     axis = np.linspace(-1.0, 1.0, 21)
     layers = np.linspace(0.0, spec.horizon, 9)
     signs = (axis >= 0.0)[None, :] ^ (np.arange(layers.size) >= 4)[:, None]
-    fb = FeedbackMap(times=layers, axes=(axis,), indices=signs.astype(np.int16),
-                     control_set=spec.controls_v, label="signs")
+    fb = FeedbackMap(SpaceTimeGrid(layers, (axis,)), signs.astype(np.int16), spec.controls_v,
+                     label="signs")
     alpha = ElementaryStrategy(  # its rule at 0.25 is clamped on rows that hit later
         control_set=spec.controls_u, start_rule=FixedTimeRule(0.0),
         rules=(HittingRule(AbsRegion(0.3)), FixedTimeRule(0.25 * spec.horizon),

@@ -51,6 +51,36 @@ def test_make_grid_tightens_dt_to_the_horizon(heat_problem):
     assert grid.axes[0][0] == -6.0 and grid.axes[0][-1] == 6.0
 
 
+def test_a_grid_refuses_axes_it_cannot_snap_on():
+    # dt and spacing are read off the first step, so every axis, time
+    # included, must be 1-d, non-empty, uniform and increasing
+    times, axis = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 5)
+    for bad in (np.array([0.0, 0.5, 0.6]), axis[::-1], np.array([]), np.zeros((2, 2))):
+        with pytest.raises(ConfigError, match="grid axis 1"):
+            SpaceTimeGrid(times, (axis, bad))
+        with pytest.raises(ConfigError, match="grid times"):
+            SpaceTimeGrid(bad, (axis,))
+    grid = SpaceTimeGrid([0.0, 0.25, 0.5], (axis, [0.3]))
+    assert grid.dt == 0.25 and grid.spacing.tolist() == [0.5, 1.0]
+    assert [f.name for f in dataclasses.fields(grid)] == ["times", "axes"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.axes = (axis, axis)
+
+
+def test_a_grid_rebuilt_from_its_times_and_axes_solves_to_the_same_bits(pennies_problem):
+    spec = pennies_problem.spec
+    grid = make_grid(spec, -2.0, 2.0, 0.1)
+    rebuilt = SpaceTimeGrid([float(t) for t in grid.times], tuple(list(a) for a in grid.axes))
+    assert rebuilt.dt == grid.dt and np.array_equal(rebuilt.spacing, grid.spacing)
+    for made, built in zip(solve_isaacs(spec, grid, ("lower", "upper")),
+                           solve_isaacs(spec, rebuilt, ("lower", "upper"))):
+        assert built.feedback_u.grid is built.feedback_v.grid is built.grid is rebuilt
+        for name in ("values", "response_v", "max_update"):
+            assert np.array_equal(getattr(made, name), getattr(built, name)), name
+        for name in ("feedback_u", "feedback_v"):
+            assert np.array_equal(getattr(made, name).indices, getattr(built, name).indices)
+
+
 def test_make_grid_rejects_non_dividing_h(heat_problem):
     with pytest.raises(ConfigError):
         make_grid(heat_problem.spec, -6, 6, 0.07)
@@ -261,7 +291,7 @@ def test_value_at_clamps_outside_the_box(pennies_fields):
     lower, _ = pennies_fields
     t = float(lower.grid.times[2])
     edge = float(lower.values[2, -1])
-    outside = float(lower.value_at(t, np.array([[lower.grid.hi[0] + 50.0]]))[0])
+    outside = float(lower.value_at(t, np.array([[lower.grid.axes[0][-1] + 50.0]]))[0])
     far = float(lower.value_at(t, np.array([[1e12]]))[0])
     assert outside == pytest.approx(edge, rel=1e-12)
     assert far == outside
@@ -310,8 +340,7 @@ def test_value_at_in_two_dimensions_is_multilinear(axes):
     times = np.linspace(0.0, 0.5, 4)
     values = rng.uniform(-1.0, 1.0, (times.size,) + tuple(a.size for a in axes))
     lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
-    grid = SpaceTimeGrid(lo=lo, hi=hi, spacing=np.array([a[-1] - a[0] for a in axes]),
-                         axes=axes, times=times)
+    grid = SpaceTimeGrid(times, axes)
     field = ValueField(which="lower", grid=grid, values=values, feedback_u=None,
                        feedback_v=None, response_v=None, max_update=None)
     # inside the box and up to one unit outside it, in time and space; a

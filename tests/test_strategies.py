@@ -19,11 +19,12 @@ import strategy_oracle as oracle
 from robustctl.errors import (ConfigError, ModelEvaluationError,
                               StrategyIntervalError, StrategyStructureError)
 from robustctl.game_engine import simulate_feedback_pair, simulate_strong
+from robustctl.pde_solver import FeedbackMap, SpaceTimeGrid
 from robustctl.sde_core import ControlSet, derive_seed, sample_noise, stream_generator
 from robustctl.strategies import (_NOT_YET, UNDEFINED, _track, AbsRegion, CappedRule,
                                   ConstantAction, ConstantControl,
                                   ElementaryStrategy, FeedbackLookupAction,
-                                  FeedbackMap, FixedTimeRule, GridIndexRule,
+                                  FixedTimeRule, GridIndexRule,
                                   HittingRule, OpenLoopControl,
                                   PiecewiseRandomControl, ReplayControl,
                                   SignControl, check_nonanticipative,
@@ -181,7 +182,8 @@ def test_structure_validation():
     # a lookup table's indices mean controls of its own set; on a strategy
     # declared on another set, of any size, they would decode as other controls
     def reading(control_set):
-        table = FeedbackMap.constant(control_set, 0, [0.0, 1.0], [np.zeros(1)], label="t")
+        table = FeedbackMap.constant(control_set, 0, SpaceTimeGrid([0.0, 1.0], [np.zeros(1)]),
+                                     label="t")
         return ElementaryStrategy(control_set=PM, start_rule=FixedTimeRule(0.0),
                                   rules=(FixedTimeRule(0.5), FixedTimeRule(1.0)),
                                   actions=(ConstantAction(0), FeedbackLookupAction(table)),
@@ -298,7 +300,7 @@ def random_feedback(seed: int, n_times: int = 5, n_nodes: int = 9) -> FeedbackMa
     times = np.linspace(0.0, 1.0, n_times)
     axes = (np.linspace(-2.0, 2.0, n_nodes),)
     idx = rng.integers(0, PM.size, size=(n_times, n_nodes)).astype(np.int16)
-    return FeedbackMap(times=times, axes=axes, indices=idx, control_set=PM)
+    return FeedbackMap(SpaceTimeGrid(times, axes), idx, PM)
 
 
 def test_feedback_lookup_snaps_and_clamps():
@@ -308,7 +310,7 @@ def test_feedback_lookup_snaps_and_clamps():
     assert fb.lookup_index_batch(1.0, np.array([[99.0]]))[0] == fb.indices[-1, -1]
     # states too far off the grid for an int read the edge nodes, silently
     with np.errstate(all="raise"):
-        far = fb.cells_of(np.array([[1e300], [-1e300], [np.inf], [-np.inf]]))
+        far = fb.grid.cells_of(np.array([[1e300], [-1e300], [np.inf], [-np.inf]]))
     assert far[0].tolist() == [8, 0, 8, 0]
 
 
@@ -318,41 +320,36 @@ def test_feedback_batch_matches_scalar():
     xs = rng.uniform(-3, 3, size=(200, 1))
     for t in (0.0, 0.37, 1.0):
         batch = fb.lookup_index_batch(t, xs)
-        scalar = np.array([oracle.snap_lookup(fb.times, fb.axes, fb.indices, t, x)
+        scalar = np.array([oracle.snap_lookup(fb.grid.times, fb.grid.axes, fb.indices, t, x)
                            for x in xs])
         assert np.array_equal(batch, scalar)
 
 
 def test_feedback_validation():
-    times = np.linspace(0, 1, 4)
-    axes = (np.linspace(-1, 1, 5),)
+    grid = SpaceTimeGrid(np.linspace(0, 1, 4), (np.linspace(-1, 1, 5),))
     good = np.zeros((4, 5), dtype=np.int16)
-    FeedbackMap(times=times, axes=axes, indices=good, control_set=PM)
+    FeedbackMap(grid, good, PM)
     with pytest.raises(ConfigError):
-        FeedbackMap(times=times, axes=axes, indices=np.zeros((3, 5), dtype=np.int16),
-                    control_set=PM)
+        FeedbackMap(grid, np.zeros((3, 5), dtype=np.int16), PM)
     with pytest.raises(ConfigError):
-        FeedbackMap(times=times, axes=axes, indices=good.astype(float), control_set=PM)
+        FeedbackMap(grid, good.astype(float), PM)
     with pytest.raises(ConfigError):
-        FeedbackMap(times=times, axes=axes, indices=good + 7, control_set=PM)
-    with pytest.raises(ConfigError):
-        FeedbackMap(times=times, axes=(np.array([0.0, 0.5, 0.6]),),
-                    indices=np.zeros((4, 3), dtype=np.int16), control_set=PM)
+        FeedbackMap(grid, good + 7, PM)
 
 
 def test_constant_feedback_map():
-    fb = FeedbackMap.constant(PM, 1, TIMES, (np.linspace(-2, 2, 9),))
+    fb = FeedbackMap.constant(PM, 1, SpaceTimeGrid(TIMES, (np.linspace(-2, 2, 9),)))
     assert fb.lookup_index_batch(0.3, np.array([[1.7]]))[0] == 1
 
 
 def test_a_constant_feedback_map_checks_its_index_before_the_cast():
     # the table's dtype is the set's narrow index dtype, which cannot hold
     # 40000 or -1, so the index is refused by name before the cast
-    axes = (np.linspace(-2, 2, 9),)
+    grid = SpaceTimeGrid(TIMES, (np.linspace(-2, 2, 9),))
     for bad in (40000, -1, PM.size):
         with pytest.raises(ConfigError, match="feedback map 'const': control index out of range"):
-            FeedbackMap.constant(PM, bad, TIMES, axes)
-    fb = FeedbackMap.constant(PM, 1, TIMES, axes)
+            FeedbackMap.constant(PM, bad, grid)
+    fb = FeedbackMap.constant(PM, 1, grid)
     assert fb.indices.dtype == PM.index_dtype == np.uint8
     assert np.all(fb.indices == 1)
 
@@ -369,14 +366,14 @@ def test_grid_strategy_freezes_at_decision_times():
     for j in (1, 7, 8, 9, 17, 32):
         k = max(np.searchsorted(decisions, TIMES[j], side="left") - 1, 0)
         at = int(np.searchsorted(TIMES, decisions[k]))
-        want = [oracle.snap_lookup(fb.times, fb.axes, fb.indices, float(decisions[k]),
+        want = [oracle.snap_lookup(fb.grid.times, fb.grid.axes, fb.indices, float(decisions[k]),
                                    path[at]) for path in paths]
         assert np.array_equal(got[:, j - 1], want), j
 
 
 def test_grid_strategy_refinement_consistency():
     # a table constant in time and space cannot distinguish 4 from 8 splits
-    fb = FeedbackMap.constant(PM, 1, TIMES, (np.linspace(-2, 2, 9),))
+    fb = FeedbackMap.constant(PM, 1, SpaceTimeGrid(TIMES, (np.linspace(-2, 2, 9),)))
     paths = np.stack([random_walk(seed) for seed in range(100)])
     a, _ = track(make_grid_strategy(fb, TIMES[::8]), paths)
     b, _ = track(make_grid_strategy(fb, TIMES[::4]), paths)
