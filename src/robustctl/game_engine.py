@@ -64,9 +64,9 @@ from .sde_core import (ControlSet, NoisePath, ProblemSpec, derive_seed,
                        derive_seed_array, eval_pairs, eval_payoff, sample_noise_batch)
 from .strategies import (AbsRegion, ConstantAction, ConstantControl,
                          ElementaryStrategy, FixedTimeRule, HittingRule, OpenLoopControl,
-                         PiecewiseRandomControl, ReplayControl, SignControl,
-                         StoppingRule, StrategyTracker, _rule_monitor,
-                         check_nonanticipative, make_grid_strategy, realize_checked)
+                         PiecewiseRandomControl, ReplayControl, RuleWatch, SignControl,
+                         StoppingRule, StrategyTracker, check_nonanticipative,
+                         make_grid_strategy, realize_checked)
 
 __all__ = [
     "Paths", "ValueEstimate", "EngineConfig",
@@ -77,6 +77,7 @@ __all__ = [
     "FiltrationReport", "filtration_experiment",
     "DppReport", "dpp_check", "dpp_checks",
     "default_adversary_families", "default_strategy_family", "builtin_pairs",
+    "sim_times",
 ]
 
 
@@ -424,50 +425,6 @@ def _blow_up(spec: ProblemSpec, t: float, t_next: float, X: np.ndarray, seeds: n
                                 t=t_next, state=X[bad].copy(), seed=seed)
 
 
-class _RestartCapture:
-    """One dpp rule's restart states on a marched block, taken as it marches.
-
-    The rule's monitor observes the block's states at every index, in
-    order.  Each row keeps its state at the index where the monitor first
-    reports its fire, and a row on which the rule has not fired by the last
-    index keeps the last state: rho is capped at the horizon.  A fire is
-    captured only at the index it is reported, so a monitor that reports
-    a fire index below the current one is refused by name.
-    """
-
-    def __init__(self, label: str, rule: StoppingRule, times: np.ndarray, n: int, dim: int):
-        self.label = label
-        self.last = times.size - 1
-        self.monitor = _rule_monitor(rule, times, n)
-        self.fire = np.full(n, self.last, dtype=np.int64)
-        self.open = np.ones(n, dtype=bool)  # rows whose fire has not been reported
-        self.states = np.empty((n, dim))
-
-    def observe(self, j: int, X: np.ndarray) -> None:
-        if not self.open.any():
-            return
-        self.monitor.observe(j, X)
-        fire = self.monitor.fired_by(j)
-        new = fire <= j
-        new &= self.open
-        if new.any():
-            first = int(fire[new].min())
-            if first < j:
-                raise StrategyStructureError(
-                    f"stopping rule {self.label!r} reported fire index {first} at index "
-                    f"{j}; a restart state is captured at the index where the fire is "
-                    f"reported")
-            np.copyto(self.states, X, where=new[:, None])
-            np.copyto(self.fire, j, where=new)
-            self.open &= ~new
-        if j == self.last:
-            np.copyto(self.states, X, where=self.open[:, None])
-
-    def values(self, field: ValueField, times: np.ndarray) -> np.ndarray:
-        """The field at each row's (rho, X_rho)."""
-        return field.value_at(times[self.fire], self.states)
-
-
 def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
                  x0: np.ndarray, strategies: list, v_factory, dW_tm: np.ndarray,
                  rules=(), record: bool = False) -> tuple:
@@ -481,11 +438,12 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
     time-major (N, c, noise_dim), so step slices are contiguous.  Each step
     runs :func:`_step_batch` once on the whole block.
 
-    Returns one :class:`Paths` per strategy and one :class:`_RestartCapture`
-    over the block per ``(label, rule)`` in ``rules``.  With ``record`` (one
-    strategy only) the states and both index paths are kept, the indices as
-    int32, to keep recorded chunks small.  A step that leaves the finite
-    range raises through :func:`_blow_up`, whatever the block's size.
+    Returns one :class:`Paths` per strategy and one :class:`RuleWatch` over
+    the block per ``(label, rule)`` in ``rules``, holding each row's restart
+    state.  With ``record`` (one strategy only) the states and both index
+    paths are kept, the indices as int32, to keep recorded chunks small.  A
+    step that leaves the finite range raises through :func:`_blow_up`,
+    whatever the block's size.
     """
     n = times.size - 1
     c = seeds.size
@@ -503,9 +461,9 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
     # validated once at the start so the step loop can call the raw
     # callbacks; a shape bug is structural and shows on any state
     eval_pairs(spec, float(times[0]), X)
-    captures = [_RestartCapture(label, rule, times, n_s * c, spec.dim) for label, rule in rules]
-    for capture in captures:
-        capture.observe(0, X)
+    watches = [RuleWatch(label, rule, times, n_s * c, spec.dim) for label, rule in rules]
+    for watch in watches:
+        watch.observe(0, X)
     if record:
         # time-major, so each step writes one contiguous row
         states = np.empty((n + 1, c, spec.dim))
@@ -534,8 +492,8 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
         # a single reduce; any nan/inf entry forces a non-finite total
         if not np.isfinite(float(X.sum())):
             _blow_up(spec, t, float(times[i + 1]), X, seeds, flat_code, lo, blocks)
-        for capture in captures:
-            capture.observe(i + 1, X)
+        for watch in watches:
+            watch.observe(i + 1, X)
         if record:
             states[i + 1] = X
             u_paths[i] = u[0]
@@ -548,7 +506,7 @@ def _march_chunk(spec: ProblemSpec, times: np.ndarray, seeds: np.ndarray,
     if record:
         paths[0].states = states.transpose(1, 0, 2)
         paths[0].u_indices, paths[0].v_indices = u_paths.T, v_paths.T
-    return paths, captures
+    return paths, watches
 
 
 def _map_chunks(n_paths: int, engine: EngineConfig, worker) -> int:
@@ -671,9 +629,11 @@ def _run_cells(spec: ProblemSpec, times: np.ndarray, x0: np.ndarray, cells,
         dW_tm = dW.transpose(1, 0, 2)  # the panel's own time-major storage
 
         def march(strategies, v_factory):
-            paths, captures = _march_chunk(spec, times, chunk_seeds, x0, strategies,
+            paths, watches = _march_chunk(spec, times, chunk_seeds, x0, strategies,
                                            v_factory, dW_tm, rules)
-            reads = [capture.values(field, times) for capture in captures]
+            # rho is capped at the horizon on a row whose rule has not fired
+            reads = [field.value_at(times[np.minimum(w.fire, times.size - 1)], w.states)
+                     for w in watches]
             return [([p.payoffs] + [read[s * c:(s + 1) * c] for read in reads], p.clamp_count)
                     for s, p in enumerate(paths)]
 
@@ -703,7 +663,8 @@ def _mean_se(row: np.ndarray) -> tuple[float, float]:
     return mean, sd / float(np.sqrt(n))
 
 
-def _sim_times(spec: ProblemSpec, s: float, engine: EngineConfig) -> np.ndarray:
+def sim_times(spec: ProblemSpec, s: float, engine: EngineConfig) -> np.ndarray:
+    """The simulation grid: ``engine.n_steps`` even steps from s to the horizon."""
     if not 0.0 <= s < spec.horizon:
         raise ConfigError(f"start time {s} outside [0, {spec.horizon})")
     return np.linspace(s, spec.horizon, engine.n_steps + 1)
@@ -748,7 +709,7 @@ def _march_table(spec: ProblemSpec, s: float, x0, strategies: list,
         if strategy.label in [other.label for other in strategies[:k]]:
             raise ConfigError(f"strategy label {strategy.label!r} appears more than once")
     x0 = _as_state(spec, x0)
-    times = _sim_times(spec, s, engine)
+    times = sim_times(spec, s, engine)
     grid = (spec.horizon, spec.dim, spec.noise_dim, engine.n_steps)
     for adversary in family.members:
         if isinstance(adversary.plays, OpenLoopControl) and grid not in adversary.passed:
@@ -1004,11 +965,14 @@ def default_adversary_families(problem, lower_field: ValueField | None = None,
 
 def _ladder(feedback: FeedbackMap, k: int, spec: ProblemSpec, s: float,
             engine: EngineConfig, label: str) -> ElementaryStrategy:
-    """Grid feedback read at the simulation grid points nearest to k even splits of [s, T]."""
-    if k < 1:
-        raise ConfigError(f"decision count must be >= 1, got {k}")
-    idx = np.unique(np.round(np.linspace(0, engine.n_steps, int(k) + 1)).astype(int))
-    return make_grid_strategy(feedback, _sim_times(spec, s, engine)[idx], label=label)
+    """Grid feedback read at the simulation grid points nearest to k even splits of [s, T].
+
+    A rung decides at most once a step, so k above ``engine.n_steps`` is refused."""
+    if not 1 <= k <= engine.n_steps:
+        raise ConfigError(f"decision count must be in [1, {engine.n_steps}], the march's "
+                          f"step count, got {k}")
+    idx = np.round(np.linspace(0, engine.n_steps, int(k) + 1)).astype(int)
+    return make_grid_strategy(feedback, sim_times(spec, s, engine)[idx], label=label)
 
 
 def default_strategy_family(problem, lower_field: ValueField, decision_counts,

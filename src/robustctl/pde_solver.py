@@ -30,6 +30,7 @@ through one :class:`SpaceTimeGrid`, which checks itself and owns the snap.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,9 @@ def make_grid(spec: ProblemSpec, lo, hi, h, dt: float | None = None,
 
     ``dt`` is an upper bound on the time step; when omitted the CFL bound
     (times ``cfl_safety``) is used directly.  A requested ``dt`` above the
-    bound raises, quoting the bound.
+    bound raises, quoting the bound.  A grid whose one float64 field,
+    (n_steps + 1) x nodes x 8 bytes, exceeds physical memory is refused
+    before its time grid is built.
     """
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (spec.dim,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (spec.dim,))
@@ -193,6 +196,11 @@ def make_grid(spec: ProblemSpec, lo, hi, h, dt: float | None = None,
     n_steps = max(1, int(np.ceil(spec.horizon / target - 1e-12)))
     if spec.horizon / n_steps > bound * (1.0 + 1e-12):
         n_steps += 1
+    field_bytes = (n_steps + 1) * int(np.prod([a.size for a in axes])) * 8
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if field_bytes > memory:
+        raise ConfigError(f"h={h.tolist()}: one field of {n_steps + 1} layers needs "
+                          f"{field_bytes} bytes, above the {memory} bytes of physical memory")
     return SpaceTimeGrid(np.linspace(0.0, spec.horizon, n_steps + 1), axes)
 
 

@@ -139,13 +139,28 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
                              threads=cfg["threads"])
     rules = [_build_rho(rule_cfg, spec.horizon) for rule_cfg in cfg["dpp"]["rules"]]
     # the table holds at least one 8-byte value per rung and path, so an
-    # n_paths whose table cannot fit in physical memory is refused here too
+    # n_paths whose table cannot fit in physical memory is refused here too,
+    # and so is a rung asking for more decisions than the march has steps
     table_stages = [name for name in ("value", "filtration", "dpp") if name in stages]
-    table_bytes = len(cfg["strategies"]["decision_counts"]) * sim["n_paths"] * 8
+    counts = cfg["strategies"]["decision_counts"]
+    table_bytes = len(counts) * sim["n_paths"] * 8
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if table_stages and table_bytes > memory:
         raise ConfigError(f"$.simulate.n_paths: {sim['n_paths']} paths need a table of at least "
                           f"{table_bytes} bytes, above the {memory} bytes of physical memory")
+    if table_stages and max(counts) > engine.n_steps:
+        raise ConfigError(f"$.strategies.decision_counts: {max(counts)} decisions on "
+                          f"{engine.n_steps} steps; a rung decides at most once a step")
+    # the grid too, so one whose field cannot fit is refused here
+    if "solve" in stages:
+        gcfg = cfg["grid"]
+        try:
+            grid = make_grid(spec, gcfg["lo"], gcfg["hi"], gcfg["h"],
+                             dt=gcfg.get("dt"), cfl_safety=gcfg["cfl_safety"])
+        except CflViolationError as exc:
+            raise ConfigError(f"grid.dt rejected: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"$.grid: {exc}") from exc
 
     tol = cfg["tolerances"]
     checks = Checks()
@@ -202,7 +217,8 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
             return _finish(summary, tables, checks, warnings, strict)
 
     # ---- PDE solves -------------------------------------------------------- #
-    fields = _solve_stage(problem, cfg, summary, checks, tables) if "solve" in stages else {}
+    fields = _solve_stage(problem, grid, cfg, summary, checks, tables) \
+        if "solve" in stages else {}
 
     def need(eq: str, stage: str) -> ValueField:
         if eq not in fields:
@@ -313,7 +329,7 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
 
     # ---- feedback-to-open-loop embedding ------------------------------------ #
     if "embedding" in stages:
-        times = ge._sim_times(spec, s0, engine)
+        times = ge.sim_times(spec, s0, engine)
         n_seeds = cfg["embedding"]["n_seeds"]
         failed = {}  # (pair, seed index) -> the error of that row
         for alpha, beta in pairs:
@@ -350,18 +366,14 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
     return _finish(summary, tables, checks, warnings, strict)
 
 
-def _solve_stage(problem, cfg: dict, summary: dict, checks: Checks, tables: dict) -> dict:
-    """The configured equations solved in one march, checked and reported, by
-    equation.  A function of its own, so no local of it keeps a field alive."""
+def _solve_stage(problem, grid, cfg: dict, summary: dict, checks: Checks,
+                 tables: dict) -> dict:
+    """The configured equations solved on the plan's grid in one march,
+    checked and reported, by equation.  A function of its own, so no local
+    of it keeps a field alive."""
     spec = problem.spec
     tol = cfg["tolerances"]
-    gcfg = cfg["grid"]
-    try:
-        grid = make_grid(spec, gcfg["lo"], gcfg["hi"], gcfg["h"],
-                         dt=gcfg.get("dt"), cfl_safety=gcfg["cfl_safety"])
-    except CflViolationError as exc:
-        raise ConfigError(f"grid.dt rejected: {exc}") from exc
-    summary["pde"] = {"h": gcfg["h"], "dt": grid.dt, "n_layers": len(grid.times),
+    summary["pde"] = {"h": cfg["grid"]["h"], "dt": grid.dt, "n_layers": len(grid.times),
                       "cfl_dt_max": _finite_or_none(cfl_max_dt(spec, grid.axes))}
     equations = tuple(cfg["equations"])
     fields = dict(zip(equations, solve_isaacs(spec, grid, equations)))

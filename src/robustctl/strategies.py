@@ -5,9 +5,9 @@ rules tau_0 <= tau_1 <= ... <= tau_n together with actions xi_1 .. xi_n,
 where xi_k is frozen when tau_{k-1} fires (reading only the path prefix up
 to that moment) and stays in force on the interval (tau_{k-1}, tau_k].
 Rules are monitors here: a rule is shown the states of a batch of paths
-one grid index at a time, in order, and reports each path's fire index once
-it has fired (:func:`fire_batch`), so it never sees a state past the
-current one.
+one grid index at a time, in order, and keeps each path's fire index in
+``fire``, so it never sees a state past the current one; a
+:class:`RuleWatch` takes each fire at the index where it is reported.
 
 The adversary plays either another elementary strategy or an *open-loop
 control*: a process that reads past noise increments, never the state.
@@ -40,7 +40,7 @@ from .sde_core import ControlSet, derive_seed, derive_seed_array, stream_generat
 __all__ = [
     "AbsRegion",
     "StoppingRule", "FixedTimeRule", "GridIndexRule", "HittingRule",
-    "CappedRule", "fire_batch",
+    "CappedRule", "RuleWatch", "fire_batch",
     "Action", "ConstantAction", "FeedbackLookupAction",
     "ElementaryStrategy", "StrategyTracker",
     "make_grid_strategy", "concatenate",
@@ -76,7 +76,7 @@ class AbsRegion:
 class StoppingRule:
     """A stopping rule, run only as a monitor over a batch of growing paths.
 
-    The monitor (see :func:`fire_batch`) is shown the states at grid indices
+    The monitor (see :class:`RuleWatch`) is shown the states at grid indices
     0, 1, ... in order, so its fire index at j depends on the states up to j
     alone.  The built-in rules below have monitors; others are refused by name.
     """
@@ -209,17 +209,14 @@ _NOT_YET = np.iinfo(np.int64).max // 2  # fire index of a rule that has not fire
 
 
 class _FixedMonitor:
-    """A rule that fires at the same index on every path."""
+    """A rule that fires at the same index on every path, known from the start
+    (one broadcast value, so a long ladder holds no row per rung)."""
 
     def __init__(self, index: int, n: int):
-        self.index = index
-        self.n = n
+        self.fire = np.broadcast_to(np.int64(index), (n,))
 
     def observe(self, j, X):
         pass
-
-    def fired_by(self, j):
-        return np.full(self.n, self.index if self.index <= j else _NOT_YET, dtype=np.int64)
 
 
 class _HittingMonitor:
@@ -232,18 +229,15 @@ class _HittingMonitor:
     def __init__(self, region, gate, n: int):
         self.region = region
         self.gate = gate
-        self.hit = np.full(n, _NOT_YET, dtype=np.int64)
+        self.fire = np.full(n, _NOT_YET, dtype=np.int64)
 
     def observe(self, j, X):
-        fresh = self.hit == _NOT_YET
+        fresh = self.fire == _NOT_YET
         if self.gate is not None:
             self.gate.observe(j, X)
-            fresh &= self.gate.fired_by(j) <= j
+            fresh &= self.gate.fire <= j
         fresh &= self.region.contains(X)
-        self.hit[fresh] = j
-
-    def fired_by(self, j):
-        return self.hit
+        self.fire[fresh] = j
 
 
 class _MinMonitor:
@@ -252,20 +246,19 @@ class _MinMonitor:
     def __init__(self, inner, cap):
         self.inner = inner
         self.cap = cap
+        self.fire = np.minimum(inner.fire, cap.fire)
 
     def observe(self, j, X):
         self.inner.observe(j, X)
         self.cap.observe(j, X)
-
-    def fired_by(self, j):
-        return np.minimum(self.inner.fired_by(j), self.cap.fired_by(j))
+        np.minimum(self.inner.fire, self.cap.fire, out=self.fire)
 
 
 def _rule_monitor(rule: StoppingRule, times: np.ndarray, n: int):
     """Incremental fire indices of one rule on n paths (_NOT_YET until it fires).
 
     ``observe(j, X)`` takes the (n, dim) states at index j, for j = 0, 1, ...
-    in order; ``fired_by(j)`` then gives each path's fire index if it is <= j.
+    in order, and updates ``fire``; a reader counts a fire at j where ``fire <= j``.
     """
     fixed = rule.fixed_fire_index(times)
     if fixed is not None:
@@ -279,17 +272,53 @@ def _rule_monitor(rule: StoppingRule, times: np.ndarray, n: int):
     raise StrategyStructureError(f"stopping rule {type(rule).__name__} has no batch form")
 
 
+class RuleWatch:
+    """One rule's fire on each of n rows, taken at the index where it is reported.
+
+    ``observe(j, X)`` takes the (n, dim) states at j = 0, 1, ..., N in order.
+    ``fire`` holds each row's fire index (_NOT_YET if none) and ``states``
+    the state there, or the last state on a row that has not fired by N.  A
+    monitor that reports a past fire index is refused by name.  The screen
+    (:func:`fire_batch`) and the engine's dpp capture both take fires so.
+    """
+
+    def __init__(self, label: str, rule: StoppingRule, times: np.ndarray, n: int, dim: int):
+        self.label = label
+        self.last = times.size - 1
+        self.monitor = _rule_monitor(rule, times, n)
+        self.fire = np.full(n, _NOT_YET, dtype=np.int64)
+        self.open = np.ones(n, dtype=bool)  # rows whose fire has not been reported
+        self.states = np.empty((n, dim))
+
+    def observe(self, j: int, X: np.ndarray) -> None:
+        if not self.open.any():
+            return
+        self.monitor.observe(j, X)
+        new = self.monitor.fire <= j
+        new &= self.open
+        if new.any():
+            first = int(self.monitor.fire[new].min())
+            if first < j:
+                raise StrategyStructureError(
+                    f"stopping rule {self.label!r} reported fire index {first} at index "
+                    f"{j}; a fire is taken at the index where it is reported")
+            np.copyto(self.states, X, where=new[:, None])
+            np.copyto(self.fire, j, where=new)
+            self.open &= ~new
+        if j == self.last:
+            np.copyto(self.states, X, where=self.open[:, None])
+
+
 def fire_batch(rule: StoppingRule, times: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Fire index of a rule on each recorded path, states (c, N+1, dim) -> (c,).
 
-    Replays the rule's monitor, the one :class:`StrategyTracker` runs, over
-    the recorded states in order.  A path on which the rule has not fired
-    by its last state gets a value above every grid index.
+    Replays a :class:`RuleWatch` over the recorded states in order; a path
+    on which the rule has not fired gets a value above every grid index.
     """
-    monitor = _rule_monitor(rule, times, states.shape[0])
+    watch = RuleWatch(type(rule).__name__, rule, times, states.shape[0], states.shape[2])
     for j in range(states.shape[1]):
-        monitor.observe(j, states[:, j])
-    return monitor.fired_by(states.shape[1] - 1)
+        watch.observe(j, states[:, j])
+    return watch.fire
 
 
 class StrategyTracker:
@@ -304,8 +333,11 @@ class StrategyTracker:
     recomputation from path p's prefix, clamps included, and
     ``clamp_count`` sums the clamps over the rows.
 
-    Every strategy runs one monitor per rule.  When every rule, the start
-    rule included, fires at a path-independent index (grid ladders, constant
+    Every strategy runs one monitor per rule, the start rule as monitor 0:
+    a row in segment k waits for monitor k, and its fire (clamped up to the
+    previous fire; the start's previous fire is -1, so a start is never a
+    clamp) moves it to segment k + 1, where action k takes over.  When every
+    rule fires at a path-independent index (grid ladders, constant
     strategies), segments change only at those indices, since a clamp moves
     a fire onto the previous rule's index; the steps in between return at
     once, so a ladder does array work on its decision steps alone.  A rule or action
@@ -323,12 +355,12 @@ class StrategyTracker:
         self.u_idx = np.full(n, UNDEFINED, dtype=np.int64)
         self.clamp_count = 0
         self.all_defined = False
-        self.start_monitor = _rule_monitor(strategy.start_rule, times, n)
-        self.monitors = [_rule_monitor(r, times, n) for r in strategy.rules]
-        self.seg = np.full(n, -1, dtype=np.int64)
+        rules = (strategy.start_rule,) + strategy.rules
+        self.monitors = [_rule_monitor(r, times, n) for r in rules]
+        self.seg = np.zeros(n, dtype=np.int64)
         self.fire_prev = np.full(n, -1, dtype=np.int64)
         # read from the rules, not the monitors, so an empty batch needs no row
-        fires = [r.fixed_fire_index(times) for r in (strategy.start_rule,) + strategy.rules]
+        fires = [r.fixed_fire_index(times) for r in rules]
         self.decisions = None if None in fires else sorted(set(fires)) + [times.size]
         self.wake = 0 if self.decisions is None else self.decisions[0]
 
@@ -346,28 +378,20 @@ class StrategyTracker:
             return self.u_idx
         if self.decisions is not None:
             self.wake = self.decisions[bisect.bisect_right(self.decisions, j)]
-        self.start_monitor.observe(j, X)
         for m in self.monitors:
             m.observe(j, X)
-        if np.any(self.seg < 0):
-            f0 = self.start_monitor.fired_by(j)
-            starting = (self.seg < 0) & (f0 <= j)
-            if np.any(starting):
-                np.copyto(self.seg, 0, where=starting)
-                np.copyto(self.fire_prev, f0, where=starting)
-                self._apply_action(0, starting, j, X)
-        n_seg = len(self.monitors)
+        n_mon = len(self.monitors)
         expired = False
         # only segments lowest..highest occupied can advance; an advance
         # from k occupies k + 1, so the bound rises with it
         top = int(self.seg.max(initial=-1))
-        for k in range(max(int(self.seg.min(initial=n_seg)), 0), n_seg):
+        for k in range(int(self.seg.min(initial=n_mon)), n_mon):
             if k > top:
                 break
             at_k = self.seg == k
             if not np.any(at_k):
                 continue
-            f = self.monitors[k].fired_by(j)
+            f = self.monitors[k].fire
             clamped = np.maximum(f, self.fire_prev)  # _NOT_YET stays above every j
             advancing = at_k & (clamped <= j)
             if not np.any(advancing):
@@ -376,8 +400,8 @@ class StrategyTracker:
             np.copyto(self.fire_prev, clamped, where=advancing)
             np.copyto(self.seg, k + 1, where=advancing)
             top = max(top, k + 1)
-            if k + 1 < n_seg:
-                self._apply_action(k + 1, advancing, j, X)
+            if k + 1 < n_mon:
+                self._apply_action(k, advancing, j, X)
             else:
                 self.u_idx[advancing] = UNDEFINED
                 expired = True

@@ -349,6 +349,47 @@ def test_an_n_paths_whose_table_cannot_fit_is_named(tmp_path, capsys, monkeypatc
     assert main(["hamiltonian-report", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
+def test_a_rung_with_more_decisions_than_steps_is_named(tmp_path, capsys, monkeypatch):
+    # grid40 on 16 steps used to run as a 16-segment ladder under its
+    # 40-decision label; the count is refused before the gate and the solves
+    def too_late(*args, **kwargs):
+        raise AssertionError("ran past the decision-count check")
+
+    monkeypatch.setattr(runner, "validate_assumptions", too_late)
+    monkeypatch.setattr(runner, "_solve_stage", too_late)
+    path = write_cfg(tmp_path, cheap_constant(simulate={"n_paths": 64, "n_steps": 16},
+                                              strategies={"decision_counts": [2, 40]}))
+    for command in ("simulate", "compare", "dpp-check"):
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: $.strategies.decision_counts: 40 decisions on "
+                              "16 steps")
+    assert not (tmp_path / "out").exists()
+    problem = build_problem("pennies")
+    lower = solve_isaacs(problem.spec, make_grid(problem.spec, -2, 2, 0.25), "lower")
+    with pytest.raises(ConfigError, match=r"decision count must be in \[1, 16\]"):
+        ge.default_strategy_family(problem, lower, [40], 0.0, ge.EngineConfig(n_steps=16))
+    ladder, = ge.default_strategy_family(problem, lower, [16], 0.0, ge.EngineConfig(n_steps=16))
+    assert len(ladder.rules) == 16
+
+
+def test_a_grid_whose_field_cannot_fit_is_named(tmp_path, capsys, monkeypatch):
+    # pennies at h = 0.001 used to run the gate and die in the solve with a
+    # bare numpy allocation error and exit 1; h = 1e-4 needs a field of
+    # tens of terabytes, so the grid is refused before the gate
+    def too_late(*args, **kwargs):
+        raise AssertionError("ran past the grid's size check")
+
+    monkeypatch.setattr(runner, "validate_assumptions", too_late)
+    path = write_cfg(tmp_path, {"problem": {"id": "pennies"}, "grid": {"h": 1e-4}})
+    for command in ("solve-pde", "simulate"):
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: $.grid: h=[0.0001]: one field of ")
+        assert "physical memory" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_floats_are_not_integers(tmp_path, capsys):
     # 10.0 steps used to pass the schema and die in np.linspace; a 2.0 seed
     # used to run and be recorded as 2.0

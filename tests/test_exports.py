@@ -59,3 +59,32 @@ def test_the_layers_import_downward_only():
     assert imports["game_engine"] >= {"pde_solver", "strategies"}
     assert not imports["pde_solver"] & {"strategies", "game_engine"}, imports["pde_solver"]
     assert not imports["strategies"] & {"pde_solver", "game_engine"}, imports["strategies"]
+
+
+def _private_reads(path: pathlib.Path) -> list:
+    """Underscore names a source file imports from, or reads off, another robustctl module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "")
+                                                 .startswith("robustctl")):
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+            # `from . import game_engine as ge` binds a module
+            if node.level and not node.module:
+                modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.startswith("robustctl"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private name is one module's own business; what another module needs
+    # is public and listed in __all__
+    src = pathlib.Path(robustctl.__file__).resolve().parent
+    reads = {path.stem: _private_reads(path) for path in src.glob("*.py")}
+    assert not any(reads.values()), reads

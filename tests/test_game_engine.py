@@ -20,7 +20,7 @@ import pytest
 
 import strategy_oracle as oracle
 from conftest import estimate_cell
-from robustctl import game_engine
+from robustctl import game_engine, strategies
 from robustctl.errors import (ConfigError, EmbeddingMismatchError,
                               ModelEvaluationError, SimulationBlowUpError,
                               StrategyIntervalError, StrategyStructureError)
@@ -1348,27 +1348,25 @@ class LateHittingRule(HittingRule):
 class _LateMonitor:
     def __init__(self, inner):
         self.inner = inner
+        self.fire = np.full_like(inner.fire, _NOT_YET)
 
     def observe(self, j, X):
         self.inner.observe(j, X)
-
-    def fired_by(self, j):
-        hit = self.inner.fired_by(j)
         # a hit at j is reported at j + 1, naming index j
-        return np.where(hit < j, hit, _NOT_YET)
+        np.copyto(self.fire, self.inner.fire, where=self.inner.fire < j)
 
 
 def test_a_monitor_reporting_a_past_fire_is_refused_by_name(pennies_problem, pennies_fields,
                                                             monkeypatch):
     lower, _ = pennies_fields
     spec = pennies_problem.spec
-    monitor = game_engine._rule_monitor
+    monitor = strategies._rule_monitor
 
     def late(rule, times, n):
         inner = monitor(rule, times, n)
         return _LateMonitor(inner) if isinstance(rule, LateHittingRule) else inner
 
-    monkeypatch.setattr(game_engine, "_rule_monitor", late)
+    monkeypatch.setattr(strategies, "_rule_monitor", late)
     alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
     family = AdversaryFamily((const_adv(0, "c0"),))
     kw = dict(n_paths=16, master_seed=2, engine=EngineConfig(n_steps=32))
@@ -1376,8 +1374,10 @@ def test_a_monitor_reporting_a_past_fire_is_refused_by_name(pennies_problem, pen
     on_time = dpp_checks(spec, lower, 0.0, x0, [alpha], family,
                          [("exit", HittingRule(AbsRegion(0.5)))], **kw)
     assert on_time[0].game_value != on_time[0].field_value
+    # the screen replays the same RuleWatch, so it refuses the rule before
+    # any chunk is marched
     with pytest.raises(StrategyStructureError,
-                       match=r"^stopping rule 'late' reported fire index \d+ at index \d+"):
+                       match=r"^stopping rule 'late' failed the non-anticipativity screen"):
         dpp_checks(spec, lower, 0.0, x0, [alpha], family,
                    [("exit", HittingRule(AbsRegion(0.5))),
                     ("late", LateHittingRule(AbsRegion(0.5)))], **kw)

@@ -197,6 +197,31 @@ def test_lower_equals_upper_when_isaacs_holds(drift_fields):
     assert np.array_equal(lower.values, upper.values)
 
 
+@pytest.mark.parametrize("problem_id, drifts", [("pennies", {"lower": -1.0, "upper": 1.0}),
+                                                ("drift_control", {"lower": 0.5, "upper": 0.5})])
+def test_both_shipped_games_converge_to_their_exact_values(problem_id, drifts):
+    # g = tanh is increasing and the coefficients are constant, so each
+    # player's optimal control is constant and V(t, x) = E tanh(x + c (T - t)
+    # + W_{T-t}): c is the drift the optimal pair plays.  Upwinding adds
+    # diffusion |b| h / 2, which pulls E tanh toward 0, so the field lies
+    # strictly between 0 and V, and the error is first order in h.
+    spec = build_problem(problem_id).spec
+    nodes, weights = np.polynomial.hermite.hermgauss(120)
+    errors = {eq: [] for eq in drifts}
+    for h in (0.08, 0.04):
+        fields = solve_isaacs(spec, make_grid(spec, -4, 4, h), ("lower", "upper"))
+        for eq, field in zip(("lower", "upper"), fields):
+            exact = float(weights @ np.tanh(drifts[eq] * spec.horizon
+                                            + np.sqrt(2.0 * spec.horizon) * nodes)
+                          / np.sqrt(np.pi))
+            value = float(field.value_at(0.0, np.array([[0.0]]))[0])
+            assert 0.0 < value / exact < 1.0, (eq, h, value, exact)
+            errors[eq].append(value - exact)
+    for eq, (coarse, fine) in errors.items():
+        assert abs(fine) <= 3e-3, (eq, fine)
+        assert 1.8 <= coarse / fine <= 2.2, (eq, coarse, fine)
+
+
 def test_monotone_in_terminal_data(pennies_problem):
     spec = pennies_problem.spec
     lifted = dataclasses.replace(

@@ -696,15 +696,13 @@ class RetroMonitor:
     def observe(self, j, X):
         self.fire[(self.fire == _NOT_YET) & (X[:, 0] > 0.5)] = j - 1
 
-    def fired_by(self, j):
-        return self.fire
-
 
 def test_screen_runs_the_batch_form_the_engine_runs(monkeypatch):
     # either object's first divergence lies exactly at the cut
     rep = check_nonanticipative(UnshiftedSignControl(1, 0), n_trials=200, seed=0)
     assert not rep.passed and rep.first_failure["step"] == rep.first_failure["cut"]
+    # the screen takes fires with the engine's RuleWatch, which refuses a
+    # fire dated before the index that reports it
     monkeypatch.setattr(strategies, "_rule_monitor", lambda rule, times, n: RetroMonitor(n))
     rep = check_nonanticipative(HittingRule(AbsRegion(0.5)), n_trials=200, seed=0)
-    assert not rep.passed and rep.first_failure["cut"] in (rep.first_failure["fire_a"],
-                                                           rep.first_failure["fire_b"])
+    assert not rep.passed and "reported fire index" in rep.first_failure["refused"]
