@@ -77,7 +77,7 @@ __all__ = [
     "FiltrationReport", "filtration_experiment",
     "DppReport", "dpp_check", "dpp_checks",
     "default_adversary_families", "default_strategy_family", "builtin_pairs",
-    "sim_times",
+    "BUILTIN_PAIR_RUNGS", "sim_times",
 ]
 
 
@@ -990,21 +990,26 @@ def _constant_strategy(control_set, index: int, s: float, horizon: float,
                               actions=(ConstantAction(index),), label=label)
 
 
+# the decision counts of the built-in pairs' ladders: alpha reads the lower
+# field at each, beta the upper field at the first
+BUILTIN_PAIR_RUNGS = (4, 8)
+
+
 def builtin_pairs(problem, lower_field: ValueField, upper_field: ValueField,
                   s: float, engine: EngineConfig) -> list:
     """The built-in (alpha, beta) strategy pairs for the embedding suite, alpha-major."""
     spec = problem.spec
     T = spec.horizon
     ladder = lambda feedback, k, label: _ladder(feedback, k, spec, s, engine, label)
-    alphas = [_constant_strategy(spec.controls_u, 0, s, T, "alpha:const0"),
-              ladder(lower_field.feedback_u, 4, "alpha:grid4"),
-              ladder(lower_field.feedback_u, 8, "alpha:grid8")]
+    alphas = [_constant_strategy(spec.controls_u, 0, s, T, "alpha:const0")] + [
+        ladder(lower_field.feedback_u, k, f"alpha:grid{k}") for k in BUILTIN_PAIR_RUNGS]
     j_last = spec.controls_v.size - 1
     hit_switch = ElementaryStrategy(
         control_set=spec.controls_v, start_rule=FixedTimeRule(s),
         rules=(HittingRule(AbsRegion(1.0)), FixedTimeRule(T)),
         actions=(ConstantAction(0), ConstantAction(j_last)), label="beta:hitswitch")
     betas = [_constant_strategy(spec.controls_v, j_last, s, T, "beta:const_last"),
-             ladder(upper_field.feedback_v, 4, "beta:grid4"),
+             ladder(upper_field.feedback_v, BUILTIN_PAIR_RUNGS[0],
+                    f"beta:grid{BUILTIN_PAIR_RUNGS[0]}"),
              hit_switch]
     return [(alpha, beta) for alpha in alphas for beta in betas]

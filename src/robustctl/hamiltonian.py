@@ -16,10 +16,15 @@ The matrix-game solver tries, in order: a pure saddle point (exact), the
 2x2 closed form (exact for completely mixed games), and a pair of linear
 programs whose duality gap doubles as the accuracy certificate.  Only
 the last needs scipy, so ``scipy.optimize`` is imported when an LP runs.
+Games are solved in stacks: one :func:`minimax` over the stack finds every
+pure saddle, and only the other games are solved one at a time.
+:func:`hamiltonian_mixed_batch` builds one matrix per query, each at its
+own t, and :func:`hamiltonian_mixed` is its one-query case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +34,15 @@ from .sde_core import ProblemSpec, eval_pairs
 
 __all__ = [
     "HamiltonianQuery",
+    "QueryBatch",
     "MixedSolution",
+    "MixedBatch",
     "lagrangian_matrix",
     "minimax",
     "hamiltonian_lower",
     "hamiltonian_upper",
     "hamiltonian_mixed",
+    "hamiltonian_mixed_batch",
     "solve_matrix_game",
 ]
 
@@ -64,11 +72,45 @@ class HamiltonianQuery:
         object.__setattr__(self, "M", M)
 
 
+@dataclass(frozen=True, eq=False)
+class QueryBatch:
+    """n (t, x, p, M) evaluation points stacked along axis 0: ``t`` (n,), ``x``
+    and ``p`` (n, d), ``M`` (n, d, d).  Checked and symmetrized on input as
+    :class:`HamiltonianQuery` checks one query; a non-finite query is named
+    by its index."""
+
+    t: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+    M: np.ndarray
+
+    def __post_init__(self):
+        t, x, p, M = (np.asarray(a, dtype=float) for a in (self.t, self.x, self.p, self.M))
+        if (t.ndim != 1 or x.ndim != 2 or x.shape[0] != t.size or p.shape != x.shape
+                or M.shape != x.shape + x.shape[1:]):
+            raise ModelEvaluationError(f"query shapes inconsistent: t {t.shape}, x {x.shape}, "
+                                       f"p {p.shape}, M {M.shape}")
+        finite = (np.isfinite(t) & np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1)
+                  & np.isfinite(M).all(axis=(1, 2)))
+        if not finite.all():
+            raise ModelEvaluationError(
+                f"query {int(np.argmin(finite))} contains non-finite entries")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "M", 0.5 * (M + np.swapaxes(M, 1, 2)))
+
+
+def _running_term(spec: ProblemSpec, t: float, x: np.ndarray, p: np.ndarray,
+                  M: np.ndarray) -> np.ndarray:
+    b, sig = eval_pairs(spec, t, x)             # (n_u, n_v, d), (n_u, n_v, d, k)
+    a = sig @ np.swapaxes(sig, -1, -2)
+    return b @ p + 0.5 * np.trace(a @ M, axis1=-2, axis2=-1)
+
+
 def lagrangian_matrix(spec: ProblemSpec, q: HamiltonianQuery) -> np.ndarray:
     """The (n_u, n_v) matrix of running terms b . p + 1/2 tr(sigma sigma^T M)."""
-    b, sig = eval_pairs(spec, q.t, q.x)         # (n_u, n_v, d), (n_u, n_v, d, k)
-    a = sig @ np.swapaxes(sig, -1, -2)
-    return b @ q.p + 0.5 * np.trace(a @ q.M, axis1=-2, axis2=-1)
+    return _running_term(spec, q.t, q.x, q.p, q.M)
 
 
 def minimax(L: np.ndarray, which: str):
@@ -81,20 +123,33 @@ def minimax(L: np.ndarray, which: str):
     ``inner_best`` have the trailing shape of L, and ``inner_best`` has the
     outer player's control axis in front of it.
     """
-    if which == "upper":
-        # min_v max_u L = -(max_v min_u -L^T); negation is exact and keeps ties
-        value, v_star, u_star, inner = minimax(-np.swapaxes(L, 0, 1), "lower")
-        return -value, u_star, v_star, inner
-    if which != "lower":
+    if which not in ("lower", "upper"):
         raise ConfigError(f"which must be 'lower' or 'upper', got {which!r}")
+    L = np.ascontiguousarray(L)
     n_u, n_v, rest = L.shape[0], L.shape[1], L.shape[2:]
-    flat = L.reshape(n_u, n_v, -1)                  # one column per trailing index
-    cols = np.arange(flat.shape[2])
-    inner = flat.argmin(axis=1)                     # (n_u, cols)
-    inner_vals = flat[np.arange(n_u)[:, None], inner, cols]
-    u_star = inner_vals.argmax(axis=0)
-    return (inner_vals[u_star, cols].reshape(rest), u_star.reshape(rest),
-            inner[u_star, cols].reshape(rest), inner.reshape((n_u,) + rest))
+    m = math.prod(rest)
+    # the inner player's replies, then their values gathered by flat
+    # position: entry (i, j, c) of L sits at (i n_v + j) m + c
+    cols = np.arange(m).reshape(rest)
+    lead = (1,) * len(rest)
+    if which == "lower":
+        inner = L.argmin(axis=1)                    # v's reply to each u, (n_u, *rest)
+        at = inner * m
+        at += np.arange(0, n_u * n_v * m, n_v * m).reshape((n_u,) + lead) + cols
+        inner_vals = L.take(at)
+        outer = inner_vals.argmax(axis=0)
+    else:
+        inner = L.argmax(axis=0)                    # u's reply to each v, (n_v, *rest)
+        at = inner * (n_v * m)
+        at += np.arange(0, n_v * m, m).reshape((n_v,) + lead) + cols
+        inner_vals = L.take(at)
+        outer = inner_vals.argmin(axis=0)
+    # entry (k, c) of inner_vals and of inner sits at k m + c
+    at = outer * m
+    at += cols
+    reply = inner.take(at)
+    u_star, v_star = (outer, reply) if which == "lower" else (reply, outer)
+    return inner_vals.take(at), u_star, v_star, inner
 
 
 def hamiltonian_lower(spec: ProblemSpec, q: HamiltonianQuery) -> float:
@@ -129,6 +184,26 @@ class MixedSolution:
     upper: float
 
 
+@dataclass(eq=False)
+class MixedBatch:
+    """The :class:`MixedSolution` fields of n matrix games, game k at index k:
+    ``value``, ``residual``, ``lower`` and ``upper`` of shape (n,), ``mu``
+    (n, n_u), ``nu`` (n, n_v) and ``method`` a list of n names."""
+
+    value: np.ndarray
+    mu: np.ndarray
+    nu: np.ndarray
+    residual: np.ndarray
+    method: list
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def solution(self, k: int) -> MixedSolution:
+        return MixedSolution(value=float(self.value[k]), mu=self.mu[k], nu=self.nu[k],
+                             residual=float(self.residual[k]), method=self.method[k],
+                             lower=float(self.lower[k]), upper=float(self.upper[k]))
+
+
 def solve_matrix_game(A: np.ndarray, tol: float = 1e-8) -> MixedSolution:
     """Value and optimal mixed strategies of the zero-sum game max_mu min_nu mu^T A nu.
 
@@ -141,30 +216,41 @@ def solve_matrix_game(A: np.ndarray, tol: float = 1e-8) -> MixedSolution:
         raise ModelEvaluationError(f"game matrix must be 2-d and non-empty, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ModelEvaluationError("game matrix contains non-finite entries")
-    n_u, n_v = A.shape
+    return _solve_games(A[:, :, None], tol).solution(0)
 
-    v_low, u_star, _, _ = minimax(A, "lower")
-    v_up, _, v_star, _ = minimax(A, "upper")
-    pure = {"lower": float(v_low), "upper": float(v_up)}
-    if v_up <= v_low:
-        # pure saddle point: exact, degenerate weights, lowest-index ties
-        mu = np.zeros(n_u)
-        mu[u_star] = 1.0
-        nu = np.zeros(n_v)
-        nu[v_star] = 1.0
-        return MixedSolution(value=float(v_low), mu=mu, nu=nu, residual=0.0, method="saddle",
-                             **pure)
 
+def _solve_games(L: np.ndarray, tol: float) -> MixedBatch:
+    """The finite games L[:, :, k]: every pure saddle at once, then each other
+    game by the 2x2 closed form or the LPs."""
+    n_u, n_v, n = L.shape
+    lower, u_star, _, _ = minimax(L, "lower")
+    upper, _, v_star, _ = minimax(L, "upper")
+    # a pure saddle point is exact: degenerate weights, lowest-index ties.
+    # Every game gets them; a game with no saddle overwrites its own.
+    games = np.arange(n)
+    value = lower.copy()
+    mu = np.zeros((n, n_u))
+    mu[games, u_star] = 1.0
+    nu = np.zeros((n, n_v))
+    nu[games, v_star] = 1.0
+    residual = np.zeros(n)
+    method = ["saddle"] * n
+    for k in (upper > lower).nonzero()[0].tolist():
+        value[k], mu[k], nu[k], residual[k], method[k] = _mixed_game(
+            np.ascontiguousarray(L[:, :, k]), tol)
+    return MixedBatch(value=value, mu=mu, nu=nu, residual=residual, method=method,
+                      lower=lower, upper=upper)
+
+
+def _mixed_game(A: np.ndarray, tol: float) -> tuple:
+    """(value, mu, nu, residual, method) of a game with no pure saddle point."""
     if A.shape == (2, 2):
-        # completely mixed 2x2 game (no saddle): closed form
+        # completely mixed 2x2 game: closed form
         a, b = A[0]
         c, d = A[1]
         denom = a + d - b - c  # nonzero, else a saddle would exist
-        value = (a * d - b * c) / denom
-        mu = np.array([(d - c) / denom, (a - b) / denom])
-        nu = np.array([(d - b) / denom, (a - c) / denom])
-        return MixedSolution(value=float(value), mu=mu, nu=nu, residual=0.0, method="2x2",
-                             **pure)
+        return ((a * d - b * c) / denom, [(d - c) / denom, (a - b) / denom],
+                [(d - b) / denom, (a - c) / denom], 0.0, "2x2")
 
     scale = max(1.0, float(np.max(np.abs(A))))
     v_row, mu = _lp_value(A)            # max_mu min_j (mu^T A)_j
@@ -178,8 +264,7 @@ def solve_matrix_game(A: np.ndarray, tol: float = 1e-8) -> MixedSolution:
         raise NumericalSolveError(
             f"matrix game LP residual {residual:.3e} exceeds {tol:.1e} * {scale:.3g}",
             residual=residual)
-    return MixedSolution(value=0.5 * (guaranteed_row + guaranteed_col),
-                         mu=mu, nu=nu, residual=residual, method="lp", **pure)
+    return 0.5 * (guaranteed_row + guaranteed_col), mu, nu, residual, "lp"
 
 
 def _lp_value(A: np.ndarray) -> tuple[float, np.ndarray]:
@@ -205,11 +290,37 @@ def _lp_value(A: np.ndarray) -> tuple[float, np.ndarray]:
     return float(res.x[0]), mu
 
 
+def hamiltonian_mixed_batch(spec: ProblemSpec, queries: QueryBatch,
+                            tol: float = 1e-8) -> MixedBatch:
+    """Mixed-strategy values of the running-term games at a batch of queries.
+
+    Each query's matrix is built at its own t, as :func:`lagrangian_matrix`
+    builds it; the matrices are then solved together (:func:`minimax` over
+    the stack finds every pure saddle) and only the games without one are
+    solved one by one.  A query whose matrix is not finite is named.
+    """
+    L = np.empty((spec.controls_u.size, spec.controls_v.size, queries.t.size))
+    for k, (t, x, p, M) in enumerate(zip(queries.t.tolist(), queries.x, queries.p, queries.M)):
+        L[:, :, k] = _running_term(spec, t, x, p, M)
+    return _solve_games(_finite_games(L), tol)
+
+
 def hamiltonian_mixed(spec: ProblemSpec, q: HamiltonianQuery,
                       tol: float = 1e-8) -> MixedSolution:
-    """Mixed-strategy value of the running-term game at one query point.
+    """Mixed-strategy value of the running-term game at one query point: the
+    one-query case of :func:`hamiltonian_mixed_batch`, on a query checked
+    and symmetrized already.
 
     Always wedged between the lower and upper Hamiltonians (up to the
     solution's residual), with equality on both sides iff a saddle exists.
     """
-    return solve_matrix_game(lagrangian_matrix(spec, q), tol=tol)
+    return _solve_games(_finite_games(lagrangian_matrix(spec, q)[:, :, None]), tol).solution(0)
+
+
+def _finite_games(L: np.ndarray) -> np.ndarray:
+    """L of shape (n_u, n_v, n), refused if a query's matrix is not finite."""
+    if np.count_nonzero(np.isfinite(L)) < L.size:
+        finite = np.isfinite(L).all(axis=(0, 1))
+        raise ModelEvaluationError(
+            f"game matrix of query {int(np.argmin(finite))} contains non-finite entries")
+    return L

@@ -316,25 +316,34 @@ def _coefficients(spec: ProblemSpec, t: float, nodes: np.ndarray) -> tuple:
     return np.maximum(b, 0.0), np.minimum(b, 0.0), half_aa
 
 
-def _step(which: str, V: np.ndarray, coefficients: tuple, h: np.ndarray,
-          neighbors: list, dt: float) -> tuple:
-    """One backward step of one equation from the layer V: the new layer,
-    the reduction's u and v indices, and the lower reduction's reply table
-    (the reply table of both fields).  Its temporaries end with the call."""
+def _running_terms(V: np.ndarray, coefficients: tuple, h: np.ndarray,
+                   neighbors: list) -> np.ndarray:
+    """The upwinded running term of every equation's next layer at every
+    control pair, shape (n_u, n_v, E, *shape), from the stacked layers V of
+    shape (E, *shape).  Its temporaries end with the call."""
     b_up, b_down, half_aa = coefficients
-    Dp = np.empty(V.shape + (len(h),))
-    Dm = np.empty(V.shape + (len(h),))
-    D2 = np.empty(V.shape + (len(h),))
+    L = None
     for a, (up, down) in enumerate(neighbors):
-        Vp = V.take(up, axis=a)
-        Vm = V.take(down, axis=a)
-        Dp[..., a] = (Vp - V) / h[a]
-        Dm[..., a] = (V - Vm) / h[a]
-        D2[..., a] = (Vp - 2.0 * V + Vm) / h[a] ** 2
-    L = (b_up * Dp + b_down * Dm + half_aa * D2).sum(axis=-1)   # (n_u, n_v, *shape)
-    lower = minimax(L, "lower")
-    H, u_star, v_star, _ = lower if which == "lower" else minimax(L, "upper")
-    return V + dt * H, u_star, v_star, lower[3]
+        Dp = V.take(up, axis=a + 1)
+        Dm = V.take(down, axis=a + 1)
+        D2 = Dp - 2.0 * V
+        D2 += Dm
+        D2 /= h[a] ** 2
+        Dp -= V
+        Dp /= h[a]
+        np.subtract(V, Dm, out=Dm)
+        Dm /= h[a]
+        term = b_up[:, :, None, ..., a] * Dp
+        term += b_down[:, :, None, ..., a] * Dm
+        term += half_aa[:, :, None, ..., a] * D2
+        if L is None:
+            # the axes' terms are summed in order onto 0.0, as a sum over a
+            # trailing axis adds them; 0.0 + -0.0 is 0.0
+            term += 0.0
+            L = term
+        else:
+            L += term
+    return L
 
 
 def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which="lower") -> ValueField | tuple:
@@ -347,6 +356,12 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which="lower") -> Value
     fields in its order, with the bits of separate solves.  Argmax/argmin
     ties break to the lowest control index.  Coefficients are evaluated at
     the layer being produced.
+
+    Each step works on the equations' layers stacked as one (E, *shape)
+    array: one running-term block, one lower reduction (whose reply table
+    is every field's), the upper reduction on the upper slice alone, and
+    one finiteness check.  Each field's arrays are its own, filled a layer
+    at a time.
     """
     equations = (which,) if isinstance(which, str) else tuple(which)
     if not equations:
@@ -383,23 +398,30 @@ def solve_isaacs(spec: ProblemSpec, grid: SpaceTimeGrid, which="lower") -> Value
                         np.empty((n_layers,) + shape, dtype=v_dtype),
                         np.empty((n_layers, n_u) + shape, dtype=v_dtype),
                         np.empty(n_layers - 1)))
+    upper = equations.index("upper") if "upper" in equations else None
 
+    V = np.stack([payoff] * len(equations))
     for i in range(n_layers - 2, -1, -1):
         t = float(times[i])
-        coefficients = _coefficients(spec, t, nodes)
-        for eq, (values, fb_u, fb_v, resp_v, max_update) in zip(equations, marches):
-            V = values[i + 1]
-            new, u_star, v_star, reply = _step(eq, V, coefficients, h, neighbors, grid.dt)
-            if not np.all(np.isfinite(new)):
-                flat = int(np.argmin(np.isfinite(new)))
-                bad = tuple(int(k) for k in np.unravel_index(flat, shape))
-                raise NumericalSolveError(
-                    f"non-finite value at t={t}, node index {bad} while solving {eq} field")
-            values[i] = new
-            fb_u[i] = u_star
-            fb_v[i] = v_star
-            resp_v[i] = reply
-            max_update[i] = float(np.max(np.abs(new - V)))
+        L = _running_terms(V, _coefficients(spec, t, nodes), h, neighbors)
+        H, u_star, v_star, reply = minimax(L, "lower")
+        if upper is not None:
+            H[upper], u_star[upper], v_star[upper], _ = minimax(L[:, :, upper], "upper")
+        new = V + grid.dt * H
+        if not np.isfinite(new).all():
+            eq = next(k for k in range(len(equations)) if not np.isfinite(new[k]).all())
+            flat = int(np.argmin(np.isfinite(new[eq])))
+            bad = tuple(int(k) for k in np.unravel_index(flat, shape))
+            raise NumericalSolveError(f"non-finite value at t={t}, node index {bad} "
+                                      f"while solving {equations[eq]} field")
+        update = np.abs(new - V).reshape(len(equations), -1).max(axis=1)
+        for k, (values, fb_u, fb_v, resp_v, max_update) in enumerate(marches):
+            values[i] = new[k]
+            fb_u[i] = u_star[k]
+            fb_v[i] = v_star[k]
+            resp_v[i] = reply[:, k]
+            max_update[i] = update[k]
+        V = new
 
     fields = []
     for eq, (values, fb_u, fb_v, resp_v, max_update) in zip(equations, marches):

@@ -42,18 +42,26 @@ def format_cell(value) -> str:
 
 def _write_csv(path: str, header: list, rows) -> None:
     """Stream one table to ``path``: the header, then each row as it is read
-    from ``rows`` (any iterable of rows), formatted cell by cell."""
+    from ``rows`` (any iterable of rows), formatted cell by cell.  A rows
+    object with a ``formatted()`` method is written from it instead: it
+    yields blocks of rows whose cells are already the strings
+    :func:`format_cell` makes of them."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([format_cell(c) for c in row] for row in rows)
+        if hasattr(rows, "formatted"):
+            for block in rows.formatted():
+                writer.writerows(block)
+        else:
+            writer.writerows([format_cell(c) for c in row] for row in rows)
 
 
 def emit_report(summary: dict, tables: dict, out_dir: str) -> list:
     """Write summary.json and one CSV per table; returns the paths written.
 
     ``tables`` maps a base name to (header, rows), ``rows`` any iterable of
-    rows; each is formatted as it is written.  Table names become
+    rows (or an object that formats its own, see :func:`_write_csv`); each
+    is formatted as it is written.  Table names become
     ``<name>.csv`` inside ``out_dir``; the directory is created if missing.
     """
     os.makedirs(out_dir, exist_ok=True)

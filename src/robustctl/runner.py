@@ -10,13 +10,15 @@ reproduces the run exactly.
 from __future__ import annotations
 
 import os
+from itertools import repeat
 
 import numpy as np
 
 from . import game_engine as ge
 from .config import DEFAULTS, resolve_config
 from .errors import CflViolationError, ConfigError, EmbeddingMismatchError, RobustCtlError
-from .hamiltonian import HamiltonianQuery, hamiltonian_mixed
+from .hamiltonian import (HamiltonianQuery, QueryBatch, hamiltonian_mixed,
+                          hamiltonian_mixed_batch)
 from .pde_solver import ValueField, cfl_max_dt, compare_to_reference, make_grid, solve_isaacs
 from .problems import build_problem
 from .reports import SUMMARY_VERSION, emit_report
@@ -151,6 +153,9 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
     if table_stages and max(counts) > engine.n_steps:
         raise ConfigError(f"$.strategies.decision_counts: {max(counts)} decisions on "
                           f"{engine.n_steps} steps; a rung decides at most once a step")
+    if "embedding" in stages and max(ge.BUILTIN_PAIR_RUNGS) > engine.n_steps:
+        raise ConfigError(f"$.simulate.n_steps: {engine.n_steps} steps, but the embedding "
+                          f"pairs' ladders decide {max(ge.BUILTIN_PAIR_RUNGS)} times")
     # the grid too, so one whose field cannot fit is refused here
     if "solve" in stages:
         gcfg = cfg["grid"]
@@ -494,6 +499,14 @@ class _FieldRows:
                 for node, val in zip(nodes, vals.tolist()):
                     yield [eq, t] + node + [val]
 
+    def formatted(self):
+        """The rows as the report writes them, one layer per block: each
+        float's cell is its repr, as ``reports.format_cell`` makes it."""
+        for eq, times, nodes, layers in self.parts:
+            coords = [list(map(repr, axis)) for axis in nodes.T.tolist()]
+            for t, vals in zip(times.tolist(), layers):
+                yield zip(repeat(eq), repeat(repr(t)), *coords, map(repr, vals.tolist()))
+
 
 def _hamiltonian_stage(problem, cfg: dict, master_seed: int, tol: dict):
     spec = problem.spec
@@ -505,24 +518,23 @@ def _hamiltonian_stage(problem, cfg: dict, master_seed: int, tol: dict):
     p_all = rng.uniform(-hcfg["gradient_scale"], hcfg["gradient_scale"], (n, spec.dim))
     m_all = rng.uniform(-hcfg["curvature_scale"], hcfg["curvature_scale"],
                         (n, spec.dim, spec.dim))
-    worst = 0.0
-    max_residual = 0.0
+    # the batch symmetrizes M
+    queries = QueryBatch(t=t_all, x=x_all, p=p_all, M=m_all)
+    mix = hamiltonian_mixed_batch(spec, queries, tol=tol["hamiltonian_slack"])
+    # Python's max keeps the first of equal values, so 0.0 wins a tie with -0.0
+    worst = max([0.0] + (mix.lower - mix.value).tolist() + (mix.value - mix.upper).tolist())
+    max_residual = max([0.0] + mix.residual.tolist())
     methods = {"saddle": 0, "2x2": 0, "lp": 0}
-    rows = []
+    for method in mix.method:
+        methods[method] += 1
     header = (["index", "t"] + [f"x{a}" for a in range(spec.dim)]
               + [f"p{a}" for a in range(spec.dim)]
               + [f"m{a}{b}" for a in range(spec.dim) for b in range(spec.dim)]
               + ["lower", "mixed", "upper", "method", "residual"])
-    for i in range(n):
-        # the query symmetrizes M
-        q = HamiltonianQuery(t=float(t_all[i]), x=x_all[i], p=p_all[i], M=m_all[i])
-        mix = hamiltonian_mixed(spec, q, tol=tol["hamiltonian_slack"])
-        worst = max(worst, mix.lower - mix.value, mix.value - mix.upper)
-        max_residual = max(max_residual, mix.residual)
-        methods[mix.method] += 1
-        rows.append([i, q.t] + [float(c) for c in q.x] + [float(c) for c in q.p]
-                    + [float(c) for c in q.M.reshape(-1)]
-                    + [mix.lower, mix.value, mix.upper, mix.method, mix.residual])
+    cells = np.column_stack([queries.t, queries.x, queries.p, queries.M.reshape(n, -1),
+                             mix.lower, mix.value, mix.upper]).tolist()
+    rows = [[i] + row + [method, residual] for i, (row, method, residual)
+            in enumerate(zip(cells, mix.method, mix.residual.tolist()))]
     ham = {"n_queries": n, "max_order_violation": worst,
            "max_mixed_residual": max_residual, "methods": methods}
     if spec.controls_u.size == 2 and spec.controls_v.size == 2:

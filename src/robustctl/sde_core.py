@@ -19,6 +19,7 @@ increments that only information-enlarged adversaries may read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -247,32 +248,61 @@ def eval_pairs(spec: ProblemSpec, t: float, x: np.ndarray) -> tuple[np.ndarray, 
     x = np.asarray(x, dtype=float)
     U, V = spec.controls_u, spec.controls_v
     b = np.empty((U.size, V.size) + x.shape)
-    sigma = np.empty((U.size, V.size) + x.shape + (spec.noise_dim,))
-    coefficients = ((f"{spec.label}.drift", spec.drift, b),
-                    (f"{spec.label}.diffusion", spec.diffusion, sigma))
-    order = [(i, j, name, fn, out) for i in range(U.size) for j in range(V.size)
-             for name, fn, out in coefficients]
+    sigma = np.empty(b.shape + (spec.noise_dim,))
+    drift, diffusion = spec.drift, spec.diffusion
+    b_shape, sigma_shape = b.shape[2:], sigma.shape[2:]
     filled = 0
     try:
-        for i, j, name, fn, out in order:
-            got = np.asarray(fn(t, x, U.point(i), V.point(j)), dtype=float)
-            if got.shape != out.shape[2:]:
-                raise _shape_error(name, got.shape, out.shape[2:], t, U.point(i), V.point(j))
-            out[i, j] = got
-            filled += 1
+        for i, u in enumerate(U.points):
+            for j, v in enumerate(V.points):
+                got = np.asarray(drift(t, x, u, v), dtype=float)
+                if got.shape != b_shape:
+                    raise _shape_error(f"{spec.label}.drift", got.shape, b_shape, t, u, v)
+                b[i, j] = got
+                filled += 1
+                got = np.asarray(diffusion(t, x, u, v), dtype=float)
+                if got.shape != sigma_shape:
+                    raise _shape_error(f"{spec.label}.diffusion", got.shape, sigma_shape,
+                                       t, u, v)
+                sigma[i, j] = got
+                filled += 1
     except Exception:
         # an output validated before the failure may be non-finite: that came first
-        _raise_first_nonfinite(order[:filled], t, U, V)
+        _raise_first_nonfinite(islice(_pair_calls(spec, t, b, sigma), filled))
         raise
-    if not (np.isfinite(b).all() and np.isfinite(sigma).all()):
-        _raise_first_nonfinite(order, t, U, V)
+    # count_nonzero is one C call, cheaper than .all() on blocks this small
+    if np.count_nonzero(np.isfinite(b)) + np.count_nonzero(np.isfinite(sigma)) \
+            < b.size + sigma.size:
+        _raise_first_nonfinite(_pair_calls(spec, t, b, sigma))
     return b, sigma
 
 
-def _raise_first_nonfinite(order: list, t: float, U: ControlSet, V: ControlSet) -> None:
-    for i, j, name, _, out in order:
-        if not np.isfinite(out[i, j]).all():
-            raise _nonfinite_error(name, t, U.point(i), V.point(j)) from None
+def _pair_calls(spec: ProblemSpec, t: float, b: np.ndarray, sigma: np.ndarray):
+    """The outputs of :func:`eval_pairs` as (name, output, t, u, v), in call order."""
+    U, V = spec.controls_u, spec.controls_v
+    for i in range(U.size):
+        for j in range(V.size):
+            yield f"{spec.label}.drift", b[i, j], t, U.point(i), V.point(j)
+            yield f"{spec.label}.diffusion", sigma[i, j], t, U.point(i), V.point(j)
+
+
+def _sample_calls(spec: ProblemSpec, times: np.ndarray, pairs: np.ndarray, b: np.ndarray,
+                  sigma: np.ndarray):
+    """The outputs of :func:`validate_assumptions` as (name, output, t, u, v),
+    in call order: per sample, drift at x1 and x2, then diffusion."""
+    for k, (t, (i, j)) in enumerate(zip(times.tolist(), pairs.tolist())):
+        u, v = spec.controls_u.point(i), spec.controls_v.point(j)
+        for name, out in (("drift", b), ("diffusion", sigma)):
+            for a in (0, 1):
+                yield f"{spec.label}.{name}", out[k, a], t, u, v
+
+
+def _raise_first_nonfinite(calls) -> None:
+    """Raise the error a check of each output as it returned would have
+    raised first, for the first non-finite output of ``calls``."""
+    for name, out, t, u, v in calls:
+        if not np.isfinite(out).all():
+            raise _nonfinite_error(name, t, u, v) from None
 
 
 def eval_payoff(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
@@ -425,25 +455,57 @@ def validate_assumptions(spec: ProblemSpec, box_lo: np.ndarray, box_hi: np.ndarr
     rng = stream_generator(derive_seed(seed, 2), 0)
     radius = float(np.max(np.abs(np.stack([lo, hi]))))
 
-    lip = 0.0
-    growth = 0.0
-    for _ in range(int(n_samples)):
-        t = float(rng.uniform(0.0, spec.horizon))
-        x1 = rng.uniform(lo, hi)
-        x2 = rng.uniform(lo, hi)
-        u = spec.controls_u.point(int(rng.integers(spec.controls_u.size)))
-        v = spec.controls_v.point(int(rng.integers(spec.controls_v.size)))
-        b1 = eval_drift(spec, t, x1, u, v)
-        b2 = eval_drift(spec, t, x2, u, v)
-        s1 = eval_diffusion(spec, t, x1, u, v)
-        s2 = eval_diffusion(spec, t, x2, u, v)
-        dx = float(np.linalg.norm(x1 - x2))
-        if dx > 1e-9:
-            q = (np.linalg.norm(b1 - b2) + np.linalg.norm(s1 - s2)) / dx
-            lip = max(lip, float(q))
-        for x, b, s in ((x1, b1, s1), (x2, b2, s2)):
-            g = (np.linalg.norm(b) + np.linalg.norm(s)) / (1.0 + np.linalg.norm(x))
-            growth = max(growth, float(g))
+    # each sample draws (t, x1, x2, u, v) from the stream in that order and
+    # calls drift at x1 and x2, then diffusion at x1 and x2; the outputs are
+    # checked for shape as they return and for finiteness once per array.
+    # t, x1 and x2 come from one uniform draw over [0, T] x box x box, which
+    # takes the same numbers from the stream as three draws in turn
+    n = int(n_samples)
+    U, V = spec.controls_u, spec.controls_v
+    low = np.concatenate([[0.0], lo, lo])
+    high = np.concatenate([[spec.horizon], hi, hi])
+    times = np.empty(n)
+    pairs = np.empty((n, 2), dtype=np.intp)
+    x = np.empty((n, 2, spec.dim))
+    b = np.empty((n, 2, spec.dim))
+    sigma = np.empty((n, 2, spec.dim, spec.noise_dim))
+    calls = ((f"{spec.label}.drift", spec.drift, b),
+             (f"{spec.label}.diffusion", spec.diffusion, sigma))
+    filled = 0
+    try:
+        for k in range(n):
+            draw = rng.uniform(low, high)
+            t = times[k] = float(draw[0])
+            x[k] = draw[1:].reshape(2, spec.dim)
+            pairs[k] = int(rng.integers(U.size)), int(rng.integers(V.size))
+            u, v = U.point(pairs[k, 0]), V.point(pairs[k, 1])
+            for name, fn, out in calls:
+                for a in (0, 1):
+                    got = np.asarray(fn(t, x[k, a], u, v), dtype=float)
+                    if got.shape != out.shape[2:]:
+                        raise _shape_error(name, got.shape, out.shape[2:], t, u, v)
+                    out[k, a] = got
+                    filled += 1
+    except Exception:
+        # an output checked before the failure may be non-finite: that came first
+        _raise_first_nonfinite(islice(_sample_calls(spec, times, pairs, b, sigma), filled))
+        raise
+    if not (np.isfinite(b).all() and np.isfinite(sigma).all()):
+        _raise_first_nonfinite(_sample_calls(spec, times, pairs, b, sigma))
+
+    # the norms of np.linalg.norm, row by row
+    def norms(a: np.ndarray) -> np.ndarray:
+        a = a.reshape(a.shape[0], -1)
+        return np.sqrt(np.vecdot(a, a))
+
+    dx = norms(x[:, 0] - x[:, 1])
+    apart = dx > 1e-9
+    lip = np.divide(norms(b[:, 0] - b[:, 1]) + norms(sigma[:, 0] - sigma[:, 1]), dx,
+                    out=np.zeros(n), where=apart)
+    growth = (norms(b.reshape(2 * n, -1)) + norms(sigma.reshape(2 * n, -1))) \
+        / (1.0 + norms(x.reshape(2 * n, -1)))
+    lip = max([0.0] + lip[apart].tolist())
+    growth = max([0.0] + growth.tolist())
 
     lip_pass = lip <= spec.lipschitz_const * (1.0 + slack)
     growth_pass = growth <= spec.growth_const * (1.0 + slack)

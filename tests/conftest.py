@@ -14,6 +14,7 @@ import pytest
 from robustctl.game_engine import AdversaryFamily, EngineConfig, value_experiment
 from robustctl.pde_solver import make_grid, solve_isaacs
 from robustctl.problems import build_problem
+from robustctl.sde_core import ControlSet, ProblemSpec
 
 
 @pytest.fixture(scope="session")
@@ -90,3 +91,31 @@ def estimate_cell(spec, s, x0, strategy, adversary, n_paths, master_seed, engine
     """The 1 x 1 table of ``value_experiment``: one strategy's estimate against one member."""
     return value_experiment(spec, s, x0, [strategy], AdversaryFamily((adversary,)), n_paths,
                             master_seed, engine, keep_payoffs).best.estimate
+
+
+def coupled_plane_spec() -> ProblemSpec:
+    """A 2-D game whose running term exercises every axis of the kernel.
+
+    The drift couples the coordinates, sigma is a full non-normal 2x2 matrix
+    (so sigma sigma^T and sigma^T sigma differ), and the 3x2 control set has
+    vector-valued u.
+    """
+    U = ControlSet(np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 0.5]]), label="u3")
+    V = ControlSet(np.array([[-0.5], [0.5]]), label="v2")
+
+    def drift(t, x, u, v):
+        return np.stack([u[0] + v[0] * np.tanh(x[..., 1]),
+                         u[1] - 0.3 * v[0] * x[..., 0] + t], axis=-1)
+
+    def diffusion(t, x, u, v):
+        sig = np.empty(x.shape + (2,))
+        sig[..., 0, 0] = 1.0 + 0.2 * v[0]
+        sig[..., 0, 1] = 0.7 * u[0] + 0.1 * x[..., 1]
+        sig[..., 1, 0] = -0.4 + 0.2 * x[..., 0]
+        sig[..., 1, 1] = 0.8 + 0.3 * u[1] * v[0]
+        return sig
+
+    return ProblemSpec(label="coupled_plane", dim=2, noise_dim=2, horizon=1.0,
+                       drift=drift, diffusion=diffusion,
+                       payoff=lambda x: np.tanh(x[..., 0] - x[..., 1]),
+                       controls_u=U, controls_v=V, payoff_bound=1.0)

@@ -8,6 +8,7 @@ which is what makes reruns and thread sweeps byte-comparable.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -31,9 +32,10 @@ from robustctl.cli import main
 from robustctl.config import (DEFAULTS, SCHEMA, describe_errors, load_config,
                               resolve_config, validate_config)
 from robustctl.errors import ConfigError
-from robustctl.pde_solver import make_grid, solve_isaacs
+from robustctl.pde_solver import (FeedbackMap, SpaceTimeGrid, ValueField, make_grid,
+                                  solve_isaacs)
 from robustctl.problems import build_problem
-from robustctl.reports import summary_to_json
+from robustctl.reports import emit_report, format_cell, summary_to_json
 from robustctl.runner import COMMANDS, Checks, _finish, run_experiment, write_result
 from robustctl.sde_core import derive_seed, derive_seed_array
 from robustctl.strategies import (AbsRegion, CappedRule, FixedTimeRule, HittingRule,
@@ -373,6 +375,36 @@ def test_a_rung_with_more_decisions_than_steps_is_named(tmp_path, capsys, monkey
     assert len(ladder.rules) == 16
 
 
+def test_an_embedding_run_with_too_few_steps_is_named(tmp_path, capsys, monkeypatch):
+    # pennies at 4 steps with only the embedding stage used to exit 2 after
+    # the solves, naming no config path: the built-in pairs' grid8 ladder
+    # decides 8 times.  The step count is refused before the gate and the solves
+    def too_late(*args, **kwargs):
+        raise AssertionError("ran past the embedding's step check")
+
+    monkeypatch.setattr(runner, "validate_assumptions", too_late)
+    monkeypatch.setattr(runner, "solve_isaacs", too_late)
+    rungs = max(ge.BUILTIN_PAIR_RUNGS)
+    assert rungs == 8
+    off = {name: False for name in ("value", "filtration", "dpp", "hamiltonian")}
+    path = write_cfg(tmp_path, {**CHEAP_PENNIES, "simulate": {"n_paths": 64, "n_steps": 4},
+                                "experiments": {**off, "embedding": True}})
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: $.simulate.n_steps: 4 steps, but the embedding "
+                          f"pairs' ladders decide {rungs} times")
+    assert not (tmp_path / "out").exists()
+    # at the largest rung's step count the pairs are built and matched
+    monkeypatch.undo()
+    ok = write_cfg(tmp_path, {**CHEAP_PENNIES, "simulate": {"n_paths": 64, "n_steps": rungs},
+                              "experiments": {**off, "embedding": True},
+                              "embedding": {"n_seeds": 2}})
+    assert main(["run", "--config", ok, "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "embedding.csv").read_text().splitlines()
+    assert {row.split(",")[0] for row in rows[1:]} == {"alpha:const0", "alpha:grid4",
+                                                       "alpha:grid8"}
+
+
 def test_a_grid_whose_field_cannot_fit_is_named(tmp_path, capsys, monkeypatch):
     # pennies at h = 0.001 used to run the gate and die in the solve with a
     # bare numpy allocation error and exit 1; h = 1e-4 needs a field of
@@ -509,6 +541,32 @@ def test_the_fields_table_is_made_as_it_is_written(tmp_path):
             for x, val in zip(grid.axes[0], field.values[li])]
     assert list(rows) == want
     assert texts[0].count("\n") == len(want) + 1
+
+
+def test_the_formatted_fields_table_keeps_the_bytes_of_format_cell(tmp_path):
+    # the fields table formats a layer at a time with repr; the bytes must be
+    # those of format_cell through csv.writer, signed zeros, subnormals and
+    # exponents included
+    spec = build_problem("pennies").spec
+    grid = SpaceTimeGrid(np.array([0.0, 0.25, 0.5]), (np.array([-1.0, -0.0, 1.0]),))
+    values = np.array([[-0.0, 5e-324, 1e16], [0.1, -2.5e-7, 1.0 / 3.0], [1e-16, -0.0, 2.0]])
+    field = ValueField(which="lower", grid=grid, values=values,
+                       feedback_u=FeedbackMap.constant(spec.controls_u, 0, grid),
+                       feedback_v=FeedbackMap.constant(spec.controls_v, 0, grid),
+                       response_v=np.zeros((3, 2, 3), dtype=np.uint8),
+                       max_update=np.zeros(2))
+    header, rows = runner._field_table({"lower": field, "upper": field})
+    written, = [p for p in emit_report({}, {"fields": (header, rows)}, str(tmp_path))
+                if p.endswith("fields.csv")]
+    want = tmp_path / "want.csv"
+    with open(want, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_cell(c) for c in row] for row in rows)
+    assert Path(written).read_bytes() == want.read_bytes()
+    text = want.read_text()
+    assert text.startswith("equation,t,x0,value\nlower,0.0,-1.0,-0.0\nlower,0.0,-0.0,5e-324\n"
+                           "lower,0.0,1.0,1e+16\n")
 
 
 def test_oversized_grid_dt_is_a_config_error():

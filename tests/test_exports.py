@@ -2,7 +2,8 @@
 
 import ast
 import importlib
-import importlib.util
+import inspect
+import os
 import pathlib
 import pkgutil
 
@@ -18,20 +19,40 @@ def test_every_exported_name_resolves():
         assert not missing, (info.name, missing)
 
 
+def _traced_targets() -> list:
+    """perfbench's TARGETS, read from its source without running it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py assigns no TARGETS")
+
+
 def test_every_traced_target_resolves():
     # perfbench's traced run wraps these attributes; a renamed or deleted one
     # would break only `perfbench/run.py --trace 1`, so check them here
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    assert tracing.TARGETS
-    for module, attribute, _ in tracing.TARGETS:
+    targets = _traced_targets()
+    assert targets
+    for module, attribute, _ in targets:
         owner = importlib.import_module(module)
         for part in attribute.split("."):
             assert hasattr(owner, part), (module, attribute)
             owner = getattr(owner, part)
         assert callable(owner), (module, attribute)
+
+
+def test_the_traced_counters_read_what_the_package_gives(tmp_path):
+    # the traced run counts node layers from solve_isaacs's bound ``grid``
+    # argument and bytes from the paths emit_report returns
+    from robustctl.pde_solver import solve_isaacs
+    from robustctl.reports import emit_report
+
+    names = {span for _, _, span in _traced_targets()}
+    assert {"pde_solver.solve_isaacs", "reports.emit_report"} <= names
+    assert "grid" in inspect.signature(solve_isaacs).parameters
+    paths = emit_report({"a": 1}, {"t": (["x"], [[1.5]])}, str(tmp_path))
+    assert sorted(paths) == sorted(str(p) for p in tmp_path.iterdir())
+    assert sum(os.path.getsize(p) for p in paths) > 0
 
 
 def _imported_modules(path: pathlib.Path) -> set:

@@ -20,13 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from hypothesis.extra import numpy as hnp
 
+from conftest import coupled_plane_spec
 import robustctl.hamiltonian as hamiltonian
 from robustctl.errors import ModelEvaluationError, NumericalSolveError
-from robustctl.hamiltonian import (HamiltonianQuery, hamiltonian_lower,
-                                   hamiltonian_mixed, hamiltonian_upper,
-                                   lagrangian_matrix, minimax, solve_matrix_game)
+from robustctl.hamiltonian import (HamiltonianQuery, QueryBatch, hamiltonian_lower,
+                                   hamiltonian_mixed, hamiltonian_mixed_batch,
+                                   hamiltonian_upper, lagrangian_matrix, minimax,
+                                   solve_matrix_game)
 from robustctl.problems import available_problems, build_problem
-from robustctl.sde_core import ControlSet, ProblemSpec, derive_seed, stream_generator
+from robustctl.sde_core import derive_seed, stream_generator
 
 
 # ------------------------------------------------------------- the oracle ---- #
@@ -76,34 +78,6 @@ def test_lagrangian_pinned_values(pennies_problem, heat_problem, drift_problem):
     # drift control: b = u + v, sigma = 1; p=1, M=0, u=1 (index 2), v=-0.5 (index 0) -> 0.5
     q = query(drift_problem.spec, 0.0, x, 1.0, 0.0)
     assert lagrangian_matrix(drift_problem.spec, q)[2, 0] == 0.5
-
-
-def coupled_plane_spec() -> ProblemSpec:
-    """A 2-D game whose running term exercises every axis of the kernel.
-
-    The drift couples the coordinates, sigma is a full non-normal 2x2 matrix
-    (so sigma sigma^T and sigma^T sigma differ), and the 3x2 control set has
-    vector-valued u.
-    """
-    U = ControlSet(np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 0.5]]), label="u3")
-    V = ControlSet(np.array([[-0.5], [0.5]]), label="v2")
-
-    def drift(t, x, u, v):
-        return np.stack([u[0] + v[0] * np.tanh(x[..., 1]),
-                         u[1] - 0.3 * v[0] * x[..., 0] + t], axis=-1)
-
-    def diffusion(t, x, u, v):
-        sig = np.empty(x.shape + (2,))
-        sig[..., 0, 0] = 1.0 + 0.2 * v[0]
-        sig[..., 0, 1] = 0.7 * u[0] + 0.1 * x[..., 1]
-        sig[..., 1, 0] = -0.4 + 0.2 * x[..., 0]
-        sig[..., 1, 1] = 0.8 + 0.3 * u[1] * v[0]
-        return sig
-
-    return ProblemSpec(label="coupled_plane", dim=2, noise_dim=2, horizon=1.0,
-                       drift=drift, diffusion=diffusion,
-                       payoff=lambda x: np.tanh(x[..., 0] - x[..., 1]),
-                       controls_u=U, controls_v=V, payoff_bound=1.0)
 
 
 def test_lagrangian_matrix_matches_the_oracle_in_two_dimensions():
@@ -330,3 +304,72 @@ def test_mixed_weights_are_a_distribution(drift_problem):
     for w in (mixed.mu, mixed.nu):
         assert w.min() >= -1e-12
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+# ------------------------------------------------------------ query batches ---- #
+
+
+def batch_case(name):
+    """A spec, its query box, a query count and the scales of p and M.  The
+    2-d game has a pure saddle at most queries; a large M and a small p make
+    a few of them LP games."""
+    if name == "coupled_plane":
+        return coupled_plane_spec(), -2.0, 2.0, 120, 1.0, 30.0
+    prob = build_problem(name)
+    return prob.spec, prob.box_lo, prob.box_hi, 300, 3.0, 3.0
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(available_problems()) + ["coupled_plane"])
+def test_the_batch_is_the_one_query_path_bit_for_bit(name):
+    # M is drawn unsymmetric, so both paths symmetrize it; the 2-d 3x2 game
+    # takes the LP route, pennies the 2x2 closed form, the rest saddles
+    spec, lo, hi, n, p_scale, m_scale = batch_case(name)
+    rng = stream_generator(derive_seed(17, 31), 0)
+    t = rng.uniform(0.0, spec.horizon, n)
+    x = rng.uniform(lo, hi, (n, spec.dim))
+    p = rng.normal(0.0, p_scale, (n, spec.dim))
+    M = rng.normal(0.0, m_scale, (n, spec.dim, spec.dim))
+    batch = hamiltonian_mixed_batch(spec, QueryBatch(t=t, x=x, p=p, M=M))
+    assert len(batch.method) == n
+    for k in range(n):
+        q = HamiltonianQuery(t=float(t[k]), x=x[k], p=p[k], M=M[k])
+        one = hamiltonian_mixed(spec, q)
+        got = batch.solution(k)
+        for field in ("lower", "value", "upper", "residual", "mu", "nu"):
+            assert bits(getattr(got, field)) == bits(getattr(one, field)), (k, field)
+        assert got.method == one.method
+        assert (bits(got.lower), bits(got.upper)) == (bits(hamiltonian_lower(spec, q)),
+                                                      bits(hamiltonian_upper(spec, q)))
+    methods = set(batch.method)
+    if name == "coupled_plane":
+        assert "lp" in methods
+    elif name == "pennies":
+        assert "2x2" in methods
+    else:
+        assert methods == {"saddle"}
+
+
+def test_a_batch_refuses_a_bad_query_by_name(pennies_problem):
+    spec = pennies_problem.spec
+    t, x, p = np.zeros(3), np.zeros((3, 1)), np.ones((3, 1))
+    M = np.zeros((3, 1, 1))
+    for bad in ("t", "x", "p", "M"):
+        arrays = {"t": t.copy(), "x": x.copy(), "p": p.copy(), "M": M.copy()}
+        arrays[bad][1] = np.nan
+        with pytest.raises(ModelEvaluationError, match="query 1 contains non-finite entries"):
+            QueryBatch(**arrays)
+    with pytest.raises(ModelEvaluationError, match="query shapes inconsistent"):
+        QueryBatch(t=t, x=x, p=np.ones((3, 2)), M=M)
+    with pytest.raises(ModelEvaluationError, match="query shapes inconsistent"):
+        QueryBatch(t=t[:2], x=x, p=p, M=M)
+    # a finite query whose running term overflows: b p + M / 2 = 1.7e308 + 0.4e308
+    huge = QueryBatch(t=t, x=x, p=np.array([[1.0], [1.0], [1.7e308]]),
+                      M=np.array([[[0.0]], [[0.0]], [[0.8e308]]]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ModelEvaluationError, match="game matrix of query 2 contains "
+                                                       "non-finite entries"):
+            hamiltonian_mixed_batch(spec, huge)

@@ -447,3 +447,17 @@ def test_a_joint_solve_holds_little_beyond_its_fields(heat_problem):
               for a in (f.values, f.feedback_u.indices, f.feedback_v.indices,
                         f.response_v, f.max_update))
     assert peak <= 1.15 * own, peak / own
+
+
+def test_the_joint_fields_own_their_arrays(pennies_fields):
+    # the march steps both equations as one stacked block, but each field is
+    # written into arrays of its own, so dropping one field frees all of it
+    lower, upper = pennies_fields
+
+    def arrays(f):
+        return (f.values, f.feedback_u.indices, f.feedback_v.indices, f.response_v,
+                f.max_update)
+
+    for a in arrays(lower):
+        for b in arrays(upper):
+            assert not np.shares_memory(a, b)

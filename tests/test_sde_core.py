@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import sde_oracle as oracle
+from conftest import coupled_plane_spec
 from robustctl.errors import ConfigError, ModelEvaluationError
 from robustctl.sde_core import (_NOISE_BLOCK, STREAM_BROWNIAN, STREAM_EXTRA, ControlSet,
                                 ProblemSpec, derive_seed, derive_seed_array,
@@ -394,3 +395,51 @@ def test_assumptions_report_is_deterministic(heat_problem):
     b = validate_assumptions(heat_problem.spec, -6, 6, n_samples=200, seed=3)
     assert a.lipschitz_estimate == b.lipschitz_estimate
     assert a.growth_estimate == b.growth_estimate
+
+
+# the estimates of validate_assumptions(spec, box_lo, box_hi, 2000, 7), taken
+# from the per-sample loop that drew, called and normed one sample at a time
+# (np.linalg.norm per output); the coupled plane's box is [-2, 2]^2
+GATE_BITS = {
+    "constant": (0.0, 0.0),
+    "drift_control": (0.0, 2.4966886739762546),
+    "growth_violator": (19.57603615329923, 9.089136569969119),
+    "heat": (0.0, 1.4136749153329742),
+    "pennies": (0.0, 1.9984335430271947),
+    "coupled_plane": (0.5886280657223628, 3.058406433895244),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_BITS))
+def test_the_gate_estimates_keep_their_bits(name):
+    if name == "coupled_plane":
+        rep = validate_assumptions(coupled_plane_spec(), -2.0, 2.0, 2000, 7)
+    else:
+        problem = build_problem(name)
+        rep = validate_assumptions(problem.spec, problem.box_lo, problem.box_hi, 2000, 7)
+    assert (rep.lipschitz_estimate, rep.growth_estimate) == GATE_BITS[name]
+    assert set(GATE_BITS) == set(available_problems()) | {"coupled_plane"}
+
+
+@pytest.mark.parametrize("bad_shape_call", [16, None])
+def test_the_gate_names_the_first_non_finite_sample(drift_problem, bad_shape_call):
+    # the drift is NaN at sample 5's x1 (its 11th call); a later call that
+    # returns the wrong shape (sample 7's x2) ends the loop, but the NaN came
+    # first, so that sample's t, u and v are named either way
+    base = drift_problem.spec
+    calls = []
+
+    def drift(t, x, u, v):
+        calls.append((t, u, v))
+        out = base.drift(t, x, u, v)
+        if len(calls) == 11:
+            return np.full_like(out, np.nan)
+        return out[:0] if len(calls) == bad_shape_call else out
+
+    spec = dataclasses.replace(base, drift=drift)
+    with pytest.raises(ModelEvaluationError) as err:
+        validate_assumptions(spec, -1.0, 1.0, n_samples=50, seed=7)
+    t, u, v = calls[10]
+    assert str(err.value) == (f"drift_control.drift(t={t}, u={u}, v={v}) "
+                              "returned non-finite values")
+    assert len(calls) == (bad_shape_call or 100)
