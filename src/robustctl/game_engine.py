@@ -59,6 +59,7 @@ import numpy as np
 from .errors import (ConfigError, EmbeddingMismatchError, ModelEvaluationError,
                      SimulationBlowUpError, StrategyIntervalError,
                      StrategyStructureError)
+from .hamiltonian import minimax
 from .pde_solver import FeedbackMap, ValueField
 from .sde_core import (ControlSet, NoisePath, ProblemSpec, derive_seed,
                        derive_seed_array, eval_pairs, eval_payoff, sample_noise_batch)
@@ -793,17 +794,15 @@ class FiltrationReport:
 def _fold(labels: list, rows: list) -> ValueExperimentReport:
     """The one sup-inf reduction; ``rows[i][j]`` is strategy i's estimate against member j.
 
-    Each strategy's worst member has the minimum mean, the first on ties;
-    the best strategy has the largest worst mean, the first on ties.  So
-    results are reproducible, and a family or ladder extended with
-    duplicates gives the identical answer.
+    :func:`~robustctl.hamiltonian.minimax` reduces the means as it reduces the
+    Isaacs matrices: each strategy's worst member and the best strategy, the
+    first on ties.  So results are reproducible, and a family or ladder
+    extended with duplicates gives the identical answer.
     """
-    robust = []
-    for row in rows:
-        worst = row[int(np.argmin([est.mean for est in row]))]
-        robust.append(RobustValue(estimate=worst, worst_id=worst.adversary_id,
-                                  members={est.adversary_id: est for est in row}))
-    best = int(np.argmax([rv.mean for rv in robust]))
+    _, best, _, worst = minimax(np.array([[est.mean for est in row] for row in rows]), "lower")
+    robust = [RobustValue(estimate=row[w], worst_id=row[w].adversary_id,
+                          members={est.adversary_id: est for est in row})
+              for row, w in zip(rows, worst.tolist())]
     return ValueExperimentReport(per_strategy=dict(zip(labels, robust)),
                                  best_label=labels[best], best=robust[best])
 

@@ -48,36 +48,10 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class HamiltonianQuery:
-    """One (t, x, p, M) evaluation point; M is symmetrized on input."""
-
-    t: float
-    x: np.ndarray
-    p: np.ndarray
-    M: np.ndarray
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        M = np.atleast_2d(np.asarray(self.M, dtype=float))
-        if p.shape != x.shape or M.shape != (x.size, x.size):
-            raise ModelEvaluationError(
-                f"query shapes inconsistent: x {x.shape}, p {p.shape}, M {M.shape}")
-        if not (np.isfinite(self.t) and np.all(np.isfinite(x))
-                and np.all(np.isfinite(p)) and np.all(np.isfinite(M))):
-            raise ModelEvaluationError("query contains non-finite entries")
-        M = 0.5 * (M + M.T)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "M", M)
-
-
-@dataclass(frozen=True, eq=False)
 class QueryBatch:
     """n (t, x, p, M) evaluation points stacked along axis 0: ``t`` (n,), ``x``
-    and ``p`` (n, d), ``M`` (n, d, d).  Checked and symmetrized on input as
-    :class:`HamiltonianQuery` checks one query; a non-finite query is named
-    by its index."""
+    and ``p`` (n, d), ``M`` (n, d, d).  Checked and symmetrized on input; a
+    non-finite query is named by its index."""
 
     t: np.ndarray
     x: np.ndarray
@@ -99,6 +73,23 @@ class QueryBatch:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "M", 0.5 * (M + np.swapaxes(M, 1, 2)))
+
+
+@dataclass(frozen=True, eq=False)
+class HamiltonianQuery:
+    """One (t, x, p, M) evaluation point, checked and symmetrized as the
+    one-row :class:`QueryBatch`; ``t`` is kept as given."""
+
+    t: float
+    x: np.ndarray
+    p: np.ndarray
+    M: np.ndarray
+
+    def __post_init__(self):
+        one = QueryBatch(t=[self.t], x=np.atleast_1d(self.x)[None],
+                         p=np.atleast_1d(self.p)[None], M=np.atleast_2d(self.M)[None])
+        for name in ("x", "p", "M"):
+            object.__setattr__(self, name, getattr(one, name)[0])
 
 
 def _running_term(spec: ProblemSpec, t: float, x: np.ndarray, p: np.ndarray,
@@ -164,6 +155,8 @@ def hamiltonian_upper(spec: ProblemSpec, q: HamiltonianQuery) -> float:
 
 # ----------------------------------------------------------- matrix games ---- #
 
+_LP_TOL = 1e-8  # an LP solution's duality gap, relative to the matrix magnitude
+
 
 @dataclass(frozen=True, eq=False)
 class MixedSolution:
@@ -204,19 +197,19 @@ class MixedBatch:
                              lower=float(self.lower[k]), upper=float(self.upper[k]))
 
 
-def solve_matrix_game(A: np.ndarray, tol: float = 1e-8) -> MixedSolution:
+def solve_matrix_game(A: np.ndarray) -> MixedSolution:
     """Value and optimal mixed strategies of the zero-sum game max_mu min_nu mu^T A nu.
 
     The row player maximizes.  Exact shortcuts handle pure saddle points and
     2x2 games; everything else goes through two linear programs whose gap is
-    checked against ``tol`` (scaled by the matrix magnitude).
+    checked against 1e-8 times the matrix magnitude.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ModelEvaluationError(f"game matrix must be 2-d and non-empty, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ModelEvaluationError("game matrix contains non-finite entries")
-    return _solve_games(A[:, :, None], tol).solution(0)
+    return _solve_games(A[:, :, None], _LP_TOL).solution(0)
 
 
 def _solve_games(L: np.ndarray, tol: float) -> MixedBatch:
@@ -291,7 +284,7 @@ def _lp_value(A: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def hamiltonian_mixed_batch(spec: ProblemSpec, queries: QueryBatch,
-                            tol: float = 1e-8) -> MixedBatch:
+                            tol: float = _LP_TOL) -> MixedBatch:
     """Mixed-strategy values of the running-term games at a batch of queries.
 
     Each query's matrix is built at its own t, as :func:`lagrangian_matrix`
@@ -305,16 +298,16 @@ def hamiltonian_mixed_batch(spec: ProblemSpec, queries: QueryBatch,
     return _solve_games(_finite_games(L), tol)
 
 
-def hamiltonian_mixed(spec: ProblemSpec, q: HamiltonianQuery,
-                      tol: float = 1e-8) -> MixedSolution:
+def hamiltonian_mixed(spec: ProblemSpec, q: HamiltonianQuery) -> MixedSolution:
     """Mixed-strategy value of the running-term game at one query point: the
-    one-query case of :func:`hamiltonian_mixed_batch`, on a query checked
-    and symmetrized already.
+    one-query case of :func:`hamiltonian_mixed_batch`, on a query that its
+    one-row :class:`QueryBatch` checked and symmetrized.
 
     Always wedged between the lower and upper Hamiltonians (up to the
     solution's residual), with equality on both sides iff a saddle exists.
     """
-    return _solve_games(_finite_games(lagrangian_matrix(spec, q)[:, :, None]), tol).solution(0)
+    L = lagrangian_matrix(spec, q)[:, :, None]
+    return _solve_games(_finite_games(L), _LP_TOL).solution(0)
 
 
 def _finite_games(L: np.ndarray) -> np.ndarray:

@@ -30,14 +30,14 @@ through one :class:`SpaceTimeGrid`, which checks itself and owns the snap.
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CflViolationError, ConfigError, ModelEvaluationError, NumericalSolveError
 from .hamiltonian import minimax
-from .sde_core import ControlSet, ProblemSpec, eval_pairs, eval_payoff
+from .sde_core import ControlSet, ProblemSpec, eval_pairs, eval_payoff, physical_memory
 
 __all__ = [
     "SpaceTimeGrid",
@@ -119,16 +119,18 @@ class SpaceTimeGrid:
         return tuple(cells)
 
 
-def _space_axes(lo: np.ndarray, hi: np.ndarray, h: np.ndarray) -> tuple:
-    axes = []
+def _node_counts(lo: np.ndarray, hi: np.ndarray, h: np.ndarray) -> list:
+    """Nodes per axis of the box at spacing h, checked without building an axis
+    (inf where the count overflows a float)."""
+    counts = []
     for a, (l, r, step) in enumerate(zip(lo, hi, h)):
         if not (r > l and step > 0):
             raise ConfigError(f"axis {a}: need lo < hi and h > 0, got [{l}, {r}] with h={step}")
         n = (r - l) / step
-        if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
+        if np.isfinite(n) and abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
             raise ConfigError(f"axis {a}: spacing {step} does not divide [{l}, {r}]")
-        axes.append(np.linspace(l, r, int(round(n)) + 1))
-    return tuple(axes)
+        counts.append(round(n) + 1 if np.isfinite(n) else np.inf)
+    return counts
 
 
 def _diffusion_diag(spec: ProblemSpec, sig: np.ndarray) -> np.ndarray:
@@ -168,14 +170,21 @@ def make_grid(spec: ProblemSpec, lo, hi, h, dt: float | None = None,
 
     ``dt`` is an upper bound on the time step; when omitted the CFL bound
     (times ``cfl_safety``) is used directly.  A requested ``dt`` above the
-    bound raises, quoting the bound.  A grid whose one float64 field,
-    (n_steps + 1) x nodes x 8 bytes, exceeds physical memory is refused
-    before its time grid is built.
+    bound raises, quoting the bound.  A grid whose node mesh exceeds
+    physical memory is refused before any array sized by its nodes is built,
+    and one whose float64 field, (n_steps + 1) x nodes x 8 bytes, does
+    before its time grid is.
     """
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (spec.dim,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (spec.dim,))
     h = np.broadcast_to(np.asarray(h, dtype=float), (spec.dim,))
-    axes = _space_axes(lo, hi, h)
+    counts = _node_counts(lo, hi, h)
+    nodes, memory = math.prod(counts), physical_memory()
+    # the stability bound's node mesh is the first array sized by the nodes
+    if nodes * spec.dim * 8 > memory:
+        raise ConfigError(f"h={h.tolist()}: the grid's {nodes} nodes need {nodes * spec.dim * 8} "
+                          f"bytes, above the {memory} bytes of physical memory")
+    axes = tuple(np.linspace(l, r, n) for l, r, n in zip(lo, hi, counts))
     if not (0 < cfl_safety <= 1.0):
         raise ConfigError(f"cfl_safety must be in (0, 1], got {cfl_safety}")
     bound = cfl_max_dt(spec, axes) * cfl_safety
@@ -196,8 +205,7 @@ def make_grid(spec: ProblemSpec, lo, hi, h, dt: float | None = None,
     n_steps = max(1, int(np.ceil(spec.horizon / target - 1e-12)))
     if spec.horizon / n_steps > bound * (1.0 + 1e-12):
         n_steps += 1
-    field_bytes = (n_steps + 1) * int(np.prod([a.size for a in axes])) * 8
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    field_bytes = (n_steps + 1) * nodes * 8
     if field_bytes > memory:
         raise ConfigError(f"h={h.tolist()}: one field of {n_steps + 1} layers needs "
                           f"{field_bytes} bytes, above the {memory} bytes of physical memory")

@@ -103,9 +103,9 @@ def _take_params(problem_id: str, params: dict, defaults: dict) -> dict:
     return out
 
 
-def _const_diffusion(value: float, noise_dim: int = 1):
+def _const_diffusion(value: float):
     def diffusion(t, x, u, v):
-        return np.full(x.shape + (noise_dim,), value)
+        return np.full(x.shape + (1,), value)
     return diffusion
 
 

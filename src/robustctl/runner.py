@@ -9,7 +9,6 @@ reproduces the run exactly.
 
 from __future__ import annotations
 
-import os
 from itertools import repeat
 
 import numpy as np
@@ -17,12 +16,11 @@ import numpy as np
 from . import game_engine as ge
 from .config import DEFAULTS, resolve_config
 from .errors import CflViolationError, ConfigError, EmbeddingMismatchError, RobustCtlError
-from .hamiltonian import (HamiltonianQuery, QueryBatch, hamiltonian_mixed,
-                          hamiltonian_mixed_batch)
+from .hamiltonian import QueryBatch, hamiltonian_mixed_batch
 from .pde_solver import ValueField, cfl_max_dt, compare_to_reference, make_grid, solve_isaacs
 from .problems import build_problem
 from .reports import SUMMARY_VERSION, emit_report
-from .sde_core import (derive_seed, derive_seed_array, sample_noise,
+from .sde_core import (derive_seed, derive_seed_array, physical_memory, sample_noise,
                        stream_generator, validate_assumptions)
 from .strategies import AbsRegion, FixedTimeRule, HittingRule
 
@@ -140,16 +138,22 @@ def run_experiment(raw_config: dict, command: str = "run", seed: int | None = No
     engine = ge.EngineConfig(n_steps=sim["n_steps"], chunk_size=sim["chunk_size"],
                              threads=cfg["threads"])
     rules = [_build_rho(rule_cfg, spec.horizon) for rule_cfg in cfg["dpp"]["rules"]]
-    # the table holds at least one 8-byte value per rung and path, so an
-    # n_paths whose table cannot fit in physical memory is refused here too,
-    # and so is a rung asking for more decisions than the march has steps
+    # the table holds at least one 8-byte value per rung and path, and a chunk
+    # draws its noise panel whole, so an n_paths or n_steps whose array cannot
+    # fit in physical memory is refused here too, and so is a rung asking for
+    # more decisions than the march has steps
     table_stages = [name for name in ("value", "filtration", "dpp") if name in stages]
     counts = cfg["strategies"]["decision_counts"]
     table_bytes = len(counts) * sim["n_paths"] * 8
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    panel_bytes = min(engine.chunk_size, sim["n_paths"]) * engine.n_steps * spec.noise_dim * 8
+    memory = physical_memory()
     if table_stages and table_bytes > memory:
         raise ConfigError(f"$.simulate.n_paths: {sim['n_paths']} paths need a table of at least "
                           f"{table_bytes} bytes, above the {memory} bytes of physical memory")
+    if (table_stages or "embedding" in stages) and panel_bytes > memory:
+        raise ConfigError(f"$.simulate.n_steps: {engine.n_steps} steps need a noise panel of "
+                          f"{panel_bytes} bytes a chunk, above the {memory} bytes of "
+                          f"physical memory")
     if table_stages and max(counts) > engine.n_steps:
         raise ConfigError(f"$.strategies.decision_counts: {max(counts)} decisions on "
                           f"{engine.n_steps} steps; a rung decides at most once a step")
@@ -538,9 +542,9 @@ def _hamiltonian_stage(problem, cfg: dict, master_seed: int, tol: dict):
     ham = {"n_queries": n, "max_order_violation": worst,
            "max_mixed_residual": max_residual, "methods": methods}
     if spec.controls_u.size == 2 and spec.controls_v.size == 2:
-        q = HamiltonianQuery(t=0.0, x=np.zeros(spec.dim),
-                             p=np.ones(spec.dim), M=np.zeros((spec.dim, spec.dim)))
-        mix = hamiltonian_mixed(spec, q)
+        d = spec.dim
+        unit = QueryBatch(np.zeros(1), np.zeros((1, d)), np.ones((1, d)), np.zeros((1, d, d)))
+        mix = hamiltonian_mixed_batch(spec, unit).solution(0)
         ham["unit_gradient_point"] = {"lower": mix.lower, "mixed": mix.value,
                                       "upper": mix.upper}
     return ham, (header, rows)

@@ -18,6 +18,7 @@ increments that only information-enlarged adversaries may read.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable
@@ -31,12 +32,11 @@ __all__ = [
     "ProblemSpec",
     "NoisePath",
     "AssumptionReport",
-    "eval_drift",
-    "eval_diffusion",
     "eval_pairs",
     "eval_payoff",
     "sample_noise",
     "sample_noise_batch",
+    "physical_memory",
     "validate_assumptions",
     "derive_seed",
     "derive_seed_array",
@@ -203,36 +203,6 @@ def _nonfinite_error(name: str, t: float, u: np.ndarray, v: np.ndarray) -> Model
     return ModelEvaluationError(f"{name}(t={t}, u={u}, v={v}) returned non-finite values")
 
 
-def _check_finite_shape(name: str, out: np.ndarray, want_shape: tuple,
-                        t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.asarray(out, dtype=float)
-    if out.shape != want_shape:
-        raise _shape_error(name, out.shape, want_shape, t, u, v)
-    if not np.all(np.isfinite(out)):
-        raise _nonfinite_error(name, t, u, v)
-    return out
-
-
-def eval_drift(spec: ProblemSpec, t: float, x: np.ndarray,
-               u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Drift b(t, x, u, v), validated for shape and finiteness.
-
-    ``x`` may carry leading batch axes: shape (..., dim) in, (..., dim) out.
-    """
-    x = np.asarray(x, dtype=float)
-    out = spec.drift(t, x, u, v)
-    return _check_finite_shape(f"{spec.label}.drift", out, x.shape, t, u, v)
-
-
-def eval_diffusion(spec: ProblemSpec, t: float, x: np.ndarray,
-                   u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Diffusion sigma(t, x, u, v): (..., dim) in, (..., dim, noise_dim) out."""
-    x = np.asarray(x, dtype=float)
-    want = x.shape + (spec.noise_dim,)
-    out = spec.diffusion(t, x, u, v)
-    return _check_finite_shape(f"{spec.label}.diffusion", out, want, t, u, v)
-
-
 def eval_pairs(spec: ProblemSpec, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validated drift and diffusion at every (u, v) pair of the control sets.
 
@@ -240,10 +210,10 @@ def eval_pairs(spec: ProblemSpec, t: float, x: np.ndarray) -> tuple[np.ndarray, 
     (n_u, n_v, *x.shape, noise_dim); entry [i, j] belongs to
     (controls_u.point(i), controls_v.point(j)).
 
-    Raises the error that :func:`eval_drift` and :func:`eval_diffusion`
-    would raise first, called pair by pair with the drift first, but checks
-    each output's shape as it returns and each stacked block's finiteness
-    once; the culprit of a non-finite block is looked up only on failure.
+    The package's one checked evaluation of the callbacks, called pair by
+    pair with the drift first.  Each output's shape is checked as it returns
+    and each stacked block's finiteness once, raising the error a check of
+    each output as it returned would raise first.
     """
     x = np.asarray(x, dtype=float)
     U, V = spec.controls_u, spec.controls_v
@@ -408,6 +378,12 @@ def sample_noise(time_grid: np.ndarray, seed: int, noise_dim: int,
     dW, extra = sample_noise_batch(times, np.array([seed], dtype=np.uint64), noise_dim,
                                    extra_dim)
     return NoisePath(times=times, dW=dW[0], extra=extra[0], seed=seed)
+
+
+def physical_memory() -> int:
+    """The machine's physical memory in bytes: the bound that the grid's field,
+    the Monte Carlo table and a chunk's noise panel are each refused above."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 # ----------------------------------------------------- assumption checks ---- #

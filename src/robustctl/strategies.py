@@ -526,11 +526,16 @@ class SignControl(OpenLoopControl):
         self.neg_index = _played_index(neg_index, f"control {self.label!r}")
         self.source = source
         self.coord = int(coord)
+        if self.coord < 0:
+            raise ConfigError(f"control {self.label!r}: coordinate {coord} is negative")
         if source == "extra":
-            self.extra_dim = coord + 1
+            self.extra_dim = self.coord + 1
 
     def realize_batch(self, times, dW, extra, seeds):
         src = dW if self.source == "brownian" else extra
+        if self.coord >= src.shape[-1]:
+            raise ConfigError(f"control {self.label!r} reads coordinate {self.coord} of the "
+                              f"{self.source} stream, which is {src.shape[-1]} wide")
         steps = src[:, :, self.coord].T  # (N, c): row i is every path's increment i
         paths = np.empty(steps.shape, dtype=np.int32)
         level = np.zeros(steps.shape[1])
@@ -635,8 +640,7 @@ class NonAnticipativityReport:
 
 def check_nonanticipative(obj, n_trials: int = 200, seed: int = 0,
                           n_steps: int = 32, horizon: float = 1.0,
-                          state_dim: int = 1, extra_dim: int = 1,
-                          noise_dim: int = 1) -> NonAnticipativityReport:
+                          state_dim: int = 1, noise_dim: int = 1) -> NonAnticipativityReport:
     """Probe an object's batch form with input pairs that agree up to a random cut.
 
     Trial k draws a cut and two inputs (random walks, or noise for open-loop
@@ -655,7 +659,7 @@ def check_nonanticipative(obj, n_trials: int = 200, seed: int = 0,
     cuts = rng.integers(1, n_steps, size=n_trials)
     if isinstance(obj, OpenLoopControl):
         kind, label = "open_loop", obj.label
-        inc = _increment_pairs(times, rng, cuts, noise_dim + max(extra_dim, obj.extra_dim))
+        inc = _increment_pairs(times, rng, cuts, noise_dim + max(1, obj.extra_dim))
         seeds = np.repeat(derive_seed_array(derive_seed(seed, 17), np.arange(n_trials)), 2)
         decide = lambda: realize_checked(obj, times, inc[..., :noise_dim],
                                          inc[..., noise_dim:], seeds)

@@ -1,20 +1,51 @@
-"""Reference forms of the Euler step and the seed mixer, written apart from the package.
+"""Reference forms of the coefficient calls, the Euler step and the seed
+mixer, written apart from the package.
 
-The package steps whole blocks in place (``game_engine._step_batch``) and
-mixes seeds on uint64 arrays (``derive_seed_array``).
-This module keeps the textbook forms those must reproduce bit for bit: one
-explicit Euler step through the validated coefficient calls, and splitmix64
-on Python ints.
+The package evaluates every control pair's coefficients as one checked block
+(``sde_core.eval_pairs``), steps whole blocks in place
+(``game_engine._step_batch``) and mixes seeds on uint64 arrays
+(``derive_seed_array``).  This module keeps the textbook forms those must
+reproduce bit for bit, errors and their messages included: one checked
+coefficient call at a time, one explicit Euler step through them, and
+splitmix64 on Python ints.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from robustctl.sde_core import ProblemSpec, eval_diffusion, eval_drift
+from robustctl.errors import ModelEvaluationError
+from robustctl.sde_core import ProblemSpec
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
+
+
+def _checked(name: str, out, want: tuple, t: float, u: np.ndarray,
+             v: np.ndarray) -> np.ndarray:
+    """One callback output, refused unless it has shape ``want`` and is finite."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != want:
+        raise ModelEvaluationError(
+            f"{name}(t={t}, u={u}, v={v}) returned shape {out.shape}, expected {want}")
+    if not np.all(np.isfinite(out)):
+        raise ModelEvaluationError(f"{name}(t={t}, u={u}, v={v}) returned non-finite values")
+    return out
+
+
+def eval_drift(spec: ProblemSpec, t: float, x: np.ndarray,
+               u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Drift b(t, x, u, v), checked: (..., dim) in, (..., dim) out."""
+    x = np.asarray(x, dtype=float)
+    return _checked(f"{spec.label}.drift", spec.drift(t, x, u, v), x.shape, t, u, v)
+
+
+def eval_diffusion(spec: ProblemSpec, t: float, x: np.ndarray,
+                   u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Diffusion sigma(t, x, u, v), checked: (..., dim) in, (..., dim, noise_dim) out."""
+    x = np.asarray(x, dtype=float)
+    return _checked(f"{spec.label}.diffusion", spec.diffusion(t, x, u, v),
+                    x.shape + (spec.noise_dim,), t, u, v)
 
 
 def euler_step(spec: ProblemSpec, t: float, dt: float, x: np.ndarray,

@@ -27,6 +27,7 @@ from hypothesis import strategies as hs
 from conftest import estimate_cell
 import robustctl.config as config
 import robustctl.game_engine as ge
+import robustctl.pde_solver as pde_solver
 import robustctl.runner as runner
 from robustctl.cli import main
 from robustctl.config import (DEFAULTS, SCHEMA, describe_errors, load_config,
@@ -349,6 +350,46 @@ def test_an_n_paths_whose_table_cannot_fit_is_named(tmp_path, capsys, monkeypatc
     # a run that marches no table is not refused
     monkeypatch.undo()
     assert main(["hamiltonian-report", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_an_n_steps_whose_noise_panel_cannot_fit_is_named(tmp_path, capsys, monkeypatch):
+    # 10**30 steps used to run the gate and the solve, then end in numpy's
+    # casting error from the ladder's linspace with exit 1; a chunk's noise
+    # panel is checked against physical memory before the gate and the solves
+    def too_late(*args, **kwargs):
+        raise AssertionError("ran past the noise panel's size check")
+
+    monkeypatch.setattr(runner, "validate_assumptions", too_late)
+    monkeypatch.setattr(runner, "_solve_stage", too_late)
+    off = {name: False for name in ("value", "filtration", "dpp", "hamiltonian")}
+    cfg = {**CHEAP_PENNIES, "grid": {"h": 0.1}, "simulate": {"n_paths": 100, "n_steps": 10 ** 30}}
+    for command, experiments in (("simulate", {}), ("run", {**off, "embedding": True})):
+        path = write_cfg(tmp_path, {**cfg, "experiments": experiments})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: $.simulate.n_steps: {10 ** 30} steps need a "
+                              f"noise panel of {100 * 10 ** 30 * 8} bytes a chunk")
+    assert not (tmp_path / "out").exists()
+    # a run that marches no path is not refused
+    monkeypatch.undo()
+    path = write_cfg(tmp_path, cfg)
+    assert main(["hamiltonian-report", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_a_grid_whose_node_mesh_cannot_fit_is_named(tmp_path, capsys, monkeypatch):
+    # h = 1e-300 used to end in a bare ValueError from the axes' linspace
+    # with exit 1; the node count is checked before any axis or mesh is built
+    def too_late(*args, **kwargs):
+        raise AssertionError("ran past the grid's node-count check")
+
+    monkeypatch.setattr(runner, "validate_assumptions", too_late)
+    monkeypatch.setattr(pde_solver, "cfl_max_dt", too_late)
+    path = write_cfg(tmp_path, {"problem": {"id": "pennies"}, "grid": {"h": 1e-300}})
+    assert main(["solve-pde", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.grid: h=[1e-300]: the grid's ")
+    assert "physical memory" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_rung_with_more_decisions_than_steps_is_named(tmp_path, capsys, monkeypatch):

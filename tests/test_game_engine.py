@@ -399,6 +399,20 @@ def test_same_arguments_reproduce_bitwise(pennies_problem):
     assert a.mean == b.mean and a.std_error == b.std_error
 
 
+def test_a_sign_control_past_its_streams_width_is_named(pennies_problem):
+    # pennies has one noise coordinate: a sign control reading coordinate 1
+    # used to escape the table as a bare IndexError from its running sum
+    spec = pennies_problem.spec
+    alpha = constant_strategy(spec.controls_u, 1, 0.0, spec.horizon)
+    family = AdversaryFamily((Adversary("sgn1", SignControl(1, 0, coord=1)),))
+    with pytest.raises(ConfigError, match=r"^control 'sign_brownian' reads coordinate 1 of "
+                                          r"the brownian stream, which is 1 wide$"):
+        value_experiment(spec, 0.0, np.array([0.0]), [alpha], family, n_paths=16,
+                         master_seed=3, engine=EngineConfig(n_steps=8))
+    with pytest.raises(ConfigError, match="coordinate -1 is negative"):
+        SignControl(1, 0, coord=-1)
+
+
 def test_chunk_and_thread_layout_is_invisible(pennies_problem, pennies_fields):
     spec = pennies_problem.spec
     lower, _ = pennies_fields

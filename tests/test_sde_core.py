@@ -13,12 +13,11 @@ import sde_oracle as oracle
 from conftest import coupled_plane_spec
 from robustctl.errors import ConfigError, ModelEvaluationError
 from robustctl.sde_core import (_NOISE_BLOCK, STREAM_BROWNIAN, STREAM_EXTRA, ControlSet,
-                                ProblemSpec, derive_seed, derive_seed_array,
-                                eval_diffusion, eval_drift, eval_pairs,
+                                ProblemSpec, derive_seed, derive_seed_array, eval_pairs,
                                 eval_payoff, sample_noise, sample_noise_batch,
                                 stream_generator, validate_assumptions)
 from robustctl.problems import available_problems, build_problem
-from sde_oracle import euler_step
+from sde_oracle import euler_step, eval_diffusion, eval_drift
 from working_set import peak_bytes
 
 SQRT2 = float(np.sqrt(2.0))
